@@ -1,0 +1,5 @@
+"""`python -m hilbertlab ...` runs the command-line entry point."""
+from .cli import main
+
+if __name__ == "__main__":
+    main()

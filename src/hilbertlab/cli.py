@@ -1,7 +1,8 @@
 """Command-line entry point: verification suites, constants, and scans.
 
 Exit codes: 0 on success (and all verdicts holding), 1 when a
-verification suite records a failing verdict, 2 on usage errors.
+verification suite records a failing verdict, 2 on usage errors, invalid
+input and eigensolver failures.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import sys
 import time
 
 from ._util import fmt12, jsonable
-from .errors import IoError
+from .errors import IoError, NoConvergence
 from .gaps import generate_cluster, generate_random, generate_uniform
 from .lowerbound import ScanRow, big_g, scan
 from .quadforms import estimate_constant
@@ -108,6 +109,8 @@ def write_csv(rows: list[dict], path: str, fieldnames: list[str] | None = None) 
 
 
 def _run_verify(args) -> tuple[RunReport, int]:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     names = ALL_SUITES if args.suite == "all" else (args.suite,)
     records = run_suites(names, trials=args.trials, max_n=args.max_n,
                          seed=args.seed, tol=args.tol)
@@ -214,7 +217,7 @@ def dispatch(argv: list[str]) -> int:
             report, code = _run_lower_bound(args)
         else:
             report, code = _run_scan("figure", args, FIGURE_KMIN, FIGURE_KMAX, FIGURE_STEPS)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, NoConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report.elapsed_ms = int(round((time.perf_counter() - start) * 1000))

@@ -7,6 +7,10 @@ class TooShort(ValueError):
     """Node vector has fewer than 3 entries (two ghosts plus one active)."""
 
 
+class NonFinite(ValueError):
+    """Nodes or matrix entries include an infinity or NaN."""
+
+
 class NotIncreasing(ValueError):
     """Node vector is not strictly increasing."""
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import IndexOutOfRange, NegativeEntry, NotIncreasing, TooShort
+from .errors import IndexOutOfRange, NegativeEntry, NonFinite, NotIncreasing, TooShort
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,6 +27,8 @@ class GapSequence:
         arr = np.array(self.nodes, dtype=float)
         if arr.ndim != 1 or arr.size < 3:
             raise TooShort(f"need at least 3 nodes, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise NonFinite("nodes must be finite")
         if not np.all(np.diff(arr) > 0):
             raise NotIncreasing("nodes must be strictly increasing")
         arr.setflags(write=False)

@@ -22,6 +22,7 @@ from .errors import (
     LengthMismatch,
     NegativeEntry,
     NoConvergence,
+    NonFinite,
     NotSymmetric,
 )
 from .gaps import GapSequence, WeightVector
@@ -82,39 +83,58 @@ def q_alpha(seq: GapSequence, t, alpha: float) -> float:
     return float(np.sum(matrix * np.outer(values, values)))
 
 
-def _top_eigenpair_sym(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Deterministic top eigenpair of a symmetric matrix (LAPACK)."""
+def _top_eigen(matrix: np.ndarray, vector: bool = True) -> tuple[float, np.ndarray | None]:
+    """Top eigenvalue of a square, finite, symmetric matrix and, when
+    `vector` is set, a certified unit eigenvector for it.
+
+    The value is LAPACK's eigvalsh, so no eigenvectors are formed. The
+    vector comes from two steps of inverse iteration (Wielandt) on
+    sigma*I - M from the normalized ones vector, with the shift sigma just
+    above the value, and is returned only when the residual certificate
+    ||Mv - value*v|| <= RESIDUAL_RTOL * |value| holds. A zero matrix keeps
+    the start vector.
+    """
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise NotSymmetric(f"need a square matrix, got shape {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise NonFinite("matrix has non-finite entries")
+    scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
+    if float(np.max(np.abs(matrix - matrix.T))) > 1e-12 * (1.0 + scale):
+        raise NotSymmetric("matrix is not symmetric within 1e-12")
+    n = matrix.shape[0]
     try:
-        eigvals, eigvecs = np.linalg.eigh(matrix)
+        value = float(np.linalg.eigvalsh(matrix)[-1])
+        if not vector:
+            return value, None
+        v = np.full(n, 1.0 / np.sqrt(n))
+        if scale > 0.0:
+            shifted = -matrix
+            shifted.flat[:: n + 1] += value + 1e-14 * (abs(value) + scale)
+            for _ in range(2):
+                v = np.linalg.solve(shifted, v)
+                v /= np.linalg.norm(v)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    return float(eigvals[-1]), eigvecs[:, -1]
+    residual = float(np.linalg.norm(matrix @ v - value * v))
+    if residual > RESIDUAL_RTOL * max(abs(value), 1e-300):
+        raise NoConvergence(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:g}*|value|")
+    return value, v
 
 
 def top_eigen_nonneg_sym(matrix) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and a nonnegative unit eigenvector.
 
-    Requires a symmetric matrix with nonnegative entries; the returned
-    vector is the Perron direction with residual ||Mv - v*val|| bounded by
-    1e-10 * val.
+    Requires a finite symmetric matrix with nonnegative entries; the
+    returned vector is the Perron direction with residual ||Mv - v*val||
+    bounded by 1e-10 * val. Inverse iteration from a positive start stays
+    positive on such a matrix, so the absolute value only clears the sign
+    of entries that vanish to rounding.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise NotSymmetric(f"need a square matrix, got shape {matrix.shape}")
-    scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
-    if float(np.max(np.abs(matrix - matrix.T))) > 1e-12 * (1.0 + scale):
-        raise NotSymmetric("matrix is not symmetric within 1e-12")
     if float(np.min(matrix)) < 0.0:
         raise NegativeEntry("matrix entries must be nonnegative")
-    value, vector = _top_eigenpair_sym(matrix)
-    vector = np.abs(vector)
-    norm = float(np.linalg.norm(vector))
-    if norm > 0:
-        vector = vector / norm
-    residual = float(np.linalg.norm(matrix @ vector - value * vector))
-    if residual > RESIDUAL_RTOL * max(abs(value), 1e-300):
-        raise NoConvergence(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:g}*|value|")
-    return value, vector
+    value, vector = _top_eigen(matrix)
+    return value, np.abs(vector)
 
 
 def estimate_constant(alpha: float, seq: GapSequence) -> ConstantEstimate:

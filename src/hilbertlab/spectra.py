@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NonpositiveWeight, ZeroSpectrum
 from .gaps import GapSequence
-from .quadforms import _top_eigenpair_sym
+from .quadforms import _top_eigen
 from .reports import CheckReport
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
@@ -81,17 +81,17 @@ def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
     return SkewHilbertMatrix(entries, c, seq)
 
 
-def _gram_top(h: SkewHilbertMatrix) -> tuple[float, np.ndarray]:
+def _gram(h: SkewHilbertMatrix) -> np.ndarray:
+    """H^T H, symmetrized exactly; its top eigenvalue is mu_max^2."""
     gram = h.entries.T @ h.entries
-    gram = (gram + gram.T) / 2.0
-    return _top_eigenpair_sym(gram)
+    return (gram + gram.T) / 2.0
 
 
 def spectral_radius(h: SkewHilbertMatrix) -> float:
     """|mu_max| = sqrt(top eigenvalue of H^T H)."""
     if h.n == 1:
         return 0.0
-    value, _ = _gram_top(h)
+    value, _ = _top_eigen(_gram(h), vector=False)
     return math.sqrt(max(value, 0.0))
 
 
@@ -102,7 +102,7 @@ def eigenpair_top(h: SkewHilbertMatrix) -> ComplexEigenpair:
     """
     if h.n == 1:
         raise ZeroSpectrum("1x1 skew matrix has only the zero eigenvalue")
-    value, v = _gram_top(h)
+    value, v = _top_eigen(_gram(h))
     mu = math.sqrt(max(value, 0.0))
     if mu <= 0.0:
         raise ZeroSpectrum("all eigenvalues vanish")

@@ -1,9 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hilbertlab
 from hilbertlab.cli import dispatch, write_csv
+from hilbertlab.errors import NoConvergence
 
 
 def run(capsys, argv):
@@ -43,6 +48,25 @@ class TestExitCodes:
         assert code == 0
         assert all(r["rhs"] == 1e-6 for r in parse_report(out)["results"])
 
+    @pytest.mark.parametrize("trials", ("0", "-3"))
+    def test_verify_rejects_nonpositive_trials(self, capsys, trials):
+        assert dispatch(["verify", "--suite", "spacing", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --trials")
+
+    def test_solver_failure_is_reported_not_raised(self, capsys, monkeypatch):
+        import hilbertlab.quadforms as quadforms
+
+        def fail(*args, **kwargs):
+            raise NoConvergence("no convergence")
+
+        monkeypatch.setattr(quadforms, "_top_eigen", fail)
+        assert dispatch(["constant", "--alpha", "1", "--n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no convergence\n"
+
     def test_failing_verdict_exits_one(self, capsys, monkeypatch):
         import hilbertlab.cli as cli
 
@@ -52,6 +76,24 @@ class TestExitCodes:
         code, out = run(capsys, ["verify", "--suite", "selberg"])
         assert code == 1
         assert parse_report(out)["all_hold"] is False
+
+
+def run_module(*argv):
+    """Run `python -m hilbertlab` in a fresh interpreter on this checkout."""
+    src = str(Path(hilbertlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "hilbertlab", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_cli(self):
+        proc = run_module("preissmann")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["command"] == "preissmann"
+
+    def test_python_dash_m_usage_error(self):
+        assert run_module("verify", "--trials", "0").returncode == 2
 
 
 class TestLowerBoundCommand:

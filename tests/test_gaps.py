@@ -15,7 +15,7 @@ from hilbertlab import (
     generate_uniform,
     new_gap_sequence,
 )
-from hilbertlab.errors import IndexOutOfRange, NegativeEntry, NotIncreasing, TooShort
+from hilbertlab.errors import IndexOutOfRange, NegativeEntry, NonFinite, NotIncreasing, TooShort
 
 
 class TestConstruction:
@@ -36,6 +36,12 @@ class TestConstruction:
     def test_rejects_too_short(self):
         with pytest.raises(TooShort):
             new_gap_sequence([0.0, 1.0])
+
+    @pytest.mark.parametrize("nodes", ([0.0, 1.0, 2.0, np.inf], [-np.inf, 0.0, 1.0],
+                                       [0.0, np.nan, 2.0]))
+    def test_rejects_non_finite(self, nodes):
+        with pytest.raises(NonFinite):
+            new_gap_sequence(nodes)
 
     def test_delta_index_bounds(self):
         seq = generate_uniform(3, 1.0)

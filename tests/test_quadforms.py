@@ -14,8 +14,14 @@ from hilbertlab import (
     top_eigen_nonneg_sym,
     uniform_lower_bound,
 )
-from hilbertlab.errors import AlphaOutOfRange, LengthMismatch, NegativeEntry, NotSymmetric
-from hilbertlab.quadforms import alpha_form_matrix
+from hilbertlab.errors import (
+    AlphaOutOfRange,
+    LengthMismatch,
+    NegativeEntry,
+    NonFinite,
+    NotSymmetric,
+)
+from hilbertlab.quadforms import RESIDUAL_RTOL, alpha_form_matrix
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
 ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -132,6 +138,45 @@ class TestTopEigen:
     def test_rejects_negative_entries(self):
         with pytest.raises(NegativeEntry):
             top_eigen_nonneg_sym(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(NonFinite):
+            top_eigen_nonneg_sym(np.array([[0.0, bad], [bad, 0.0]]))
+
+    def test_zero_matrix_keeps_start_vector(self):
+        value, vector = top_eigen_nonneg_sym(np.zeros((4, 4)))
+        assert value == 0.0
+        assert np.array_equal(vector, np.full(4, 0.5))
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_random_nonneg_against_eigh_oracle(self, n):
+        # odd sizes zero out about half the entries, so some of those
+        # matrices are reducible with a repeated top eigenvalue
+        rng = np.random.default_rng(1000 + n)
+        m = rng.uniform(0.0, 1.0, (n, n))
+        if n % 2:
+            m *= rng.uniform(0.0, 1.0, (n, n)) < 0.5
+        m = (m + m.T) / 2.0
+        value, vector = top_eigen_nonneg_sym(m)
+        oracle = float(np.linalg.eigh(m)[0][-1])
+        assert abs(value - oracle) <= 1e-13 * abs(oracle)
+        assert np.min(vector) >= 0.0
+        assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(m @ vector - value * vector) <= RESIDUAL_RTOL * value
+
+
+class TestNonFiniteInput:
+    """Windows that once yielded a constant of 1.0 or NaN now raise."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("nodes", ([0.0, 1.0, 2.0, np.inf],
+                                       [0.0, 1e-200, 2e-200, 1.0],
+                                       [0.0, 1e300, 2e300, 3e300]))
+    @pytest.mark.parametrize("alpha", (0.5, 1.0))
+    def test_estimate_constant_raises(self, nodes, alpha):
+        with pytest.raises(NonFinite):
+            estimate_constant(alpha, new_gap_sequence(nodes))
 
 
 class TestEstimateConstant:

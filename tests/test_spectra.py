@@ -15,7 +15,8 @@ from hilbertlab import (
     spectral_radius,
     two_forms_bound,
 )
-from hilbertlab.errors import LengthMismatch, NonpositiveWeight, ZeroSpectrum
+from hilbertlab import quadforms
+from hilbertlab.errors import LengthMismatch, NoConvergence, NonpositiveWeight, ZeroSpectrum
 from hilbertlab.spectra import bilinear_form, pair_residual, s_and_t
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
@@ -103,6 +104,23 @@ class TestEigenpairTop:
         assert pair_residual(h, pair) <= 1e-9 * pair.mu
         assert math.hypot(np.linalg.norm(pair.u_re), np.linalg.norm(pair.u_im)) == \
             pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_inverse_iteration_accuracy(self, n):
+        # the Gram's top eigenvalue is double; two inverse-iteration steps
+        # bring the pair to about 1e-15 relative, one step leaves up to 7e-14
+        rng = np.random.default_rng(2000 + n)
+        seq = generate_random(n, float(rng.uniform(0.05, 1.0)), 2000 + n)
+        h = build_h(seq, rng.uniform(0.5, 2.0, n))
+        pair = eigenpair_top(h)
+        assert pair_residual(h, pair) <= 1e-14 * pair.mu
+        assert check_selberg_identity(h, pair).max_abs_residual <= 1e-14 * pair.mu ** 2
+
+    def test_gram_pair_is_certified(self, monkeypatch):
+        h, _ = random_instance(3)
+        monkeypatch.setattr(quadforms, "RESIDUAL_RTOL", 0.0)
+        with pytest.raises(NoConvergence):
+            eigenpair_top(h)
 
 
 class TestSelbergIdentity:
