@@ -114,7 +114,8 @@ def _run_verify(args) -> tuple[RunReport, int]:
     names = ALL_SUITES if args.suite == "all" else (args.suite,)
     records = run_suites(names, trials=args.trials, max_n=args.max_n,
                          seed=args.seed, tol=args.tol)
-    all_hold = all(r["holds"] for r in records)
+    # a run that checked nothing must not report a pass
+    all_hold = bool(records) and all(r["holds"] for r in records)
     report = RunReport("verify", params={"suite": args.suite, "trials": args.trials,
                                          "max_n": args.max_n, "seed": args.seed},
                        results=records, all_hold=all_hold)
@@ -227,3 +228,7 @@ def dispatch(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(dispatch(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

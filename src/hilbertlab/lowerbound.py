@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cotpi, parallel_map, sinpi_abs
+from ._util import cotpi, sinpi_abs
 from .errors import (
     AOutOfRange,
     CotangentPole,
@@ -183,32 +183,44 @@ def l_sum(b: float, l: int) -> float:
     return float(np.sum((l + 1 - j) / sinpi_abs(j * b / l) ** 2))
 
 
-def kappas(k: int, a: float) -> tuple[float, float]:
+def _pow_each(values: np.ndarray, exponent: int) -> np.ndarray:
+    """values ** exponent through Python's float pow, element by element.
+
+    numpy's vectorized power is not the C library's pow: it differs in the
+    last bit for some inputs, so array results would drift from the scalar
+    ones. The scan stays bit-identical to a per-point evaluation this way.
+    """
+    return np.array([v ** exponent for v in values.tolist()], dtype=float)
+
+
+def kappas(k: int, a):
     """The two construction coefficients at K coarse points, offset A:
 
         kappa_0 = A^2/3 + (2A^2/K) sum_{j<K} (K-j) / sin^2(pi j A),
         kappa_1 = (2/pi) sqrt(A^3/(B K)) sum_{j<=K} cot(pi j A),
 
-    with B = 1 - (K+1)A required positive.
+    with B = 1 - (K+1)A required positive. A is a float or a 1-D array
+    of offsets; a float gives two floats, an array two arrays.
     """
     if k < 1:
         raise ValueError(f"K must be >= 1, got {k}")
-    a = float(a)
-    if not 0.0 < a < 1.0 / (k + 1):
-        raise AOutOfRange(f"A must lie in (0, 1/{k + 1}), got {a}")
+    given = np.asarray(a, dtype=float)
+    a = np.atleast_1d(given)
+    bad = ~((0.0 < a) & (a < 1.0 / (k + 1)))
+    if np.any(bad):
+        raise AOutOfRange(f"A must lie in (0, 1/{k + 1}), got {float(a[bad][0])}")
     b = 1.0 - (k + 1) * a
-    j_head = np.arange(1, k, dtype=float)
-    sines = sinpi_abs(j_head * a)
+    j = np.arange(1, k + 1, dtype=float)
+    # one row per offset, one column per coarse point; each row sums in the
+    # same order as a lone offset's 1-D sum
+    ja = j * a[:, None]
+    sines = sinpi_abs(ja)
     if np.any(sines < 1e-12):
         raise CotangentPole("sin(pi k A) vanished; A too close to a small-denominator rational")
-    kappa0 = a * a / 3.0
-    if k > 1:
-        kappa0 += (2.0 * a * a / k) * float(np.sum((k - j_head) / sines ** 2))
-    j_full = np.arange(1, k + 1, dtype=float)
-    sines_full = sinpi_abs(j_full * a)
-    if np.any(sines_full < 1e-12):
-        raise CotangentPole("sin(pi k A) vanished; A too close to a small-denominator rational")
-    kappa1 = (2.0 / math.pi) * math.sqrt(a ** 3 / (b * k)) * float(np.sum(cotpi(j_full * a)))
+    kappa0 = a * a / 3.0 + (2.0 * a * a / k) * np.sum((k - j[:-1]) / sines[:, :-1] ** 2, axis=1)
+    kappa1 = (2.0 / math.pi) * np.sqrt(_pow_each(a, 3) / (b * k)) * np.sum(cotpi(ja), axis=1)
+    if given.ndim == 0:
+        return float(kappa0[0]), float(kappa1[0])
     return kappa0, kappa1
 
 
@@ -219,7 +231,7 @@ def g_of_u(kappa0: float, kappa1: float, u: float) -> float:
     return (kappa0 + kappa1 * u + u * u / 3.0) / (1.0 + u * u)
 
 
-def maximize_g(kappa0: float, kappa1: float) -> tuple[float, float]:
+def maximize_g(kappa0, kappa1):
     """Supremum of g over u >= 0 with its maximizer.
 
     For kappa_1 > 0 the maximizer is
@@ -228,13 +240,23 @@ def maximize_g(kappa0: float, kappa1: float) -> tuple[float, float]:
     For kappa_1 <= 0 that closed form would pick a negative u, so the
     supremum over u >= 0 degenerates to max(kappa_0, 1/3), attained at
     u = 0 or in the u -> infinity limit (reported as an inf sentinel).
+    Floats give floats; equal-length 1-D arrays give arrays.
     """
-    if kappa1 > _KAPPA1_FLOOR:
-        root = math.sqrt((1.0 / 3.0 - kappa0) ** 2 + kappa1 ** 2)
-        return (1.0 / 3.0 - kappa0 + root) / kappa1, 0.5 * (1.0 / 3.0 + kappa0 + root)
-    if kappa0 >= 1.0 / 3.0:
-        return 0.0, kappa0
-    return math.inf, 1.0 / 3.0
+    given = np.asarray(kappa0, dtype=float)
+    kappa0 = np.atleast_1d(given)
+    kappa1 = np.atleast_1d(np.asarray(kappa1, dtype=float))
+    third = 1.0 / 3.0
+    low = kappa0 >= third
+    u_star = np.where(low, 0.0, math.inf)
+    g_value = np.where(low, kappa0, third)
+    positive = kappa1 > _KAPPA1_FLOOR
+    rise, slope = third - kappa0[positive], kappa1[positive]
+    root = np.sqrt(_pow_each(rise, 2) + _pow_each(slope, 2))
+    u_star[positive] = (rise + root) / slope
+    g_value[positive] = 0.5 * (third + kappa0[positive] + root)
+    if given.ndim == 0:
+        return float(u_star[0]), float(g_value[0])
+    return u_star, g_value
 
 
 def big_g(k: int, a: float) -> ConstructionResult:
@@ -246,7 +268,8 @@ def big_g(k: int, a: float) -> ConstructionResult:
 
 
 def scan(k_min: int, k_max: int, a_steps: int) -> tuple[list[ScanRow], ScanRow]:
-    """Evaluate G_K(x/(K+1)) on the open grid x = i/(a_steps+1).
+    """Evaluate G_K(x/(K+1)) on the open grid x = i/(a_steps+1), one
+    array pass per K.
 
     Returns all rows ordered by (K, x) plus the argmax row (first one in
     that order on ties).
@@ -255,15 +278,15 @@ def scan(k_min: int, k_max: int, a_steps: int) -> tuple[list[ScanRow], ScanRow]:
         raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}, {k_max}")
     if a_steps < 2:
         raise ValueError(f"a_steps must be >= 2, got {a_steps}")
-
-    def rows_for(k: int) -> list[ScanRow]:
-        out = []
-        for i in range(1, a_steps + 1):
-            x = i / (a_steps + 1)
-            out.append(ScanRow(k, x, big_g(k, x / (k + 1))))
-        return out
-
-    rows = [row for chunk in parallel_map(rows_for, range(k_min, k_max + 1)) for row in chunk]
+    x = np.arange(1, a_steps + 1) / (a_steps + 1)
+    rows = []
+    for k in range(k_min, k_max + 1):
+        a = x / (k + 1)
+        kappa0, kappa1 = kappas(k, a)
+        u_star, g_value = maximize_g(kappa0, kappa1)
+        columns = (a, 1.0 - (k + 1) * a, kappa0, kappa1, u_star, g_value)
+        rows.extend(ScanRow(k, xi, ConstructionResult(k, *fields))
+                    for xi, *fields in zip(x.tolist(), *(c.tolist() for c in columns)))
     best = max(rows, key=lambda row: row.result.g_value)
     return rows, best
 

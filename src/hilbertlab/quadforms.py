@@ -58,13 +58,18 @@ def _check_alpha(alpha: float) -> float:
 
 
 def alpha_form_matrix(seq: GapSequence, alpha: float) -> AlphaFormMatrix:
+    """The kernel of Q_alpha; raises NonFinite when a gap scale under- or
+    overflows it (0/0 or inf/inf) instead of passing NaN on."""
     alpha = _check_alpha(alpha)
     lam = seq.active
     delta = seq.deltas
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)
-    entries = np.outer(delta ** (2.0 - alpha), delta ** alpha) / diff ** 2
+    with np.errstate(all="ignore"):
+        diff = lam[:, None] - lam[None, :]
+        np.fill_diagonal(diff, 1.0)
+        entries = np.outer(delta ** (2.0 - alpha), delta ** alpha) / diff ** 2
     np.fill_diagonal(entries, 0.0)
+    if not np.isfinite(entries).all():
+        raise NonFinite(f"alpha = {alpha} kernel has non-finite entries")
     entries.setflags(write=False)
     return AlphaFormMatrix(alpha, entries, seq)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,6 +10,15 @@ import pytest
 import hilbertlab
 from hilbertlab.cli import dispatch, write_csv
 from hilbertlab.errors import NoConvergence
+
+
+# sha256 of the scan CSVs as first released; the CSV contract keeps them fixed
+FIGURE_SHA256 = "59b070ca056e60e9402604dfcc4402ae5e78299113a51624d150c816c13e1457"
+FINE_SCAN_SHA256 = "7fff3c5b79a1d3080a097ba289657d6ade524906b075378301b3eecfb25c83c0"
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def run(capsys, argv):
@@ -77,12 +87,22 @@ class TestExitCodes:
         assert code == 1
         assert parse_report(out)["all_hold"] is False
 
+    def test_empty_record_set_is_not_a_pass(self, capsys, monkeypatch):
+        import hilbertlab.cli as cli
 
-def run_module(*argv):
-    """Run `python -m hilbertlab` in a fresh interpreter on this checkout."""
+        monkeypatch.setattr(cli, "run_suites", lambda *a, **k: [])
+        code, out = run(capsys, ["verify", "--suite", "selberg"])
+        assert code == 1
+        report = parse_report(out)
+        assert report["all_hold"] is False
+        assert report["results"] == []
+
+
+def run_module(*argv, module="hilbertlab"):
+    """Run `python -m <module>` in a fresh interpreter on this checkout."""
     src = str(Path(hilbertlab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run([sys.executable, "-m", "hilbertlab", *argv],
+    return subprocess.run([sys.executable, "-m", module, *argv],
                           capture_output=True, text=True, env=env, timeout=60)
 
 
@@ -94,6 +114,19 @@ class TestModuleEntryPoint:
 
     def test_python_dash_m_usage_error(self):
         assert run_module("verify", "--trials", "0").returncode == 2
+
+    def test_python_dash_m_cli_module_runs_cli(self):
+        proc = run_module("preissmann", module="hilbertlab.cli")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["command"] == "preissmann"
+
+    @pytest.mark.parametrize("spacing", ("1e-200", "1e300"))
+    def test_non_finite_kernel_prints_only_its_error_line(self, spacing):
+        # the kernel underflows (0/0) or overflows (inf/inf) at these scales
+        proc = run_module("constant", "--alpha", "1", "--n", "2", "--spacing", spacing)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: alpha = 1.0 kernel has non-finite entries\n"
 
 
 class TestLowerBoundCommand:
@@ -113,6 +146,12 @@ class TestLowerBoundCommand:
         assert lines[0]["G"] > 0.35047
         assert lines[-1]["command"] == "lower-bound"
 
+    def test_fine_scan_csv_digest(self, capsys, tmp_path):
+        out_path = tmp_path / "fine.csv"
+        code, _ = run(capsys, ["lower-bound", "--scan", "1", "40", "400", "--out", str(out_path)])
+        assert code == 0
+        assert sha256(out_path) == FINE_SCAN_SHA256
+
     def test_scan_emits_rows_and_argmax(self, capsys):
         code, out = run(capsys, ["lower-bound", "--scan", "1", "2", "9"])
         assert code == 0
@@ -130,6 +169,12 @@ class TestFigureCommand:
         assert lines[0] == "K,x,A,kappa0,kappa1,u_star,G"
         assert lines[-1] == ""
         assert len(lines) == 1 + 25 * 99 + 1
+
+    def test_figure_csv_digest(self, capsys, tmp_path):
+        out_path = tmp_path / "figure1.csv"
+        code, _ = run(capsys, ["figure", "--out", str(out_path)])
+        assert code == 0
+        assert sha256(out_path) == FIGURE_SHA256
 
     def test_figure_byte_stable(self, capsys, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"

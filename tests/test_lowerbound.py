@@ -17,8 +17,11 @@ from hilbertlab import (
     trig_config,
     trig_form_value,
 )
+import hilbertlab.lowerbound as lowerbound
+from hilbertlab._util import cotpi, sinpi_abs
 from hilbertlab.errors import (
     AOutOfRange,
+    CotangentPole,
     LengthMismatch,
     NegativeEntry,
     SeparationTooSmall,
@@ -29,6 +32,33 @@ from hilbertlab.lowerbound import maximize_g, periodize, toroidal_gaps
 KAPPA0_5_014 = 0.24397332105959524
 KAPPA1_5_014 = 0.085449651042534327
 G_5_014 = 0.35047333742141797
+
+
+def scalar_scan_point(k, x):
+    """One scan point by per-point arithmetic: Python floats, math.sqrt
+    and ** around numpy sums over the coarse points j. Returns the fields
+    (K, x, A, B, kappa0, kappa1, u_star, G) of its scan row."""
+    a = x / (k + 1)
+    b = 1.0 - (k + 1) * a
+    kappa0 = a * a / 3.0
+    if k > 1:
+        j_head = np.arange(1, k, dtype=float)
+        kappa0 += (2.0 * a * a / k) * float(np.sum((k - j_head) / sinpi_abs(j_head * a) ** 2))
+    j_full = np.arange(1, k + 1, dtype=float)
+    kappa1 = (2.0 / math.pi) * math.sqrt(a ** 3 / (b * k)) * float(np.sum(cotpi(j_full * a)))
+    if kappa1 > 1e-14:
+        root = math.sqrt((1.0 / 3.0 - kappa0) ** 2 + kappa1 ** 2)
+        u_star, g = (1.0 / 3.0 - kappa0 + root) / kappa1, 0.5 * (1.0 / 3.0 + kappa0 + root)
+    elif kappa0 >= 1.0 / 3.0:
+        u_star, g = 0.0, kappa0
+    else:
+        u_star, g = math.inf, 1.0 / 3.0
+    return (k, x, a, b, kappa0, kappa1, u_star, g)
+
+
+def row_fields(row):
+    res = row.result
+    return (row.k, row.x, res.a, res.b, res.kappa0, res.kappa1, res.u_star, res.g_value)
 
 
 def random_config(seed):
@@ -196,6 +226,43 @@ class TestKappas:
             kappas(5, 0.0)
 
 
+class TestArrayForm:
+    @pytest.mark.parametrize("k", (1, 2, 5, 9, 25))
+    def test_kappas_array_matches_scalar_calls(self, k):
+        a = np.linspace(0.01, 0.99, 97) / (k + 1)
+        kappa0, kappa1 = kappas(k, a)
+        assert kappa0.shape == kappa1.shape == a.shape
+        pairs = [kappas(k, value) for value in a.tolist()]
+        assert kappa0.tolist() == [p[0] for p in pairs]
+        assert kappa1.tolist() == [p[1] for p in pairs]
+
+    def test_maximize_g_array_matches_scalar_calls_on_every_branch(self):
+        # closed form, then kappa1 <= 1e-14 with kappa0 above and below 1/3
+        kappa0 = np.array([0.24397, 0.5, 0.2, 0.4, 1.0 / 3.0, 0.2, 0.4, 0.2])
+        kappa1 = np.array([0.0854, 0.3, 0.0, 0.0, 0.0, -0.1, -0.1, 1e-14])
+        u_star, g = maximize_g(kappa0, kappa1)
+        pairs = [maximize_g(p, q) for p, q in zip(kappa0.tolist(), kappa1.tolist())]
+        assert u_star.tolist() == [p[0] for p in pairs]
+        assert g.tolist() == [p[1] for p in pairs]
+        assert u_star.tolist()[2:] == [math.inf, 0.0, 0.0, math.inf, 0.0, math.inf]
+
+    def test_one_out_of_range_offset_rejects_the_array(self):
+        with pytest.raises(AOutOfRange, match=r"A must lie in \(0, 1/6\), got 0\.2$"):
+            kappas(5, np.array([0.1, 0.12, 0.2, 0.14]))
+
+    def test_offset_at_a_pole(self):
+        with pytest.raises(CotangentPole):
+            kappas(1, 1e-13)
+        with pytest.raises(CotangentPole):
+            kappas(3, np.array([0.1, 1e-13, 0.2]))
+
+    def test_scalar_input_gives_floats(self):
+        for a in (0.14, np.float64(0.14), np.array(0.14)):
+            pair = kappas(5, a)
+            assert [type(v) for v in pair] == [float, float]
+            assert [type(v) for v in maximize_g(*pair)] == [float, float]
+
+
 class TestGOfU:
     def test_endpoints(self):
         assert g_of_u(0.25, 0.1, 0.0) == 0.25
@@ -269,6 +336,32 @@ class TestScan:
         _, coarse = scan(1, 12, 49)
         _, fine = scan(1, 12, 99)
         assert fine.result.g_value >= coarse.result.g_value
+
+    def test_rows_equal_per_point_arithmetic_exactly(self):
+        rows, best = scan(1, 40, 400)
+        expected = [scalar_scan_point(k, i / 401) for k in range(1, 41) for i in range(1, 401)]
+        got = [row_fields(row) for row in rows]
+        assert got == expected
+        assert all(type(v) is float for fields in got for v in fields[1:])
+        g_values = [fields[-1] for fields in expected]
+        assert best is rows[g_values.index(max(g_values))]
+
+    def test_one_kappas_call_per_k(self, monkeypatch):
+        calls = []
+        real = lowerbound.kappas
+
+        def counting(k, a):
+            calls.append(k)
+            return real(k, a)
+
+        def per_point(*args):
+            raise AssertionError("scan evaluated a single point")
+
+        monkeypatch.setattr(lowerbound, "kappas", counting)
+        monkeypatch.setattr(lowerbound, "big_g", per_point)
+        rows, _ = scan(2, 6, 50)
+        assert calls == [2, 3, 4, 5, 6]
+        assert len(rows) == 5 * 50
 
     def test_soundness_against_chain_upper_bound(self):
         cap = (1 + math.sqrt(1.2)) / 3.0

@@ -169,7 +169,7 @@ class TestTopEigen:
 class TestNonFiniteInput:
     """Windows that once yielded a constant of 1.0 or NaN now raise."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("nodes", ([0.0, 1.0, 2.0, np.inf],
                                        [0.0, 1e-200, 2e-200, 1.0],
                                        [0.0, 1e300, 2e300, 3e300]))
@@ -177,6 +177,13 @@ class TestNonFiniteInput:
     def test_estimate_constant_raises(self, nodes, alpha):
         with pytest.raises(NonFinite):
             estimate_constant(alpha, new_gap_sequence(nodes))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_q_alpha_raises_instead_of_nan(self):
+        # the alpha = 1 kernel underflows to 0/0 at this gap scale
+        seq = new_gap_sequence([0.0, 1e-200, 2e-200, 1.0])
+        with pytest.raises(NonFinite):
+            q_alpha(seq, [1.0, 1.0], 1.0)
 
 
 class TestEstimateConstant:
