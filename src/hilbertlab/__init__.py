@@ -12,6 +12,7 @@ from .gaps import (
 )
 from .lowerbound import (
     ConstructionResult,
+    ScanTable,
     TrigConfig,
     big_g,
     construction_config,

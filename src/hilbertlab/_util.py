@@ -1,6 +1,7 @@
 """Shared numeric helpers: reduced-argument trig, ordered parallel map, formatting."""
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -62,6 +63,8 @@ def jsonable(obj):
 
     Non-finite floats become strings so the output stays valid JSON.
     """
+    if type(obj) is float:      # the bulk of every report, so checked first
+        return float(fmt12(obj)) if math.isfinite(obj) else repr(obj)
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

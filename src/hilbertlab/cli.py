@@ -12,17 +12,19 @@ import json
 import sys
 import time
 
-from ._util import fmt12, jsonable
+from ._util import jsonable
 from .errors import IoError, NoConvergence
 from .gaps import generate_cluster, generate_random, generate_uniform
-from .lowerbound import ScanRow, big_g, scan
+from .lowerbound import big_g, scan
 from .quadforms import estimate_constant
 from .reports import RunReport
 from .search import generate_trig_periodized, search_constant
 from .spectra import preissmann_chain
-from .suites import ALL_SUITES, run_suites
+from .suites import ALL_SUITES, DEFAULT_MAX_N, MAX_N_SUITES, run_suites
 
 FIGURE_KMIN, FIGURE_KMAX, FIGURE_STEPS = 1, 25, 99
+# a scan point's record keys; the scan CSV has the same columns but B
+SCAN_FIELDS = ("K", "x", "A", "B", "kappa0", "kappa1", "u_star", "G")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -41,7 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", parents=[common], help="run inequality/identity suites")
     p_verify.add_argument("--suite", choices=[*ALL_SUITES, "all"], default="all")
     p_verify.add_argument("--trials", type=int, default=100)
-    p_verify.add_argument("--max-n", type=int, default=12, dest="max_n")
+    p_verify.add_argument("--max-n", type=int, default=None, dest="max_n",
+                          help=f"largest window size for {' and '.join(MAX_N_SUITES)} "
+                               f"(default {DEFAULT_MAX_N}); rejected for the other suites")
 
     p_const = sub.add_parser("constant", parents=[common], help="estimate the constant at fixed size")
     p_const.add_argument("--alpha", type=float, required=True)
@@ -70,40 +74,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scan_record(row: ScanRow) -> dict:
-    res = row.result
-    return {
-        "K": res.k,
-        "x": row.x,
-        "A": res.a,
-        "B": res.b,
-        "kappa0": res.kappa0,
-        "kappa1": res.kappa1,
-        "u_star": res.u_star,
-        "G": res.g_value,
-    }
+def _csv_column(values: list) -> tuple[str, list]:
+    """One column's field in the row template and the values it formats:
+    a float column keeps its values under %.12g, an int column under %d,
+    and any other column becomes text cells under %s."""
+    kinds = set(map(type, values))
+    if all(issubclass(kind, float) for kind in kinds):
+        return "%.12g", values
+    if kinds <= {int}:
+        return "%d", values
+    return "%s", [("true" if v else "false") if isinstance(v, bool)
+                  else "%.12g" % v if isinstance(v, float) else str(v) for v in values]
 
 
-def write_csv(rows: list[dict], path: str, fieldnames: list[str] | None = None) -> None:
-    """RFC-4180-style CSV: header row, LF endings, 12-digit floats.
+def write_csv(columns: dict[str, list], path: str) -> None:
+    """RFC-4180-style CSV from named columns of equal length: header row,
+    LF endings, bool cells as true/false, floats to 12 significant digits
+    (inf as inf), anything else as str.
 
-    With an empty row list the header (from fieldnames) is still written.
+    Each column is formatted in one pass. Numbers never need quoting, so
+    all-number rows are written through one row template; rows with text
+    cells go through the csv module, which quotes them where needed.
     """
-    def cell(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return fmt12(value)
-        return str(value)
-
-    header = fieldnames if fieldnames is not None else (list(rows[0].keys()) if rows else [])
+    fields, values = [], []
+    for column in columns.values():
+        field, cells = _csv_column(column)
+        fields.append(field)
+        values.append(cells)
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            if header:
-                writer.writerow(header)
-            for row in rows:
-                writer.writerow([cell(row[key]) for key in header])
+            if columns:
+                writer.writerow(columns)
+            if "%s" in fields:
+                writer.writerows(zip(*(cells if field == "%s" else [field % v for v in cells]
+                                       for field, cells in zip(fields, values))))
+            else:
+                template = ",".join(fields) + "\n"
+                fh.write("".join(map(template.__mod__, zip(*values))))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -111,16 +119,21 @@ def write_csv(rows: list[dict], path: str, fieldnames: list[str] | None = None) 
 def _run_verify(args) -> tuple[RunReport, int]:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.max_n is not None and args.suite not in (*MAX_N_SUITES, "all"):
+        raise ValueError(f"--max-n has no effect on the {args.suite} suite; it applies "
+                         f"to {', '.join(MAX_N_SUITES)} and all")
+    max_n = DEFAULT_MAX_N if args.max_n is None else args.max_n
     names = ALL_SUITES if args.suite == "all" else (args.suite,)
-    records = run_suites(names, trials=args.trials, max_n=args.max_n,
+    records = run_suites(names, trials=args.trials, max_n=max_n,
                          seed=args.seed, tol=args.tol)
     # a run that checked nothing must not report a pass
     all_hold = bool(records) and all(r["holds"] for r in records)
     report = RunReport("verify", params={"suite": args.suite, "trials": args.trials,
-                                         "max_n": args.max_n, "seed": args.seed},
+                                         "max_n": max_n, "seed": args.seed},
                        results=records, all_hold=all_hold)
     if args.out:
-        write_csv(records, args.out)
+        write_csv({key: [r[key] for r in records] for key in (records[0] if records else ())},
+                  args.out)
     return report, 0 if all_hold else 1
 
 
@@ -158,20 +171,20 @@ def _run_preissmann(args) -> tuple[RunReport, int]:
 
 
 def _run_scan(command: str, args, k_min: int, k_max: int, steps: int) -> tuple[RunReport, int]:
-    rows, best = scan(k_min, k_max, steps)
-    records = [_scan_record(r) for r in rows]
+    table = scan(k_min, k_max, steps)
+    columns = dict(zip(SCAN_FIELDS, (c.tolist() for c in (
+        table.k, table.x, table.a, table.b, table.kappa0, table.kappa1, table.u_star,
+        table.g_value))))
+    best = dict({name: column[table.best] for name, column in columns.items()}, argmax=True)
     out = args.out
     if command == "figure" and out is None:
         out = "figure1.csv"
     if out:
-        csv_rows = [{key: rec[key] for key in
-                     ("K", "x", "A", "kappa0", "kappa1", "u_star", "G")}
-                    for rec in records]
-        write_csv(csv_rows, out)
-        results = [dict(_scan_record(best), argmax=True)]
+        write_csv({name: column for name, column in columns.items() if name != "B"}, out)
+        results = [best]
     else:
-        results = [dict(_scan_record(best), argmax=True), *records]
-    params = {"k_min": k_min, "k_max": k_max, "steps": steps, "rows": len(rows)}
+        results = [best, *(dict(zip(SCAN_FIELDS, row)) for row in zip(*columns.values()))]
+    params = {"k_min": k_min, "k_max": k_max, "steps": steps, "rows": table.k.size}
     if out:
         params["out"] = out
     return RunReport(command, params=params, results=results), 0
@@ -182,7 +195,8 @@ def _run_lower_bound(args) -> tuple[RunReport, int]:
         k = int(args.point[0])
         a = float(args.point[1])
         res = big_g(k, a)
-        record = dict(_scan_record(ScanRow(k, a * (k + 1), res)))
+        record = dict(zip(SCAN_FIELDS, (k, a * (k + 1), res.a, res.b, res.kappa0, res.kappa1,
+                                        res.u_star, res.g_value)))
         return RunReport("lower-bound", params={"point": [k, a]}, results=[record]), 0
     k_min, k_max, steps = args.scan
     return _run_scan("lower-bound", args, k_min, k_max, steps)

@@ -66,11 +66,22 @@ class ConstructionResult:
     g_value: float
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    k: int
-    x: float
-    result: ConstructionResult
+@dataclass(frozen=True, eq=False)
+class ScanTable:
+    """A (K, x) grid scan as read-only 1-D columns in (K, x) order: one
+    entry per grid point, holding the fields of its ConstructionResult
+    and its offset fraction x = A (K+1). `best` indexes the first maximum
+    of g_value."""
+
+    k: np.ndarray
+    x: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    kappa0: np.ndarray
+    kappa1: np.ndarray
+    u_star: np.ndarray
+    g_value: np.ndarray
+    best: int
 
 
 @dataclass(frozen=True)
@@ -267,28 +278,25 @@ def big_g(k: int, a: float) -> ConstructionResult:
     return ConstructionResult(k, a, b, kappa0, kappa1, u_star, g_value)
 
 
-def scan(k_min: int, k_max: int, a_steps: int) -> tuple[list[ScanRow], ScanRow]:
+def scan(k_min: int, k_max: int, a_steps: int) -> ScanTable:
     """Evaluate G_K(x/(K+1)) on the open grid x = i/(a_steps+1), one
-    array pass per K.
-
-    Returns all rows ordered by (K, x) plus the argmax row (first one in
-    that order on ties).
-    """
+    array pass per K, and collect the points as columns."""
     if not 1 <= k_min <= k_max:
         raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}, {k_max}")
     if a_steps < 2:
         raise ValueError(f"a_steps must be >= 2, got {a_steps}")
     x = np.arange(1, a_steps + 1) / (a_steps + 1)
-    rows = []
-    for k in range(k_min, k_max + 1):
+    ks = np.arange(k_min, k_max + 1)
+    per_k = []
+    for k in ks.tolist():
         a = x / (k + 1)
         kappa0, kappa1 = kappas(k, a)
-        u_star, g_value = maximize_g(kappa0, kappa1)
-        columns = (a, 1.0 - (k + 1) * a, kappa0, kappa1, u_star, g_value)
-        rows.extend(ScanRow(k, xi, ConstructionResult(k, *fields))
-                    for xi, *fields in zip(x.tolist(), *(c.tolist() for c in columns)))
-    best = max(rows, key=lambda row: row.result.g_value)
-    return rows, best
+        per_k.append((a, 1.0 - (k + 1) * a, kappa0, kappa1, *maximize_g(kappa0, kappa1)))
+    columns = [np.repeat(ks, a_steps), np.tile(x, ks.size),
+               *(np.concatenate(column) for column in zip(*per_k))]
+    for column in columns:
+        column.setflags(write=False)
+    return ScanTable(*columns, best=int(np.argmax(columns[-1])))
 
 
 def cot_limit_check(k: int, a: float, l: int) -> CotLimitReport:

@@ -368,8 +368,7 @@ def suite_trig(trials: int = 20, max_n: int = 0, seed: int = 0,
                         fin2 <= res.g_value + 5e-3 and fin2 > fin, seed=seed))
 
     cap = (1.0 + math.sqrt(1.2)) / 3.0
-    rows, _ = scan(1, 25, 33)
-    worst = max(row.result.g_value for row in rows)
+    worst = float(scan(1, 25, 33).g_value.max())
     records.append(_rec("lower-bound-soundness", worst, cap, worst <= cap + 1e-9, seed=seed))
     return records
 
@@ -386,16 +385,19 @@ SUITES = {
 
 ALL_SUITES = ("selberg", "spacing", "pair-spacing", "radius", "chain",
               "alpha-properties", "trig")
+# the suites whose window sizes max_n bounds; the others ignore it
+MAX_N_SUITES = ("selberg", "radius")
+DEFAULT_MAX_N = 12
 
 
-def run_suites(names, trials: int = 100, max_n: int = 12, seed: int = 0,
+def run_suites(names, trials: int = 100, max_n: int = DEFAULT_MAX_N, seed: int = 0,
                tol: float | None = None) -> list[dict]:
     """Run the named suites in order with shared sweep parameters."""
     records: list[dict] = []
     for name in names:
         suite = SUITES[name]
         kwargs = {"trials": trials, "seed": seed}
-        if name in ("selberg", "radius"):
+        if name in MAX_N_SUITES:
             kwargs["max_n"] = max_n
         if tol is not None:
             kwargs["tol"] = tol

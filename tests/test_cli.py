@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,17 @@ from hilbertlab.errors import NoConvergence
 # sha256 of the scan CSVs as first released; the CSV contract keeps them fixed
 FIGURE_SHA256 = "59b070ca056e60e9402604dfcc4402ae5e78299113a51624d150c816c13e1457"
 FINE_SCAN_SHA256 = "7fff3c5b79a1d3080a097ba289657d6ade524906b075378301b3eecfb25c83c0"
+# sha256 of stdout with the elapsed_ms value replaced by 0, and of one verify
+# CSV; the JSON and CSV contracts keep them fixed
+STDOUT_SHA256 = {
+    ("lower-bound", "--scan", "1", "25", "99"):
+        "a2979ba73a40a06be1720b695cb999658067dbb416a9747a80e52dd52d5403a8",
+    ("lower-bound", "--scan", "1", "25", "99", "--json"):
+        "c385ba2201e4487b8bcc7ca94490892939ece28e7252c9aac7b023474b87cebe",
+    ("lower-bound", "--point", "5", "0.14"):
+        "1b789f31e08866821fd20e3365c75ec580d72abc81765a265c8489237b613b62",
+}
+VERIFY_TRIG_CSV_SHA256 = "6b86316911e4e18c8f60d542fbbdf8035ff26abfb2db61638de0514ac83a4a2f"
 
 
 def sha256(path: Path) -> str:
@@ -29,6 +41,11 @@ def run(capsys, argv):
 
 def parse_report(out: str) -> dict:
     return json.loads(out)
+
+
+def without_elapsed(out: str) -> str:
+    """Stdout with the one field that varies between identical runs zeroed."""
+    return re.sub(r'("elapsed_ms": ?)\d+', r"\g<1>0", out)
 
 
 class TestExitCodes:
@@ -190,6 +207,41 @@ class TestFigureCommand:
         assert r1 == r2
 
 
+class TestOutputContract:
+    @pytest.mark.parametrize("argv", list(STDOUT_SHA256))
+    def test_stdout_digest(self, capsys, argv):
+        code, out = run(capsys, list(argv))
+        assert code == 0
+        assert hashlib.sha256(without_elapsed(out).encode()).hexdigest() == STDOUT_SHA256[argv]
+
+    def test_verify_csv_digest(self, capsys, tmp_path):
+        out_path = tmp_path / "trig.csv"
+        code, _ = run(capsys, ["verify", "--suite", "trig", "--trials", "20", "--seed", "1",
+                               "--out", str(out_path)])
+        assert code == 0
+        assert sha256(out_path) == VERIFY_TRIG_CSV_SHA256
+
+
+class TestMaxN:
+    @pytest.mark.parametrize("suite", ("spacing", "pair-spacing", "chain",
+                                       "alpha-properties", "trig"))
+    def test_rejected_where_it_has_no_effect(self, capsys, suite):
+        assert dispatch(["verify", "--suite", suite, "--trials", "1", "--max-n", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --max-n")
+
+    def test_accepted_for_all(self, capsys):
+        code, out = run(capsys, ["verify", "--suite", "all", "--trials", "1", "--max-n", "8"])
+        assert code == 0
+        assert parse_report(out)["params"]["max_n"] == 8
+
+    def test_absent_flag_echoes_default(self, capsys):
+        code, out = run(capsys, ["verify", "--suite", "chain", "--trials", "1"])
+        assert code == 0
+        assert parse_report(out)["params"]["max_n"] == 12
+
+
 class TestConstantCommand:
     def test_uniform_two_nodes(self, capsys):
         code, out = run(capsys, ["constant", "--alpha", "1.0", "--n", "2"])
@@ -226,16 +278,30 @@ class TestPreissmannCommand:
 class TestWriteCsv:
     def test_empty_rows_give_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_csv([], str(path), fieldnames=["a", "b"])
+        write_csv({"a": [], "b": []}, str(path))
         assert path.read_text() == "a,b\n"
 
     def test_rerun_identical_bytes(self, tmp_path):
-        rows = [{"a": 1, "b": 0.123456789012345}, {"a": 2, "b": float("inf")}]
+        columns = {"a": [1, 2], "b": [0.123456789012345, float("inf")]}
         p1, p2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-        write_csv(rows, str(p1))
-        write_csv(rows, str(p2))
+        write_csv(columns, str(p1))
+        write_csv(columns, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_text() == "a,b\n1,0.123456789012\n2,inf\n"
+
+    def test_cell_rules_and_quoting(self, tmp_path):
+        path = tmp_path / "text.csv"
+        write_csv({"name": ["plain", "a,b", 'say "hi"'], "ok": [True, False, True],
+                   "v": [-0.0, 1e-30, float("-inf")], "mixed": [1, 2.5, None]}, str(path))
+        assert path.read_text() == ('name,ok,v,mixed\n'
+                                    'plain,true,-0,1\n'
+                                    '"a,b",false,1e-30,2.5\n'
+                                    '"say ""hi""",true,-inf,None\n')
+
+    def test_no_columns_give_empty_file(self, tmp_path):
+        path = tmp_path / "none.csv"
+        write_csv({}, str(path))
+        assert path.read_text() == ""
 
 
 class TestThreadCap:

@@ -56,9 +56,10 @@ def scalar_scan_point(k, x):
     return (k, x, a, b, kappa0, kappa1, u_star, g)
 
 
-def row_fields(row):
-    res = row.result
-    return (row.k, row.x, res.a, res.b, res.kappa0, res.kappa1, res.u_star, res.g_value)
+def table_columns(table):
+    """The scan's columns in the field order of scalar_scan_point."""
+    return (table.k, table.x, table.a, table.b, table.kappa0, table.kappa1, table.u_star,
+            table.g_value)
 
 
 def random_config(seed):
@@ -322,29 +323,37 @@ class TestBigG:
 
 class TestScan:
     def test_figure_grid_argmax(self):
-        rows, best = scan(1, 25, 99)
-        assert len(rows) == 25 * 99
-        assert (best.k, best.x) == (5, 0.84)
-        assert best.result.g_value > 0.35047
+        table = scan(1, 25, 99)
+        assert {column.shape for column in table_columns(table)} == {(25 * 99,)}
+        assert (table.k[table.best], table.x[table.best]) == (5, 0.84)
+        assert table.g_value[table.best] > 0.35047
 
     def test_rows_sorted_and_positive_b(self):
-        rows, _ = scan(1, 1, 9)
-        assert [(r.k, r.x) for r in rows] == sorted((r.k, r.x) for r in rows)
-        assert all(r.result.b > 0 for r in rows)
+        table = scan(1, 1, 9)
+        points = list(zip(table.k.tolist(), table.x.tolist()))
+        assert points == sorted(points)
+        assert np.all(table.b > 0)
 
     def test_grid_refinement_never_decreases_argmax(self):
-        _, coarse = scan(1, 12, 49)
-        _, fine = scan(1, 12, 99)
-        assert fine.result.g_value >= coarse.result.g_value
+        coarse = scan(1, 12, 49)
+        fine = scan(1, 12, 99)
+        assert fine.g_value[fine.best] >= coarse.g_value[coarse.best]
 
     def test_rows_equal_per_point_arithmetic_exactly(self):
-        rows, best = scan(1, 40, 400)
+        table = scan(1, 40, 400)
         expected = [scalar_scan_point(k, i / 401) for k in range(1, 41) for i in range(1, 401)]
-        got = [row_fields(row) for row in rows]
-        assert got == expected
-        assert all(type(v) is float for fields in got for v in fields[1:])
-        g_values = [fields[-1] for fields in expected]
-        assert best is rows[g_values.index(max(g_values))]
+        got = [column.tolist() for column in table_columns(table)]
+        assert got == [list(field) for field in zip(*expected)]
+        assert all(type(v) is int for v in got[0])
+        assert all(type(v) is float for column in got[1:] for v in column)
+        g_values = got[-1]
+        assert table.best == g_values.index(max(g_values))
+
+    def test_columns_read_only(self):
+        table = scan(1, 3, 9)
+        for column in table_columns(table):
+            with pytest.raises(ValueError):
+                column[0] = 0
 
     def test_one_kappas_call_per_k(self, monkeypatch):
         calls = []
@@ -359,14 +368,13 @@ class TestScan:
 
         monkeypatch.setattr(lowerbound, "kappas", counting)
         monkeypatch.setattr(lowerbound, "big_g", per_point)
-        rows, _ = scan(2, 6, 50)
+        table = scan(2, 6, 50)
         assert calls == [2, 3, 4, 5, 6]
-        assert len(rows) == 5 * 50
+        assert table.k.size == 5 * 50
 
     def test_soundness_against_chain_upper_bound(self):
         cap = (1 + math.sqrt(1.2)) / 3.0
-        rows, _ = scan(1, 25, 33)
-        assert max(r.result.g_value for r in rows) <= cap + 1e-9
+        assert scan(1, 25, 33).g_value.max() <= cap + 1e-9
 
 
 class TestCotLimit:

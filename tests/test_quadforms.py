@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbertlab import (
     cluster_lower_bound,
@@ -261,6 +263,20 @@ class TestEstimateConstant:
         seq = generate_random(9, 0.3, 300 + seed)
         for alpha in (0.0, 1.0, 2.0):
             assert estimate_constant(alpha, seq).value <= seq.n - 1 + 1e-9
+
+    # |c| and 1/s bounded so node rounding (ulp(|s lam + c|)/2 per node)
+    # stays far below 1e-10 of the scaled gaps
+    @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(s=st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
+           c=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
+    def test_affine_invariance(self, alpha, s, c):
+        # delta_m^(2-alpha) delta_n^alpha / (lam_m - lam_n)^2 is unchanged
+        # by lam -> s lam + c, so the optimal constant is too
+        seq = generate_random(12, 0.5, 5)
+        moved = new_gap_sequence(s * seq.nodes + c)
+        value = estimate_constant(alpha, seq).value
+        assert estimate_constant(alpha, moved).value == pytest.approx(value, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_window_extension_monotone(self, seed):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbertlab import (
     build_h,
@@ -10,6 +12,7 @@ from hilbertlab import (
     generate_cluster,
     generate_random,
     generate_uniform,
+    new_gap_sequence,
     numerical_radius_check,
     preissmann_chain,
     spectral_radius,
@@ -76,6 +79,17 @@ class TestSpectralRadius:
             values.append(spectral_radius(h))
         assert all(v <= math.pi for v in values)
         assert values[0] < values[1] < values[2]
+
+    # bounds as in TestEstimateConstant.test_affine_invariance
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(s=st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
+           c=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
+    def test_affine_invariance(self, s, c):
+        # sqrt(delta_m delta_n) / (lam_m - lam_n) is unchanged by lam -> s lam + c
+        seq = generate_random(12, 0.5, 6)
+        moved = new_gap_sequence(s * seq.nodes + c)
+        rho = spectral_radius(build_h(seq))
+        assert spectral_radius(build_h(moved)) == pytest.approx(rho, rel=1e-10, abs=0.0)
 
     def test_schur_floor_at_two_thousand(self):
         n = 2000
