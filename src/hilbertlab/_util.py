@@ -1,9 +1,7 @@
-"""Shared numeric helpers: reduced-argument trig, ordered parallel map, formatting."""
+"""Shared numeric helpers: reduced-argument trig, ordered map, formatting."""
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,25 +30,15 @@ def cotpi(y):
     return float(out) if out.ndim == 0 else out
 
 
-def thread_count() -> int:
-    """Worker cap: HCL_THREADS if set and valid, else the CPU count."""
-    raw = os.environ.get("HCL_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def parallel_map(fn, items):
-    """map() preserving input order, thread-parallel when the cap allows."""
-    items = list(items)
-    workers = min(thread_count(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """[fn(item) for item in items], in order on the calling thread.
+
+    The suites' work items are small windows, so a thread pool cost more
+    than it saved. The name stays because `bench/tracer.py` installs its
+    span wrapper on it, and `bench/selftest.py` expects the
+    `util.parallel_map` span to fire.
+    """
+    return [fn(item) for item in items]
 
 
 def fmt12(x) -> str:

@@ -58,6 +58,18 @@ class GapSequence:
             raise IndexOutOfRange(f"k={k} outside 1..{self.n}")
         return float(self.deltas[k - 1])
 
+    def differences(self) -> np.ndarray:
+        """The N x N matrix lam_m - lam_n over the active nodes, with a unit
+        diagonal so that kernels in 1/(lam_m - lam_n) can divide by it.
+
+        Built fresh on each call: a cached copy would stay alive as long
+        as the window does.
+        """
+        lam = self.active
+        diff = lam[:, None] - lam[None, :]
+        np.fill_diagonal(diff, 1.0)
+        return diff
+
     def to_json(self) -> str:
         return json.dumps({"nodes": self.nodes.tolist(), "n": self.n})
 

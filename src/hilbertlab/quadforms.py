@@ -61,11 +61,9 @@ def alpha_form_matrix(seq: GapSequence, alpha: float) -> AlphaFormMatrix:
     """The kernel of Q_alpha; raises NonFinite when a gap scale under- or
     overflows it (0/0 or inf/inf) instead of passing NaN on."""
     alpha = _check_alpha(alpha)
-    lam = seq.active
     delta = seq.deltas
     with np.errstate(all="ignore"):
-        diff = lam[:, None] - lam[None, :]
-        np.fill_diagonal(diff, 1.0)
+        diff = seq.differences()
         entries = np.outer(delta ** (2.0 - alpha), delta ** alpha) / diff ** 2
     np.fill_diagonal(entries, 0.0)
     if not np.isfinite(entries).all():

@@ -69,10 +69,7 @@ def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
             raise LengthMismatch(f"{c.size} weights for {seq.n} active nodes")
         if np.any(c <= 0):
             raise NonpositiveWeight("weights must be strictly positive")
-    lam = seq.active
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)
-    full = np.outer(c, c) / diff
+    full = np.outer(c, c) / seq.differences()
     upper = np.triu(full, k=1)
     entries = upper - upper.T
     entries.setflags(write=False)
@@ -119,6 +116,13 @@ def pair_residual(h: SkewHilbertMatrix, pair: ComplexEigenpair) -> float:
     return float(max(r1, r2))
 
 
+def _inverse_square(seq: GapSequence) -> np.ndarray:
+    """1/(lam_m - lam_n)^2 off the diagonal, zero on it."""
+    inv2 = seq.differences() ** -2.0
+    np.fill_diagonal(inv2, 0.0)
+    return inv2
+
+
 @dataclass(frozen=True)
 class SelbergReport:
     """Componentwise defect of the eigenvector identity."""
@@ -138,12 +142,8 @@ def check_selberg_identity(h: SkewHilbertMatrix, pair: ComplexEigenpair) -> Selb
         mu^2 |u_m|^2 = sum_{n != m} c_m^2 c_n^2 |u_n|^2 / (lam_m-lam_n)^2
                      + 2 sum_{n != m} c_m^3 c_n Re(conj(u_m) u_n) / (lam_m-lam_n)^2.
     """
-    lam = h.source.active
     c = h.weights
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)
-    inv2 = diff ** -2.0
-    np.fill_diagonal(inv2, 0.0)
+    inv2 = _inverse_square(h.source)
     abs2 = pair.abs2
     quad = np.outer(c ** 2, c ** 2) * inv2
     cross_kernel = np.outer(c ** 3, c) * inv2
@@ -225,12 +225,8 @@ def s_and_t(h: SkewHilbertMatrix, pair: ComplexEigenpair) -> tuple[float, float]
 
     computed from the source gaps regardless of the matrix weights.
     """
-    lam = h.source.active
     delta = h.source.deltas
-    diff = lam[:, None] - lam[None, :]
-    np.fill_diagonal(diff, 1.0)
-    inv2 = diff ** -2.0
-    np.fill_diagonal(inv2, 0.0)
+    inv2 = _inverse_square(h.source)
     abs_u = np.sqrt(pair.abs2)
     s_val = float(np.sum((inv2 @ delta) * (delta * pair.abs2)))
     t_val = float((delta ** 1.5 * abs_u) @ (inv2 @ (delta ** 0.5 * abs_u)))

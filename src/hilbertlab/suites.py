@@ -1,7 +1,8 @@
 """Seeded verification sweeps behind `verify`; each returns sweep records.
 
 Every record carries the same keys: lemma, seed, lhs, rhs, holds,
-tail_bound. Sweeps are deterministic given (trials, max_n, seed, tol).
+tail_bound. Sweeps are deterministic given (trials, max_n, seed, tol);
+only selberg and radius take max_n.
 """
 from __future__ import annotations
 
@@ -49,6 +50,10 @@ from .spectra import (
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
 SIGMAS = (1.5, 2.0, 3.0, 4.0)
+# largest window sizes of the suites that --max-n does not reach
+SPACING_MAX_N = 40
+PAIR_SPACING_MAX_N = 10
+ALPHA_MAX_N = 25
 
 
 def _rec(lemma, lhs, rhs, holds, seed=0, tail=0.0) -> dict:
@@ -80,14 +85,13 @@ def suite_selberg(trials: int = 100, max_n: int = 12, seed: int = 0,
     return parallel_map(one, range(trials))
 
 
-def suite_spacing(trials: int = 100, max_n: int = 40, seed: int = 0,
-                  tol: float = 1e-12) -> list[dict]:
+def suite_spacing(trials: int = 100, seed: int = 0, tol: float = 1e-12) -> list[dict]:
     """Spacing bound, equidistance, smoothing and series-cap sweeps."""
     records: list[dict] = []
 
     def spacing_case(i: int) -> list[dict]:
         s = seed + i
-        seq = _random_seq(s, max_n)
+        seq = _random_seq(s, SPACING_MAX_N)
         rng = np.random.default_rng(s + 10**6)
         ell = int(rng.integers(1, seq.n + 1))
         return [spacing_bound_report(seq, ell, sigma, tol=tol, seed=s)
@@ -129,7 +133,7 @@ def suite_spacing(trials: int = 100, max_n: int = 40, seed: int = 0,
 
     def shan_case(i: int) -> dict:
         s = seed + i
-        seq = _random_seq(s, max_n)
+        seq = _random_seq(s, SPACING_MAX_N)
         rng = np.random.default_rng(s + 3 * 10**6)
         ell = int(rng.integers(1, seq.n + 1))
         sigma = float(rng.choice(SIGMAS))
@@ -143,15 +147,14 @@ def suite_spacing(trials: int = 100, max_n: int = 40, seed: int = 0,
     return records
 
 
-def suite_pair_spacing(trials: int = 100, max_n: int = 10, seed: int = 0,
-                       tol: float = 1e-12) -> list[dict]:
+def suite_pair_spacing(trials: int = 100, seed: int = 0, tol: float = 1e-12) -> list[dict]:
     """Two-point bound over all index pairs of random short windows.
 
     One record per window: lhs is the worst margin lhs-rhs over its pairs.
     """
     def one(i: int) -> dict:
         s = seed + i
-        seq = _random_seq(s, max_n, min_n=2)
+        seq = _random_seq(s, PAIR_SPACING_MAX_N, min_n=2)
         worst = -math.inf
         ok = True
         for ell in range(1, seq.n + 1):
@@ -179,7 +182,7 @@ def suite_radius(trials: int = 100, max_n: int = 12, seed: int = 0,
         out = [r.record() for r in
                numerical_radius_check(h, trials=1, seed=s, tol=tol)]
         pair = eigenpair_top(h)
-        rho = spectral_radius(h)
+        rho = pair.mu
         lhs = abs(2.0 * float(pair.u_im @ (h.entries @ pair.u_re)))
         out.append(_rec("numerical-radius-extremal", lhs, rho,
                         abs(lhs - rho) <= tol * (1.0 + rho), seed=s))
@@ -203,11 +206,9 @@ def _chain_configs(trials: int, seed: int) -> list[tuple[int, GapSequence]]:
     return configs
 
 
-def suite_chain(trials: int = 20, max_n: int = 40, seed: int = 0,
-                tol: float = 1e-9) -> list[dict]:
+def suite_chain(trials: int = 20, seed: int = 0, tol: float = 1e-9) -> list[dict]:
     """Eigenvalue chain: the diagonal part stays under pi^2/3, the radius
     under sqrt(S + 2T), and the end-to-end proven constant."""
-    del max_n
     chain = preissmann_chain()
     records: list[dict] = []
 
@@ -216,7 +217,7 @@ def suite_chain(trials: int = 20, max_n: int = 40, seed: int = 0,
         h = build_h(seq)
         pair = eigenpair_top(h)
         s_val, t_val = s_and_t(h, pair)
-        rho = spectral_radius(h)
+        rho = pair.mu
         return [
             _rec("s-bound", s_val, PI2_OVER_3, s_val <= PI2_OVER_3 + tol, seed=s),
             _rec("mu-chain", rho ** 2, s_val + 2.0 * t_val,
@@ -232,8 +233,7 @@ def suite_chain(trials: int = 20, max_n: int = 40, seed: int = 0,
     return records
 
 
-def suite_alpha(trials: int = 20, max_n: int = 25, seed: int = 0,
-                tol: float = 1e-10) -> list[dict]:
+def suite_alpha(trials: int = 20, seed: int = 0, tol: float = 1e-10) -> list[dict]:
     """Structure of the form in alpha: mirror symmetry, interpolation,
     monotonicity on [0, 1], the pi^2/3 cap at alpha 1, the crude cap, and
     window monotonicity."""
@@ -242,7 +242,7 @@ def suite_alpha(trials: int = 20, max_n: int = 25, seed: int = 0,
                                               (seed, generate_cluster(30))]
     for i in range(min(trials, 10)):
         s = seed + i
-        configs.append((s, _random_seq(s, max_n)))
+        configs.append((s, _random_seq(s, ALPHA_MAX_N)))
 
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
     for s, seq in configs:
@@ -274,7 +274,7 @@ def suite_alpha(trials: int = 20, max_n: int = 25, seed: int = 0,
 
         ext = new_gap_sequence(np.append(seq.nodes, seq.nodes[-1] + (seq.nodes[-1] - seq.nodes[-2])))
         for a in (0.0, 1.0):
-            v1 = estimate_constant(a, seq).value
+            v1 = values[a]
             v2 = estimate_constant(a, ext).value
             records.append(_rec(f"alpha-n-monotone-{a:g}", v1, v2, v2 >= v1 - tol, seed=s))
 
@@ -298,11 +298,9 @@ def _random_trig(seed: int):
     return trig_config(pts, rng.uniform(0.1, 1.0, m))
 
 
-def suite_trig(trials: int = 20, max_n: int = 0, seed: int = 0,
-               tol: float = 1e-12) -> list[dict]:
+def suite_trig(trials: int = 20, seed: int = 0, tol: float = 1e-12) -> list[dict]:
     """Torus side: periodization convergence, cluster-sum asymptotics,
     cotangent limit, gap recomputation and closed-form consistency."""
-    del max_n
     records: list[dict] = []
 
     def equiv_case(i: int) -> dict:
@@ -385,7 +383,7 @@ SUITES = {
 
 ALL_SUITES = ("selberg", "spacing", "pair-spacing", "radius", "chain",
               "alpha-properties", "trig")
-# the suites whose window sizes max_n bounds; the others ignore it
+# the only suites that take max_n, a bound on their window sizes
 MAX_N_SUITES = ("selberg", "radius")
 DEFAULT_MAX_N = 12
 

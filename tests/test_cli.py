@@ -27,6 +27,7 @@ STDOUT_SHA256 = {
         "1b789f31e08866821fd20e3365c75ec580d72abc81765a265c8489237b613b62",
 }
 VERIFY_TRIG_CSV_SHA256 = "6b86316911e4e18c8f60d542fbbdf8035ff26abfb2db61638de0514ac83a4a2f"
+VERIFY_ALL_CSV_SHA256 = "65b6bf927e8a1a6f72bb51ce42344db210db7886ff8ac56a80c239926a83b9af"
 
 
 def sha256(path: Path) -> str:
@@ -73,7 +74,22 @@ class TestExitCodes:
         code, out = run(capsys, ["verify", "--suite", "selberg", "--trials", "2",
                                  "--tol", "1e-6"])
         assert code == 0
-        assert all(r["rhs"] == 1e-6 for r in parse_report(out)["results"])
+        report = parse_report(out)
+        assert report["params"]["tol"] == 1e-6
+        assert all(r["rhs"] == 1e-6 for r in report["results"])
+
+    def test_verify_echoes_absent_tol_as_null(self, capsys):
+        code, out = run(capsys, ["verify", "--suite", "selberg", "--trials", "2"])
+        assert code == 0
+        assert parse_report(out)["params"]["tol"] is None
+
+    @pytest.mark.parametrize("tol", ("inf", "-inf", "nan"))
+    def test_verify_rejects_non_finite_tol(self, capsys, tol):
+        # an infinite tolerance passes every record, a NaN one writes "nan" rhs cells
+        assert dispatch(["verify", "--suite", "spacing", "--trials", "3", f"--tol={tol}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --tol")
 
     @pytest.mark.parametrize("trials", ("0", "-3"))
     def test_verify_rejects_nonpositive_trials(self, capsys, trials):
@@ -136,6 +152,14 @@ class TestModuleEntryPoint:
         proc = run_module("preissmann", module="hilbertlab.cli")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["command"] == "preissmann"
+
+    def test_cli_import_loads_no_thread_pool(self):
+        src = str(Path(hilbertlab.__file__).resolve().parents[1])
+        code = "import sys, hilbertlab.cli; print('concurrent.futures' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     @pytest.mark.parametrize("spacing", ("1e-200", "1e300"))
     def test_non_finite_kernel_prints_only_its_error_line(self, spacing):
@@ -221,12 +245,27 @@ class TestOutputContract:
         assert code == 0
         assert sha256(out_path) == VERIFY_TRIG_CSV_SHA256
 
+    def test_verify_all_csv_digest(self, capsys, tmp_path):
+        out_path = tmp_path / "all.csv"
+        code, _ = run(capsys, ["verify", "--suite", "all", "--trials", "20", "--seed", "3",
+                               "--out", str(out_path)])
+        assert code == 0
+        assert sha256(out_path) == VERIFY_ALL_CSV_SHA256
+
 
 class TestMaxN:
     @pytest.mark.parametrize("suite", ("spacing", "pair-spacing", "chain",
                                        "alpha-properties", "trig"))
     def test_rejected_where_it_has_no_effect(self, capsys, suite):
         assert dispatch(["verify", "--suite", suite, "--trials", "1", "--max-n", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --max-n")
+
+    @pytest.mark.parametrize("suite, max_n", (("selberg", "1"), ("radius", "0"),
+                                              ("all", "-4")))
+    def test_rejected_below_two(self, capsys, suite, max_n):
+        assert dispatch(["verify", "--suite", suite, "--trials", "1", "--max-n", max_n]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --max-n")

@@ -136,6 +136,23 @@ class TestGapInvariants:
         assert np.allclose(scaled.deltas, seq.deltas * s, rtol=1e-12, atol=0.0)
 
 
+class TestDifferences:
+    def test_entries_and_unit_diagonal(self):
+        seq = new_gap_sequence([0.0, 1.0, 3.0, 7.0, 8.0])
+        assert np.array_equal(seq.differences(), [[1.0, -2.0, -6.0],
+                                                  [2.0, 1.0, -4.0],
+                                                  [6.0, 4.0, 1.0]])
+
+    def test_single_active_node(self):
+        assert np.array_equal(generate_uniform(1, 2.0).differences(), [[1.0]])
+
+    def test_built_fresh_on_each_call(self):
+        seq = generate_random(6, 0.3, 2)
+        first = seq.differences()
+        first[0, 1] = 0.0
+        assert seq.differences()[0, 1] == seq.active[0] - seq.active[1]
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         seq = generate_random(6, 0.4, 9)

@@ -91,6 +91,14 @@ class TestSpectralRadius:
         rho = spectral_radius(build_h(seq))
         assert spectral_radius(build_h(moved)) == pytest.approx(rho, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("n", range(2, 41))
+    def test_equals_eigenpair_mu_exactly(self, n):
+        # the radius and chain suites read rho from the eigenpair they solve
+        seq = generate_random(n, 0.3, n)
+        weights = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        for h in (build_h(seq), build_h(seq, weights)):
+            assert spectral_radius(h) == eigenpair_top(h).mu
+
     def test_schur_floor_at_two_thousand(self):
         n = 2000
         rho = spectral_radius(build_h(generate_uniform(n, 1.0), weights=np.ones(n)))
