@@ -155,6 +155,10 @@ def _build_config(args):
 
 
 def _run_constant(args) -> tuple[RunReport, int]:
+    # a negative count would skip the climb yet still label its start a search
+    for flag, value in (("--restarts", args.restarts), ("--rounds", args.rounds)):
+        if value < 0:
+            raise ValueError(f"{flag} must be >= 0, got {value}")
     if args.search:
         found = search_constant(args.alpha, args.n, seed=args.seed,
                                 restarts=args.restarts, rounds=args.rounds)

@@ -125,6 +125,10 @@ def generate_random(n: int, min_gap: float, seed: int) -> GapSequence:
         raise ValueError(f"n must be >= 1, got {n}")
     if min_gap <= 0:
         raise ValueError(f"min_gap must be positive, got {min_gap}")
+    # NaN passes the test above; the bound on the last node also keeps
+    # numpy's uniform and the cumulative sum from overflowing
+    if not np.isfinite(10.0 * min_gap * (n + 1)):
+        raise NonFinite(f"min_gap = {min_gap} gives non-finite nodes for n = {n}")
     rng = np.random.default_rng(seed)
     gaps = rng.uniform(min_gap, 10.0 * min_gap, size=n + 1)
     nodes = np.concatenate(([0.0], np.cumsum(gaps)))

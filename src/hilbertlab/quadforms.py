@@ -28,6 +28,7 @@ from .errors import (
 from .gaps import GapSequence, WeightVector
 
 RESIDUAL_RTOL = 1e-10
+SQRT2 = float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,16 +87,83 @@ def q_alpha(seq: GapSequence, t, alpha: float) -> float:
     return float(np.sum(matrix * np.outer(values, values)))
 
 
+def _reflection_blocks(matrix: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two half-size blocks of a square matrix with exact reflection
+    symmetry J M J = sign * M, J the reversal, or None without it or when
+    n < 2 (Cantoni & Butler, Linear Algebra Appl. 13, 1976).
+
+    Even vectors (u, s, Ju) and odd vectors (u, 0, -Ju), with the centre
+    entry s only for odd n, split R^n orthogonally; their orthonormal
+    coordinates are (sqrt(2) u, s) and sqrt(2) u. The first block maps
+    even coordinates and the second odd ones, into coordinates of the same
+    parity when sign = 1 and of the other parity when sign = -1. With
+    k = n // 2 they are M11 + M12 J and M11 - M12 J. For odd n the centre
+    column, scaled by sqrt(2), joins the first block, and the centre row,
+    scaled by sqrt(2), joins the block that maps into even coordinates;
+    for sign = 1 that is the first block, which also takes the centre entry.
+    """
+    n = matrix.shape[0]
+    # one mirrored pair rules out most matrices before the full comparison
+    if n < 2 or matrix[0, 1] != sign * matrix[-1, -2]:
+        return None
+    if not np.array_equal(matrix[::-1, ::-1], matrix if sign > 0 else -matrix):
+        return None
+    k = n // 2
+    m11, m12j = matrix[:k, :k], matrix[:k, ::-1][:, :k]
+    even, odd = m11 + m12j, m11 - m12j
+    if n % 2:
+        even = np.hstack((even, SQRT2 * matrix[:k, k:k + 1]))
+        centre_row = SQRT2 * matrix[k:k + 1, :k]
+        if sign > 0:
+            even = np.vstack((even, np.append(centre_row, matrix[k, k])))
+        else:
+            odd = np.vstack((odd, centre_row))
+    return even, odd
+
+
+def _reflection_lift(y: np.ndarray, n: int, even: bool) -> np.ndarray:
+    """The length-n vector with even (or odd) coordinates y; the inverse
+    of the coordinates in `_reflection_blocks`, so norms are kept."""
+    k = n // 2
+    half = y[:k] / SQRT2
+    if even:
+        return np.concatenate((half, y[k:], half[::-1]))
+    return np.concatenate((half, np.zeros(n % 2), -half[::-1]))
+
+
+def _certify(product: np.ndarray, value: float, v: np.ndarray) -> None:
+    """Raise NoConvergence unless ||Mv - value*v|| <= RESIDUAL_RTOL * |value|,
+    given the product Mv."""
+    residual = float(np.linalg.norm(product - value * v))
+    if residual > RESIDUAL_RTOL * max(abs(value), 1e-300):
+        raise NoConvergence(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:g}*|value|")
+
+
+def _inverse_iteration(matrix: np.ndarray, value: float, scale: float) -> np.ndarray:
+    """Two steps of inverse iteration (Wielandt) on sigma*I - M from the
+    normalized ones vector, with the shift sigma just above the value."""
+    n = matrix.shape[0]
+    v = np.full(n, 1.0 / np.sqrt(n))
+    shifted = -matrix
+    shifted.flat[:: n + 1] += value + 1e-14 * (abs(value) + scale)
+    for _ in range(2):
+        v = np.linalg.solve(shifted, v)
+        v /= np.linalg.norm(v)
+    return v
+
+
 def _top_eigen(matrix: np.ndarray, vector: bool = True) -> tuple[float, np.ndarray | None]:
     """Top eigenvalue of a square, finite, symmetric matrix and, when
     `vector` is set, a certified unit eigenvector for it.
 
-    The value is LAPACK's eigvalsh, so no eigenvectors are formed. The
-    vector comes from two steps of inverse iteration (Wielandt) on
-    sigma*I - M from the normalized ones vector, with the shift sigma just
-    above the value, and is returned only when the residual certificate
-    ||Mv - value*v|| <= RESIDUAL_RTOL * |value| holds. A zero matrix keeps
-    the start vector.
+    The value is LAPACK's eigvalsh, so no eigenvectors are formed, and the
+    vector comes from `_inverse_iteration`. It is returned only when the
+    residual certificate ||Mv - value*v|| <= RESIDUAL_RTOL * |value| holds
+    on the full matrix. A zero matrix keeps the normalized ones vector.
+
+    A matrix with exact reflection symmetry J M J = M is solved on its two
+    half-size blocks: the larger of their top values is the value (the even
+    block wins a tie), and that block's vector is lifted back to length n.
     """
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise NotSymmetric(f"need a square matrix, got shape {matrix.shape}")
@@ -105,22 +173,25 @@ def _top_eigen(matrix: np.ndarray, vector: bool = True) -> tuple[float, np.ndarr
     if float(np.max(np.abs(matrix - matrix.T))) > 1e-12 * (1.0 + scale):
         raise NotSymmetric("matrix is not symmetric within 1e-12")
     n = matrix.shape[0]
+    if scale == 0.0:
+        return 0.0, np.full(n, 1.0 / np.sqrt(n)) if vector else None
+    blocks = _reflection_blocks(matrix, 1.0)
     try:
-        value = float(np.linalg.eigvalsh(matrix)[-1])
+        if blocks is None:
+            value = float(np.linalg.eigvalsh(matrix)[-1])
+            solved = matrix
+        else:
+            tops = [float(np.linalg.eigvalsh(block)[-1]) for block in blocks]
+            even = tops[0] >= tops[1]
+            value, solved = (tops[0], blocks[0]) if even else (tops[1], blocks[1])
         if not vector:
             return value, None
-        v = np.full(n, 1.0 / np.sqrt(n))
-        if scale > 0.0:
-            shifted = -matrix
-            shifted.flat[:: n + 1] += value + 1e-14 * (abs(value) + scale)
-            for _ in range(2):
-                v = np.linalg.solve(shifted, v)
-                v /= np.linalg.norm(v)
+        v = _inverse_iteration(solved, value, scale)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    residual = float(np.linalg.norm(matrix @ v - value * v))
-    if residual > RESIDUAL_RTOL * max(abs(value), 1e-300):
-        raise NoConvergence(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:g}*|value|")
+    if blocks is not None:
+        v = _reflection_lift(v, n, even)
+    _certify(matrix @ v, value, v)
     return value, v
 
 

@@ -71,6 +71,8 @@ def candidate_configs(n: int, seed: int = 0, restarts: int = 3) -> list[tuple[st
 def search_constant(alpha: float, n: int, seed: int = 0, restarts: int = 3,
                     rounds: int = 200) -> SearchResult:
     """Best estimate over all candidate starts, each refined by the climb."""
+    if restarts < 0 or rounds < 0:
+        raise ValueError(f"restarts and rounds must be >= 0, got {restarts} and {rounds}")
     best: SearchResult | None = None
     for label, seq in candidate_configs(n, seed, restarts):
         estimate = hill_climb(alpha, seq, rounds=rounds)

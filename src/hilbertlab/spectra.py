@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NonpositiveWeight, ZeroSpectrum
 from .gaps import GapSequence
-from .quadforms import _top_eigen
+from .quadforms import _certify, _reflection_blocks, _reflection_lift, _top_eigen
 from .reports import CheckReport
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
@@ -78,17 +78,38 @@ def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
     return SkewHilbertMatrix(entries, c, seq)
 
 
-def _gram(h: SkewHilbertMatrix) -> np.ndarray:
-    """H^T H, symmetrized exactly; its top eigenvalue is mu_max^2."""
-    gram = h.entries.T @ h.entries
+def _gram(a: np.ndarray) -> np.ndarray:
+    """A^T A, symmetrized exactly."""
+    gram = a.T @ a
     return (gram + gram.T) / 2.0
+
+
+def _top_gram(h: SkewHilbertMatrix, vector: bool) -> tuple[float, np.ndarray | None]:
+    """Top eigenvalue mu^2 of H^T H and, when `vector` is set, a certified
+    unit eigenvector for it.
+
+    When J H J = -H exactly, as on a reflection-symmetric window, H maps
+    even vectors to odd ones by the first block C of `_reflection_blocks`
+    and odd vectors back by -C^T. So mu^2 is the top eigenvalue of the
+    half-size Gram C^T C, and its vector, lifted to an even vector of
+    length n, is certified against H^T H, applied as two products with H.
+    """
+    blocks = _reflection_blocks(h.entries, -1.0)
+    if blocks is None:
+        return _top_eigen(_gram(h.entries), vector)
+    value, y = _top_eigen(_gram(blocks[0]), vector)
+    if y is None:
+        return value, None
+    v = _reflection_lift(y, h.n, even=True)
+    _certify(h.entries.T @ (h.entries @ v), value, v)
+    return value, v
 
 
 def spectral_radius(h: SkewHilbertMatrix) -> float:
     """|mu_max| = sqrt(top eigenvalue of H^T H)."""
     if h.n == 1:
         return 0.0
-    value, _ = _top_eigen(_gram(h), vector=False)
+    value, _ = _top_gram(h, vector=False)
     return math.sqrt(max(value, 0.0))
 
 
@@ -99,7 +120,7 @@ def eigenpair_top(h: SkewHilbertMatrix) -> ComplexEigenpair:
     """
     if h.n == 1:
         raise ZeroSpectrum("1x1 skew matrix has only the zero eigenvalue")
-    value, v = _top_eigen(_gram(h))
+    value, v = _top_gram(h, vector=True)
     mu = math.sqrt(max(value, 0.0))
     if mu <= 0.0:
         raise ZeroSpectrum("all eigenvalues vanish")
@@ -188,13 +209,15 @@ def bilinear_form(h: SkewHilbertMatrix, z_re, z_im) -> float:
 
 def numerical_radius_check(h: SkewHilbertMatrix, z_re=None, z_im=None,
                            trials: int = 0, seed: int = 0,
-                           tol: float = 1e-9) -> list[CheckReport]:
+                           tol: float = 1e-9, rho: float | None = None) -> list[CheckReport]:
     """Check |B(z)| <= rho * sum |z_n|^2 and its c_n-normalized variant.
 
     Runs on the explicit vector when given, plus `trials` seeded random
-    complex vectors.
+    complex vectors. `rho` defaults to spectral_radius(h); a caller that
+    has eigenpair_top(h) passes its mu, which is the same float.
     """
-    rho = spectral_radius(h)
+    if rho is None:
+        rho = spectral_radius(h)
     vectors = []
     if z_re is not None or z_im is not None:
         zr = np.zeros(h.n) if z_re is None else np.asarray(z_re, dtype=float)

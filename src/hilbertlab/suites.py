@@ -179,10 +179,10 @@ def suite_radius(trials: int = 100, max_n: int = 12, seed: int = 0,
         n = int(rng.integers(2, max_n + 1))
         seq = generate_random(n, float(rng.uniform(0.05, 1.0)), s)
         h = build_h(seq, rng.uniform(0.5, 2.0, n))
-        out = [r.record() for r in
-               numerical_radius_check(h, trials=1, seed=s, tol=tol)]
         pair = eigenpair_top(h)
         rho = pair.mu
+        out = [r.record() for r in
+               numerical_radius_check(h, trials=1, seed=s, tol=tol, rho=rho)]
         lhs = abs(2.0 * float(pair.u_im @ (h.entries @ pair.u_re)))
         out.append(_rec("numerical-radius-extremal", lhs, rho,
                         abs(lhs - rho) <= tol * (1.0 + rho), seed=s))

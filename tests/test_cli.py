@@ -98,6 +98,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: --trials")
 
+    @pytest.mark.parametrize("min_gap", ("nan", "inf", "1e308"))
+    def test_constant_rejects_non_finite_min_gap(self, capsys, min_gap):
+        # numpy's uniform used to raise OverflowError out of generate_random
+        assert dispatch(["constant", "--alpha", "1", "--n", "5", "--config", "random",
+                         f"--min-gap={min_gap}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: min_gap")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ("--restarts", "--rounds"))
+    def test_search_rejects_negative_counts(self, capsys, flag):
+        # --rounds -1 once skipped the climb and still labelled the start a search
+        assert dispatch(["constant", "--search", "--alpha", "0.5", "--n", "4",
+                         flag, "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= 0, got -1\n"
+
     def test_solver_failure_is_reported_not_raised(self, capsys, monkeypatch):
         import hilbertlab.quadforms as quadforms
 
@@ -303,6 +322,23 @@ class TestConstantCommand:
         record = parse_report(out)["results"][0]
         assert record["config"].startswith("search:")
         assert record["value"] <= (4 - 1) + 1e-9
+
+
+class TestReflectionFoldValues:
+    """Printed values on reflection-symmetric windows, as computed by the
+    full-size solve; the half-size solve must not move them."""
+
+    def test_schur_record(self, capsys):
+        code, out = run(capsys, ["verify", "--suite", "radius", "--trials", "1"])
+        assert code == 0
+        schur = [r for r in parse_report(out)["results"] if r["lemma"].startswith("schur-")]
+        assert [r["lhs"] for r in schur] == [3.13581891541, 3.13581891541]
+
+    def test_uniform_constant_at_two_thousand(self, capsys):
+        code, out = run(capsys, ["constant", "--n", "2000", "--config", "uniform",
+                                 "--alpha", "1"])
+        assert code == 0
+        assert parse_report(out)["results"][0]["value"] == 3.28623388972
 
 
 class TestPreissmannCommand:

@@ -97,6 +97,11 @@ class TestGenerators:
         assert seq.n == 1
         assert seq.delta(1) > 0
 
+    @pytest.mark.parametrize("min_gap", (np.nan, np.inf, 1e308))
+    def test_random_rejects_non_finite_min_gap(self, min_gap):
+        with pytest.raises(NonFinite):
+            generate_random(5, min_gap, 0)
+
     def test_random_respects_min_gap(self):
         seq = generate_random(100, 1e-6, 7)
         gaps = np.diff(seq.nodes)

@@ -20,10 +20,12 @@ from hilbertlab.errors import (
     AlphaOutOfRange,
     LengthMismatch,
     NegativeEntry,
+    NoConvergence,
     NonFinite,
     NotSymmetric,
 )
-from hilbertlab.quadforms import RESIDUAL_RTOL, alpha_form_matrix
+from hilbertlab import quadforms
+from hilbertlab.quadforms import RESIDUAL_RTOL, _top_eigen, alpha_form_matrix
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
 ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -166,6 +168,82 @@ class TestTopEigen:
         assert np.min(vector) >= 0.0
         assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
         assert np.linalg.norm(m @ vector - value * vector) <= RESIDUAL_RTOL * value
+
+
+def centrosymmetric(n: int, rng, low: float = 0.0) -> np.ndarray:
+    """A random symmetric matrix with M[::-1, ::-1] == M exactly."""
+    a = rng.uniform(low, 1.0, (n, n))
+    a = a + a.T
+    return a + a[::-1, ::-1]
+
+
+def assert_top_pair(m: np.ndarray, value: float, vector: np.ndarray) -> None:
+    eigenvalues = np.linalg.eigh(m)[0]
+    scale = float(np.max(np.abs(eigenvalues)))
+    assert abs(value - eigenvalues[-1]) <= 1e-13 * scale
+    assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(m @ vector - value * vector) <= RESIDUAL_RTOL * abs(value)
+
+
+class TestReflectionFold:
+    """Matrices with J M J = M are solved on their two half-size blocks."""
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    @pytest.mark.parametrize("low", (0.0, -1.0))
+    def test_against_eigh_oracle(self, n, low):
+        m = centrosymmetric(n, np.random.default_rng(3000 + n), low)
+        value, vector = _top_eigen(m)
+        assert_top_pair(m, value, vector)
+        assert _top_eigen(m, vector=False)[0] == value
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_odd_block_wins(self, n):
+        # -J has +1 on the odd vectors and -1 on the even ones; a
+        # perturbation of norm below 1/2 keeps the odd block on top
+        rng = np.random.default_rng(4000 + n)
+        m = -np.eye(n)[::-1] + centrosymmetric(n, rng, -1.0) / (8.0 * n)
+        value, vector = _top_eigen(m)
+        assert_top_pair(m, value, vector)
+        assert np.array_equal(vector[::-1], -vector)
+
+    @pytest.mark.parametrize("n", range(2, 65, 2))
+    def test_tie_between_blocks_takes_even(self, n):
+        # diag(A, JAJ) has the same even and odd block A
+        k = n // 2
+        a = np.random.default_rng(5000 + n).uniform(-1.0, 1.0, (k, k))
+        a = a + a.T
+        m = np.zeros((n, n))
+        m[:k, :k] = a
+        m[k:, k:] = a[::-1, ::-1]
+        value, vector = _top_eigen(m)
+        assert_top_pair(m, value, vector)
+        assert np.array_equal(vector[::-1], vector)
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 8, 63, 64))
+    def test_zero_matrix_keeps_start_vector(self, n):
+        value, vector = _top_eigen(np.zeros((n, n)))
+        assert value == 0.0
+        assert np.array_equal(vector, np.full(n, 1.0 / np.sqrt(n)))
+
+    @pytest.mark.parametrize("n", (10, 11))
+    def test_lifted_pair_is_certified_on_full_matrix(self, monkeypatch, n):
+        # a wrong lift is caught by the certificate on the full matrix
+        lift = quadforms._reflection_lift
+        monkeypatch.setattr(quadforms, "_reflection_lift",
+                            lambda y, size, even: lift(y, size, not even))
+        with pytest.raises(NoConvergence):
+            _top_eigen(centrosymmetric(n, np.random.default_rng(1)))
+
+    def test_fold_fires_on_uniform_window(self, eigvalsh_sizes):
+        estimate_constant(1.0, generate_uniform(200, 1.0))
+        assert eigvalsh_sizes == [100, 100]
+        eigvalsh_sizes.clear()
+        estimate_constant(1.0, generate_uniform(201, 1.0))
+        assert eigvalsh_sizes == [101, 100]
+
+    def test_fold_does_not_fire_on_random_window(self, eigvalsh_sizes):
+        estimate_constant(1.0, generate_random(200, 0.5, 1))
+        assert eigvalsh_sizes == [200]
 
 
 class TestNonFiniteInput:

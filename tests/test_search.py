@@ -34,3 +34,9 @@ def test_search_dominates_uniform_and_is_deterministic():
     assert r1.estimate.value >= baseline - 1e-13
     assert r1.estimate.value == r2.estimate.value
     assert np.array_equal(r1.estimate.config.nodes, r2.estimate.config.nodes)
+
+
+@pytest.mark.parametrize("restarts, rounds", ((-1, 4), (1, -1)))
+def test_search_rejects_negative_counts(restarts, rounds):
+    with pytest.raises(ValueError):
+        search_constant(0.5, 4, restarts=restarts, rounds=rounds)

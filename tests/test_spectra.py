@@ -9,6 +9,7 @@ from hilbertlab import (
     build_h,
     check_selberg_identity,
     eigenpair_top,
+    estimate_constant,
     generate_cluster,
     generate_random,
     generate_uniform,
@@ -18,11 +19,20 @@ from hilbertlab import (
     spectral_radius,
     two_forms_bound,
 )
-from hilbertlab import quadforms
+from hilbertlab import quadforms, spectra, suites
 from hilbertlab.errors import LengthMismatch, NoConvergence, NonpositiveWeight, ZeroSpectrum
+from hilbertlab.quadforms import alpha_form_matrix
 from hilbertlab.spectra import bilinear_form, pair_residual, s_and_t
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
+
+
+def mirrored_window(gaps, centre: bool):
+    """Nodes symmetric about 0 with the given gaps on each side, so every
+    mirrored difference is the exact negative and J H J = -H holds exactly;
+    n is odd with a centre node and even without one."""
+    half = np.cumsum(gaps)
+    return new_gap_sequence(np.concatenate((-half[::-1], [0.0] if centre else [], half)))
 
 
 def random_instance(seed, max_n=12):
@@ -145,6 +155,55 @@ class TestEigenpairTop:
             eigenpair_top(h)
 
 
+MIRRORED = [mirrored_window(np.random.default_rng(seed).uniform(0.1, 2.0, size), centre)
+            for seed, (size, centre) in enumerate(((2, False), (2, True), (9, False),
+                                                   (9, True), (40, False), (41, True)))]
+SYMMETRIC_WINDOWS = [generate_uniform(n, 1.0) for n in (2, 3, 40, 41, 200, 201)] + MIRRORED
+
+
+class TestReflectionFold:
+    """Reflection-symmetric windows are solved on the half-size Gram C^T C."""
+
+    @pytest.mark.parametrize("idx", range(len(SYMMETRIC_WINDOWS)))
+    @pytest.mark.parametrize("unit", (False, True))
+    def test_folded_pair_matches_radius_and_is_accurate(self, idx, unit):
+        seq = SYMMETRIC_WINDOWS[idx]
+        h = build_h(seq, np.ones(seq.n) if unit else None)
+        assert np.array_equal(h.entries[::-1, ::-1], -h.entries)
+        pair = eigenpair_top(h)
+        assert spectral_radius(h) == pair.mu
+        assert pair_residual(h, pair) <= 1e-14 * pair.mu
+        assert check_selberg_identity(h, pair).max_abs_residual <= 1e-14 * pair.mu ** 2
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(gaps=st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=2, max_size=30),
+           centre=st.booleans(), alpha=st.sampled_from((0.0, 0.5, 1.0, 1.5)))
+    def test_mirrored_gaps_against_dense_oracle(self, gaps, centre, alpha):
+        seq = mirrored_window(gaps, centre)
+        h = build_h(seq)
+        oracle = float(np.max(np.abs(np.linalg.eigvals(h.entries))))
+        assert spectral_radius(h) == pytest.approx(oracle, rel=1e-12)
+        kernel = alpha_form_matrix(seq, alpha).entries
+        assert np.array_equal(kernel[::-1, ::-1], kernel)
+        top = float(np.linalg.eigh((kernel + kernel.T) / 2.0)[0][-1])
+        assert estimate_constant(alpha, seq).value == pytest.approx(top, rel=1e-12)
+
+    def test_gram_is_folded_only_on_symmetric_windows(self, eigvalsh_sizes):
+        spectral_radius(build_h(generate_uniform(200, 1.0)))
+        spectral_radius(build_h(generate_uniform(201, 1.0)))
+        spectral_radius(build_h(generate_random(200, 0.5, 1)))
+        assert eigvalsh_sizes == [100, 101, 200]
+
+    @pytest.mark.parametrize("n", (12, 13))
+    def test_lifted_pair_is_certified_on_full_matrix(self, monkeypatch, n):
+        # a wrong lift passes the half-size certificate but not the full one
+        lift = spectra._reflection_lift
+        monkeypatch.setattr(spectra, "_reflection_lift",
+                            lambda y, size, even: lift(y, size, not even))
+        with pytest.raises(NoConvergence):
+            eigenpair_top(build_h(generate_uniform(n, 1.0)))
+
+
 class TestSelbergIdentity:
     def test_two_node_exact(self):
         h = build_h(generate_uniform(2, 1.0))
@@ -232,6 +291,29 @@ class TestNumericalRadius:
                 assert rep.holds
                 held += 1
         assert held == 2000  # 1000 vectors, plain and normalized form each
+
+
+    def test_given_rho_matches_default(self):
+        h, _ = random_instance(23)
+        rho = eigenpair_top(h).mu
+        given_rho = numerical_radius_check(h, trials=5, seed=23, rho=rho)
+        default = numerical_radius_check(h, trials=5, seed=23)
+        assert [r.record() for r in given_rho] == [r.record() for r in default]
+
+    def test_radius_suite_solves_each_window_once(self, monkeypatch):
+        # the random windows take rho from their eigenpair; only the Schur
+        # record calls spectral_radius
+        sizes = []
+
+        def counting(h):
+            sizes.append(h.n)
+            return spectral_radius(h)
+
+        monkeypatch.setattr(spectra, "spectral_radius", counting)
+        monkeypatch.setattr(suites, "spectral_radius", counting)
+        records = suites.suite_radius(trials=5, seed=1, schur_n=20)
+        assert sizes == [20]
+        assert len(records) == 5 * 3 + 2
 
 
 class TestChainInvariants:
