@@ -51,14 +51,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_const = sub.add_parser("constant", parents=[common], help="estimate the constant at fixed size")
     p_const.add_argument("--alpha", type=float, required=True)
     p_const.add_argument("--n", type=int, required=True)
+    # defaults of the flags that apply only with or only without --search
+    # are filled in by _run_constant, so that a given flag can be told apart
     p_const.add_argument("--config", choices=["uniform", "cluster", "random", "trig"],
-                         default="uniform")
-    p_const.add_argument("--spacing", type=float, default=1.0)
-    p_const.add_argument("--min-gap", type=float, default=0.2, dest="min_gap")
+                         default=None, help="window to solve (default uniform); "
+                                            "rejected with --search")
+    p_const.add_argument("--spacing", type=float, default=None,
+                         help="uniform spacing (default 1.0); rejected with --search")
+    p_const.add_argument("--min-gap", type=float, default=None, dest="min_gap",
+                         help="random gap floor (default 0.2); rejected with --search")
     p_const.add_argument("--search", action="store_true",
                          help="heuristic hill climb over gap configurations")
-    p_const.add_argument("--restarts", type=int, default=3)
-    p_const.add_argument("--rounds", type=int, default=200)
+    p_const.add_argument("--restarts", type=int, default=None,
+                         help="seeded random starts (default 3); only with --search")
+    p_const.add_argument("--rounds", type=int, default=None,
+                         help="climb rounds per start (default 200); only with --search")
 
     sub.add_parser("preissmann", parents=[common], help="the quadratic-chain upper bounds")
 
@@ -144,6 +151,12 @@ def _run_verify(args) -> tuple[RunReport, int]:
     return report, 0 if all_hold else 1
 
 
+# constant's flags that act only without --search (the start window) and
+# only with it (the climb), each with its default
+WINDOW_FLAGS = {"config": "uniform", "spacing": 1.0, "min_gap": 0.2}
+SEARCH_FLAGS = {"restarts": 3, "rounds": 200}
+
+
 def _build_config(args):
     if args.config == "uniform":
         return generate_uniform(args.n, args.spacing)
@@ -155,11 +168,20 @@ def _build_config(args):
 
 
 def _run_constant(args) -> tuple[RunReport, int]:
-    # a negative count would skip the climb yet still label its start a search
-    for flag, value in (("--restarts", args.restarts), ("--rounds", args.rounds)):
-        if value < 0:
-            raise ValueError(f"{flag} must be >= 0, got {value}")
+    # a flag the run ignores would echo a setting that was never used
+    for name in WINDOW_FLAGS if args.search else SEARCH_FLAGS:
+        if getattr(args, name) is not None:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} has no effect {'with' if args.search else 'without'} "
+                             f"--search")
+    for name, default in {**WINDOW_FLAGS, **SEARCH_FLAGS}.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.search:
+        # a negative count would skip the climb yet still label its start a search
+        for flag, value in (("--restarts", args.restarts), ("--rounds", args.rounds)):
+            if value < 0:
+                raise ValueError(f"{flag} must be >= 0, got {value}")
         found = search_constant(args.alpha, args.n, seed=args.seed,
                                 restarts=args.restarts, rounds=args.rounds)
         label, est = f"search:{found.label}", found.estimate

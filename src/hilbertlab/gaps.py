@@ -47,8 +47,7 @@ class GapSequence:
     @cached_property
     def deltas(self) -> np.ndarray:
         """delta_k for k = 1..N (0-indexed array of length N)."""
-        diffs = np.diff(self.nodes)
-        out = np.minimum(diffs[:-1], diffs[1:])
+        out = node_deltas(self.nodes)
         out.setflags(write=False)
         return out
 
@@ -60,18 +59,31 @@ class GapSequence:
 
     def differences(self) -> np.ndarray:
         """The N x N matrix lam_m - lam_n over the active nodes, with a unit
-        diagonal so that kernels in 1/(lam_m - lam_n) can divide by it.
+        diagonal (see `node_differences`).
 
         Built fresh on each call: a cached copy would stay alive as long
         as the window does.
         """
-        lam = self.active
-        diff = lam[:, None] - lam[None, :]
-        np.fill_diagonal(diff, 1.0)
-        return diff
+        return node_differences(self.active)
 
     def to_json(self) -> str:
         return json.dumps({"nodes": self.nodes.tolist(), "n": self.n})
+
+
+def node_deltas(nodes: np.ndarray) -> np.ndarray:
+    """delta_k of the active nodes along the last axis of `nodes`, a window
+    (ghosts included) or a stack of them."""
+    gaps = np.diff(nodes)
+    return np.minimum(gaps[..., :-1], gaps[..., 1:])
+
+
+def node_differences(lam: np.ndarray) -> np.ndarray:
+    """lam_m - lam_n over the last axis of `lam`, a window of N nodes or a
+    stack of them, as N x N matrices with a unit diagonal so that kernels
+    in 1/(lam_m - lam_n) can divide by them."""
+    diff = lam[..., :, None] - lam[..., None, :]
+    np.einsum("...ii->...i", diff)[...] = 1.0
+    return diff
 
 
 @dataclass(frozen=True, eq=False)

@@ -172,15 +172,18 @@ def periodize(cfg: TrigConfig, k_periods: int) -> tuple[GapSequence, WeightVecto
     return seq, WeightVector(np.tile(cfg.weights, k_periods))
 
 
-def periodized_equivalence_check(cfg: TrigConfig, k_periods: int) -> EquivReport:
+def periodized_equivalence_check(cfg: TrigConfig, k_periods: int,
+                                 trig_side: float | None = None) -> EquivReport:
     """Compare the half-exponent line form on the tiled configuration,
     scaled by 1/(pi^2 K), against the torus form. The gap decays like
-    log(K)/K as the number of periods grows."""
+    log(K)/K as the number of periods grows. A caller that checks one
+    configuration at several K can pass its `trig_form_value` once."""
     if k_periods < 2:
         raise ValueError(f"k_periods must be >= 2, got {k_periods}")
     seq, t = periodize(cfg, k_periods)
     line_side = q_alpha(seq, t, 0.5) / (math.pi ** 2 * k_periods)
-    trig_side = trig_form_value(cfg)
+    if trig_side is None:
+        trig_side = trig_form_value(cfg)
     return EquivReport(line_side, trig_side, line_side - trig_side)
 
 

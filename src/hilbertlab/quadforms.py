@@ -23,9 +23,11 @@ from .errors import (
     NegativeEntry,
     NoConvergence,
     NonFinite,
+    NotIncreasing,
     NotSymmetric,
+    TooShort,
 )
-from .gaps import GapSequence, WeightVector
+from .gaps import GapSequence, WeightVector, node_deltas, node_differences
 
 RESIDUAL_RTOL = 1e-10
 SQRT2 = float(np.sqrt(2.0))
@@ -58,17 +60,33 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _alpha_kernels(delta: np.ndarray, lam: np.ndarray, alpha: float) -> np.ndarray:
+    """The kernels of Q_alpha from the deltas and active nodes along the
+    last axis: an N x N matrix for one window, a stack of them for a stack
+    of windows. Raises NonFinite when a gap scale under- or overflows a
+    kernel (0/0 or inf/inf) instead of passing NaN on."""
+    with np.errstate(all="ignore"):
+        diff = node_differences(lam)
+        entries = (delta ** (2.0 - alpha))[..., :, None] * (delta ** alpha)[..., None, :]
+        entries /= np.square(diff, out=diff)
+    np.einsum("...ii->...i", entries)[...] = 0.0
+    if not np.isfinite(entries).all():
+        raise NonFinite(f"alpha = {alpha} kernel has non-finite entries")
+    return entries
+
+
+def _symmetrized(kernels: np.ndarray) -> np.ndarray:
+    """(M + M^T) / 2 of each kernel in a matrix or a stack of them."""
+    sym = kernels + kernels.swapaxes(-1, -2)
+    sym /= 2.0
+    return sym
+
+
 def alpha_form_matrix(seq: GapSequence, alpha: float) -> AlphaFormMatrix:
     """The kernel of Q_alpha; raises NonFinite when a gap scale under- or
     overflows it (0/0 or inf/inf) instead of passing NaN on."""
     alpha = _check_alpha(alpha)
-    delta = seq.deltas
-    with np.errstate(all="ignore"):
-        diff = seq.differences()
-        entries = np.outer(delta ** (2.0 - alpha), delta ** alpha) / diff ** 2
-    np.fill_diagonal(entries, 0.0)
-    if not np.isfinite(entries).all():
-        raise NonFinite(f"alpha = {alpha} kernel has non-finite entries")
+    entries = _alpha_kernels(seq.deltas, seq.active, alpha)
     entries.setflags(write=False)
     return AlphaFormMatrix(alpha, entries, seq)
 
@@ -152,9 +170,47 @@ def _inverse_iteration(matrix: np.ndarray, value: float, scale: float) -> np.nda
     return v
 
 
-def _top_eigen(matrix: np.ndarray, vector: bool = True) -> tuple[float, np.ndarray | None]:
+def _checked_scales(stack: np.ndarray, nonneg: bool) -> np.ndarray:
+    """max |M| of each matrix in a (B, n, n) stack, after the input checks
+    run on each in turn: nonnegative entries when `nonneg` is set
+    (NegativeEntry), finite entries (NonFinite), and symmetric within
+    1e-12 * (1 + max |M|) (NotSymmetric). The first matrix that fails
+    raises.
+
+    max(max M, -min M) is max |M| without an n x n temporary, and the
+    tolerance test runs only on a matrix that is not exactly symmetric.
+    """
+    low = stack.min(axis=(1, 2))
+    scales = np.maximum(stack.max(axis=(1, 2)), -low)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    passed = finite & (stack == stack.swapaxes(1, 2)).all(axis=(1, 2))
+    if nonneg:
+        passed &= low >= 0.0
+    if passed.all():
+        return scales
+    for b in np.flatnonzero(~passed):
+        if nonneg and low[b] < 0.0:
+            raise NegativeEntry("matrix entries must be nonnegative")
+        if not finite[b]:
+            raise NonFinite("matrix has non-finite entries")
+        matrix = stack[b]
+        if float(np.max(np.abs(matrix - matrix.T))) > 1e-12 * (1.0 + scales[b]):
+            raise NotSymmetric("matrix is not symmetric within 1e-12")
+    return scales
+
+
+def _folded_top(blocks: tuple[np.ndarray, np.ndarray]) -> tuple[float, bool]:
+    """The larger top value of the even and odd reflection block, and
+    whether it is the even block's (the even block wins a tie)."""
+    even, odd = (float(np.linalg.eigvalsh(block)[-1]) for block in blocks)
+    return (even, True) if even >= odd else (odd, False)
+
+
+def _top_eigen(matrix: np.ndarray, vector: bool = True,
+               nonneg: bool = False) -> tuple[float, np.ndarray | None]:
     """Top eigenvalue of a square, finite, symmetric matrix and, when
-    `vector` is set, a certified unit eigenvector for it.
+    `vector` is set, a certified unit eigenvector for it; with `nonneg`
+    the entries must also be nonnegative.
 
     The value is LAPACK's eigvalsh, so no eigenvectors are formed, and the
     vector comes from `_inverse_iteration`. It is returned only when the
@@ -167,11 +223,7 @@ def _top_eigen(matrix: np.ndarray, vector: bool = True) -> tuple[float, np.ndarr
     """
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise NotSymmetric(f"need a square matrix, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise NonFinite("matrix has non-finite entries")
-    scale = float(np.max(np.abs(matrix))) if matrix.size else 0.0
-    if float(np.max(np.abs(matrix - matrix.T))) > 1e-12 * (1.0 + scale):
-        raise NotSymmetric("matrix is not symmetric within 1e-12")
+    scale = float(_checked_scales(matrix[None], nonneg)[0])
     n = matrix.shape[0]
     if scale == 0.0:
         return 0.0, np.full(n, 1.0 / np.sqrt(n)) if vector else None
@@ -181,9 +233,8 @@ def _top_eigen(matrix: np.ndarray, vector: bool = True) -> tuple[float, np.ndarr
             value = float(np.linalg.eigvalsh(matrix)[-1])
             solved = matrix
         else:
-            tops = [float(np.linalg.eigvalsh(block)[-1]) for block in blocks]
-            even = tops[0] >= tops[1]
-            value, solved = (tops[0], blocks[0]) if even else (tops[1], blocks[1])
+            value, even = _folded_top(blocks)
+            solved = blocks[0] if even else blocks[1]
         if not vector:
             return value, None
         v = _inverse_iteration(solved, value, scale)
@@ -204,21 +255,64 @@ def top_eigen_nonneg_sym(matrix) -> tuple[float, np.ndarray]:
     positive on such a matrix, so the absolute value only clears the sign
     of entries that vanish to rounding.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if float(np.min(matrix)) < 0.0:
-        raise NegativeEntry("matrix entries must be nonnegative")
-    value, vector = _top_eigen(matrix)
+    value, vector = _top_eigen(np.asarray(matrix, dtype=float), nonneg=True)
     return value, np.abs(vector)
+
+
+def top_values_nonneg_sym(stack) -> np.ndarray:
+    """The top eigenvalue of each matrix in a (B, n, n) stack: the value
+    `top_eigen_nonneg_sym` gives each matrix, bit for bit, without its
+    vector or certificate.
+
+    Every matrix runs the same input checks, and a zero matrix gives 0.
+    A matrix with exact reflection symmetry is solved on its two half-size
+    blocks as in `_top_eigen`; the others go through one stacked eigvalsh,
+    which solves each matrix as a lone call does.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise NotSymmetric(f"need a stack of square matrices, got shape {stack.shape}")
+    scales = _checked_scales(stack, nonneg=True)
+    values = np.zeros(stack.shape[0])
+    plain = []
+    try:
+        for b in np.flatnonzero(scales):
+            blocks = _reflection_blocks(stack[b], 1.0)
+            if blocks is None:
+                plain.append(b)
+            else:
+                values[b] = _folded_top(blocks)[0]
+        if plain:
+            values[plain] = np.linalg.eigvalsh(stack[plain])[:, -1]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+    return values
 
 
 def estimate_constant(alpha: float, seq: GapSequence) -> ConstantEstimate:
     """Optimal constant for this configuration: top eigenvalue of the
     symmetrized kernel, witnessed by the unit nonnegative optimizer."""
     alpha = _check_alpha(alpha)
-    matrix = alpha_form_matrix(seq, alpha).entries
-    sym = (matrix + matrix.T) / 2.0
+    sym = _symmetrized(alpha_form_matrix(seq, alpha).entries)
     value, vector = top_eigen_nonneg_sym(sym)
     return ConstantEstimate(alpha, seq.n, value, seq, WeightVector(vector))
+
+
+def constant_values(alpha: float, nodes: np.ndarray) -> np.ndarray:
+    """`estimate_constant`'s value on each window of a (B, N+2) stack of
+    node vectors (ghosts included), bit for bit, without witnesses or
+    certificates: the value-only path for searches that try many windows
+    and keep few."""
+    alpha = _check_alpha(alpha)
+    nodes = np.asarray(nodes, dtype=float)
+    if nodes.ndim != 2 or nodes.shape[1] < 3:
+        raise TooShort(f"need a stack of windows of at least 3 nodes, got shape {nodes.shape}")
+    if not np.isfinite(nodes).all():
+        raise NonFinite("nodes must be finite")
+    if not (np.diff(nodes) > 0).all():
+        raise NotIncreasing("nodes must be strictly increasing")
+    kernels = _alpha_kernels(node_deltas(nodes), nodes[:, 1:-1], alpha)
+    return top_values_nonneg_sym(_symmetrized(kernels))
 
 
 def uniform_lower_bound(n: int) -> float:

@@ -6,14 +6,18 @@ claim.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gaps import GapSequence, generate_cluster, generate_random, generate_uniform
 from .lowerbound import construction_config, periodize
-from .quadforms import ConstantEstimate, estimate_constant
+from .quadforms import ConstantEstimate, constant_values, estimate_constant
+
+
+# The most kernel entries a stack of trials holds (8 MB of floats), so a
+# climb at large n keeps a few trial kernels in memory, not a whole round.
+STACK_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -32,29 +36,59 @@ def generate_trig_periodized(n: int, k: int = 5, a: float = 0.14, l: int = 10) -
     return GapSequence(seq.nodes[: n + 2])
 
 
-def _seq_from_gaps(gaps: np.ndarray) -> GapSequence:
-    return GapSequence(np.concatenate(([0.0], np.cumsum(gaps))))
+def _nodes_from_gaps(gaps: np.ndarray) -> np.ndarray:
+    """Node vectors from gap vectors along the last axis, starting at 0."""
+    return np.concatenate((np.zeros((*gaps.shape[:-1], 1)), np.cumsum(gaps, axis=-1)), axis=-1)
 
 
 def hill_climb(alpha: float, seq: GapSequence, rounds: int = 200) -> ConstantEstimate:
-    """Coordinate ascent on the n+1 gaps with multiplicative step halving."""
-    gaps = np.diff(seq.nodes)
-    best = estimate_constant(alpha, seq)
-    step = 0.25
+    """Coordinate ascent on the n+1 gaps with multiplicative step halving.
+
+    A round tries each gap in turn scaled by 1 + step and then by
+    1 / (1 + step), and keeps every trial that beats the best value so far
+    by 1e-13; a round that keeps none halves the step. The next trials of
+    a round are valued together, as one stack built from the current gaps.
+    The first that beats the best is kept and the trials after it are
+    stacked again from the new gaps, so the climb keeps the trials a
+    one-by-one loop keeps, with the same values. Trials stacked after a
+    kept one are wasted, so stack lengths follow the climb: the first
+    stack holds one trial, a stack that keeps a trial sets the next
+    length to its trials up to that one, and a stack that keeps none
+    doubles it, up to a round and to STACK_FLOATS kernel entries.
+
+    Trials are valued only. The returned estimate is solved and certified
+    on the final gaps, or is the start's own estimate when no trial was
+    kept (rebuilding the start's nodes from its gaps can change their last
+    bits).
+    """
+    start = estimate_constant(alpha, seq)
+    gaps, best, step = np.diff(seq.nodes), start.value, 0.25
+    coords = np.repeat(np.arange(gaps.size), 2)
+    longest = max(1, min(coords.size, STACK_FLOATS // seq.n ** 2))
+    kept, size = False, 1
     for _ in range(rounds):
-        improved = False
-        for i in range(gaps.size):
-            for factor in (1.0 + step, 1.0 / (1.0 + step)):
-                trial = gaps.copy()
-                trial[i] *= factor
-                candidate = estimate_constant(alpha, _seq_from_gaps(trial))
-                if candidate.value > best.value + 1e-13:
-                    best, gaps, improved = candidate, trial, True
+        factors = np.tile((1.0 + step, 1.0 / (1.0 + step)), gaps.size)
+        improved, k = False, 0
+        while k < coords.size:
+            stop = min(k + size, coords.size)
+            trials = np.tile(gaps, (stop - k, 1))
+            trials[np.arange(stop - k), coords[k:stop]] *= factors[k:stop]
+            values = constant_values(alpha, _nodes_from_gaps(trials))
+            hits = np.flatnonzero(values > best + 1e-13)
+            if hits.size == 0:
+                k, size = stop, min(2 * size, longest)
+                continue
+            j = hits[0]
+            gaps, best = trials[j], float(values[j])
+            improved = kept = True
+            k, size = k + j + 1, j + 1
         if not improved:
             step *= 0.5
             if step < 1e-6:
                 break
-    return best
+    if not kept:
+        return start
+    return estimate_constant(alpha, GapSequence(_nodes_from_gaps(gaps)))
 
 
 def candidate_configs(n: int, seed: int = 0, restarts: int = 3) -> list[tuple[str, GapSequence]]:

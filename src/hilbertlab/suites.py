@@ -306,8 +306,9 @@ def suite_trig(trials: int = 20, seed: int = 0, tol: float = 1e-12) -> list[dict
     def equiv_case(i: int) -> dict:
         s = seed + i
         cfg = _random_trig(s)
-        g1 = abs(periodized_equivalence_check(cfg, 50).gap)
-        g2 = abs(periodized_equivalence_check(cfg, 100).gap)
+        trig_side = trig_form_value(cfg)
+        g1 = abs(periodized_equivalence_check(cfg, 50, trig_side).gap)
+        g2 = abs(periodized_equivalence_check(cfg, 100, trig_side).gap)
         return _rec("periodized-shrink", g2, g1, g2 < g1, seed=s)
 
     records.extend(parallel_map(equiv_case, range(trials)))

@@ -324,6 +324,49 @@ class TestConstantCommand:
         assert record["value"] <= (4 - 1) + 1e-9
 
 
+class TestConstantFlagsWithoutEffect:
+    """A constant flag the run would ignore is a usage error, like --max-n."""
+
+    @pytest.mark.parametrize("flags", (["--config", "random"], ["--config", "uniform"],
+                                       ["--spacing", "nan"], ["--spacing", "1.0"],
+                                       ["--min-gap", "0.5"],
+                                       ["--config", "random", "--min-gap", "0.5"]))
+    def test_window_flags_rejected_with_search(self, capsys, flags):
+        assert dispatch(["constant", "--search", "--alpha", "0.5", "--n", "4", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flags[0]} has no effect with --search\n"
+
+    @pytest.mark.parametrize("flags", (["--restarts", "1"], ["--rounds", "5"],
+                                       ["--rounds", "-1"], ["--restarts", "3"]))
+    def test_search_flags_rejected_without_search(self, capsys, flags):
+        assert dispatch(["constant", "--alpha", "0.5", "--n", "4", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flags[0]} has no effect without --search\n"
+
+    # params of the invocations that stay valid, as printed before the check
+    @pytest.mark.parametrize("argv, params", (
+        (["--alpha", "1", "--n", "3"],
+         {"alpha": 1.0, "n": 3, "config": "uniform", "seed": 0, "search": False}),
+        (["--alpha", "1", "--n", "3", "--config", "random", "--min-gap", "0.5", "--seed", "4"],
+         {"alpha": 1.0, "n": 3, "config": "random", "seed": 4, "search": False}),
+        (["--alpha", "0.5", "--n", "3", "--search", "--restarts", "1", "--rounds", "2"],
+         {"alpha": 0.5, "n": 3, "config": "uniform", "seed": 0, "search": True}),
+    ))
+    def test_valid_invocations_keep_their_params(self, capsys, argv, params):
+        code, out = run(capsys, ["constant", *argv])
+        assert code == 0
+        assert parse_report(out)["params"] == params
+
+    def test_plain_constant_stdout_unchanged(self, capsys):
+        # sha256 of stdout with elapsed_ms zeroed, as printed before the check
+        code, out = run(capsys, ["constant", "--alpha", "1", "--n", "3"])
+        assert code == 0
+        assert (hashlib.sha256(without_elapsed(out).encode()).hexdigest()
+                == "51e46361926f7229ee8daea95076e553448f0da52f2ffa90a0a413265469d9c2")
+
+
 class TestReflectionFoldValues:
     """Printed values on reflection-symmetric windows, as computed by the
     full-size solve; the half-size solve must not move them."""

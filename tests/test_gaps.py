@@ -15,6 +15,7 @@ from hilbertlab import (
     generate_uniform,
     new_gap_sequence,
 )
+from hilbertlab.gaps import node_differences
 from hilbertlab.errors import IndexOutOfRange, NegativeEntry, NonFinite, NotIncreasing, TooShort
 
 
@@ -150,6 +151,13 @@ class TestDifferences:
 
     def test_single_active_node(self):
         assert np.array_equal(generate_uniform(1, 2.0).differences(), [[1.0]])
+
+    def test_stack_gives_each_window_its_matrix(self):
+        seqs = [generate_random(5, 0.3, s) for s in range(3)] + [generate_cluster(5)]
+        stack = node_differences(np.array([seq.active for seq in seqs]))
+        assert stack.shape == (4, 5, 5)
+        for seq, diff in zip(seqs, stack):
+            assert np.array_equal(seq.differences(), diff)
 
     def test_built_fresh_on_each_call(self):
         seq = generate_random(6, 0.3, 2)

@@ -169,6 +169,29 @@ class TestPeriodization:
         with pytest.raises(ValueError):
             periodized_equivalence_check(trig_config([0.0, 0.5], [1.0, 1.0]), 1)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_given_trig_side_gives_the_same_report(self, seed):
+        cfg = random_config(seed)
+        assert (periodized_equivalence_check(cfg, 50, trig_form_value(cfg))
+                == periodized_equivalence_check(cfg, 50))
+
+    def test_trig_suite_computes_the_torus_form_once_per_trial(self, monkeypatch):
+        from hilbertlab import suites
+        configs = []
+
+        def recording(cfg):
+            configs.append(cfg)
+            return trig_form_value(cfg)
+
+        monkeypatch.setattr(suites, "trig_form_value", recording)
+        monkeypatch.setattr(lowerbound, "trig_form_value", recording)
+        trials = 4
+        records = suites.suite_trig(trials=trials, seed=2)
+        shrink = [r for r in records if r["lemma"] == "periodized-shrink"]
+        assert len(shrink) == trials and all(r["holds"] for r in shrink)
+        # each configuration the suite checks has its torus form computed once
+        assert len(configs) == len({id(c) for c in configs})
+
 
 class TestLSum:
     def test_single_term(self):

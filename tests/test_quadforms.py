@@ -22,10 +22,18 @@ from hilbertlab.errors import (
     NegativeEntry,
     NoConvergence,
     NonFinite,
+    NotIncreasing,
     NotSymmetric,
 )
 from hilbertlab import quadforms
-from hilbertlab.quadforms import RESIDUAL_RTOL, _top_eigen, alpha_form_matrix
+from hilbertlab.quadforms import (
+    RESIDUAL_RTOL,
+    _alpha_kernels,
+    _top_eigen,
+    alpha_form_matrix,
+    constant_values,
+    top_values_nonneg_sym,
+)
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
 ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -148,6 +156,17 @@ class TestTopEigen:
         with pytest.raises(NonFinite):
             top_eigen_nonneg_sym(np.array([[0.0, bad], [bad, 0.0]]))
 
+    @pytest.mark.parametrize("scale", (10.0, 1e6))
+    def test_symmetry_tolerance(self, scale):
+        # the tolerance is 1e-12 * (1 + max |M|); both sides of it at each scale
+        m = np.full((3, 3), scale)
+        near, far = m.copy(), m.copy()
+        near[0, 1] += 5e-13 * scale
+        far[0, 1] += 2e-12 * scale
+        assert top_eigen_nonneg_sym(near)[0] == pytest.approx(3.0 * scale, rel=1e-12)
+        with pytest.raises(NotSymmetric, match="not symmetric within 1e-12"):
+            top_eigen_nonneg_sym(far)
+
     def test_zero_matrix_keeps_start_vector(self):
         value, vector = top_eigen_nonneg_sym(np.zeros((4, 4)))
         assert value == 0.0
@@ -244,6 +263,118 @@ class TestReflectionFold:
     def test_fold_does_not_fire_on_random_window(self, eigvalsh_sizes):
         estimate_constant(1.0, generate_random(200, 0.5, 1))
         assert eigvalsh_sizes == [200]
+
+
+def random_nonneg_sym(n: int, rng) -> np.ndarray:
+    m = rng.uniform(0.0, 1.0, (n, n))
+    return (m + m.T) / 2.0
+
+
+class TestStackedValues:
+    """top_values_nonneg_sym gives each member the value of a lone solve."""
+
+    @staticmethod
+    def assert_members(stack):
+        values = top_values_nonneg_sym(stack)
+        assert values.shape == (len(stack),)
+        for member, value in zip(stack, values):
+            assert value == _top_eigen(member, vector=False)[0]
+
+    @pytest.mark.parametrize("n", range(1, 27))
+    def test_random_stack(self, n):
+        rng = np.random.default_rng(6000 + n)
+        self.assert_members(np.array([random_nonneg_sym(n, rng) for _ in range(7)]))
+
+    @pytest.mark.parametrize("n", range(1, 27))
+    def test_reflection_symmetric_stack(self, n, eigvalsh_sizes):
+        rng = np.random.default_rng(7000 + n)
+        stack = np.array([centrosymmetric(n, rng) for _ in range(5)])
+        self.assert_members(stack)
+        if n >= 2:
+            # every member is folded, none goes through the stacked solve
+            assert max(eigvalsh_sizes) <= (n + 1) // 2
+
+    def test_zero_stack(self):
+        assert np.array_equal(top_values_nonneg_sym(np.zeros((3, 5, 5))), np.zeros(3))
+
+    @pytest.mark.parametrize("n", (1, 2, 7, 8, 24))
+    def test_mixed_stack(self, n):
+        rng = np.random.default_rng(8000 + n)
+        stack = np.array([random_nonneg_sym(n, rng), np.zeros((n, n)), centrosymmetric(n, rng),
+                          random_nonneg_sym(n, rng), centrosymmetric(n, rng),
+                          np.zeros((n, n))])
+        self.assert_members(stack)
+
+    def test_empty_stack(self):
+        assert top_values_nonneg_sym(np.zeros((0, 4, 4))).shape == (0,)
+
+    @pytest.mark.parametrize("bad, error", ((np.nan, NonFinite), (np.inf, NonFinite),
+                                            (-1.0, NegativeEntry)))
+    def test_bad_member_raises(self, bad, error):
+        stack = np.array([random_nonneg_sym(4, np.random.default_rng(i)) for i in range(3)])
+        stack[1, 0, 2] = stack[1, 2, 0] = bad
+        with pytest.raises(error):
+            top_values_nonneg_sym(stack)
+
+    def test_asymmetric_member_raises(self):
+        stack = np.full((3, 3, 3), 10.0)
+        stack[0, 0, 1] += 5e-13 * 10.0
+        stack[2, 0, 1] += 2e-12 * 10.0
+        with pytest.raises(NotSymmetric, match="not symmetric within 1e-12"):
+            top_values_nonneg_sym(stack)
+        assert top_values_nonneg_sym(stack[:2]) == pytest.approx([30.0, 30.0], rel=1e-12)
+
+    def test_members_checked_in_order(self):
+        # a lone solve of each member in turn would meet the negative one first
+        stack = np.ones((3, 2, 2))
+        stack[1, 0, 0] = -1.0
+        stack[2, 0, 0] = np.nan
+        with pytest.raises(NegativeEntry):
+            top_values_nonneg_sym(stack)
+
+    @pytest.mark.parametrize("shape", ((4, 4), (2, 3, 4)))
+    def test_rejects_non_square_stack(self, shape):
+        with pytest.raises(NotSymmetric):
+            top_values_nonneg_sym(np.ones(shape))
+
+
+class TestConstantValues:
+    """constant_values is estimate_constant's value over a stack of windows."""
+
+    def windows(self, n):
+        seqs = [generate_random(n, 0.3, s) for s in range(4)]
+        seqs += [generate_uniform(n, 1.0), generate_uniform(n, 0.25), generate_cluster(n)]
+        return seqs
+
+    @pytest.mark.parametrize("n", (2, 3, 6, 13, 24))
+    @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0, 1.7))
+    def test_equals_estimate_constant(self, n, alpha):
+        seqs = self.windows(n)
+        values = constant_values(alpha, np.array([seq.nodes for seq in seqs]))
+        assert list(values) == [estimate_constant(alpha, seq).value for seq in seqs]
+
+    @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.7))
+    def test_alpha_form_matrix_is_the_one_window_case(self, alpha):
+        seqs = self.windows(9)
+        kernels = _alpha_kernels(np.array([seq.deltas for seq in seqs]),
+                                 np.array([seq.active for seq in seqs]), alpha)
+        for seq, kernel in zip(seqs, kernels):
+            assert np.array_equal(alpha_form_matrix(seq, alpha).entries, kernel)
+
+    def test_rejects_bad_windows(self):
+        nodes = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 3.0]])
+        with pytest.raises(NotIncreasing):
+            constant_values(0.5, nodes)
+        nodes[1, 2] = np.inf
+        with pytest.raises(NonFinite):
+            constant_values(0.5, nodes)
+        with pytest.raises(AlphaOutOfRange):
+            constant_values(2.5, nodes[:1])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_kernel_overflow_raises(self):
+        with pytest.raises(NonFinite):
+            constant_values(1.0, np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1e-200, 2e-200, 1.0]]))
 
 
 class TestNonFiniteInput:
