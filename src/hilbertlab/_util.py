@@ -64,8 +64,5 @@ def jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not np.isfinite(x):
-            return repr(x)
-        return float(fmt12(x))
+        return jsonable(float(obj))
     return obj

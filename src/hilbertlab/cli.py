@@ -33,22 +33,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hilbertlab",
         description="Numerical laboratory for weighted Hilbert-type inequalities.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base seed for sweeps (default 0)")
-    common.add_argument("--tol", type=float, default=None, help="override per-suite tolerances")
-    common.add_argument("--out", type=str, default=None, help="write CSV output to this path")
-    common.add_argument("--json", action="store_true", help="emit JSON lines instead of one document")
+    # each flag goes only on the subcommands that read it, so argparse
+    # rejects it (exit 2) where it would be ignored
+    as_json, seeded, to_csv = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    as_json.add_argument("--json", action="store_true",
+                         help="emit JSON lines instead of one document")
+    seeded.add_argument("--seed", type=int, default=0, help="base seed for sweeps (default 0)")
+    to_csv.add_argument("--out", type=str, default=None, help="write CSV output to this path")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run inequality/identity suites")
+    p_verify = sub.add_parser("verify", parents=[seeded, to_csv, as_json],
+                              help="run inequality/identity suites")
+    p_verify.add_argument("--tol", type=float, default=None, help="override per-suite tolerances")
     p_verify.add_argument("--suite", choices=[*ALL_SUITES, "all"], default="all")
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--max-n", type=int, default=None, dest="max_n",
                           help=f"largest window size for {' and '.join(MAX_N_SUITES)} "
                                f"(default {DEFAULT_MAX_N}); rejected for the other suites")
 
-    p_const = sub.add_parser("constant", parents=[common], help="estimate the constant at fixed size")
+    p_const = sub.add_parser("constant", parents=[seeded, as_json],
+                             help="estimate the constant at fixed size")
     p_const.add_argument("--alpha", type=float, required=True)
     p_const.add_argument("--n", type=int, required=True)
     # defaults of the flags that apply only with or only without --search
@@ -67,16 +72,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--rounds", type=int, default=None,
                          help="climb rounds per start (default 200); only with --search")
 
-    sub.add_parser("preissmann", parents=[common], help="the quadratic-chain upper bounds")
+    sub.add_parser("preissmann", parents=[as_json], help="the quadratic-chain upper bounds")
 
-    p_lower = sub.add_parser("lower-bound", parents=[common], help="torus construction bounds")
+    p_lower = sub.add_parser("lower-bound", parents=[to_csv, as_json],
+                             help="torus construction bounds")
     group = p_lower.add_mutually_exclusive_group(required=True)
     group.add_argument("--point", nargs=2, metavar=("K", "A"),
                        help="evaluate one construction point")
     group.add_argument("--scan", nargs=3, type=int, metavar=("KMIN", "KMAX", "STEPS"),
                        help="grid scan over K and the offset fraction")
 
-    sub.add_parser("figure", parents=[common],
+    sub.add_parser("figure", parents=[to_csv, as_json],
                    help=f"alias for the K={FIGURE_KMIN}..{FIGURE_KMAX} scan on a "
                         f"{FIGURE_STEPS}-point grid")
     return parser
@@ -225,6 +231,8 @@ def _run_scan(command: str, args, k_min: int, k_max: int, steps: int) -> tuple[R
 
 def _run_lower_bound(args) -> tuple[RunReport, int]:
     if args.point:
+        if args.out is not None:
+            raise ValueError("--out has no effect with --point")
         k = int(args.point[0])
         a = float(args.point[1])
         res = big_g(k, a)

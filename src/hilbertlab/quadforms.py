@@ -199,51 +199,59 @@ def _checked_scales(stack: np.ndarray, nonneg: bool) -> np.ndarray:
     return scales
 
 
-def _folded_top(blocks: tuple[np.ndarray, np.ndarray]) -> tuple[float, bool]:
-    """The larger top value of the even and odd reflection block, and
-    whether it is the even block's (the even block wins a tie)."""
-    even, odd = (float(np.linalg.eigvalsh(block)[-1]) for block in blocks)
-    return (even, True) if even >= odd else (odd, False)
+def _top_eigen(stack: np.ndarray, vector: bool,
+               nonneg: bool = False) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """Top eigenvalue of each square, finite, symmetric matrix in a (B, n, n)
+    stack and, when `vector` is set, a certified unit eigenvector for each;
+    with `nonneg` the entries must also be nonnegative. The checks run on
+    each matrix in turn, and the first that fails raises.
 
-
-def _top_eigen(matrix: np.ndarray, vector: bool = True,
-               nonneg: bool = False) -> tuple[float, np.ndarray | None]:
-    """Top eigenvalue of a square, finite, symmetric matrix and, when
-    `vector` is set, a certified unit eigenvector for it; with `nonneg`
-    the entries must also be nonnegative.
-
-    The value is LAPACK's eigvalsh, so no eigenvectors are formed, and the
-    vector comes from `_inverse_iteration`. It is returned only when the
-    residual certificate ||Mv - value*v|| <= RESIDUAL_RTOL * |value| holds
-    on the full matrix. A zero matrix keeps the normalized ones vector.
+    The values are LAPACK's eigvalsh, so no eigenvectors are formed, and
+    each vector comes from `_inverse_iteration`. It is returned only when
+    the residual certificate ||Mv - value*v|| <= RESIDUAL_RTOL * |value|
+    holds on the full matrix. A zero matrix gives 0 and the normalized ones
+    vector.
 
     A matrix with exact reflection symmetry J M J = M is solved on its two
     half-size blocks: the larger of their top values is the value (the even
     block wins a tie), and that block's vector is lifted back to length n.
+    The other matrices share one stacked eigvalsh, which solves each as a
+    lone call does.
     """
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise NotSymmetric(f"need a square matrix, got shape {matrix.shape}")
-    scale = float(_checked_scales(matrix[None], nonneg)[0])
-    n = matrix.shape[0]
-    if scale == 0.0:
-        return 0.0, np.full(n, 1.0 / np.sqrt(n)) if vector else None
-    blocks = _reflection_blocks(matrix, 1.0)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise NotSymmetric(f"need a stack of square matrices, got shape {stack.shape}")
+    scales = _checked_scales(stack, nonneg).tolist()
+    count, n = stack.shape[:2]
+    nonzero = [b for b, scale in enumerate(scales) if scale]
+    values = np.zeros(count)
+    folds, plain = {}, []
     try:
-        if blocks is None:
-            value = float(np.linalg.eigvalsh(matrix)[-1])
-            solved = matrix
-        else:
-            value, even = _folded_top(blocks)
-            solved = blocks[0] if even else blocks[1]
+        for b in nonzero:
+            blocks = _reflection_blocks(stack[b], 1.0)
+            if blocks is None:
+                plain.append(b)
+                continue
+            even, odd = (float(np.linalg.eigvalsh(block)[-1]) for block in blocks)
+            values[b] = max(even, odd)
+            folds[b] = (blocks[0], True) if even >= odd else (blocks[1], False)
+        if plain:
+            # a slice, unlike an index list, takes the whole stack without a copy
+            index = slice(None) if len(plain) == count else plain
+            values[index] = np.linalg.eigvalsh(stack[index])[:, -1]
         if not vector:
-            return value, None
-        v = _inverse_iteration(solved, value, scale)
+            return values, None
+        vectors = [None if scale else np.full(n, 1.0 / np.sqrt(n)) for scale in scales]
+        for b in nonzero:
+            solved, even = folds.get(b, (stack[b], None))
+            value = float(values[b])
+            v = _inverse_iteration(solved, value, scales[b])
+            if even is not None:
+                v = _reflection_lift(v, n, even)
+            _certify(stack[b] @ v, value, v)
+            vectors[b] = v
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
-    if blocks is not None:
-        v = _reflection_lift(v, n, even)
-    _certify(matrix @ v, value, v)
-    return value, v
+    return values, vectors
 
 
 def top_eigen_nonneg_sym(matrix) -> tuple[float, np.ndarray]:
@@ -255,38 +263,8 @@ def top_eigen_nonneg_sym(matrix) -> tuple[float, np.ndarray]:
     positive on such a matrix, so the absolute value only clears the sign
     of entries that vanish to rounding.
     """
-    value, vector = _top_eigen(np.asarray(matrix, dtype=float), nonneg=True)
-    return value, np.abs(vector)
-
-
-def top_values_nonneg_sym(stack) -> np.ndarray:
-    """The top eigenvalue of each matrix in a (B, n, n) stack: the value
-    `top_eigen_nonneg_sym` gives each matrix, bit for bit, without its
-    vector or certificate.
-
-    Every matrix runs the same input checks, and a zero matrix gives 0.
-    A matrix with exact reflection symmetry is solved on its two half-size
-    blocks as in `_top_eigen`; the others go through one stacked eigvalsh,
-    which solves each matrix as a lone call does.
-    """
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-        raise NotSymmetric(f"need a stack of square matrices, got shape {stack.shape}")
-    scales = _checked_scales(stack, nonneg=True)
-    values = np.zeros(stack.shape[0])
-    plain = []
-    try:
-        for b in np.flatnonzero(scales):
-            blocks = _reflection_blocks(stack[b], 1.0)
-            if blocks is None:
-                plain.append(b)
-            else:
-                values[b] = _folded_top(blocks)[0]
-        if plain:
-            values[plain] = np.linalg.eigvalsh(stack[plain])[:, -1]
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return values
+    values, vectors = _top_eigen(np.asarray(matrix, dtype=float)[None], True, nonneg=True)
+    return float(values[0]), np.abs(vectors[0])
 
 
 def estimate_constant(alpha: float, seq: GapSequence) -> ConstantEstimate:
@@ -312,7 +290,7 @@ def constant_values(alpha: float, nodes: np.ndarray) -> np.ndarray:
     if not (np.diff(nodes) > 0).all():
         raise NotIncreasing("nodes must be strictly increasing")
     kernels = _alpha_kernels(node_deltas(nodes), nodes[:, 1:-1], alpha)
-    return top_values_nonneg_sym(_symmetrized(kernels))
+    return _top_eigen(_symmetrized(kernels), False, nonneg=True)[0]
 
 
 def uniform_lower_bound(n: int) -> float:

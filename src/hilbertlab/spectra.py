@@ -95,11 +95,10 @@ def _top_gram(h: SkewHilbertMatrix, vector: bool) -> tuple[float, np.ndarray | N
     length n, is certified against H^T H, applied as two products with H.
     """
     blocks = _reflection_blocks(h.entries, -1.0)
-    if blocks is None:
-        return _top_eigen(_gram(h.entries), vector)
-    value, y = _top_eigen(_gram(blocks[0]), vector)
-    if y is None:
-        return value, None
+    values, vectors = _top_eigen(_gram(h.entries if blocks is None else blocks[0])[None], vector)
+    value, y = float(values[0]), vectors[0] if vector else None
+    if y is None or blocks is None:
+        return value, y
     v = _reflection_lift(y, h.n, even=True)
     _certify(h.entries.T @ (h.entries @ v), value, v)
     return value, v

@@ -1,15 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
 
 @pytest.fixture
 def eigvalsh_sizes(monkeypatch):
-    """The sizes of the matrices handed to np.linalg.eigvalsh."""
+    """The size of each matrix np.linalg.eigvalsh solves: a stack of B
+    matrices of size n records n, B times."""
     sizes = []
     eigvalsh = np.linalg.eigvalsh
 
     def recording(matrix, *args, **kwargs):
-        sizes.append(matrix.shape[0])
+        shape = np.shape(matrix)
+        sizes.extend([shape[-1]] * math.prod(shape[:-2]))
         return eigvalsh(matrix, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import hilbertlab
-from hilbertlab.cli import dispatch, write_csv
+from hilbertlab.cli import build_parser, dispatch, write_csv
 from hilbertlab.errors import NoConvergence
 
 
@@ -365,6 +365,58 @@ class TestConstantFlagsWithoutEffect:
         assert code == 0
         assert (hashlib.sha256(without_elapsed(out).encode()).hexdigest()
                 == "51e46361926f7229ee8daea95076e553448f0da52f2ffa90a0a413265469d9c2")
+
+
+class TestFlagsWithoutEffect:
+    """Each flag is offered only on the subcommands that read it, so one that
+    would be ignored exits 2 with empty stdout and writes no file."""
+
+    @pytest.mark.parametrize("argv", (
+        ["constant", "--alpha", "1", "--n", "3", "--out", "x.csv"],
+        ["constant", "--alpha", "1", "--n", "3", "--tol", "1"],
+        ["preissmann", "--tol", "1", "--seed", "9"],
+        ["preissmann", "--out", "x.csv"],
+        ["figure", "--seed", "3"],
+        ["figure", "--tol", "1"],
+        ["lower-bound", "--scan", "1", "2", "3", "--seed", "3"],
+        ["lower-bound", "--scan", "1", "2", "3", "--tol", "1"],
+        ["lower-bound", "--point", "5", "0.14", "--seed", "3"],
+    ))
+    def test_rejected_by_the_parser(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unrecognized arguments: " in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_rejected_with_point(self, capsys, tmp_path):
+        out = tmp_path / "point.csv"
+        assert dispatch(["lower-bound", "--point", "5", "0.14", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out has no effect with --point\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", (["verify"], ["constant", "--alpha", "1", "--n", "3"],
+                                      ["preissmann"], ["lower-bound", "--point", "5", "0.14"],
+                                      ["figure"]))
+    def test_json_on_every_subcommand(self, argv):
+        assert build_parser().parse_args([*argv, "--json"]).json is True
+
+
+class TestBenchmarkCommands:
+    """The benchmark's command lines still parse."""
+
+    @pytest.mark.parametrize("workload", ("sweep", "dense", "torus"))
+    def test_argv_parses(self, monkeypatch, tmp_path, workload):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import workloads
+
+        commands = workloads.commands(workload, 0, tmp_path, tiny=True)
+        assert commands
+        for command in commands:
+            assert build_parser().parse_args(command.argv).command == command.argv[0]
 
 
 class TestReflectionFoldValues:

@@ -32,7 +32,6 @@ from hilbertlab.quadforms import (
     _top_eigen,
     alpha_form_matrix,
     constant_values,
-    top_values_nonneg_sym,
 )
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
@@ -196,6 +195,12 @@ def centrosymmetric(n: int, rng, low: float = 0.0) -> np.ndarray:
     return a + a[::-1, ::-1]
 
 
+def lone_pair(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """The solver's value and vector for m as a one-member stack."""
+    values, vectors = _top_eigen(m[None], True)
+    return values[0], vectors[0]
+
+
 def assert_top_pair(m: np.ndarray, value: float, vector: np.ndarray) -> None:
     eigenvalues = np.linalg.eigh(m)[0]
     scale = float(np.max(np.abs(eigenvalues)))
@@ -211,9 +216,9 @@ class TestReflectionFold:
     @pytest.mark.parametrize("low", (0.0, -1.0))
     def test_against_eigh_oracle(self, n, low):
         m = centrosymmetric(n, np.random.default_rng(3000 + n), low)
-        value, vector = _top_eigen(m)
+        value, vector = lone_pair(m)
         assert_top_pair(m, value, vector)
-        assert _top_eigen(m, vector=False)[0] == value
+        assert _top_eigen(m[None], False)[0][0] == value
 
     @pytest.mark.parametrize("n", range(2, 65))
     def test_odd_block_wins(self, n):
@@ -221,7 +226,7 @@ class TestReflectionFold:
         # perturbation of norm below 1/2 keeps the odd block on top
         rng = np.random.default_rng(4000 + n)
         m = -np.eye(n)[::-1] + centrosymmetric(n, rng, -1.0) / (8.0 * n)
-        value, vector = _top_eigen(m)
+        value, vector = lone_pair(m)
         assert_top_pair(m, value, vector)
         assert np.array_equal(vector[::-1], -vector)
 
@@ -234,13 +239,13 @@ class TestReflectionFold:
         m = np.zeros((n, n))
         m[:k, :k] = a
         m[k:, k:] = a[::-1, ::-1]
-        value, vector = _top_eigen(m)
+        value, vector = lone_pair(m)
         assert_top_pair(m, value, vector)
         assert np.array_equal(vector[::-1], vector)
 
     @pytest.mark.parametrize("n", (1, 2, 3, 8, 63, 64))
     def test_zero_matrix_keeps_start_vector(self, n):
-        value, vector = _top_eigen(np.zeros((n, n)))
+        value, vector = lone_pair(np.zeros((n, n)))
         assert value == 0.0
         assert np.array_equal(vector, np.full(n, 1.0 / np.sqrt(n)))
 
@@ -251,7 +256,7 @@ class TestReflectionFold:
         monkeypatch.setattr(quadforms, "_reflection_lift",
                             lambda y, size, even: lift(y, size, not even))
         with pytest.raises(NoConvergence):
-            _top_eigen(centrosymmetric(n, np.random.default_rng(1)))
+            lone_pair(centrosymmetric(n, np.random.default_rng(1)))
 
     def test_fold_fires_on_uniform_window(self, eigvalsh_sizes):
         estimate_constant(1.0, generate_uniform(200, 1.0))
@@ -270,15 +275,22 @@ def random_nonneg_sym(n: int, rng) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
+def stack_values(stack) -> np.ndarray:
+    return _top_eigen(np.asarray(stack, dtype=float), False, nonneg=True)[0]
+
+
 class TestStackedValues:
-    """top_values_nonneg_sym gives each member the value of a lone solve."""
+    """Each member of a stack gets the value and vector of a lone solve."""
 
     @staticmethod
     def assert_members(stack):
-        values = top_values_nonneg_sym(stack)
-        assert values.shape == (len(stack),)
-        for member, value in zip(stack, values):
-            assert value == _top_eigen(member, vector=False)[0]
+        values, vectors = _top_eigen(stack, True, nonneg=True)
+        assert np.array_equal(_top_eigen(stack, False, nonneg=True)[0], values)
+        assert values.shape == (len(stack),) and len(vectors) == len(stack)
+        for member, value, vector in zip(stack, values, vectors):
+            lone = lone_pair(member)
+            assert value == lone[0]
+            assert np.array_equal(vector, lone[1])
 
     @pytest.mark.parametrize("n", range(1, 27))
     def test_random_stack(self, n):
@@ -295,7 +307,7 @@ class TestStackedValues:
             assert max(eigvalsh_sizes) <= (n + 1) // 2
 
     def test_zero_stack(self):
-        assert np.array_equal(top_values_nonneg_sym(np.zeros((3, 5, 5))), np.zeros(3))
+        assert np.array_equal(stack_values(np.zeros((3, 5, 5))), np.zeros(3))
 
     @pytest.mark.parametrize("n", (1, 2, 7, 8, 24))
     def test_mixed_stack(self, n):
@@ -306,7 +318,7 @@ class TestStackedValues:
         self.assert_members(stack)
 
     def test_empty_stack(self):
-        assert top_values_nonneg_sym(np.zeros((0, 4, 4))).shape == (0,)
+        assert stack_values(np.zeros((0, 4, 4))).shape == (0,)
 
     @pytest.mark.parametrize("bad, error", ((np.nan, NonFinite), (np.inf, NonFinite),
                                             (-1.0, NegativeEntry)))
@@ -314,15 +326,15 @@ class TestStackedValues:
         stack = np.array([random_nonneg_sym(4, np.random.default_rng(i)) for i in range(3)])
         stack[1, 0, 2] = stack[1, 2, 0] = bad
         with pytest.raises(error):
-            top_values_nonneg_sym(stack)
+            stack_values(stack)
 
     def test_asymmetric_member_raises(self):
         stack = np.full((3, 3, 3), 10.0)
         stack[0, 0, 1] += 5e-13 * 10.0
         stack[2, 0, 1] += 2e-12 * 10.0
         with pytest.raises(NotSymmetric, match="not symmetric within 1e-12"):
-            top_values_nonneg_sym(stack)
-        assert top_values_nonneg_sym(stack[:2]) == pytest.approx([30.0, 30.0], rel=1e-12)
+            stack_values(stack)
+        assert stack_values(stack[:2]) == pytest.approx([30.0, 30.0], rel=1e-12)
 
     def test_members_checked_in_order(self):
         # a lone solve of each member in turn would meet the negative one first
@@ -330,12 +342,12 @@ class TestStackedValues:
         stack[1, 0, 0] = -1.0
         stack[2, 0, 0] = np.nan
         with pytest.raises(NegativeEntry):
-            top_values_nonneg_sym(stack)
+            stack_values(stack)
 
     @pytest.mark.parametrize("shape", ((4, 4), (2, 3, 4)))
     def test_rejects_non_square_stack(self, shape):
         with pytest.raises(NotSymmetric):
-            top_values_nonneg_sym(np.ones(shape))
+            stack_values(np.ones(shape))
 
 
 class TestConstantValues:
