@@ -26,7 +26,6 @@ from .lowerbound import (
     trig_form_value,
 )
 from .quadforms import (
-    AlphaFormMatrix,
     ConstantEstimate,
     alpha_form_matrix,
     cluster_lower_bound,

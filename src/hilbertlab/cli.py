@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success (and all verdicts holding), 1 when a
 verification suite records a failing verdict, 2 on usage errors, invalid
-input and eigensolver failures.
+input, eigensolver failures and runs too large to allocate.
 """
 from __future__ import annotations
 
@@ -273,8 +273,9 @@ def dispatch(argv: list[str]) -> int:
             report, code = _run_lower_bound(args)
         else:
             report, code = _run_scan("figure", args, FIGURE_KMIN, FIGURE_KMAX, FIGURE_STEPS)
-    except (ValueError, OSError, NoConvergence) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, NoConvergence, MemoryError) as exc:
+        # a run too large to allocate is a usage error, not a failing verdict
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     report.elapsed_ms = int(round((time.perf_counter() - start) * 1000))
     _emit(report, args.json)

@@ -198,11 +198,15 @@ def l_sum(b: float, l: int) -> float:
 
 
 def _pow_each(values: np.ndarray, exponent: int) -> np.ndarray:
-    """values ** exponent through Python's float pow, element by element.
+    """values ** exponent through Python's float pow (C pow), element by
+    element.
 
-    numpy's vectorized power is not the C library's pow: it differs in the
-    last bit for some inputs, so array results would drift from the scalar
-    ones. The scan stays bit-identical to a per-point evaluation this way.
+    The scan CSV digests pinned in tests/test_cli.py and bench/checks.py
+    were written by the first release, which evaluated these powers with C
+    pow. numpy's vectorized power differs from it in the last bit for some
+    inputs: it moves kappa1 in 102 of the 2475 cells of the figure grid,
+    and np.square alone moves 2 u_star cells and 1 G cell on the 1-40-400
+    grid, which would break those digests.
     """
     return np.array([v ** exponent for v in values.tolist()], dtype=float)
 

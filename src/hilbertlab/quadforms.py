@@ -34,15 +34,6 @@ SQRT2 = float(np.sqrt(2.0))
 
 
 @dataclass(frozen=True, eq=False)
-class AlphaFormMatrix:
-    """Kernel matrix M_{mn} = delta_m^(2-alpha) delta_n^alpha / (lam_m-lam_n)^2."""
-
-    alpha: float
-    entries: np.ndarray
-    source: GapSequence
-
-
-@dataclass(frozen=True, eq=False)
 class ConstantEstimate:
     """Best found value of the form at fixed alpha and configuration."""
 
@@ -82,13 +73,13 @@ def _symmetrized(kernels: np.ndarray) -> np.ndarray:
     return sym
 
 
-def alpha_form_matrix(seq: GapSequence, alpha: float) -> AlphaFormMatrix:
-    """The kernel of Q_alpha; raises NonFinite when a gap scale under- or
+def alpha_form_matrix(seq: GapSequence, alpha: float) -> np.ndarray:
+    """The read-only kernel M_{mn} = delta_m^(2-alpha) delta_n^alpha /
+    (lam_m-lam_n)^2 of Q_alpha; raises NonFinite when a gap scale under- or
     overflows it (0/0 or inf/inf) instead of passing NaN on."""
-    alpha = _check_alpha(alpha)
-    entries = _alpha_kernels(seq.deltas, seq.active, alpha)
+    entries = _alpha_kernels(seq.deltas, seq.active, _check_alpha(alpha))
     entries.setflags(write=False)
-    return AlphaFormMatrix(alpha, entries, seq)
+    return entries
 
 
 def _coerce_weights(seq: GapSequence, t) -> np.ndarray:
@@ -101,8 +92,7 @@ def _coerce_weights(seq: GapSequence, t) -> np.ndarray:
 def q_alpha(seq: GapSequence, t, alpha: float) -> float:
     """Q_alpha(t); np.sum's pairwise reduction keeps runs reproducible."""
     values = _coerce_weights(seq, t)
-    matrix = alpha_form_matrix(seq, alpha).entries
-    return float(np.sum(matrix * np.outer(values, values)))
+    return float(np.sum(alpha_form_matrix(seq, alpha) * np.outer(values, values)))
 
 
 def _reflection_blocks(matrix: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -271,7 +261,7 @@ def estimate_constant(alpha: float, seq: GapSequence) -> ConstantEstimate:
     """Optimal constant for this configuration: top eigenvalue of the
     symmetrized kernel, witnessed by the unit nonnegative optimizer."""
     alpha = _check_alpha(alpha)
-    sym = _symmetrized(alpha_form_matrix(seq, alpha).entries)
+    sym = _symmetrized(alpha_form_matrix(seq, alpha))
     value, vector = top_eigen_nonneg_sym(sym)
     return ConstantEstimate(alpha, seq.n, value, seq, WeightVector(vector))
 

@@ -26,11 +26,12 @@ class SearchResult:
     estimate: ConstantEstimate
 
 
-def generate_trig_periodized(n: int, k: int = 5, a: float = 0.14, l: int = 10) -> GapSequence:
-    """Window of the periodized torus construction with n active nodes."""
+def generate_trig_periodized(n: int) -> GapSequence:
+    """Window of n active nodes of the periodized torus construction at
+    K = 5, A = 0.14, L = 10 and u = 1."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    cfg = construction_config(k, a, l, u=1.0)
+    cfg = construction_config(5, 0.14, 10, u=1.0)
     periods = max(2, -(-(n + 2) // cfg.m))
     seq, _ = periodize(cfg, periods)
     return GapSequence(seq.nodes[: n + 2])

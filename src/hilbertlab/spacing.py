@@ -52,10 +52,18 @@ class ConvexWeightFunction:
         return self.evaluator(np.asarray(x, dtype=float))
 
 
+def _check_sigma(sigma: float) -> float:
+    """sigma as a float; raises SigmaOutOfRange unless 1 < sigma < inf, so a
+    NaN or infinite exponent never reaches a series."""
+    value = float(sigma)
+    if not 1.0 < value < math.inf:
+        raise SigmaOutOfRange(f"sigma must lie in (1, inf), got {sigma}")
+    return value
+
+
 def power_weight(sigma: float) -> ConvexWeightFunction:
     """f(x) = x^(-sigma), the weight behind every spacing bound here."""
-    if sigma <= 1:
-        raise SigmaOutOfRange(f"sigma must exceed 1, got {sigma}")
+    _check_sigma(sigma)
     return ConvexWeightFunction(
         evaluator=lambda x: x ** (-sigma),
         tail_sum=zeta(sigma),
@@ -63,16 +71,15 @@ def power_weight(sigma: float) -> ConvexWeightFunction:
     )
 
 
-def spot_check_shape(f: ConvexWeightFunction, seed: int = 0, trials: int = 1000,
-                     lo: float = 1.0, hi: float = 1e6) -> dict:
-    """Sample-based diagnostic of the four weight conditions.
+def spot_check_shape(f: ConvexWeightFunction, seed: int = 0, trials: int = 1000) -> dict:
+    """Sample-based diagnostic of the four weight conditions on [1, 1e6].
 
     Convexity is tested on random triples (midpoint under the chord),
     monotonicity on random pairs, nonnegativity and decay on the samples.
     Violations are reported, not raised.
     """
     rng = np.random.default_rng(seed)
-    xy = np.sort(rng.uniform(lo, hi, size=(trials, 2)), axis=1)
+    xy = np.sort(rng.uniform(1.0, 1e6, size=(trials, 2)), axis=1)
     theta = rng.uniform(0.0, 1.0, size=trials)
     mid = theta * xy[:, 0] + (1 - theta) * xy[:, 1]
     chord = theta * f(xy[:, 0]) + (1 - theta) * f(xy[:, 1])
@@ -97,9 +104,7 @@ def zeta(sigma: float) -> float:
     and the 1/x^(sigma+1) correction; the remainder is far below 1e-12
     relative accuracy for every sigma > 1.
     """
-    sigma = float(sigma)
-    if sigma <= 1:
-        raise SigmaOutOfRange(f"sigma must exceed 1, got {sigma}")
+    sigma = _check_sigma(sigma)
     k = np.arange(1, _ZETA_CUTOFF + 1, dtype=float)
     head = float(np.sum(k ** (-sigma)))
     m = float(_ZETA_CUTOFF)
@@ -137,23 +142,22 @@ def f_n_functional(x, f: ConvexWeightFunction, n: int) -> float:
     return float(np.sum(mins * f(partial)))
 
 
-def check_equidistance(a, f: ConvexWeightFunction, n: int | None = None,
-                       tol: float = 1e-12, seed: int = 0) -> CheckReport:
+def check_equidistance(a, f: ConvexWeightFunction, tol: float = 1e-12,
+                       seed: int = 0) -> CheckReport:
     """Weighted sample sums against the integer lattice:
 
         sum_{k<=n} a_k f(a_1+...+a_k) <= sum_{j<=floor(L)} f(j) + {L} f(floor(L)+1)
 
-    with L the n-th partial sum, valid for a_k >= 1 and f convex decreasing.
+    with n = len(a) and L the n-th partial sum, valid for a_k >= 1 and f
+    convex decreasing.
     """
     a = np.asarray(a, dtype=float)
     if np.any(a < 1):
         raise ValueError("entries must be >= 1")
-    if n is None:
-        n = a.size
-    if not 1 <= n <= a.size:
-        raise IndexOutOfRange(f"n={n} needs 1 <= n <= {a.size}")
-    lam = np.cumsum(a[:n])
-    lhs = float(np.sum(a[:n] * f(lam)))
+    if a.size == 0:
+        raise IndexOutOfRange("need at least one entry")
+    lam = np.cumsum(a)
+    lhs = float(np.sum(a * f(lam)))
     total = float(lam[-1])
     floor_total = math.floor(total)
     frac = total - floor_total
@@ -182,13 +186,12 @@ def check_smoothing_monovariant(a, nu: int, eps: float, f: ConvexWeightFunction,
     return CheckReport("smoothing-monovariant", lhs, rhs, lhs <= rhs + tol, seed=seed)
 
 
-def check_fn_upper(a, f: ConvexWeightFunction, n: int | None = None,
-                   tol: float = 1e-12, seed: int = 0) -> CheckReport:
-    """F_n(a) never exceeds the full integer series sum_{j>=1} f(j)."""
+def check_fn_upper(a, f: ConvexWeightFunction, tol: float = 1e-12,
+                   seed: int = 0) -> CheckReport:
+    """F_n(a), n = len(a) - 1, never exceeds the full integer series
+    sum_{j>=1} f(j)."""
     a = np.asarray(a, dtype=float)
-    if n is None:
-        n = a.size - 1
-    lhs = f_n_functional(a, f, n)
+    lhs = f_n_functional(a, f, a.size - 1)
     if f.tail_sum is None:
         raise ValueError("weight needs a known series total for this check")
     rhs = float(f.tail_sum)
@@ -202,8 +205,7 @@ def spacing_sum(seq: GapSequence, ell: int, sigma: float, window: int) -> float:
     All terms are positive, so the truncation is a lower bound for the
     full series.
     """
-    if sigma <= 1:
-        raise SigmaOutOfRange(f"sigma must exceed 1, got {sigma}")
+    _check_sigma(sigma)
     if not 1 <= ell <= seq.n:
         raise IndexOutOfRange(f"ell={ell} outside 1..{seq.n}")
     if window < 1:
@@ -217,36 +219,29 @@ def spacing_sum(seq: GapSequence, ell: int, sigma: float, window: int) -> float:
     return float(np.sum(seq.deltas[idx] / dist ** sigma))
 
 
-def spacing_bound_report(seq: GapSequence, ell: int, sigma: float,
-                         window: int | None = None, tol: float = 1e-12,
+def spacing_bound_report(seq: GapSequence, ell: int, sigma: float, tol: float = 1e-12,
                          seed: int = 0) -> CheckReport:
-    """Check the 2*zeta(sigma)/delta^(sigma-1) spacing bound at one index.
+    """Check the 2*zeta(sigma)/delta^(sigma-1) spacing bound at one index,
+    summing over the whole window.
 
-    tail_bound extrapolates the omitted terms by an integral comparison
-    (constant continuation of the boundary gap); it only flags how close a
-    truncated check could come to the bound, the verdict stays sound.
+    tail_bound extrapolates the terms beyond the ghost nodes by an integral
+    comparison (constant continuation of the boundary gap); it only flags
+    how close a truncated check could come to the bound, the verdict stays
+    sound.
     """
-    if window is None:
-        window = seq.n
-    lhs = spacing_sum(seq, ell, sigma, window)
+    lhs = spacing_sum(seq, ell, sigma, seq.n)
     d_ell = seq.delta(ell)
     rhs = 2.0 * zeta(sigma) / d_ell ** (sigma - 1)
-    lam = seq.active
-    lo = max(1, ell - window)
-    hi = min(seq.n, ell + window)
-    tail = 0.0
-    left_dist = lam[ell - 1] - seq.nodes[lo - 1]
-    right_dist = seq.nodes[hi + 1] - lam[ell - 1]
-    tail += left_dist ** (1 - sigma) / (sigma - 1)
-    tail += right_dist ** (1 - sigma) / (sigma - 1)
+    centre = seq.active[ell - 1]
+    tail = ((centre - seq.nodes[0]) ** (1 - sigma) / (sigma - 1)
+            + (seq.nodes[-1] - centre) ** (1 - sigma) / (sigma - 1))
     return CheckReport("preissmann-spacing", lhs, rhs, lhs <= rhs + tol,
                        tail_bound=tail, seed=seed)
 
 
-def pair_spacing_sum(seq: GapSequence, ell: int, m: int,
-                     window: int | None = None, tol: float = 1e-12,
+def pair_spacing_sum(seq: GapSequence, ell: int, m: int, tol: float = 1e-12,
                      seed: int = 0) -> CheckReport:
-    """Two-point spacing bound:
+    """Two-point spacing bound over the whole window:
 
         sum_{k != ell, m} delta_k / ((lam_k-lam_ell)^2 (lam_k-lam_m)^2)
             <= pi^2 (d_ell+d_m) / (3 d_ell d_m (lam_ell-lam_m)^2)
@@ -257,13 +252,8 @@ def pair_spacing_sum(seq: GapSequence, ell: int, m: int,
     for idx in (ell, m):
         if not 1 <= idx <= seq.n:
             raise IndexOutOfRange(f"index {idx} outside 1..{seq.n}")
-    if window is None:
-        window = seq.n
     lam = seq.active
-    center = min(ell, m)
-    lo = max(1, center - window)
-    hi = min(seq.n, max(ell, m) + window)
-    idx = np.arange(lo - 1, hi)
+    idx = np.arange(seq.n)
     idx = idx[(idx != ell - 1) & (idx != m - 1)]
     dl = lam[idx] - lam[ell - 1]
     dm = lam[idx] - lam[m - 1]

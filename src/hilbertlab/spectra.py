@@ -206,36 +206,28 @@ def bilinear_form(h: SkewHilbertMatrix, z_re, z_im) -> float:
     return abs(2.0 * float(z_im @ (h.entries @ z_re)))
 
 
-def numerical_radius_check(h: SkewHilbertMatrix, z_re=None, z_im=None,
-                           trials: int = 0, seed: int = 0,
+def numerical_radius_check(h: SkewHilbertMatrix, trials: int = 0, seed: int = 0,
                            tol: float = 1e-9, rho: float | None = None) -> list[CheckReport]:
-    """Check |B(z)| <= rho * sum |z_n|^2 and its c_n-normalized variant.
-
-    Runs on the explicit vector when given, plus `trials` seeded random
-    complex vectors. `rho` defaults to spectral_radius(h); a caller that
-    has eigenpair_top(h) passes its mu, which is the same float.
+    """Check |B(z)| <= rho * sum |z_n|^2 and its c_n-normalized variant on
+    `trials` seeded random complex vectors z = zr + i zi, record seed + k
+    for the k-th. `rho` defaults to spectral_radius(h); a caller that has
+    eigenpair_top(h) passes its mu, which is the same float.
     """
     if rho is None:
         rho = spectral_radius(h)
-    vectors = []
-    if z_re is not None or z_im is not None:
-        zr = np.zeros(h.n) if z_re is None else np.asarray(z_re, dtype=float)
-        zi = np.zeros(h.n) if z_im is None else np.asarray(z_im, dtype=float)
-        vectors.append((zr, zi, seed))
     rng = np.random.default_rng(seed)
-    for k in range(trials):
-        vectors.append((rng.standard_normal(h.n), rng.standard_normal(h.n), seed + k))
     reports = []
-    for zr, zi, s in vectors:
+    for k in range(trials):
+        zr, zi = rng.standard_normal(h.n), rng.standard_normal(h.n)
         lhs = bilinear_form(h, zr, zi)
         rhs = rho * float(zr @ zr + zi @ zi)
         reports.append(CheckReport("numerical-radius", lhs, rhs,
-                                   lhs <= rhs + tol * (1.0 + rhs), seed=s))
+                                   lhs <= rhs + tol * (1.0 + rhs), seed=seed + k))
         wr, wi = zr / h.weights, zi / h.weights
         lhs2 = bilinear_form(h, wr, wi)
         rhs2 = rho * float(wr @ wr + wi @ wi)
         reports.append(CheckReport("numerical-radius-normalized", lhs2, rhs2,
-                                   lhs2 <= rhs2 + tol * (1.0 + rhs2), seed=s))
+                                   lhs2 <= rhs2 + tol * (1.0 + rhs2), seed=seed + k))
     return reports
 
 

@@ -38,6 +38,9 @@ from .spacing import (
     zeta,
 )
 from .spectra import (
+    ComplexEigenpair,
+    SkewHilbertMatrix,
+    bilinear_form,
     build_h,
     check_selberg_identity,
     eigenpair_top,
@@ -68,17 +71,22 @@ def _random_seq(seed: int, max_n: int, min_n: int = 3) -> GapSequence:
     return generate_random(n, min_gap, seed)
 
 
+def _random_h(seed: int, max_n: int) -> tuple[SkewHilbertMatrix, ComplexEigenpair]:
+    """A seeded random window of 2..max_n nodes with random weights in
+    [0.5, 2]: its skew matrix H and top eigenpair."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, max_n + 1))
+    seq = generate_random(n, float(rng.uniform(0.05, 1.0)), seed)
+    h = build_h(seq, rng.uniform(0.5, 2.0, n))
+    return h, eigenpair_top(h)
+
+
 def suite_selberg(trials: int = 100, max_n: int = 12, seed: int = 0,
                   tol: float = 1e-8) -> list[dict]:
     """Eigenvector identity residuals on random windows and weights."""
     def one(i: int) -> dict:
         s = seed + i
-        rng = np.random.default_rng(s)
-        n = int(rng.integers(2, max_n + 1))
-        seq = generate_random(n, float(rng.uniform(0.05, 1.0)), s)
-        weights = rng.uniform(0.5, 2.0, n)
-        h = build_h(seq, weights)
-        rep = check_selberg_identity(h, eigenpair_top(h))
+        rep = check_selberg_identity(*_random_h(s, max_n))
         return _rec("selberg-identity", rep.max_rel_residual, tol,
                     rep.max_rel_residual < tol, seed=s)
 
@@ -175,15 +183,11 @@ def suite_radius(trials: int = 100, max_n: int = 12, seed: int = 0,
 
     def one(i: int) -> list[dict]:
         s = seed + i
-        rng = np.random.default_rng(s)
-        n = int(rng.integers(2, max_n + 1))
-        seq = generate_random(n, float(rng.uniform(0.05, 1.0)), s)
-        h = build_h(seq, rng.uniform(0.5, 2.0, n))
-        pair = eigenpair_top(h)
+        h, pair = _random_h(s, max_n)
         rho = pair.mu
         out = [r.record() for r in
                numerical_radius_check(h, trials=1, seed=s, tol=tol, rho=rho)]
-        lhs = abs(2.0 * float(pair.u_im @ (h.entries @ pair.u_re)))
+        lhs = bilinear_form(h, pair.u_re, pair.u_im)
         out.append(_rec("numerical-radius-extremal", lhs, rho,
                         abs(lhs - rho) <= tol * (1.0 + rho), seed=s))
         return out
@@ -382,8 +386,7 @@ SUITES = {
     "trig": suite_trig,
 }
 
-ALL_SUITES = ("selberg", "spacing", "pair-spacing", "radius", "chain",
-              "alpha-properties", "trig")
+ALL_SUITES = tuple(SUITES)
 # the only suites that take max_n, a bound on their window sizes
 MAX_N_SUITES = ("selberg", "radius")
 DEFAULT_MAX_N = 12

@@ -129,6 +129,24 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: no convergence\n"
 
+    # numpy names the allocation it refused; Python's own MemoryError is bare
+    @pytest.mark.parametrize("message, err", [("Unable to allocate 298. GiB",
+                                               "error: Unable to allocate 298. GiB\n"),
+                                              ("", "error: MemoryError\n")])
+    def test_memory_error_is_a_usage_error(self, capsys, monkeypatch, message, err):
+        # exit 1 is reserved for a failing verdict; a run too large to
+        # allocate must not read as one
+        import hilbertlab.cli as cli
+
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "estimate_constant", too_large)
+        assert dispatch(["constant", "--alpha", "1", "--n", "200000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err
+
     def test_failing_verdict_exits_one(self, capsys, monkeypatch):
         import hilbertlab.cli as cli
 
@@ -417,6 +435,33 @@ class TestBenchmarkCommands:
         assert commands
         for command in commands:
             assert build_parser().parse_args(command.argv).command == command.argv[0]
+
+
+class TestTracerTargets:
+    """Every name the benchmark tracer wraps still exists, and its wrappers
+    come off again."""
+
+    def test_targets_exist_and_uninstall(self, capsys, monkeypatch):
+        import importlib
+
+        import hilbertlab._util
+        import hilbertlab.cli as cli
+
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import tracer
+
+        for module, function, _ in tracer.TARGETS:
+            assert callable(getattr(importlib.import_module(f"hilbertlab.{module}"), function))
+        assert callable(hilbertlab._util.parallel_map)
+        traced = tracer.Tracer()
+        try:
+            traced.install()
+            assert cli.dispatch(["preissmann"]) == 0
+        finally:
+            traced.uninstall()
+        capsys.readouterr()
+        assert "cli.dispatch" in {span.name for span in traced.spans}
+        assert not hasattr(cli.dispatch, "__wrapped__")
 
 
 class TestReflectionFoldValues:

@@ -111,12 +111,12 @@ class TestAlphaFormMatrix:
     def test_transpose_symmetry_in_alpha(self):
         seq = generate_random(8, 0.4, 11)
         for alpha in (0.0, 0.3, 1.2):
-            m1 = alpha_form_matrix(seq, alpha).entries
-            m2 = alpha_form_matrix(seq, 2.0 - alpha).entries
+            m1 = alpha_form_matrix(seq, alpha)
+            m2 = alpha_form_matrix(seq, 2.0 - alpha)
             assert np.array_equal(m1.T, m2)
 
     def test_nonnegative_zero_diagonal(self):
-        m = alpha_form_matrix(generate_random(6, 0.4, 2), 0.8).entries
+        m = alpha_form_matrix(generate_random(6, 0.4, 2), 0.8)
         assert np.all(np.diag(m) == 0.0)
         assert np.all(m >= 0.0)
 
@@ -371,7 +371,7 @@ class TestConstantValues:
         kernels = _alpha_kernels(np.array([seq.deltas for seq in seqs]),
                                  np.array([seq.active for seq in seqs]), alpha)
         for seq, kernel in zip(seqs, kernels):
-            assert np.array_equal(alpha_form_matrix(seq, alpha).entries, kernel)
+            assert np.array_equal(alpha_form_matrix(seq, alpha), kernel)
 
     def test_rejects_bad_windows(self):
         nodes = np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 3.0]])

@@ -119,7 +119,7 @@ class TestStackedClimb:
 
     def test_returned_witness_is_certified(self):
         estimate = search_constant(0.5, 12, seed=0, restarts=1, rounds=18).estimate
-        matrix = alpha_form_matrix(estimate.config, 0.5).entries
+        matrix = alpha_form_matrix(estimate.config, 0.5)
         sym = (matrix + matrix.T) / 2.0
         v = estimate.witness.values
         assert np.linalg.norm(sym @ v - estimate.value * v) <= RESIDUAL_RTOL * estimate.value

@@ -111,6 +111,10 @@ class TestEquidistance:
         with pytest.raises(ValueError):
             check_equidistance([0.5, 2.0], power_weight(2.0))
 
+    def test_rejects_empty_input(self):
+        with pytest.raises(IndexOutOfRange):
+            check_equidistance([], power_weight(2.0))
+
     @pytest.mark.parametrize("seed", range(100))
     def test_random_sweep_cubic_weight(self, seed):
         rng = np.random.default_rng(seed)
@@ -179,6 +183,15 @@ class TestSpacingSum:
         assert rep.holds
         assert rep.tail_bound > 0
 
+    def test_report_sums_the_whole_window(self):
+        seq, ell, sigma = generate_random(8, 0.5, 3), 3, 2.5
+        centre = seq.active[ell - 1]
+        tail = ((centre - seq.nodes[0]) ** (1 - sigma)
+                + (seq.nodes[-1] - centre) ** (1 - sigma)) / (sigma - 1)
+        rep = spacing_bound_report(seq, ell, sigma)
+        assert rep.lhs == spacing_sum(seq, ell, sigma, seq.n)
+        assert rep.tail_bound == pytest.approx(tail, rel=1e-14)
+
     @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0])
     def test_shan_split_reassembles_spacing_sum(self, sigma):
         seq = generate_random(30, 0.5, 7)
@@ -229,3 +242,21 @@ class TestWeightShapeDiagnostics:
         report = spot_check_shape(bad, trials=500)
         assert not report["ok"]
         assert report["monotonicity_violations"] > 0
+
+
+class TestNonFiniteSigma:
+    """A NaN or infinite exponent is rejected, never summed into NaN."""
+
+    SEQ = generate_random(8, 0.5, 3)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        zeta,
+        power_weight,
+        lambda sigma: spacing_sum(TestNonFiniteSigma.SEQ, 4, sigma, 8),
+        lambda sigma: spacing_bound_report(TestNonFiniteSigma.SEQ, 2, sigma),
+        lambda sigma: shan_split(TestNonFiniteSigma.SEQ, 4, sigma),
+    ], ids=["zeta", "power_weight", "spacing_sum", "spacing_bound_report", "shan_split"])
+    def test_rejected(self, call, sigma):
+        with pytest.raises(SigmaOutOfRange):
+            call(sigma)

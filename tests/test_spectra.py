@@ -183,7 +183,7 @@ class TestReflectionFold:
         h = build_h(seq)
         oracle = float(np.max(np.abs(np.linalg.eigvals(h.entries))))
         assert spectral_radius(h) == pytest.approx(oracle, rel=1e-12)
-        kernel = alpha_form_matrix(seq, alpha).entries
+        kernel = alpha_form_matrix(seq, alpha)
         assert np.array_equal(kernel[::-1, ::-1], kernel)
         top = float(np.linalg.eigh((kernel + kernel.T) / 2.0)[0][-1])
         assert estimate_constant(alpha, seq).value == pytest.approx(top, rel=1e-12)
