@@ -35,13 +35,11 @@ from .quadforms import (
     uniform_lower_bound,
 )
 from .spacing import (
-    ConvexWeightFunction,
     check_equidistance,
     check_fn_upper,
     check_smoothing_monovariant,
     f_n_functional,
     pair_spacing_sum,
-    power_weight,
     spacing_sum,
     zeta,
 )

@@ -25,12 +25,9 @@ class GapSequence:
 
     def __post_init__(self):
         arr = np.array(self.nodes, dtype=float)
-        if arr.ndim != 1 or arr.size < 3:
-            raise TooShort(f"need at least 3 nodes, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NonFinite("nodes must be finite")
-        if not np.all(np.diff(arr) > 0):
-            raise NotIncreasing("nodes must be strictly increasing")
+        if arr.ndim != 1:
+            raise TooShort(f"need a vector of nodes, got shape {arr.shape}")
+        check_nodes(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "nodes", arr)
 
@@ -68,6 +65,18 @@ class GapSequence:
 
     def to_json(self) -> str:
         return json.dumps({"nodes": self.nodes.tolist(), "n": self.n})
+
+
+def check_nodes(nodes: np.ndarray) -> None:
+    """Raise unless each window along the last axis of `nodes` has at least
+    3 nodes (TooShort), all finite (NonFinite) and strictly increasing
+    (NotIncreasing)."""
+    if nodes.shape[-1] < 3:
+        raise TooShort(f"need windows of at least 3 nodes, got shape {nodes.shape}")
+    if not np.isfinite(nodes).all():
+        raise NonFinite("nodes must be finite")
+    if not (np.diff(nodes) > 0).all():
+        raise NotIncreasing("nodes must be strictly increasing")
 
 
 def node_deltas(nodes: np.ndarray) -> np.ndarray:

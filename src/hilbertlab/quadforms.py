@@ -23,11 +23,10 @@ from .errors import (
     NegativeEntry,
     NoConvergence,
     NonFinite,
-    NotIncreasing,
     NotSymmetric,
     TooShort,
 )
-from .gaps import GapSequence, WeightVector, node_deltas, node_differences
+from .gaps import GapSequence, WeightVector, check_nodes, node_deltas, node_differences
 
 RESIDUAL_RTOL = 1e-10
 SQRT2 = float(np.sqrt(2.0))
@@ -273,12 +272,9 @@ def constant_values(alpha: float, nodes: np.ndarray) -> np.ndarray:
     and keep few."""
     alpha = _check_alpha(alpha)
     nodes = np.asarray(nodes, dtype=float)
-    if nodes.ndim != 2 or nodes.shape[1] < 3:
-        raise TooShort(f"need a stack of windows of at least 3 nodes, got shape {nodes.shape}")
-    if not np.isfinite(nodes).all():
-        raise NonFinite("nodes must be finite")
-    if not (np.diff(nodes) > 0).all():
-        raise NotIncreasing("nodes must be strictly increasing")
+    if nodes.ndim != 2:
+        raise TooShort(f"need a stack of windows, got shape {nodes.shape}")
+    check_nodes(nodes)
     kernels = _alpha_kernels(node_deltas(nodes), nodes[:, 1:-1], alpha)
     return _top_eigen(_symmetrized(kernels), False, nonneg=True)[0]
 

@@ -31,7 +31,6 @@ from .spacing import (
     check_fn_upper,
     check_smoothing_monovariant,
     pair_spacing_sum,
-    power_weight,
     shan_split,
     spacing_bound_report,
     spacing_sum,
@@ -117,23 +116,20 @@ def suite_spacing(trials: int = 100, seed: int = 0, tol: float = 1e-12) -> list[
     records.append(_rec("spacing-uniform-window", abs(uval - PI2_OVER_3), 3e-6,
                         abs(uval - PI2_OVER_3) < 3e-6, seed=seed, tail=2.0 / window))
 
-    f3 = power_weight(3.0)
-    f2 = power_weight(2.0)
-
     def other_cases(i: int) -> list[dict]:
         s = seed + i
         rng = np.random.default_rng(s + 2 * 10**6)
         out = []
         a = rng.uniform(1.0, 5.0, int(rng.integers(2, 31)))
-        out.append(check_equidistance(a, f3, tol=tol, seed=s).record())
+        out.append(check_equidistance(a, 3.0, tol=tol, seed=s).record())
         a2 = rng.uniform(1.0, 5.0, int(rng.integers(3, 31)))
         if not a2[0] > a2[1]:
             a2[0], a2[1] = a2[1] + 0.5, a2[0]
         eps = float(rng.uniform(0.05, 1.0)) * (a2[0] - a2[1])
-        out.append(check_smoothing_monovariant(a2, 2, eps, f2, tol=tol, seed=s).record())
+        out.append(check_smoothing_monovariant(a2, 2, eps, 2.0, tol=tol, seed=s).record())
         a3 = rng.uniform(0.2, 4.0, int(rng.integers(2, 31)))
         a3[0] = 1.0 + float(rng.uniform(0.0, 3.0))
-        out.append(check_fn_upper(a3, f2, tol=tol, seed=s).record())
+        out.append(check_fn_upper(a3, 2.0, tol=tol, seed=s).record())
         return out
 
     for chunk in parallel_map(other_cases, range(trials)):

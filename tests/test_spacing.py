@@ -11,7 +11,6 @@ from hilbertlab import (
     generate_random,
     generate_uniform,
     pair_spacing_sum,
-    power_weight,
     spacing_sum,
     zeta,
 )
@@ -22,7 +21,7 @@ from hilbertlab.errors import (
     SameIndex,
     SigmaOutOfRange,
 )
-from hilbertlab.spacing import shan_split, spacing_bound_report, spot_check_shape
+from hilbertlab.spacing import shan_split, spacing_bound_report
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
 
@@ -67,41 +66,38 @@ class TestZeta:
 
 class TestFnFunctional:
     def test_unit_gaps_partial_zeta(self):
-        f = power_weight(2.0)
-        value = f_n_functional(np.ones(4), f, 3)
+        value = f_n_functional(np.ones(4), 2.0, 3)
         assert value == pytest.approx(1 + 1 / 4 + 1 / 9, rel=1e-15)
 
     def test_two_entry_example(self):
-        f = power_weight(2.0)
-        assert f_n_functional([2.0, 1.0], f, 1) == pytest.approx(0.25, rel=1e-15)
+        assert f_n_functional([2.0, 1.0], 2.0, 1) == pytest.approx(0.25, rel=1e-15)
 
     def test_needs_one_extra_entry(self):
         with pytest.raises(IndexOutOfRange):
-            f_n_functional([2.0, 1.0], power_weight(2.0), 2)
+            f_n_functional([2.0, 1.0], 2.0, 2)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_bounded_by_zeta(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.uniform(0.2, 4.0, int(rng.integers(2, 40)))
         a[0] = 1.0 + rng.uniform(0.0, 3.0)
-        rep = check_fn_upper(a, power_weight(2.0), seed=seed)
+        rep = check_fn_upper(a, 2.0, seed=seed)
         assert rep.holds
 
     def test_sharp_for_unit_sequence(self):
         # F_N(1,1,...) climbs to zeta(2) like 1/N
-        f = power_weight(2.0)
-        gap = zeta(2.0) - f_n_functional(np.ones(10001), f, 10000)
+        gap = zeta(2.0) - f_n_functional(np.ones(10001), 2.0, 10000)
         assert 0 < gap < 1.1e-4
 
 
 class TestEquidistance:
     def test_integer_equality_case(self):
-        rep = check_equidistance(np.ones(3), power_weight(2.0))
+        rep = check_equidistance(np.ones(3), 2.0)
         assert rep.holds
         assert rep.lhs == pytest.approx(rep.rhs, rel=1e-15)
 
     def test_fractional_case(self):
-        rep = check_equidistance([1.5, 1.5], power_weight(2.0))
+        rep = check_equidistance([1.5, 1.5], 2.0)
         # direct evaluation of both sides
         assert rep.lhs == pytest.approx(1.5 / 1.5 ** 2 + 1.5 / 3.0 ** 2, rel=1e-15)
         assert rep.rhs == pytest.approx(1 + 1 / 4 + 1 / 9, rel=1e-15)
@@ -109,38 +105,37 @@ class TestEquidistance:
 
     def test_rejects_entries_below_one(self):
         with pytest.raises(ValueError):
-            check_equidistance([0.5, 2.0], power_weight(2.0))
+            check_equidistance([0.5, 2.0], 2.0)
 
     def test_rejects_empty_input(self):
         with pytest.raises(IndexOutOfRange):
-            check_equidistance([], power_weight(2.0))
+            check_equidistance([], 2.0)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_random_sweep_cubic_weight(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.uniform(1.0, 5.0, int(rng.integers(2, 30)))
-        assert check_equidistance(a, power_weight(3.0), seed=seed).holds
+        assert check_equidistance(a, 3.0, seed=seed).holds
 
 
 class TestSmoothingMonovariant:
     def test_basic_example(self):
-        f = power_weight(2.0)
-        rep = check_smoothing_monovariant([2.0, 1.0, 1.0], 2, 1.0, f, n=2)
+        rep = check_smoothing_monovariant([2.0, 1.0, 1.0], 2, 1.0, 2.0)
         assert rep.lhs == pytest.approx(1 / 4 + 1 / 9, rel=1e-15)
         assert rep.rhs == pytest.approx(1 / 2 + 1 / 16, rel=1e-15)
         assert rep.holds
 
     def test_rejects_zero_eps(self):
         with pytest.raises(EpsTooLarge):
-            check_smoothing_monovariant([2.0, 1.0, 1.0], 2, 0.0, power_weight(2.0), n=2)
+            check_smoothing_monovariant([2.0, 1.0, 1.0], 2, 0.0, 2.0)
 
     def test_rejects_oversized_eps(self):
         with pytest.raises(EpsTooLarge):
-            check_smoothing_monovariant([2.0, 1.0, 1.0], 2, 1.5, power_weight(2.0), n=2)
+            check_smoothing_monovariant([2.0, 1.0, 1.0], 2, 1.5, 2.0)
 
     def test_rejects_non_descending(self):
         with pytest.raises(NotDescendingAtNu):
-            check_smoothing_monovariant([1.0, 2.0, 1.0], 2, 0.5, power_weight(2.0), n=2)
+            check_smoothing_monovariant([1.0, 2.0, 1.0], 2, 0.5, 2.0)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_random_sweep(self, seed):
@@ -149,7 +144,7 @@ class TestSmoothingMonovariant:
         if not a[0] > a[1]:
             a[0], a[1] = a[1] + 0.5, a[0]
         eps = float(rng.uniform(0.05, 1.0)) * (a[0] - a[1])
-        rep = check_smoothing_monovariant(a, 2, eps, power_weight(2.0), seed=seed)
+        rep = check_smoothing_monovariant(a, 2, eps, 2.0, seed=seed)
         assert rep.holds
 
 
@@ -231,19 +226,6 @@ class TestPairSpacing:
                 assert pair_spacing_sum(seq, ell, m, seed=seed).holds
 
 
-class TestWeightShapeDiagnostics:
-    def test_power_weight_passes(self):
-        assert spot_check_shape(power_weight(2.0))["ok"]
-
-    def test_violations_reported_not_raised(self):
-        from hilbertlab import ConvexWeightFunction
-
-        bad = ConvexWeightFunction(evaluator=lambda x: np.sin(x), label="sin")
-        report = spot_check_shape(bad, trials=500)
-        assert not report["ok"]
-        assert report["monotonicity_violations"] > 0
-
-
 class TestNonFiniteSigma:
     """A NaN or infinite exponent is rejected, never summed into NaN."""
 
@@ -252,11 +234,17 @@ class TestNonFiniteSigma:
     @pytest.mark.parametrize("sigma", [math.nan, math.inf])
     @pytest.mark.parametrize("call", [
         zeta,
-        power_weight,
+        lambda sigma: f_n_functional([2.0, 1.0], sigma, 1),
+        lambda sigma: check_equidistance([1.5, 1.5], sigma),
+        lambda sigma: check_fn_upper([2.0, 1.0], sigma),
+        lambda sigma: check_smoothing_monovariant([2.0, 1.0, 1.0], 2, 1.0, sigma),
         lambda sigma: spacing_sum(TestNonFiniteSigma.SEQ, 4, sigma, 8),
         lambda sigma: spacing_bound_report(TestNonFiniteSigma.SEQ, 2, sigma),
         lambda sigma: shan_split(TestNonFiniteSigma.SEQ, 4, sigma),
-    ], ids=["zeta", "power_weight", "spacing_sum", "spacing_bound_report", "shan_split"])
+        lambda sigma: shan_split(generate_uniform(1, 1.0), 1, sigma),
+    ], ids=["zeta", "f_n_functional", "check_equidistance", "check_fn_upper",
+            "check_smoothing_monovariant", "spacing_sum", "spacing_bound_report",
+            "shan_split", "shan_split_one_node"])
     def test_rejected(self, call, sigma):
         with pytest.raises(SigmaOutOfRange):
             call(sigma)
