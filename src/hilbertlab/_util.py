@@ -1,9 +1,20 @@
-"""Shared numeric helpers: reduced-argument trig, ordered map, formatting."""
+"""Shared numeric helpers: reduced-argument trig, ordered map, JSON rendering."""
 from __future__ import annotations
 
-import math
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
+
+
+def _pi_folded(y):
+    """pi * (y mod 1 folded to [0, 1/2]), and where the fold reflected."""
+    r = np.mod(np.asarray(y, dtype=float), 1.0)
+    upper = r > 0.5
+    return np.pi * np.where(upper, 1.0 - r, r), upper
+
+
+def _unwrap(out):
+    return float(out) if out.ndim == 0 else out
 
 
 def sinpi_abs(y):
@@ -12,22 +23,21 @@ def sinpi_abs(y):
     Folding the residue to [0, 1/2] keeps full relative precision near
     integer arguments, where evaluating sin(pi*y) directly does not.
     """
-    arr = np.asarray(y, dtype=float)
-    r = np.mod(arr, 1.0)
-    folded = np.where(r > 0.5, 1.0 - r, r)
-    out = np.sin(np.pi * folded)
-    return float(out) if out.ndim == 0 else out
+    return _unwrap(np.sin(_pi_folded(y)[0]))
 
 
 def cotpi(y):
     """cot(pi*y), reduced mod 1; antisymmetric about the half-period."""
-    arr = np.asarray(y, dtype=float)
-    r = np.mod(arr, 1.0)
-    folded = np.where(r > 0.5, 1.0 - r, r)
-    sign = np.where(r > 0.5, -1.0, 1.0)
+    return sinpi_abs_cotpi(y)[1]
+
+
+def sinpi_abs_cotpi(y):
+    """(sinpi_abs(y), cotpi(y)) from one reduction of y and one sine."""
+    theta, upper = _pi_folded(y)
+    sines = np.sin(theta)
     with np.errstate(divide="ignore"):
-        out = sign * np.cos(np.pi * folded) / np.sin(np.pi * folded)
-    return float(out) if out.ndim == 0 else out
+        cot = np.where(upper, -1.0, 1.0) * np.cos(theta) / sines
+    return _unwrap(sines), _unwrap(cot)
 
 
 def parallel_map(fn, items):
@@ -41,28 +51,100 @@ def parallel_map(fn, items):
     return [fn(item) for item in items]
 
 
-def fmt12(x) -> str:
-    """Render a float with 12 significant digits (CSV cell format)."""
-    return f"{float(x):.12g}"
+# ---- JSON reports -------------------------------------------------------
+#
+# The report contract: floats rounded to 12 significant digits and written
+# as the shortest repr of the rounded value, non-finite floats as the
+# strings "inf", "-inf" and "nan", numpy scalars as the Python scalar they
+# convert to, arrays and tuples as lists, non-ASCII escaped, and the layout
+# of json.dumps. The renderer below writes that text directly: with an
+# indent, json.dumps would run its pure-Python encoder.
 
+def _scalar(value) -> str | None:
+    """JSON text of a scalar, or None for a container.
 
-def jsonable(obj):
-    """Recursively convert to JSON-safe values, floats rounded to 12 digits.
-
-    Non-finite floats become strings so the output stays valid JSON.
+    A float is rounded to 12 significant digits. Its %.12g text without an
+    exponent already is the shortest repr of the rounded float, short of
+    the ".0" an integral value takes; exponent texts go through repr of
+    the rounded float.
     """
-    if type(obj) is float:      # the bulk of every report, so checked first
-        return float(fmt12(obj)) if math.isfinite(obj) else repr(obj)
+    kind = type(value)
+    if kind is float:
+        text = "%.12g" % value
+        if "e" in text:
+            return repr(float(text))
+        if "." in text:
+            return text
+        if "n" in text:      # inf, -inf and nan
+            return '"' + text + '"'
+        return text + ".0"
+    if kind is int:
+        return repr(value)
+    if kind is str:
+        return _quote(value)
+    if kind is bool or kind is np.bool_:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, np.integer)):
+        return repr(int(value))
+    if isinstance(value, (float, np.floating)):
+        return _scalar(float(value))
+    if isinstance(value, str):
+        return _quote(value)
+    return None
+
+
+def _render(obj, nl: str, step: str, colon: str) -> str:
+    """JSON text of obj; nl is the newline and indentation before its
+    closing bracket, step one level of indentation."""
+    text = _scalar(obj)
+    if text is not None:
+        return text
+    inner = nl + step
     if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            _quote(str(key)) + colon + _render(value, inner, step, colon)
+            for key, value in obj.items()) + nl + "}"
     if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return jsonable(float(obj))
-    return obj
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_items(obj, inner, step, colon)) + nl + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _items(items, nl: str, step: str, colon: str) -> list[str]:
+    """The JSON texts of items at indentation nl. A run of flat dicts with
+    the same keys is formatted through one row template."""
+    inner = nl + step
+    texts, keys, template = [], None, ""
+    for item in items:
+        if type(item) is dict and item:
+            cells = tuple(map(_scalar, item.values()))
+            if None not in cells:
+                row_keys = tuple(item)
+                if row_keys != keys:
+                    keys = row_keys
+                    template = "{" + inner + ("," + inner).join(
+                        _quote(str(key)).replace("%", "%%") + colon + "%s"
+                        for key in keys) + nl + "}"
+                texts.append(template % cells)
+                continue
+        texts.append(_render(item, nl, step, colon))
+    return texts
+
+
+def to_json(obj) -> str:
+    """obj as one JSON document under the report contract, laid out as
+    json.dumps(..., indent=2) lays it out."""
+    return _render(obj, "\n", "  ", ": ")
+
+
+def to_json_lines(items) -> str:
+    """Each item as one compact JSON document (separators "," and ":") under
+    the report contract, one per line."""
+    return "\n".join(_items(items, "", "", ":"))

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
 
-from ._util import jsonable
+from ._util import to_json, to_json_lines
 from .errors import IoError, NoConvergence
 from .gaps import generate_cluster, generate_random, generate_uniform
 from .lowerbound import big_g, scan
@@ -195,8 +194,10 @@ def _run_constant(args) -> tuple[RunReport, int]:
         label, est = args.config, estimate_constant(args.alpha, _build_config(args))
     record = {"alpha": est.alpha, "n": est.n, "config": label,
               "value": est.value, "witness": est.witness.values.tolist()}
+    # only the random window and the search draw from the seed
+    uses_seed = args.search or args.config == "random"
     params = {"alpha": args.alpha, "n": args.n, "config": args.config,
-              "seed": args.seed, "search": bool(args.search)}
+              "seed": args.seed if uses_seed else None, "search": bool(args.search)}
     return RunReport("constant", params=params, results=[record]), 0
 
 
@@ -244,15 +245,12 @@ def _run_lower_bound(args) -> tuple[RunReport, int]:
 
 
 def _emit(report: RunReport, as_lines: bool) -> None:
-    payload = jsonable(report.to_dict())
+    payload = report.to_dict()
     if as_lines:
-        for record in payload["results"]:
-            print(json.dumps(record, separators=(",", ":")))
-        summary = {key: payload[key] for key in
-                   ("command", "params", "all_hold", "elapsed_ms")}
-        print(json.dumps(summary, separators=(",", ":")))
+        summary = {key: payload[key] for key in ("command", "params", "all_hold", "elapsed_ms")}
+        print(to_json_lines([*payload["results"], summary]))
     else:
-        print(json.dumps(payload, indent=2))
+        print(to_json(payload))
 
 
 def dispatch(argv: list[str]) -> int:

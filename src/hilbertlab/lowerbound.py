@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cotpi, sinpi_abs
+from ._util import cotpi, sinpi_abs, sinpi_abs_cotpi
 from .errors import (
     AOutOfRange,
     CotangentPole,
@@ -232,11 +232,11 @@ def kappas(k: int, a):
     # one row per offset, one column per coarse point; each row sums in the
     # same order as a lone offset's 1-D sum
     ja = j * a[:, None]
-    sines = sinpi_abs(ja)
+    sines, cots = sinpi_abs_cotpi(ja)
     if np.any(sines < 1e-12):
         raise CotangentPole("sin(pi k A) vanished; A too close to a small-denominator rational")
     kappa0 = a * a / 3.0 + (2.0 * a * a / k) * np.sum((k - j[:-1]) / sines[:, :-1] ** 2, axis=1)
-    kappa1 = (2.0 / math.pi) * np.sqrt(_pow_each(a, 3) / (b * k)) * np.sum(cotpi(ja), axis=1)
+    kappa1 = (2.0 / math.pi) * np.sqrt(_pow_each(a, 3) / (b * k)) * np.sum(cots, axis=1)
     if given.ndim == 0:
         return float(kappa0[0]), float(kappa1[0])
     return kappa0, kappa1

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     EpsTooLarge,
     IndexOutOfRange,
+    NonFinite,
     NotDescendingAtNu,
     SameIndex,
     SigmaOutOfRange,
@@ -41,6 +42,15 @@ def _check_sigma(sigma: float) -> float:
     if not 1.0 < value < math.inf:
         raise SigmaOutOfRange(f"sigma must lie in (1, inf), got {sigma}")
     return value
+
+
+def _finite_entries(x) -> np.ndarray:
+    """x as a float array; raises NonFinite on a NaN or infinite entry, which
+    would otherwise turn a verdict into a NaN comparison."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise NonFinite("entries must be finite")
+    return x
 
 
 @lru_cache(maxsize=None)
@@ -78,7 +88,7 @@ def f_n_functional(x, sigma: float, n: int) -> float:
     Needs x_{n+1}, so n must satisfy 1 <= n <= len(x) - 1.
     """
     sigma = _check_sigma(sigma)
-    x = np.asarray(x, dtype=float)
+    x = _finite_entries(x)
     if not 1 <= n <= x.size - 1:
         raise IndexOutOfRange(f"n={n} needs 1 <= n <= {x.size - 1}")
     if np.any(x[: n + 1] <= 0):
@@ -98,7 +108,7 @@ def check_equidistance(a, sigma: float, tol: float = 1e-12, seed: int = 0) -> Ch
     with lam_k = a_1+...+a_k, n = len(a) and L = lam_n, valid for a_k >= 1.
     """
     sigma = _check_sigma(sigma)
-    a = np.asarray(a, dtype=float)
+    a = _finite_entries(a)
     if np.any(a < 1):
         raise ValueError("entries must be >= 1")
     if a.size == 0:
@@ -117,7 +127,7 @@ def check_smoothing_monovariant(a, nu: int, eps: float, sigma: float, tol: float
                                 seed: int = 0) -> CheckReport:
     """Raising a_nu by eps <= a_{nu-1} - a_nu cannot decrease F_n, n = len(a) - 1."""
     sigma = _check_sigma(sigma)
-    a = np.asarray(a, dtype=float)
+    a = _finite_entries(a)
     if not 2 <= nu <= a.size:
         raise IndexOutOfRange(f"nu={nu} needs 2 <= nu <= {a.size}")
     gap = a[nu - 2] - a[nu - 1]
@@ -136,7 +146,7 @@ def check_fn_upper(a, sigma: float, tol: float = 1e-12, seed: int = 0) -> CheckR
     """F_n(a), n = len(a) - 1, never exceeds zeta(sigma) = sum_{j>=1} j^-sigma."""
     sigma = _check_sigma(sigma)
     a = np.asarray(a, dtype=float)
-    lhs = f_n_functional(a, sigma, a.size - 1)
+    lhs = f_n_functional(a, sigma, a.size - 1)    # rejects a non-finite entry first
     rhs = zeta(sigma)
     return CheckReport("fn-upper", lhs, rhs, lhs <= rhs + tol, seed=seed)
 

@@ -25,6 +25,12 @@ STDOUT_SHA256 = {
         "c385ba2201e4487b8bcc7ca94490892939ece28e7252c9aac7b023474b87cebe",
     ("lower-bound", "--point", "5", "0.14"):
         "1b789f31e08866821fd20e3365c75ec580d72abc81765a265c8489237b613b62",
+    # exponent cells such as 1.4418359876e-16
+    ("verify", "--suite", "all", "--trials", "20", "--seed", "3"):
+        "a5552f50dae8d49e274c8489b1136b64949fb635ae476ed050e114148fd4ba4c",
+    # a 30-entry witness list; params.seed is null, as no seed is drawn from
+    ("constant", "--alpha", "0.5", "--n", "30", "--config", "trig"):
+        "402cbb1f017be697baff3bb20b1a04f1ea2937e04c1447fd71bc90577481bd12",
 }
 VERIFY_TRIG_CSV_SHA256 = "6b86316911e4e18c8f60d542fbbdf8035ff26abfb2db61638de0514ac83a4a2f"
 VERIFY_ALL_CSV_SHA256 = "65b6bf927e8a1a6f72bb51ce42344db210db7886ff8ac56a80c239926a83b9af"
@@ -275,6 +281,20 @@ class TestOutputContract:
         assert code == 0
         assert hashlib.sha256(without_elapsed(out).encode()).hexdigest() == STDOUT_SHA256[argv]
 
+    def test_no_pure_python_json_encoder(self, capsys, monkeypatch):
+        # json.dumps with an indent runs json.encoder's pure-Python encoder,
+        # several times slower than the report renderer
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder ran")
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        for argv in (["lower-bound", "--scan", "1", "3", "19"],
+                     ["lower-bound", "--scan", "1", "3", "19", "--json"],
+                     ["verify", "--suite", "chain", "--trials", "3"],
+                     ["verify", "--suite", "chain", "--trials", "3", "--json"]):
+            code, out = run(capsys, argv)
+            assert code == 0
+            assert out.endswith("\n")
+
     def test_verify_csv_digest(self, capsys, tmp_path):
         out_path = tmp_path / "trig.csv"
         code, _ = run(capsys, ["verify", "--suite", "trig", "--trials", "20", "--seed", "1",
@@ -364,9 +384,10 @@ class TestConstantFlagsWithoutEffect:
         assert captured.err == f"error: {flags[0]} has no effect without --search\n"
 
     # params of the invocations that stay valid, as printed before the check
+    # except params.seed, which is null where no seed is drawn from
     @pytest.mark.parametrize("argv, params", (
         (["--alpha", "1", "--n", "3"],
-         {"alpha": 1.0, "n": 3, "config": "uniform", "seed": 0, "search": False}),
+         {"alpha": 1.0, "n": 3, "config": "uniform", "seed": None, "search": False}),
         (["--alpha", "1", "--n", "3", "--config", "random", "--min-gap", "0.5", "--seed", "4"],
          {"alpha": 1.0, "n": 3, "config": "random", "seed": 4, "search": False}),
         (["--alpha", "0.5", "--n", "3", "--search", "--restarts", "1", "--rounds", "2"],
@@ -379,10 +400,28 @@ class TestConstantFlagsWithoutEffect:
 
     def test_plain_constant_stdout_unchanged(self, capsys):
         # sha256 of stdout with elapsed_ms zeroed, as printed before the check
+        # with "seed": 0 echoed as "seed": null
         code, out = run(capsys, ["constant", "--alpha", "1", "--n", "3"])
         assert code == 0
         assert (hashlib.sha256(without_elapsed(out).encode()).hexdigest()
-                == "51e46361926f7229ee8daea95076e553448f0da52f2ffa90a0a413265469d9c2")
+                == "ec4367fd63bbac8e0a12f7037a414c7ab04254a9ca6d7da788212a51d01c947d")
+
+    @pytest.mark.parametrize("config", ("uniform", "cluster", "trig"))
+    def test_unseeded_config_echoes_null_seed(self, capsys, config):
+        outs = []
+        for seed in ("0", "5"):
+            code, out = run(capsys, ["constant", "--alpha", "1", "--n", "4",
+                                     "--config", config, "--seed", seed])
+            assert code == 0
+            outs.append(without_elapsed(out))
+        assert outs[0] == outs[1]
+        assert parse_report(outs[0])["params"]["seed"] is None
+
+    @pytest.mark.parametrize("argv", (["--config", "random"], ["--search", "--rounds", "1"]))
+    def test_seeded_run_echoes_its_seed(self, capsys, argv):
+        code, out = run(capsys, ["constant", "--alpha", "1", "--n", "4", "--seed", "5", *argv])
+        assert code == 0
+        assert parse_report(out)["params"]["seed"] == 5
 
 
 class TestFlagsWithoutEffect:

@@ -17,6 +17,7 @@ from hilbertlab import (
 from hilbertlab.errors import (
     EpsTooLarge,
     IndexOutOfRange,
+    NonFinite,
     NotDescendingAtNu,
     SameIndex,
     SigmaOutOfRange,
@@ -248,3 +249,19 @@ class TestNonFiniteSigma:
     def test_rejected(self, call, sigma):
         with pytest.raises(SigmaOutOfRange):
             call(sigma)
+
+
+class TestNonFiniteEntries:
+    """A NaN or infinite entry is rejected before any check on the sequence."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("call", [
+        lambda bad: f_n_functional([2.0, bad, 1.0], 2.0, 1),
+        lambda bad: check_equidistance([1.5, bad], 2.0),
+        lambda bad: check_fn_upper([1.0, bad, 2.0], 2.0),
+        lambda bad: check_smoothing_monovariant([2.0, 1.0, bad], 2, 0.5, 2.0),
+    ], ids=["f_n_functional", "check_equidistance", "check_fn_upper",
+            "check_smoothing_monovariant"])
+    def test_rejected(self, call, bad):
+        with pytest.raises(NonFinite):
+            call(bad)

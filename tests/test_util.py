@@ -1,0 +1,104 @@
+import json
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hilbertlab._util import to_json, to_json_lines
+
+
+def jsonable(obj):
+    """The report encoding as first released, the reference for to_json:
+    floats rounded to 12 digits, non-finite floats as strings."""
+    if type(obj) is float:
+        return float(f"{obj:.12g}") if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return jsonable(float(obj))
+    return obj
+
+
+def document(obj) -> str:
+    return json.dumps(jsonable(obj), indent=2)
+
+
+def compact(obj) -> str:
+    return json.dumps(jsonable(obj), separators=(",", ":"))
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -3.0, 1e11, 1e12, 1e16, 1e17, 123456789012.5, 0.0001,
+                  1e-5, 5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan]
+FLOATS = (st.floats()
+          | st.sampled_from(SPECIAL_FLOATS)
+          | st.integers(-10 ** 17, 10 ** 17).map(float)
+          | st.floats(1e11, 1e17)
+          | st.floats(-1e17, -1e11)
+          | st.floats(0.0, 2.2250738585072014e-308))
+SPECIAL_TEXT = ['"', "\n", "\\", "é", "ünïcode ☃", "%", "%s", "%%", "100%d", "\t\x00", "\U0001f600"]
+TEXT = st.text(max_size=8) | st.sampled_from(SPECIAL_TEXT)
+NUMPY_SCALARS = (st.floats().map(np.float64)
+                 | st.floats(width=32).map(np.float32)
+                 | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+                 | st.booleans().map(np.bool_))
+SCALARS = (FLOATS | st.integers(-2 ** 70, 2 ** 70) | st.booleans() | st.none() | TEXT
+           | NUMPY_SCALARS)
+ARRAYS = (st.lists(FLOATS, max_size=6).map(lambda v: np.array(v, dtype=float))
+          | st.lists(st.integers(-9, 9), min_size=1, max_size=6).map(
+              lambda v: np.array(v).reshape(-1, 1))
+          | st.lists(st.booleans(), max_size=4).map(lambda v: np.array(v, dtype=bool)))
+
+
+@st.composite
+def rows(draw, values=SCALARS):
+    """Flat dicts sharing their keys, the shape of a report's results."""
+    keys = draw(st.lists(TEXT, min_size=1, max_size=4, unique=True))
+    row = st.fixed_dictionaries({key: values for key in keys})
+    return draw(st.lists(row | st.dictionaries(TEXT, values, max_size=3), max_size=6))
+
+
+REPORTS = st.recursive(
+    SCALARS | ARRAYS,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(TEXT, children, max_size=5)
+                      | rows(children)
+                      | rows()),
+    max_leaves=25,
+)
+
+
+class TestReportRenderer:
+    """to_json and to_json_lines write the text json.dumps wrote of the
+    jsonable encoding."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(REPORTS)
+    def test_document_matches_json_dumps(self, obj):
+        assert to_json(obj) == document(obj)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(REPORTS)
+    def test_compact_matches_json_dumps(self, obj):
+        assert to_json_lines([obj]) == compact(obj)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(REPORTS, min_size=1, max_size=6) | rows())
+    def test_lines_match_json_dumps(self, items):
+        assert to_json_lines(items) == "\n".join(map(compact, items))
+
+    def test_cells(self):
+        # the float cases one by one, and empty containers
+        for value in [*SPECIAL_FLOATS, np.float32(0.1), np.float64(1e-7), np.int64(-4),
+                      np.bool_(False), (), [], {}, np.zeros(0), {"%s": {}}]:
+            assert to_json(value) == document(value)
+            assert to_json_lines([value]) == compact(value)
