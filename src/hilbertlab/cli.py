@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 import time
 
@@ -44,7 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[seeded, to_csv, as_json],
                               help="run inequality/identity suites")
-    p_verify.add_argument("--tol", type=float, default=None, help="override per-suite tolerances")
     p_verify.add_argument("--suite", choices=[*ALL_SUITES, "all"], default="all")
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--max-n", type=int, default=None, dest="max_n",
@@ -132,9 +130,6 @@ def write_csv(columns: dict[str, list], path: str) -> None:
 def _run_verify(args) -> tuple[RunReport, int]:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
-    # an infinite tolerance passes every record, a NaN one writes NaN bounds
-    if args.tol is not None and not math.isfinite(args.tol):
-        raise ValueError(f"--tol must be finite, got {args.tol}")
     if args.max_n is not None and args.suite not in (*MAX_N_SUITES, "all"):
         raise ValueError(f"--max-n has no effect on the {args.suite} suite; it applies "
                          f"to {', '.join(MAX_N_SUITES)} and all")
@@ -142,13 +137,11 @@ def _run_verify(args) -> tuple[RunReport, int]:
         raise ValueError(f"--max-n must be >= 2, got {args.max_n}")
     max_n = DEFAULT_MAX_N if args.max_n is None else args.max_n
     names = ALL_SUITES if args.suite == "all" else (args.suite,)
-    records = run_suites(names, trials=args.trials, max_n=max_n,
-                         seed=args.seed, tol=args.tol)
+    records = run_suites(names, trials=args.trials, max_n=max_n, seed=args.seed)
     # a run that checked nothing must not report a pass
     all_hold = bool(records) and all(r["holds"] for r in records)
     report = RunReport("verify", params={"suite": args.suite, "trials": args.trials,
-                                         "max_n": max_n, "seed": args.seed,
-                                         "tol": args.tol},
+                                         "max_n": max_n, "seed": args.seed},
                        results=records, all_hold=all_hold)
     if args.out:
         write_csv({key: [r[key] for r in records] for key in (records[0] if records else ())},

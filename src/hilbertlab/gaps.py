@@ -105,6 +105,8 @@ class WeightVector:
         arr = np.array(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError(f"weights must be a nonempty vector, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise NonFinite("weights must be finite")
         if np.any(arr < 0):
             raise NegativeEntry("weights must be nonnegative")
         arr.setflags(write=False)

@@ -30,6 +30,7 @@ from .errors import (
     CotangentPole,
     LengthMismatch,
     NegativeEntry,
+    NonFinite,
     SeparationTooSmall,
 )
 from .gaps import GapSequence, WeightVector
@@ -121,8 +122,12 @@ def toroidal_gaps(points_sorted: np.ndarray) -> np.ndarray:
 
 def trig_config(points, weights) -> TrigConfig:
     """Reduce mod 1, sort jointly with the weights, and validate."""
-    pts = np.mod(np.asarray(points, dtype=float), 1.0)
+    pts = np.asarray(points, dtype=float)
     tau = np.asarray(weights, dtype=float)
+    # checked before np.mod, which warns on an infinite point
+    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(tau))):
+        raise NonFinite("points and weights must be finite")
+    pts = np.mod(pts, 1.0)
     if pts.size != tau.size:
         raise LengthMismatch(f"{tau.size} weights for {pts.size} points")
     if pts.size == 0:
@@ -153,9 +158,9 @@ def trig_form_value(cfg: TrigConfig) -> float:
         stop = min(cfg.m, start + _BLOCK)
         s2 = sinpi_abs(x[start:stop, None] - x[None, :]) ** 2
         num = np.outer(row_coeff[start:stop], col_coeff)
-        for i in range(start, stop):
-            s2[i - start, i] = 1.0
-            num[i - start, i] = 0.0
+        diag_at = (np.arange(stop - start), np.arange(start, stop))
+        s2[diag_at] = 1.0
+        num[diag_at] = 0.0
         blocks.append(float(np.sum(num / s2)))
     return diag + math.fsum(blocks)
 
@@ -244,6 +249,8 @@ def kappas(k: int, a):
 
 def g_of_u(kappa0: float, kappa1: float, u: float) -> float:
     """g(u) = (kappa_0 + kappa_1 u + u^2/3) / (1 + u^2) for u >= 0."""
+    if not all(map(math.isfinite, (kappa0, kappa1, u))):
+        raise NonFinite(f"kappa0, kappa1 and u must be finite, got {kappa0}, {kappa1}, {u}")
     if u < 0:
         raise ValueError(f"u must be nonnegative, got {u}")
     return (kappa0 + kappa1 * u + u * u / 3.0) / (1.0 + u * u)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, NonpositiveWeight, ZeroSpectrum
+from .errors import LengthMismatch, NonFinite, NonpositiveWeight, ZeroSpectrum
 from .gaps import GapSequence
 from .quadforms import _certify, _reflection_blocks, _reflection_lift, _top_eigen
 from .reports import CheckReport
@@ -67,6 +67,8 @@ def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
         c = np.asarray(weights, dtype=float)
         if c.size != seq.n:
             raise LengthMismatch(f"{c.size} weights for {seq.n} active nodes")
+        if not np.all(np.isfinite(c)):
+            raise NonFinite("weights must be finite")
         if np.any(c <= 0):
             raise NonpositiveWeight("weights must be strictly positive")
     full = np.outer(c, c) / seq.differences()
@@ -206,8 +208,8 @@ def bilinear_form(h: SkewHilbertMatrix, z_re, z_im) -> float:
     return abs(2.0 * float(z_im @ (h.entries @ z_re)))
 
 
-def numerical_radius_check(h: SkewHilbertMatrix, trials: int = 0, seed: int = 0,
-                           tol: float = 1e-9, rho: float | None = None) -> list[CheckReport]:
+def numerical_radius_check(h: SkewHilbertMatrix, trials: int, seed: int = 0,
+                           rho: float | None = None) -> list[CheckReport]:
     """Check |B(z)| <= rho * sum |z_n|^2 and its c_n-normalized variant on
     `trials` seeded random complex vectors z = zr + i zi, record seed + k
     for the k-th. `rho` defaults to spectral_radius(h); a caller that has
@@ -222,12 +224,12 @@ def numerical_radius_check(h: SkewHilbertMatrix, trials: int = 0, seed: int = 0,
         lhs = bilinear_form(h, zr, zi)
         rhs = rho * float(zr @ zr + zi @ zi)
         reports.append(CheckReport("numerical-radius", lhs, rhs,
-                                   lhs <= rhs + tol * (1.0 + rhs), seed=seed + k))
+                                   lhs <= rhs + 1e-9 * (1.0 + rhs), seed=seed + k))
         wr, wi = zr / h.weights, zi / h.weights
         lhs2 = bilinear_form(h, wr, wi)
         rhs2 = rho * float(wr @ wr + wi @ wi)
         reports.append(CheckReport("numerical-radius-normalized", lhs2, rhs2,
-                                   lhs2 <= rhs2 + tol * (1.0 + rhs2), seed=seed + k))
+                                   lhs2 <= rhs2 + 1e-9 * (1.0 + rhs2), seed=seed + k))
     return reports
 
 

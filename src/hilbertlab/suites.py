@@ -1,8 +1,9 @@
 """Seeded verification sweeps behind `verify`; each returns sweep records.
 
 Every record carries the same keys: lemma, seed, lhs, rhs, holds,
-tail_bound. Sweeps are deterministic given (trials, max_n, seed, tol);
-only selberg and radius take max_n.
+tail_bound. Sweeps are deterministic given (trials, max_n, seed); only
+selberg and radius take max_n. Each verdict keeps one fixed tolerance,
+written where the verdict is computed.
 """
 from __future__ import annotations
 
@@ -80,19 +81,18 @@ def _random_h(seed: int, max_n: int) -> tuple[SkewHilbertMatrix, ComplexEigenpai
     return h, eigenpair_top(h)
 
 
-def suite_selberg(trials: int = 100, max_n: int = 12, seed: int = 0,
-                  tol: float = 1e-8) -> list[dict]:
+def suite_selberg(trials: int = 100, max_n: int = 12, seed: int = 0) -> list[dict]:
     """Eigenvector identity residuals on random windows and weights."""
     def one(i: int) -> dict:
         s = seed + i
         rep = check_selberg_identity(*_random_h(s, max_n))
-        return _rec("selberg-identity", rep.max_rel_residual, tol,
-                    rep.max_rel_residual < tol, seed=s)
+        return _rec("selberg-identity", rep.max_rel_residual, 1e-8,
+                    rep.max_rel_residual < 1e-8, seed=s)
 
     return parallel_map(one, range(trials))
 
 
-def suite_spacing(trials: int = 100, seed: int = 0, tol: float = 1e-12) -> list[dict]:
+def suite_spacing(trials: int = 100, seed: int = 0) -> list[dict]:
     """Spacing bound, equidistance, smoothing and series-cap sweeps."""
     records: list[dict] = []
 
@@ -101,7 +101,7 @@ def suite_spacing(trials: int = 100, seed: int = 0, tol: float = 1e-12) -> list[
         seq = _random_seq(s, SPACING_MAX_N)
         rng = np.random.default_rng(s + 10**6)
         ell = int(rng.integers(1, seq.n + 1))
-        return [spacing_bound_report(seq, ell, sigma, tol=tol, seed=s)
+        return [spacing_bound_report(seq, ell, sigma, seed=s)
                 .record() | {"lemma": f"preissmann-spacing-sigma{sigma:g}"}
                 for sigma in SIGMAS]
 
@@ -121,15 +121,15 @@ def suite_spacing(trials: int = 100, seed: int = 0, tol: float = 1e-12) -> list[
         rng = np.random.default_rng(s + 2 * 10**6)
         out = []
         a = rng.uniform(1.0, 5.0, int(rng.integers(2, 31)))
-        out.append(check_equidistance(a, 3.0, tol=tol, seed=s).record())
+        out.append(check_equidistance(a, 3.0, seed=s).record())
         a2 = rng.uniform(1.0, 5.0, int(rng.integers(3, 31)))
         if not a2[0] > a2[1]:
             a2[0], a2[1] = a2[1] + 0.5, a2[0]
         eps = float(rng.uniform(0.05, 1.0)) * (a2[0] - a2[1])
-        out.append(check_smoothing_monovariant(a2, 2, eps, 2.0, tol=tol, seed=s).record())
+        out.append(check_smoothing_monovariant(a2, 2, eps, 2.0, seed=s).record())
         a3 = rng.uniform(0.2, 4.0, int(rng.integers(2, 31)))
         a3[0] = 1.0 + float(rng.uniform(0.0, 3.0))
-        out.append(check_fn_upper(a3, 2.0, tol=tol, seed=s).record())
+        out.append(check_fn_upper(a3, 2.0, seed=s).record())
         return out
 
     for chunk in parallel_map(other_cases, range(trials)):
@@ -144,14 +144,14 @@ def suite_spacing(trials: int = 100, seed: int = 0, tol: float = 1e-12) -> list[
         fa, fb = shan_split(seq, ell, sigma)
         combined = seq.delta(ell) ** (sigma - 1) * spacing_sum(seq, ell, sigma, seq.n)
         rel = abs(fa + fb - combined) / max(combined, 1e-300)
-        one_sided = fa <= zeta(sigma) + tol and fb <= zeta(sigma) + tol
+        one_sided = fa <= zeta(sigma) + 1e-12 and fb <= zeta(sigma) + 1e-12
         return _rec("shan-chain", rel, 1e-10, rel < 1e-10 and one_sided, seed=s)
 
     records.extend(parallel_map(shan_case, range(min(trials, 100))))
     return records
 
 
-def suite_pair_spacing(trials: int = 100, seed: int = 0, tol: float = 1e-12) -> list[dict]:
+def suite_pair_spacing(trials: int = 100, seed: int = 0) -> list[dict]:
     """Two-point bound over all index pairs of random short windows.
 
     One record per window: lhs is the worst margin lhs-rhs over its pairs.
@@ -163,7 +163,7 @@ def suite_pair_spacing(trials: int = 100, seed: int = 0, tol: float = 1e-12) -> 
         ok = True
         for ell in range(1, seq.n + 1):
             for m in range(ell + 1, seq.n + 1):
-                rep = pair_spacing_sum(seq, ell, m, tol=tol, seed=s)
+                rep = pair_spacing_sum(seq, ell, m, seed=s)
                 worst = max(worst, rep.lhs - rep.rhs)
                 ok = ok and rep.holds
         return _rec("pair-spacing", worst, 0.0, ok, seed=s)
@@ -171,8 +171,7 @@ def suite_pair_spacing(trials: int = 100, seed: int = 0, tol: float = 1e-12) -> 
     return parallel_map(one, range(trials))
 
 
-def suite_radius(trials: int = 100, max_n: int = 12, seed: int = 0,
-                 tol: float = 1e-9, schur_n: int = 2000) -> list[dict]:
+def suite_radius(trials: int = 100, max_n: int = 12, seed: int = 0) -> list[dict]:
     """Numerical-radius inequality on random vectors plus the extremal case,
     and the unit-spacing floor/ceiling at large size."""
     records: list[dict] = []
@@ -182,19 +181,19 @@ def suite_radius(trials: int = 100, max_n: int = 12, seed: int = 0,
         h, pair = _random_h(s, max_n)
         rho = pair.mu
         out = [r.record() for r in
-               numerical_radius_check(h, trials=1, seed=s, tol=tol, rho=rho)]
+               numerical_radius_check(h, trials=1, seed=s, rho=rho)]
         lhs = bilinear_form(h, pair.u_re, pair.u_im)
         out.append(_rec("numerical-radius-extremal", lhs, rho,
-                        abs(lhs - rho) <= tol * (1.0 + rho), seed=s))
+                        abs(lhs - rho) <= 1e-9 * (1.0 + rho), seed=s))
         return out
 
     for chunk in parallel_map(one, range(trials)):
         records.extend(chunk)
 
-    seq = generate_uniform(schur_n, 1.0)
-    rho = spectral_radius(build_h(seq, np.ones(schur_n)))
+    seq = generate_uniform(2000, 1.0)
+    rho = spectral_radius(build_h(seq, np.ones(2000)))
     records.append(_rec("schur-floor", rho, math.pi - 0.05, rho > math.pi - 0.05, seed=seed))
-    records.append(_rec("schur-ceiling", rho, math.pi, rho <= math.pi + tol, seed=seed))
+    records.append(_rec("schur-ceiling", rho, math.pi, rho <= math.pi + 1e-9, seed=seed))
     return records
 
 
@@ -206,7 +205,7 @@ def _chain_configs(trials: int, seed: int) -> list[tuple[int, GapSequence]]:
     return configs
 
 
-def suite_chain(trials: int = 20, seed: int = 0, tol: float = 1e-9) -> list[dict]:
+def suite_chain(trials: int = 20, seed: int = 0) -> list[dict]:
     """Eigenvalue chain: the diagonal part stays under pi^2/3, the radius
     under sqrt(S + 2T), and the end-to-end proven constant."""
     chain = preissmann_chain()
@@ -219,11 +218,11 @@ def suite_chain(trials: int = 20, seed: int = 0, tol: float = 1e-9) -> list[dict
         s_val, t_val = s_and_t(h, pair)
         rho = pair.mu
         return [
-            _rec("s-bound", s_val, PI2_OVER_3, s_val <= PI2_OVER_3 + tol, seed=s),
+            _rec("s-bound", s_val, PI2_OVER_3, s_val <= PI2_OVER_3 + 1e-9, seed=s),
             _rec("mu-chain", rho ** 2, s_val + 2.0 * t_val,
                  rho ** 2 <= s_val + 2.0 * t_val + 1e-8, seed=s),
             _rec("mv2-proven", rho, two_forms_bound(chain.c3_upper),
-                 rho <= two_forms_bound(chain.c3_upper) + tol, seed=s),
+                 rho <= two_forms_bound(chain.c3_upper) + 1e-9, seed=s),
             # informational: how much cancellation the chain discards
             _rec("chain-gap", s_val + 2.0 * t_val - rho ** 2, 0.0, True, seed=s),
         ]
@@ -233,7 +232,7 @@ def suite_chain(trials: int = 20, seed: int = 0, tol: float = 1e-9) -> list[dict
     return records
 
 
-def suite_alpha(trials: int = 20, seed: int = 0, tol: float = 1e-10) -> list[dict]:
+def suite_alpha(trials: int = 20, seed: int = 0) -> list[dict]:
     """Structure of the form in alpha: mirror symmetry, interpolation,
     monotonicity on [0, 1], the pi^2/3 cap at alpha 1, the crude cap, and
     window monotonicity."""
@@ -254,7 +253,7 @@ def suite_alpha(trials: int = 20, seed: int = 0, tol: float = 1e-10) -> list[dic
             records.append(_rec(f"alpha-symmetry-{a:g}", diff, cap, diff <= cap, seed=s))
         for lo, hi in zip(grid[:-1], grid[1:]):
             records.append(_rec(f"alpha-monotone-{lo:g}-{hi:g}", values[hi], values[lo],
-                                values[hi] <= values[lo] + tol, seed=s))
+                                values[hi] <= values[lo] + 1e-10, seed=s))
         records.append(_rec("alpha-pi2over3-at-1", values[1.0], PI2_OVER_3,
                             values[1.0] <= PI2_OVER_3 + 1e-9, seed=s))
         records.append(_rec("alpha-crude-bound", max(values.values()), seq.n - 1,
@@ -270,13 +269,13 @@ def suite_alpha(trials: int = 20, seed: int = 0, tol: float = 1e-10) -> list[dic
             mid = theta * a1 + (1 - theta) * a2
             lhs = q_alpha(seq, t, mid)
             rhs = q_alpha(seq, t, a1) ** theta * q_alpha(seq, t, a2) ** (1 - theta)
-            records.append(_rec("alpha-hoelder", lhs, rhs, lhs <= rhs + tol, seed=s))
+            records.append(_rec("alpha-hoelder", lhs, rhs, lhs <= rhs + 1e-10, seed=s))
 
         ext = new_gap_sequence(np.append(seq.nodes, seq.nodes[-1] + (seq.nodes[-1] - seq.nodes[-2])))
         for a in (0.0, 1.0):
             v1 = values[a]
             v2 = estimate_constant(a, ext).value
-            records.append(_rec(f"alpha-n-monotone-{a:g}", v1, v2, v2 >= v1 - tol, seed=s))
+            records.append(_rec(f"alpha-n-monotone-{a:g}", v1, v2, v2 >= v1 - 1e-10, seed=s))
 
     ratio = cluster_lower_bound(0.0, 400) / cluster_lower_bound(0.0, 100)
     records.append(_rec("cluster-growth-alpha0", ratio, 1.8, ratio >= 1.8, seed=seed))
@@ -298,7 +297,7 @@ def _random_trig(seed: int):
     return trig_config(pts, rng.uniform(0.1, 1.0, m))
 
 
-def suite_trig(trials: int = 20, seed: int = 0, tol: float = 1e-12) -> list[dict]:
+def suite_trig(trials: int = 20, seed: int = 0) -> list[dict]:
     """Torus side: periodization convergence, cluster-sum asymptotics,
     cotangent limit, gap recomputation and closed-form consistency."""
     records: list[dict] = []
@@ -358,7 +357,7 @@ def suite_trig(trials: int = 20, seed: int = 0, tol: float = 1e-12) -> list[dict
     for shift in (0.123, 0.777):
         v1 = trig_form_value(trig_config(np.arange(8) / 8.0 + shift, np.full(8, 0.7)))
         rel = abs(v1 - v0) / v0
-        records.append(_rec("trig-rotation-invariance", rel, tol, rel <= tol, seed=seed))
+        records.append(_rec("trig-rotation-invariance", rel, 1e-12, rel <= 1e-12, seed=seed))
 
     res = big_g(5, 0.14)
     fin = trig_form_value(construction_config(5, 0.14, 1000, res.u_star)) / (1.0 + res.u_star ** 2)
@@ -388,8 +387,7 @@ MAX_N_SUITES = ("selberg", "radius")
 DEFAULT_MAX_N = 12
 
 
-def run_suites(names, trials: int = 100, max_n: int = DEFAULT_MAX_N, seed: int = 0,
-               tol: float | None = None) -> list[dict]:
+def run_suites(names, trials: int = 100, max_n: int = DEFAULT_MAX_N, seed: int = 0) -> list[dict]:
     """Run the named suites in order with shared sweep parameters."""
     records: list[dict] = []
     for name in names:
@@ -397,7 +395,5 @@ def run_suites(names, trials: int = 100, max_n: int = DEFAULT_MAX_N, seed: int =
         kwargs = {"trials": trials, "seed": seed}
         if name in MAX_N_SUITES:
             kwargs["max_n"] = max_n
-        if tol is not None:
-            kwargs["tol"] = tol
         records.extend(suite(**kwargs))
     return records

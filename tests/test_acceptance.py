@@ -106,7 +106,7 @@ class TestAcceptance:
         verdict("6b", ok, f"{lower:.7f} < {value:.7f} < pi^2/3 + 1e-9, {elapsed:.2f}s < 10s")
 
     def test_07_identity_suite(self):
-        records = suite_selberg(trials=100, max_n=12, seed=0, tol=1e-8)
+        records = suite_selberg(trials=100, max_n=12, seed=0)
         bad = failing(records)
         worst = max(r["lhs"] for r in records)
         ok = len(records) == 100 and not bad

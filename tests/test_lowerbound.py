@@ -24,6 +24,7 @@ from hilbertlab.errors import (
     CotangentPole,
     LengthMismatch,
     NegativeEntry,
+    NonFinite,
     SeparationTooSmall,
 )
 from hilbertlab.lowerbound import maximize_g, periodize, toroidal_gaps
@@ -104,6 +105,28 @@ class TestTrigConfig:
         ])
         assert np.array_equal(cfg.gaps, brute)
         assert np.array_equal(toroidal_gaps(pts), brute)
+
+
+class TestNonFiniteInput:
+    """Inputs that once flowed through as NaN now raise."""
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_trig_config_rejects_non_finite(self, bad):
+        with pytest.raises(NonFinite):
+            trig_config([0.1, bad], [1.0, 1.0])
+        with pytest.raises(NonFinite):
+            trig_config([0.1, 0.5], [1.0, bad])
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_construction_config_rejects_non_finite_u(self, bad):
+        with pytest.raises(NonFinite):
+            construction_config(5, 0.14, 20, bad)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_g_of_u_rejects_non_finite(self, bad):
+        for args in ((0.2, 0.1, bad), (bad, 0.1, 0.2), (0.2, bad, 0.2)):
+            with pytest.raises(NonFinite):
+                g_of_u(*args)
 
 
 class TestTrigFormValue:

@@ -11,6 +11,7 @@ from hilbertlab import (
     generate_cluster,
     generate_random,
     generate_uniform,
+    WeightVector,
     new_gap_sequence,
     q_alpha,
     top_eigen_nonneg_sym,
@@ -407,6 +408,14 @@ class TestNonFiniteInput:
         seq = new_gap_sequence([0.0, 1e-200, 2e-200, 1.0])
         with pytest.raises(NonFinite):
             q_alpha(seq, [1.0, 1.0], 1.0)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_non_finite_weights_raise(self, bad):
+        # a NaN weight passed the negativity check and made Q_alpha NaN
+        with pytest.raises(NonFinite):
+            WeightVector([1.0, bad])
+        with pytest.raises(NonFinite):
+            q_alpha(generate_uniform(3, 1.0), [1.0, bad, 1.0], 1.0)
 
 
 class TestEstimateConstant:

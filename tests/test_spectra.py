@@ -20,7 +20,13 @@ from hilbertlab import (
     two_forms_bound,
 )
 from hilbertlab import quadforms, spectra, suites
-from hilbertlab.errors import LengthMismatch, NoConvergence, NonpositiveWeight, ZeroSpectrum
+from hilbertlab.errors import (
+    LengthMismatch,
+    NoConvergence,
+    NonFinite,
+    NonpositiveWeight,
+    ZeroSpectrum,
+)
 from hilbertlab.quadforms import alpha_form_matrix
 from hilbertlab.spectra import bilinear_form, pair_residual, s_and_t
 
@@ -73,6 +79,12 @@ class TestBuildH:
             build_h(seq, weights=[1.0, 0.0, 1.0])
         with pytest.raises(LengthMismatch):
             build_h(seq, weights=[1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_rejects_non_finite_weights(self, bad):
+        # a NaN weight passed the c <= 0 guard and filled H with NaN
+        with pytest.raises(NonFinite):
+            build_h(generate_uniform(3, 1.0), weights=[1.0, bad, 1.0])
 
 
 class TestSpectralRadius:
@@ -311,8 +323,8 @@ class TestNumericalRadius:
 
         monkeypatch.setattr(spectra, "spectral_radius", counting)
         monkeypatch.setattr(suites, "spectral_radius", counting)
-        records = suites.suite_radius(trials=5, seed=1, schur_n=20)
-        assert sizes == [20]
+        records = suites.suite_radius(trials=5, seed=1)
+        assert sizes == [2000]
         assert len(records) == 5 * 3 + 2
 
 
