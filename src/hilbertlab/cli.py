@@ -16,7 +16,6 @@ from .errors import IoError, NoConvergence
 from .gaps import generate_cluster, generate_random, generate_uniform
 from .lowerbound import big_g, scan
 from .quadforms import estimate_constant
-from .reports import RunReport
 from .search import generate_trig_periodized, search_constant
 from .spectra import preissmann_chain
 from .suites import ALL_SUITES, DEFAULT_MAX_N, MAX_N_SUITES, run_suites
@@ -43,6 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", parents=[seeded, to_csv, as_json],
                               help="run inequality/identity suites")
+    p_verify.set_defaults(run=_run_verify)
     p_verify.add_argument("--suite", choices=[*ALL_SUITES, "all"], default="all")
     p_verify.add_argument("--trials", type=int, default=100)
     p_verify.add_argument("--max-n", type=int, default=None, dest="max_n",
@@ -51,6 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_const = sub.add_parser("constant", parents=[seeded, as_json],
                              help="estimate the constant at fixed size")
+    p_const.set_defaults(run=_run_constant)
     p_const.add_argument("--alpha", type=float, required=True)
     p_const.add_argument("--n", type=int, required=True)
     # defaults of the flags that apply only with or only without --search
@@ -58,10 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--config", choices=["uniform", "cluster", "random", "trig"],
                          default=None, help="window to solve (default uniform); "
                                             "rejected with --search")
-    p_const.add_argument("--spacing", type=float, default=None,
-                         help="uniform spacing (default 1.0); rejected with --search")
-    p_const.add_argument("--min-gap", type=float, default=None, dest="min_gap",
-                         help="random gap floor (default 0.2); rejected with --search")
     p_const.add_argument("--search", action="store_true",
                          help="heuristic hill climb over gap configurations")
     p_const.add_argument("--restarts", type=int, default=None,
@@ -69,19 +66,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--rounds", type=int, default=None,
                          help="climb rounds per start (default 200); only with --search")
 
-    sub.add_parser("preissmann", parents=[as_json], help="the quadratic-chain upper bounds")
+    sub.add_parser("preissmann", parents=[as_json],
+                   help="the quadratic-chain upper bounds").set_defaults(run=_run_preissmann)
 
     p_lower = sub.add_parser("lower-bound", parents=[to_csv, as_json],
                              help="torus construction bounds")
+    p_lower.set_defaults(run=_run_lower_bound)
     group = p_lower.add_mutually_exclusive_group(required=True)
     group.add_argument("--point", nargs=2, metavar=("K", "A"),
                        help="evaluate one construction point")
     group.add_argument("--scan", nargs=3, type=int, metavar=("KMIN", "KMAX", "STEPS"),
                        help="grid scan over K and the offset fraction")
 
+    # figure's --out default is filled in by _run_figure: the parents share
+    # one --out action, so a subparser default would leak into the others
     sub.add_parser("figure", parents=[to_csv, as_json],
                    help=f"alias for the K={FIGURE_KMIN}..{FIGURE_KMAX} scan on a "
-                        f"{FIGURE_STEPS}-point grid")
+                        f"{FIGURE_STEPS}-point grid").set_defaults(run=_run_figure)
     return parser
 
 
@@ -127,7 +128,7 @@ def write_csv(columns: dict[str, list], path: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _run_verify(args) -> tuple[RunReport, int]:
+def _run_verify(args) -> tuple[dict, list, int]:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if args.max_n is not None and args.suite not in (*MAX_N_SUITES, "all"):
@@ -138,39 +139,37 @@ def _run_verify(args) -> tuple[RunReport, int]:
     max_n = DEFAULT_MAX_N if args.max_n is None else args.max_n
     names = ALL_SUITES if args.suite == "all" else (args.suite,)
     records = run_suites(names, trials=args.trials, max_n=max_n, seed=args.seed)
-    # a run that checked nothing must not report a pass
-    all_hold = bool(records) and all(r["holds"] for r in records)
-    report = RunReport("verify", params={"suite": args.suite, "trials": args.trials,
-                                         "max_n": max_n, "seed": args.seed},
-                       results=records, all_hold=all_hold)
     if args.out:
         write_csv({key: [r[key] for r in records] for key in (records[0] if records else ())},
                   args.out)
-    return report, 0 if all_hold else 1
+    params = {"suite": args.suite, "trials": args.trials, "max_n": max_n, "seed": args.seed}
+    # a run that checked nothing must not report a pass
+    return params, records, 0 if records and all(r["holds"] for r in records) else 1
 
 
 # constant's flags that act only without --search (the start window) and
 # only with it (the climb), each with its default
-WINDOW_FLAGS = {"config": "uniform", "spacing": 1.0, "min_gap": 0.2}
+WINDOW_FLAGS = {"config": "uniform"}
 SEARCH_FLAGS = {"restarts": 3, "rounds": 200}
 
 
 def _build_config(args):
+    # the kernel is invariant under lam -> s lam, so a window's scale selects
+    # nothing: uniform has unit spacing and random draws its gaps from [0.2, 2]
     if args.config == "uniform":
-        return generate_uniform(args.n, args.spacing)
+        return generate_uniform(args.n, 1.0)
     if args.config == "cluster":
         return generate_cluster(args.n)
     if args.config == "trig":
         return generate_trig_periodized(args.n)
-    return generate_random(args.n, args.min_gap, args.seed)
+    return generate_random(args.n, 0.2, args.seed)
 
 
-def _run_constant(args) -> tuple[RunReport, int]:
+def _run_constant(args) -> tuple[dict, list, int]:
     # a flag the run ignores would echo a setting that was never used
     for name in WINDOW_FLAGS if args.search else SEARCH_FLAGS:
         if getattr(args, name) is not None:
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} has no effect {'with' if args.search else 'without'} "
+            raise ValueError(f"--{name} has no effect {'with' if args.search else 'without'} "
                              f"--search")
     for name, default in {**WINDOW_FLAGS, **SEARCH_FLAGS}.items():
         if getattr(args, name) is None:
@@ -191,27 +190,24 @@ def _run_constant(args) -> tuple[RunReport, int]:
     uses_seed = args.search or args.config == "random"
     params = {"alpha": args.alpha, "n": args.n, "config": args.config,
               "seed": args.seed if uses_seed else None, "search": bool(args.search)}
-    return RunReport("constant", params=params, results=[record]), 0
+    return params, [record], 0
 
 
-def _run_preissmann(args) -> tuple[RunReport, int]:
+def _run_preissmann(args) -> tuple[dict, list, int]:
     chain = preissmann_chain()
     residual = chain.c3_upper ** 2 - chain.t_coeff * chain.c3_upper - chain.s_coeff
     record = {"s_coeff": chain.s_coeff, "t_coeff": chain.t_coeff,
               "c3_upper": chain.c3_upper, "c1_upper": chain.c1_upper,
               "root_residual": residual}
-    return RunReport("preissmann", params={}, results=[record]), 0
+    return {}, [record], 0
 
 
-def _run_scan(command: str, args, k_min: int, k_max: int, steps: int) -> tuple[RunReport, int]:
+def _run_scan(out: str | None, k_min: int, k_max: int, steps: int) -> tuple[dict, list, int]:
     table = scan(k_min, k_max, steps)
     columns = dict(zip(SCAN_FIELDS, (c.tolist() for c in (
         table.k, table.x, table.a, table.b, table.kappa0, table.kappa1, table.u_star,
         table.g_value))))
     best = dict({name: column[table.best] for name, column in columns.items()}, argmax=True)
-    out = args.out
-    if command == "figure" and out is None:
-        out = "figure1.csv"
     if out:
         write_csv({name: column for name, column in columns.items() if name != "B"}, out)
         results = [best]
@@ -220,10 +216,15 @@ def _run_scan(command: str, args, k_min: int, k_max: int, steps: int) -> tuple[R
     params = {"k_min": k_min, "k_max": k_max, "steps": steps, "rows": table.k.size}
     if out:
         params["out"] = out
-    return RunReport(command, params=params, results=results), 0
+    return params, results, 0
 
 
-def _run_lower_bound(args) -> tuple[RunReport, int]:
+def _run_figure(args) -> tuple[dict, list, int]:
+    out = "figure1.csv" if args.out is None else args.out
+    return _run_scan(out, FIGURE_KMIN, FIGURE_KMAX, FIGURE_STEPS)
+
+
+def _run_lower_bound(args) -> tuple[dict, list, int]:
     if args.point:
         if args.out is not None:
             raise ValueError("--out has no effect with --point")
@@ -232,18 +233,8 @@ def _run_lower_bound(args) -> tuple[RunReport, int]:
         res = big_g(k, a)
         record = dict(zip(SCAN_FIELDS, (k, a * (k + 1), res.a, res.b, res.kappa0, res.kappa1,
                                         res.u_star, res.g_value)))
-        return RunReport("lower-bound", params={"point": [k, a]}, results=[record]), 0
-    k_min, k_max, steps = args.scan
-    return _run_scan("lower-bound", args, k_min, k_max, steps)
-
-
-def _emit(report: RunReport, as_lines: bool) -> None:
-    payload = report.to_dict()
-    if as_lines:
-        summary = {key: payload[key] for key in ("command", "params", "all_hold", "elapsed_ms")}
-        print(to_json_lines([*payload["results"], summary]))
-    else:
-        print(to_json(payload))
+        return {"point": [k, a]}, [record], 0
+    return _run_scan(args.out, *args.scan)
 
 
 def dispatch(argv: list[str]) -> int:
@@ -254,22 +245,20 @@ def dispatch(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     start = time.perf_counter()
     try:
-        if args.command == "verify":
-            report, code = _run_verify(args)
-        elif args.command == "constant":
-            report, code = _run_constant(args)
-        elif args.command == "preissmann":
-            report, code = _run_preissmann(args)
-        elif args.command == "lower-bound":
-            report, code = _run_lower_bound(args)
-        else:
-            report, code = _run_scan("figure", args, FIGURE_KMIN, FIGURE_KMAX, FIGURE_STEPS)
+        params, results, code = args.run(args)
     except (ValueError, OSError, NoConvergence, MemoryError) as exc:
         # a run too large to allocate is a usage error, not a failing verdict
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
-    report.elapsed_ms = int(round((time.perf_counter() - start) * 1000))
-    _emit(report, args.json)
+    report = {"command": args.command, "params": params, "results": results,
+              "all_hold": code == 0,
+              "elapsed_ms": int(round((time.perf_counter() - start) * 1000))}
+    if args.json:
+        # JSON lines: one line per result, then the rest of the report
+        results = report.pop("results")
+        print(to_json_lines([*results, report]))
+    else:
+        print(to_json(report))
     return code
 
 

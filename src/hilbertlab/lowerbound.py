@@ -265,11 +265,14 @@ def maximize_g(kappa0, kappa1):
     For kappa_1 <= 0 that closed form would pick a negative u, so the
     supremum over u >= 0 degenerates to max(kappa_0, 1/3), attained at
     u = 0 or in the u -> infinity limit (reported as an inf sentinel).
-    Floats give floats; equal-length 1-D arrays give arrays.
+    Floats give floats; equal-length 1-D arrays give arrays. A NaN or
+    infinite kappa raises NonFinite.
     """
     given = np.asarray(kappa0, dtype=float)
     kappa0 = np.atleast_1d(given)
     kappa1 = np.atleast_1d(np.asarray(kappa1, dtype=float))
+    if not (np.all(np.isfinite(kappa0)) and np.all(np.isfinite(kappa1))):
+        raise NonFinite("kappa0 and kappa1 must be finite")
     third = 1.0 / 3.0
     low = kappa0 >= third
     u_star = np.where(low, 0.0, math.inf)

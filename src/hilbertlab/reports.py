@@ -1,50 +1,8 @@
-"""Report records shared by the verification sweeps and the CLI."""
+"""The verdict record shared by the verification sweeps and the CLI."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass(frozen=True)
-class CheckReport:
-    """One inequality/identity verdict in the common sweep-record shape."""
-
-    lemma: str
-    lhs: float
-    rhs: float
-    holds: bool
-    tail_bound: float = 0.0
-    seed: int = 0
-
-    def record(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "seed": int(self.seed),
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "holds": bool(self.holds),
-            "tail_bound": float(self.tail_bound),
-        }
-
-
-@dataclass
-class RunReport:
-    """Top-level result of one CLI invocation.
-
-    all_hold is the conjunction of every boolean verdict in results (an
-    empty conjunction for pure computation commands).
-    """
-
-    command: str
-    params: dict = field(default_factory=dict)
-    results: list = field(default_factory=list)
-    all_hold: bool = True
-    elapsed_ms: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "params": self.params,
-            "results": self.results,
-            "all_hold": bool(self.all_hold),
-            "elapsed_ms": int(self.elapsed_ms),
-        }
+def record(lemma, lhs, rhs, holds, seed=0, tail_bound=0.0) -> dict:
+    """One inequality/identity verdict; its key order is the verify CSV's columns."""
+    return {"lemma": str(lemma), "seed": int(seed), "lhs": float(lhs), "rhs": float(rhs),
+            "holds": bool(holds), "tail_bound": float(tail_bound)}

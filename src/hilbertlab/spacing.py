@@ -29,7 +29,7 @@ from .errors import (
     SigmaOutOfRange,
 )
 from .gaps import GapSequence
-from .reports import CheckReport
+from .reports import record
 
 _ZETA_CUTOFF = 1_000_000
 _CHUNK = 1 << 20
@@ -100,7 +100,7 @@ def f_n_functional(x, sigma: float, n: int) -> float:
     return float(np.sum(mins * partial ** -sigma))
 
 
-def check_equidistance(a, sigma: float, seed: int = 0) -> CheckReport:
+def check_equidistance(a, sigma: float, seed: int = 0) -> dict:
     """Weighted sample sums against the integer lattice:
 
         sum_{k<=n} a_k lam_k^-sigma <= sum_{j<=floor(L)} j^-sigma + {L} (floor(L)+1)^-sigma
@@ -120,10 +120,10 @@ def check_equidistance(a, sigma: float, seed: int = 0) -> CheckReport:
     frac = total - floor_total
     rhs = _integer_weight_sum(sigma, floor_total) \
         + frac * float((np.array([floor_total + 1.0]) ** -sigma)[0])
-    return CheckReport("equidistance", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
+    return record("equidistance", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
 
 
-def check_smoothing_monovariant(a, nu: int, eps: float, sigma: float, seed: int = 0) -> CheckReport:
+def check_smoothing_monovariant(a, nu: int, eps: float, sigma: float, seed: int = 0) -> dict:
     """Raising a_nu by eps <= a_{nu-1} - a_nu cannot decrease F_n, n = len(a) - 1."""
     sigma = _check_sigma(sigma)
     a = _finite_entries(a)
@@ -138,16 +138,16 @@ def check_smoothing_monovariant(a, nu: int, eps: float, sigma: float, seed: int 
     b[nu - 1] += eps
     lhs = f_n_functional(a, sigma, a.size - 1)
     rhs = f_n_functional(b, sigma, a.size - 1)
-    return CheckReport("smoothing-monovariant", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
+    return record("smoothing-monovariant", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
 
 
-def check_fn_upper(a, sigma: float, seed: int = 0) -> CheckReport:
+def check_fn_upper(a, sigma: float, seed: int = 0) -> dict:
     """F_n(a), n = len(a) - 1, never exceeds zeta(sigma) = sum_{j>=1} j^-sigma."""
     sigma = _check_sigma(sigma)
     a = np.asarray(a, dtype=float)
     lhs = f_n_functional(a, sigma, a.size - 1)    # rejects a non-finite entry first
     rhs = zeta(sigma)
-    return CheckReport("fn-upper", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
+    return record("fn-upper", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
 
 
 def spacing_sum(seq: GapSequence, ell: int, sigma: float, window: int) -> float:
@@ -171,7 +171,7 @@ def spacing_sum(seq: GapSequence, ell: int, sigma: float, window: int) -> float:
     return float(np.sum(seq.deltas[idx] / dist ** sigma))
 
 
-def spacing_bound_report(seq: GapSequence, ell: int, sigma: float, seed: int = 0) -> CheckReport:
+def spacing_bound_report(seq: GapSequence, ell: int, sigma: float, seed: int = 0) -> dict:
     """Check the 2*zeta(sigma)/delta^(sigma-1) spacing bound at one index,
     summing over the whole window.
 
@@ -186,11 +186,11 @@ def spacing_bound_report(seq: GapSequence, ell: int, sigma: float, seed: int = 0
     centre = seq.active[ell - 1]
     tail = ((centre - seq.nodes[0]) ** (1 - sigma) / (sigma - 1)
             + (seq.nodes[-1] - centre) ** (1 - sigma) / (sigma - 1))
-    return CheckReport("preissmann-spacing", lhs, rhs, lhs <= rhs + 1e-12,
-                       tail_bound=tail, seed=seed)
+    return record("preissmann-spacing", lhs, rhs, lhs <= rhs + 1e-12,
+                  seed=seed, tail_bound=tail)
 
 
-def pair_spacing_sum(seq: GapSequence, ell: int, m: int, seed: int = 0) -> CheckReport:
+def pair_spacing_sum(seq: GapSequence, ell: int, m: int, seed: int = 0) -> dict:
     """Two-point spacing bound over the whole window:
 
         sum_{k != ell, m} delta_k / ((lam_k-lam_ell)^2 (lam_k-lam_m)^2)
@@ -212,7 +212,7 @@ def pair_spacing_sum(seq: GapSequence, ell: int, m: int, seed: int = 0) -> Check
     sep2 = (lam[ell - 1] - lam[m - 1]) ** 2
     rhs = math.pi ** 2 * (d_ell + d_m) / (3.0 * d_ell * d_m * sep2) \
         - 3.0 * (d_ell + d_m) / sep2 ** 2
-    return CheckReport("pair-spacing", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
+    return record("pair-spacing", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
 
 
 def shan_split(seq: GapSequence, ell: int, sigma: float) -> tuple[float, float]:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import LengthMismatch, NonFinite, NonpositiveWeight, ZeroSpectrum
 from .gaps import GapSequence
 from .quadforms import _certify, _reflection_blocks, _reflection_lift, _top_eigen
-from .reports import CheckReport
+from .reports import record
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
 
@@ -179,6 +179,8 @@ def check_selberg_identity(h: SkewHilbertMatrix, pair: ComplexEigenpair) -> Selb
 def two_forms_bound(c3: float) -> float:
     """The weighted-inequality constant implied by a positive-form constant:
     sqrt(pi^2/3 + 2*c3)."""
+    if not math.isfinite(c3):
+        raise NonFinite(f"c3 must be finite, got {c3}")
     if c3 < 0:
         raise ValueError(f"c3 must be nonnegative, got {c3}")
     return math.sqrt(PI2_OVER_3 + 2.0 * c3)
@@ -209,7 +211,7 @@ def bilinear_form(h: SkewHilbertMatrix, z_re, z_im) -> float:
 
 
 def numerical_radius_check(h: SkewHilbertMatrix, trials: int, seed: int = 0,
-                           rho: float | None = None) -> list[CheckReport]:
+                           rho: float | None = None) -> list[dict]:
     """Check |B(z)| <= rho * sum |z_n|^2 and its c_n-normalized variant on
     `trials` seeded random complex vectors z = zr + i zi, record seed + k
     for the k-th. `rho` defaults to spectral_radius(h); a caller that has
@@ -218,19 +220,19 @@ def numerical_radius_check(h: SkewHilbertMatrix, trials: int, seed: int = 0,
     if rho is None:
         rho = spectral_radius(h)
     rng = np.random.default_rng(seed)
-    reports = []
+    records = []
     for k in range(trials):
         zr, zi = rng.standard_normal(h.n), rng.standard_normal(h.n)
         lhs = bilinear_form(h, zr, zi)
         rhs = rho * float(zr @ zr + zi @ zi)
-        reports.append(CheckReport("numerical-radius", lhs, rhs,
-                                   lhs <= rhs + 1e-9 * (1.0 + rhs), seed=seed + k))
+        records.append(record("numerical-radius", lhs, rhs,
+                              lhs <= rhs + 1e-9 * (1.0 + rhs), seed=seed + k))
         wr, wi = zr / h.weights, zi / h.weights
         lhs2 = bilinear_form(h, wr, wi)
         rhs2 = rho * float(wr @ wr + wi @ wi)
-        reports.append(CheckReport("numerical-radius-normalized", lhs2, rhs2,
-                                   lhs2 <= rhs2 + 1e-9 * (1.0 + rhs2), seed=seed + k))
-    return reports
+        records.append(record("numerical-radius-normalized", lhs2, rhs2,
+                              lhs2 <= rhs2 + 1e-9 * (1.0 + rhs2), seed=seed + k))
+    return records
 
 
 def s_and_t(h: SkewHilbertMatrix, pair: ComplexEigenpair) -> tuple[float, float]:

@@ -26,7 +26,7 @@ from .lowerbound import (
     trig_form_value,
 )
 from .quadforms import cluster_lower_bound, estimate_constant, q_alpha
-from .reports import CheckReport
+from .reports import record
 from .spacing import (
     check_equidistance,
     check_fn_upper,
@@ -59,11 +59,6 @@ PAIR_SPACING_MAX_N = 10
 ALPHA_MAX_N = 25
 
 
-def _rec(lemma, lhs, rhs, holds, seed=0, tail=0.0) -> dict:
-    return CheckReport(lemma, float(lhs), float(rhs), bool(holds),
-                       tail_bound=float(tail), seed=int(seed)).record()
-
-
 def _random_seq(seed: int, max_n: int, min_n: int = 3) -> GapSequence:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(min_n, max_n + 1))
@@ -86,8 +81,8 @@ def suite_selberg(trials: int = 100, max_n: int = 12, seed: int = 0) -> list[dic
     def one(i: int) -> dict:
         s = seed + i
         rep = check_selberg_identity(*_random_h(s, max_n))
-        return _rec("selberg-identity", rep.max_rel_residual, 1e-8,
-                    rep.max_rel_residual < 1e-8, seed=s)
+        return record("selberg-identity", rep.max_rel_residual, 1e-8,
+                      rep.max_rel_residual < 1e-8, seed=s)
 
     return parallel_map(one, range(trials))
 
@@ -102,8 +97,7 @@ def suite_spacing(trials: int = 100, seed: int = 0) -> list[dict]:
         rng = np.random.default_rng(s + 10**6)
         ell = int(rng.integers(1, seq.n + 1))
         return [spacing_bound_report(seq, ell, sigma, seed=s)
-                .record() | {"lemma": f"preissmann-spacing-sigma{sigma:g}"}
-                for sigma in SIGMAS]
+                | {"lemma": f"preissmann-spacing-sigma{sigma:g}"} for sigma in SIGMAS]
 
     for chunk in parallel_map(spacing_case, range(trials)):
         records.extend(chunk)
@@ -113,23 +107,23 @@ def suite_spacing(trials: int = 100, seed: int = 0) -> list[dict]:
     window = 10**6
     useq = generate_uniform(2 * window + 1, 1.0)
     uval = spacing_sum(useq, window + 1, 2.0, window)
-    records.append(_rec("spacing-uniform-window", abs(uval - PI2_OVER_3), 3e-6,
-                        abs(uval - PI2_OVER_3) < 3e-6, seed=seed, tail=2.0 / window))
+    records.append(record("spacing-uniform-window", abs(uval - PI2_OVER_3), 3e-6,
+                          abs(uval - PI2_OVER_3) < 3e-6, seed=seed, tail_bound=2.0 / window))
 
     def other_cases(i: int) -> list[dict]:
         s = seed + i
         rng = np.random.default_rng(s + 2 * 10**6)
         out = []
         a = rng.uniform(1.0, 5.0, int(rng.integers(2, 31)))
-        out.append(check_equidistance(a, 3.0, seed=s).record())
+        out.append(check_equidistance(a, 3.0, seed=s))
         a2 = rng.uniform(1.0, 5.0, int(rng.integers(3, 31)))
         if not a2[0] > a2[1]:
             a2[0], a2[1] = a2[1] + 0.5, a2[0]
         eps = float(rng.uniform(0.05, 1.0)) * (a2[0] - a2[1])
-        out.append(check_smoothing_monovariant(a2, 2, eps, 2.0, seed=s).record())
+        out.append(check_smoothing_monovariant(a2, 2, eps, 2.0, seed=s))
         a3 = rng.uniform(0.2, 4.0, int(rng.integers(2, 31)))
         a3[0] = 1.0 + float(rng.uniform(0.0, 3.0))
-        out.append(check_fn_upper(a3, 2.0, seed=s).record())
+        out.append(check_fn_upper(a3, 2.0, seed=s))
         return out
 
     for chunk in parallel_map(other_cases, range(trials)):
@@ -145,7 +139,7 @@ def suite_spacing(trials: int = 100, seed: int = 0) -> list[dict]:
         combined = seq.delta(ell) ** (sigma - 1) * spacing_sum(seq, ell, sigma, seq.n)
         rel = abs(fa + fb - combined) / max(combined, 1e-300)
         one_sided = fa <= zeta(sigma) + 1e-12 and fb <= zeta(sigma) + 1e-12
-        return _rec("shan-chain", rel, 1e-10, rel < 1e-10 and one_sided, seed=s)
+        return record("shan-chain", rel, 1e-10, rel < 1e-10 and one_sided, seed=s)
 
     records.extend(parallel_map(shan_case, range(min(trials, 100))))
     return records
@@ -164,9 +158,9 @@ def suite_pair_spacing(trials: int = 100, seed: int = 0) -> list[dict]:
         for ell in range(1, seq.n + 1):
             for m in range(ell + 1, seq.n + 1):
                 rep = pair_spacing_sum(seq, ell, m, seed=s)
-                worst = max(worst, rep.lhs - rep.rhs)
-                ok = ok and rep.holds
-        return _rec("pair-spacing", worst, 0.0, ok, seed=s)
+                worst = max(worst, rep["lhs"] - rep["rhs"])
+                ok = ok and rep["holds"]
+        return record("pair-spacing", worst, 0.0, ok, seed=s)
 
     return parallel_map(one, range(trials))
 
@@ -180,11 +174,10 @@ def suite_radius(trials: int = 100, max_n: int = 12, seed: int = 0) -> list[dict
         s = seed + i
         h, pair = _random_h(s, max_n)
         rho = pair.mu
-        out = [r.record() for r in
-               numerical_radius_check(h, trials=1, seed=s, rho=rho)]
+        out = numerical_radius_check(h, trials=1, seed=s, rho=rho)
         lhs = bilinear_form(h, pair.u_re, pair.u_im)
-        out.append(_rec("numerical-radius-extremal", lhs, rho,
-                        abs(lhs - rho) <= 1e-9 * (1.0 + rho), seed=s))
+        out.append(record("numerical-radius-extremal", lhs, rho,
+                          abs(lhs - rho) <= 1e-9 * (1.0 + rho), seed=s))
         return out
 
     for chunk in parallel_map(one, range(trials)):
@@ -192,8 +185,8 @@ def suite_radius(trials: int = 100, max_n: int = 12, seed: int = 0) -> list[dict
 
     seq = generate_uniform(2000, 1.0)
     rho = spectral_radius(build_h(seq, np.ones(2000)))
-    records.append(_rec("schur-floor", rho, math.pi - 0.05, rho > math.pi - 0.05, seed=seed))
-    records.append(_rec("schur-ceiling", rho, math.pi, rho <= math.pi + 1e-9, seed=seed))
+    records.append(record("schur-floor", rho, math.pi - 0.05, rho > math.pi - 0.05, seed=seed))
+    records.append(record("schur-ceiling", rho, math.pi, rho <= math.pi + 1e-9, seed=seed))
     return records
 
 
@@ -218,13 +211,13 @@ def suite_chain(trials: int = 20, seed: int = 0) -> list[dict]:
         s_val, t_val = s_and_t(h, pair)
         rho = pair.mu
         return [
-            _rec("s-bound", s_val, PI2_OVER_3, s_val <= PI2_OVER_3 + 1e-9, seed=s),
-            _rec("mu-chain", rho ** 2, s_val + 2.0 * t_val,
-                 rho ** 2 <= s_val + 2.0 * t_val + 1e-8, seed=s),
-            _rec("mv2-proven", rho, two_forms_bound(chain.c3_upper),
-                 rho <= two_forms_bound(chain.c3_upper) + 1e-9, seed=s),
+            record("s-bound", s_val, PI2_OVER_3, s_val <= PI2_OVER_3 + 1e-9, seed=s),
+            record("mu-chain", rho ** 2, s_val + 2.0 * t_val,
+                   rho ** 2 <= s_val + 2.0 * t_val + 1e-8, seed=s),
+            record("mv2-proven", rho, two_forms_bound(chain.c3_upper),
+                   rho <= two_forms_bound(chain.c3_upper) + 1e-9, seed=s),
             # informational: how much cancellation the chain discards
-            _rec("chain-gap", s_val + 2.0 * t_val - rho ** 2, 0.0, True, seed=s),
+            record("chain-gap", s_val + 2.0 * t_val - rho ** 2, 0.0, True, seed=s),
         ]
 
     for chunk in parallel_map(one, _chain_configs(trials, seed)):
@@ -250,14 +243,14 @@ def suite_alpha(trials: int = 20, seed: int = 0) -> list[dict]:
         for a in grid:
             diff = abs(values[a] - values[2.0 - a])
             cap = 1e-11 * max(1.0, values[a])
-            records.append(_rec(f"alpha-symmetry-{a:g}", diff, cap, diff <= cap, seed=s))
+            records.append(record(f"alpha-symmetry-{a:g}", diff, cap, diff <= cap, seed=s))
         for lo, hi in zip(grid[:-1], grid[1:]):
-            records.append(_rec(f"alpha-monotone-{lo:g}-{hi:g}", values[hi], values[lo],
-                                values[hi] <= values[lo] + 1e-10, seed=s))
-        records.append(_rec("alpha-pi2over3-at-1", values[1.0], PI2_OVER_3,
-                            values[1.0] <= PI2_OVER_3 + 1e-9, seed=s))
-        records.append(_rec("alpha-crude-bound", max(values.values()), seq.n - 1,
-                            max(values.values()) <= seq.n - 1 + 1e-9, seed=s))
+            records.append(record(f"alpha-monotone-{lo:g}-{hi:g}", values[hi], values[lo],
+                                  values[hi] <= values[lo] + 1e-10, seed=s))
+        records.append(record("alpha-pi2over3-at-1", values[1.0], PI2_OVER_3,
+                              values[1.0] <= PI2_OVER_3 + 1e-9, seed=s))
+        records.append(record("alpha-crude-bound", max(values.values()), seq.n - 1,
+                              max(values.values()) <= seq.n - 1 + 1e-9, seed=s))
 
         rng = np.random.default_rng(s + 5 * 10**6)
         t = rng.uniform(0.0, 1.0, seq.n)
@@ -269,20 +262,20 @@ def suite_alpha(trials: int = 20, seed: int = 0) -> list[dict]:
             mid = theta * a1 + (1 - theta) * a2
             lhs = q_alpha(seq, t, mid)
             rhs = q_alpha(seq, t, a1) ** theta * q_alpha(seq, t, a2) ** (1 - theta)
-            records.append(_rec("alpha-hoelder", lhs, rhs, lhs <= rhs + 1e-10, seed=s))
+            records.append(record("alpha-hoelder", lhs, rhs, lhs <= rhs + 1e-10, seed=s))
 
         ext = new_gap_sequence(np.append(seq.nodes, seq.nodes[-1] + (seq.nodes[-1] - seq.nodes[-2])))
         for a in (0.0, 1.0):
             v1 = values[a]
             v2 = estimate_constant(a, ext).value
-            records.append(_rec(f"alpha-n-monotone-{a:g}", v1, v2, v2 >= v1 - 1e-10, seed=s))
+            records.append(record(f"alpha-n-monotone-{a:g}", v1, v2, v2 >= v1 - 1e-10, seed=s))
 
     ratio = cluster_lower_bound(0.0, 400) / cluster_lower_bound(0.0, 100)
-    records.append(_rec("cluster-growth-alpha0", ratio, 1.8, ratio >= 1.8, seed=seed))
+    records.append(record("cluster-growth-alpha0", ratio, 1.8, ratio >= 1.8, seed=seed))
     for a in (0.0, 0.5, 1.0):
         est = estimate_constant(a, generate_cluster(30)).value
         low = cluster_lower_bound(a, 30)
-        records.append(_rec(f"cluster-dominates-{a:g}", low, est, est >= low - 1e-9, seed=seed))
+        records.append(record(f"cluster-dominates-{a:g}", low, est, est >= low - 1e-9, seed=seed))
     return records
 
 
@@ -308,14 +301,14 @@ def suite_trig(trials: int = 20, seed: int = 0) -> list[dict]:
         trig_side = trig_form_value(cfg)
         g1 = abs(periodized_equivalence_check(cfg, 50, trig_side).gap)
         g2 = abs(periodized_equivalence_check(cfg, 100, trig_side).gap)
-        return _rec("periodized-shrink", g2, g1, g2 < g1, seed=s)
+        return record("periodized-shrink", g2, g1, g2 < g1, seed=s)
 
     records.extend(parallel_map(equiv_case, range(trials)))
 
     ref = trig_config([0.0, 0.5], [1.0, 1.0])
     rep = periodized_equivalence_check(ref, 200)
     rel = abs(rep.gap) / rep.trig_side
-    records.append(_rec("periodized-m2-k200", rel, 0.02, rel < 0.02, seed=seed))
+    records.append(record("periodized-m2-k200", rel, 0.02, rel < 0.02, seed=seed))
 
     for b in (0.3, 0.5, 0.7):
         def resid(ll: int) -> float:
@@ -323,21 +316,21 @@ def suite_trig(trials: int = 20, seed: int = 0) -> list[dict]:
                     + ll * ll * math.log(ll) / (math.pi ** 2 * b * b)) / ll ** 2
         r1, r2 = resid(1000), resid(2000)
         var = abs(r2 / r1 - 1.0)
-        records.append(_rec(f"l-sum-residual-b{b:g}", var, 0.05, var < 0.05, seed=seed))
+        records.append(record(f"l-sum-residual-b{b:g}", var, 0.05, var < 0.05, seed=seed))
 
     cot = cot_limit_check(1, 0.25, 4000)
     rel = abs(cot.gap) / abs(cot.closed)
-    records.append(_rec("cot-limit-k1", rel, 1e-2, rel < 1e-2 and cot.shrinks, seed=seed))
+    records.append(record("cot-limit-k1", rel, 1e-2, rel < 1e-2 and cot.shrinks, seed=seed))
     cot5 = cot_limit_check(5, 0.14, 500)
-    records.append(_rec("cot-limit-shrinks", abs(cot5.gap_doubled), abs(cot5.gap),
-                        cot5.shrinks, seed=seed))
+    records.append(record("cot-limit-shrinks", abs(cot5.gap_doubled), abs(cot5.gap),
+                          cot5.shrinks, seed=seed))
 
     k0, k1 = kappas(5, 0.14)
     b5 = 1.0 - 6 * 0.14
     closed = cot_limit_check(5, 0.14, 10).closed
     implied = closed * math.sqrt(0.14 ** 3 * b5 / 5.0)
-    records.append(_rec("kappa1-consistency", abs(implied - k1), 1e-12 * max(1.0, k1),
-                        abs(implied - k1) <= 1e-12 * max(1.0, abs(k1)), seed=seed))
+    records.append(record("kappa1-consistency", abs(implied - k1), 1e-12 * max(1.0, k1),
+                          abs(implied - k1) <= 1e-12 * max(1.0, abs(k1)), seed=seed))
 
     def gap_case(i: int) -> dict:
         s = seed + 10**6 + i
@@ -348,7 +341,7 @@ def suite_trig(trials: int = 20, seed: int = 0) -> list[dict]:
             for j, p in enumerate(pts)
         ]) if cfg.m > 1 else np.array([1.0])
         exact = bool(np.all(cfg.gaps == brute)) and bool(np.all(toroidal_gaps(pts) == brute))
-        return _rec("torus-gaps", float(np.max(np.abs(cfg.gaps - brute))), 0.0, exact, seed=s)
+        return record("torus-gaps", float(np.max(np.abs(cfg.gaps - brute))), 0.0, exact, seed=s)
 
     records.extend(parallel_map(gap_case, range(min(trials, 50))))
 
@@ -357,17 +350,17 @@ def suite_trig(trials: int = 20, seed: int = 0) -> list[dict]:
     for shift in (0.123, 0.777):
         v1 = trig_form_value(trig_config(np.arange(8) / 8.0 + shift, np.full(8, 0.7)))
         rel = abs(v1 - v0) / v0
-        records.append(_rec("trig-rotation-invariance", rel, 1e-12, rel <= 1e-12, seed=seed))
+        records.append(record("trig-rotation-invariance", rel, 1e-12, rel <= 1e-12, seed=seed))
 
     res = big_g(5, 0.14)
     fin = trig_form_value(construction_config(5, 0.14, 1000, res.u_star)) / (1.0 + res.u_star ** 2)
     fin2 = trig_form_value(construction_config(5, 0.14, 2000, res.u_star)) / (1.0 + res.u_star ** 2)
-    records.append(_rec("construction-finite-cap", fin2, res.g_value + 5e-3,
-                        fin2 <= res.g_value + 5e-3 and fin2 > fin, seed=seed))
+    records.append(record("construction-finite-cap", fin2, res.g_value + 5e-3,
+                          fin2 <= res.g_value + 5e-3 and fin2 > fin, seed=seed))
 
     cap = (1.0 + math.sqrt(1.2)) / 3.0
     worst = float(scan(1, 25, 33).g_value.max())
-    records.append(_rec("lower-bound-soundness", worst, cap, worst <= cap + 1e-9, seed=seed))
+    records.append(record("lower-bound-soundness", worst, cap, worst <= cap + 1e-9, seed=seed))
     return records
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ import pytest
 import hilbertlab
 from hilbertlab.cli import build_parser, dispatch, write_csv
 from hilbertlab.errors import NoConvergence
+from hilbertlab.suites import ALL_SUITES, run_suites
 
 
 # sha256 of the scan CSVs as first released; the CSV contract keeps them fixed
@@ -82,16 +84,6 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --trials")
-
-    @pytest.mark.parametrize("min_gap", ("nan", "inf", "1e308"))
-    def test_constant_rejects_non_finite_min_gap(self, capsys, min_gap):
-        # numpy's uniform used to raise OverflowError out of generate_random
-        assert dispatch(["constant", "--alpha", "1", "--n", "5", "--config", "random",
-                         f"--min-gap={min_gap}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: min_gap")
-        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("flag", ("--restarts", "--rounds"))
     def test_search_rejects_negative_counts(self, capsys, flag):
@@ -184,12 +176,17 @@ class TestModuleEntryPoint:
         assert proc.stdout == "False\n"
 
     @pytest.mark.parametrize("spacing", ("1e-200", "1e300"))
-    def test_non_finite_kernel_prints_only_its_error_line(self, spacing):
-        # the kernel underflows (0/0) or overflows (inf/inf) at these scales
-        proc = run_module("constant", "--alpha", "1", "--n", "2", "--spacing", spacing)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == "error: alpha = 1.0 kernel has non-finite entries\n"
+    def test_non_finite_kernel_prints_only_its_error_line(self, capsys, monkeypatch, spacing):
+        # the kernel underflows (0/0) or overflows (inf/inf) at these scales;
+        # no flag sets the scale, so the window is swapped in
+        import hilbertlab.cli as cli
+
+        monkeypatch.setattr(cli, "generate_uniform",
+                            lambda n, _: hilbertlab.generate_uniform(n, float(spacing)))
+        assert dispatch(["constant", "--alpha", "1", "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alpha = 1.0 kernel has non-finite entries\n"
 
 
 class TestLowerBoundCommand:
@@ -288,6 +285,14 @@ class TestOutputContract:
         assert code == 0
         assert sha256(out_path) == VERIFY_ALL_CSV_SHA256
 
+    def test_record_shape(self):
+        # the verify CSV header and the JSON row template follow this order
+        records = run_suites(ALL_SUITES, trials=2, max_n=6, seed=0)
+        assert records
+        for rec in records:
+            assert list(rec) == ["lemma", "seed", "lhs", "rhs", "holds", "tail_bound"]
+            assert [type(v) for v in rec.values()] == [str, int, float, float, bool, float]
+
 
 class TestMaxN:
     @pytest.mark.parametrize("suite", ("spacing", "pair-spacing", "chain",
@@ -345,9 +350,7 @@ class TestConstantFlagsWithoutEffect:
     """A constant flag the run would ignore is a usage error, like --max-n."""
 
     @pytest.mark.parametrize("flags", (["--config", "random"], ["--config", "uniform"],
-                                       ["--spacing", "nan"], ["--spacing", "1.0"],
-                                       ["--min-gap", "0.5"],
-                                       ["--config", "random", "--min-gap", "0.5"]))
+                                       ["--config", "cluster"], ["--config", "trig"]))
     def test_window_flags_rejected_with_search(self, capsys, flags):
         assert dispatch(["constant", "--search", "--alpha", "0.5", "--n", "4", *flags]) == 2
         captured = capsys.readouterr()
@@ -367,7 +370,7 @@ class TestConstantFlagsWithoutEffect:
     @pytest.mark.parametrize("argv, params", (
         (["--alpha", "1", "--n", "3"],
          {"alpha": 1.0, "n": 3, "config": "uniform", "seed": None, "search": False}),
-        (["--alpha", "1", "--n", "3", "--config", "random", "--min-gap", "0.5", "--seed", "4"],
+        (["--alpha", "1", "--n", "3", "--config", "random", "--seed", "4"],
          {"alpha": 1.0, "n": 3, "config": "random", "seed": 4, "search": False}),
         (["--alpha", "0.5", "--n", "3", "--search", "--restarts", "1", "--rounds", "2"],
          {"alpha": 0.5, "n": 3, "config": "uniform", "seed": 0, "search": True}),
@@ -419,6 +422,9 @@ class TestFlagsWithoutEffect:
         ["lower-bound", "--point", "5", "0.14", "--seed", "3"],
         # each verdict keeps its own fixed tolerance; none is settable
         ["verify", "--suite", "selberg", "--trials", "2", "--tol", "1"],
+        # the kernel is scale invariant, so no window takes a scale
+        ["constant", "--alpha", "1", "--n", "3", "--spacing", "1.0"],
+        ["constant", "--alpha", "1", "--n", "3", "--config", "random", "--min-gap", "0.5"],
     ))
     def test_rejected_by_the_parser(self, capsys, monkeypatch, tmp_path, argv):
         monkeypatch.chdir(tmp_path)
@@ -441,6 +447,28 @@ class TestFlagsWithoutEffect:
                                       ["figure"]))
     def test_json_on_every_subcommand(self, argv):
         assert build_parser().parse_args([*argv, "--json"]).json is True
+
+
+class TestParserSurface:
+    """Each subcommand's option strings, in order; adding or retiring a flag
+    edits this table."""
+
+    OPTIONS = {
+        "verify": ["--seed", "--out", "--json", "--suite", "--trials", "--max-n"],
+        "constant": ["--seed", "--json", "--alpha", "--n", "--config", "--search",
+                     "--restarts", "--rounds"],
+        "preissmann": ["--json"],
+        "lower-bound": ["--out", "--json", "--point", "--scan"],
+        "figure": ["--out", "--json"],
+    }
+
+    def test_option_strings(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        surface = {name: [opt for action in p._actions for opt in action.option_strings
+                          if opt not in ("-h", "--help")]
+                   for name, p in sub.choices.items()}
+        assert surface == self.OPTIONS
 
 
 class TestBenchmarkCommands:

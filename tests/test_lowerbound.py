@@ -128,6 +128,14 @@ class TestNonFiniteInput:
             with pytest.raises(NonFinite):
                 g_of_u(*args)
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_maximize_g_rejects_non_finite(self, bad):
+        for args in ((bad, 0.1), (0.2, bad),
+                     (np.array([0.2, bad]), np.array([0.1, 0.1])),
+                     (np.array([0.2, 0.2]), np.array([0.1, bad]))):
+            with pytest.raises(NonFinite):
+                maximize_g(*args)
+
 
 class TestTrigFormValue:
     def test_single_point(self):

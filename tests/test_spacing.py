@@ -83,7 +83,7 @@ class TestFnFunctional:
         a = rng.uniform(0.2, 4.0, int(rng.integers(2, 40)))
         a[0] = 1.0 + rng.uniform(0.0, 3.0)
         rep = check_fn_upper(a, 2.0, seed=seed)
-        assert rep.holds
+        assert rep["holds"]
 
     def test_sharp_for_unit_sequence(self):
         # F_N(1,1,...) climbs to zeta(2) like 1/N
@@ -94,15 +94,15 @@ class TestFnFunctional:
 class TestEquidistance:
     def test_integer_equality_case(self):
         rep = check_equidistance(np.ones(3), 2.0)
-        assert rep.holds
-        assert rep.lhs == pytest.approx(rep.rhs, rel=1e-15)
+        assert rep["holds"]
+        assert rep["lhs"] == pytest.approx(rep["rhs"], rel=1e-15)
 
     def test_fractional_case(self):
         rep = check_equidistance([1.5, 1.5], 2.0)
         # direct evaluation of both sides
-        assert rep.lhs == pytest.approx(1.5 / 1.5 ** 2 + 1.5 / 3.0 ** 2, rel=1e-15)
-        assert rep.rhs == pytest.approx(1 + 1 / 4 + 1 / 9, rel=1e-15)
-        assert rep.holds
+        assert rep["lhs"] == pytest.approx(1.5 / 1.5 ** 2 + 1.5 / 3.0 ** 2, rel=1e-15)
+        assert rep["rhs"] == pytest.approx(1 + 1 / 4 + 1 / 9, rel=1e-15)
+        assert rep["holds"]
 
     def test_rejects_entries_below_one(self):
         with pytest.raises(ValueError):
@@ -116,15 +116,15 @@ class TestEquidistance:
     def test_random_sweep_cubic_weight(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.uniform(1.0, 5.0, int(rng.integers(2, 30)))
-        assert check_equidistance(a, 3.0, seed=seed).holds
+        assert check_equidistance(a, 3.0, seed=seed)["holds"]
 
 
 class TestSmoothingMonovariant:
     def test_basic_example(self):
         rep = check_smoothing_monovariant([2.0, 1.0, 1.0], 2, 1.0, 2.0)
-        assert rep.lhs == pytest.approx(1 / 4 + 1 / 9, rel=1e-15)
-        assert rep.rhs == pytest.approx(1 / 2 + 1 / 16, rel=1e-15)
-        assert rep.holds
+        assert rep["lhs"] == pytest.approx(1 / 4 + 1 / 9, rel=1e-15)
+        assert rep["rhs"] == pytest.approx(1 / 2 + 1 / 16, rel=1e-15)
+        assert rep["holds"]
 
     def test_rejects_zero_eps(self):
         with pytest.raises(EpsTooLarge):
@@ -146,7 +146,7 @@ class TestSmoothingMonovariant:
             a[0], a[1] = a[1] + 0.5, a[0]
         eps = float(rng.uniform(0.05, 1.0)) * (a[0] - a[1])
         rep = check_smoothing_monovariant(a, 2, eps, 2.0, seed=seed)
-        assert rep.holds
+        assert rep["holds"]
 
 
 class TestSpacingSum:
@@ -176,8 +176,8 @@ class TestSpacingSum:
         seq = generate_random(int(rng.integers(3, 40)), float(rng.uniform(0.05, 1.0)), seed)
         ell = int(rng.integers(1, seq.n + 1))
         rep = spacing_bound_report(seq, ell, sigma, seed=seed)
-        assert rep.holds
-        assert rep.tail_bound > 0
+        assert rep["holds"]
+        assert rep["tail_bound"] > 0
 
     def test_report_sums_the_whole_window(self):
         seq, ell, sigma = generate_random(8, 0.5, 3), 3, 2.5
@@ -185,8 +185,8 @@ class TestSpacingSum:
         tail = ((centre - seq.nodes[0]) ** (1 - sigma)
                 + (seq.nodes[-1] - centre) ** (1 - sigma)) / (sigma - 1)
         rep = spacing_bound_report(seq, ell, sigma)
-        assert rep.lhs == spacing_sum(seq, ell, sigma, seq.n)
-        assert rep.tail_bound == pytest.approx(tail, rel=1e-14)
+        assert rep["lhs"] == spacing_sum(seq, ell, sigma, seq.n)
+        assert rep["tail_bound"] == pytest.approx(tail, rel=1e-14)
 
     @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0])
     def test_shan_split_reassembles_spacing_sum(self, sigma):
@@ -202,17 +202,17 @@ class TestSpacingSum:
 class TestPairSpacing:
     def test_uniform_adjacent_pair(self):
         rep = pair_spacing_sum(generate_uniform(50, 1.0), 1, 2)
-        assert rep.rhs == pytest.approx(2 * math.pi ** 2 / 3 - 6, rel=1e-14)
-        assert rep.lhs < rep.rhs
-        assert rep.holds
+        assert rep["rhs"] == pytest.approx(2 * math.pi ** 2 / 3 - 6, rel=1e-14)
+        assert rep["lhs"] < rep["rhs"]
+        assert rep["holds"]
 
     @pytest.mark.parametrize("s", [0.1, 1.0, 10.0])
     def test_scale_homogeneity(self, s):
         base = pair_spacing_sum(generate_uniform(40, 1.0), 3, 7)
         scaled = pair_spacing_sum(generate_uniform(40, s), 3, 7)
-        assert scaled.lhs == pytest.approx(base.lhs / s ** 3, rel=1e-12)
-        assert scaled.rhs == pytest.approx(base.rhs / s ** 3, rel=1e-12)
-        assert scaled.holds
+        assert scaled["lhs"] == pytest.approx(base["lhs"] / s ** 3, rel=1e-12)
+        assert scaled["rhs"] == pytest.approx(base["rhs"] / s ** 3, rel=1e-12)
+        assert scaled["holds"]
 
     def test_rejects_same_index(self):
         with pytest.raises(SameIndex):
@@ -224,7 +224,7 @@ class TestPairSpacing:
         seq = generate_random(int(rng.integers(2, 11)), float(rng.uniform(0.05, 1.0)), seed)
         for ell in range(1, seq.n + 1):
             for m in range(ell + 1, seq.n + 1):
-                assert pair_spacing_sum(seq, ell, m, seed=seed).holds
+                assert pair_spacing_sum(seq, ell, m, seed=seed)["holds"]
 
 
 class TestNonFiniteSigma:
