@@ -39,6 +39,7 @@ from .spacing import (
     check_fn_upper,
     check_smoothing_monovariant,
     f_n_functional,
+    pair_spacing_margins,
     pair_spacing_sum,
     spacing_sum,
     zeta,

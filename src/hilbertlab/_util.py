@@ -7,10 +7,16 @@ import numpy as np
 
 
 def _pi_folded(y):
-    """pi * (y mod 1 folded to [0, 1/2]), and where the fold reflected."""
-    r = np.mod(np.asarray(y, dtype=float), 1.0)
+    """pi * (|y| mod 1 folded to [0, 1/2]), and where cot(pi*y) takes the
+    negative sign: where the fold reflected, or y < 0, but not both.
+
+    Reducing |y| rather than y keeps a small negative y exact: np.mod(-eps,
+    1) would round to 1 - eps and lose the low bits of eps.
+    """
+    y = np.asarray(y, dtype=float)
+    r = np.mod(np.abs(y), 1.0)
     upper = r > 0.5
-    return np.pi * np.where(upper, 1.0 - r, r), upper
+    return np.pi * np.where(upper, 1.0 - r, r), upper != (y < 0)
 
 
 def _unwrap(out):
@@ -18,25 +24,28 @@ def _unwrap(out):
 
 
 def sinpi_abs(y):
-    """|sin(pi*y)| with y reduced mod 1 before the multiplication by pi.
+    """|sin(pi*y)| with |y| reduced mod 1 before the multiplication by pi;
+    even in y, bit for bit.
 
     Folding the residue to [0, 1/2] keeps full relative precision near
-    integer arguments, where evaluating sin(pi*y) directly does not.
+    integer arguments of either sign, where evaluating sin(pi*y) directly
+    does not.
     """
     return _unwrap(np.sin(_pi_folded(y)[0]))
 
 
 def cotpi(y):
-    """cot(pi*y), reduced mod 1; antisymmetric about the half-period."""
+    """cot(pi*y), reduced mod 1; odd in y, bit for bit, and antisymmetric
+    about the half-period."""
     return sinpi_abs_cotpi(y)[1]
 
 
 def sinpi_abs_cotpi(y):
     """(sinpi_abs(y), cotpi(y)) from one reduction of y and one sine."""
-    theta, upper = _pi_folded(y)
+    theta, negative = _pi_folded(y)
     sines = np.sin(theta)
     with np.errstate(divide="ignore"):
-        cot = np.where(upper, -1.0, 1.0) * np.cos(theta) / sines
+        cot = np.where(negative, -1.0, 1.0) * np.cos(theta) / sines
     return _unwrap(sines), _unwrap(cot)
 
 

@@ -9,6 +9,19 @@ nonnegative weights tau_m. The torus quadratic form
 bounds C3/pi^2 from below for every admissible constant C3 of the line
 form; periodizing the points onto the line connects the two sides.
 
+Periodizing over k periods puts the nodes p + x_m, 0 <= p < k, on the
+line, with one ghost node past each end at the wrapped neighbour. The
+ghosts make each node's line gap the torus gap d_m, so the line form
+Q_{1/2} of the tiled window pairs (p, m) with (q, n) through
+w_mn = d_m^(3/2) d_n^(1/2) tau_m tau_n / (x_m - x_n + p - q)^2. That
+depends on the two periods only through s = p - q, and k - |s| pairs
+(p, q) of periods share each s in (-k, k):
+
+    Q_{1/2} = sum_{|s|<k} (k - |s|) sum_{(s,m,n) != (0,m,m)} w_mn / (x_m - x_n + s)^2.
+
+Scaled by 1/(pi^2 k) it tends to the torus form as k grows, since
+sum_s 1/(y + s)^2 = pi^2/sin^2(pi y) and sum_{s != 0} 1/s^2 = pi^2/3.
+
 The K-point construction places K coarse points at spacing A plus a
 cluster of L+1 points spanning B = 1 - (K+1)A. In the L -> infinity limit
 the best weight ratio u gives the closed form
@@ -34,7 +47,6 @@ from .errors import (
     SeparationTooSmall,
 )
 from .gaps import GapSequence, WeightVector
-from .quadforms import q_alpha
 
 SEPARATION_FLOOR = 1e-9
 _KAPPA1_FLOOR = 1e-14
@@ -182,11 +194,28 @@ def periodized_equivalence_check(cfg: TrigConfig, k_periods: int,
     """Compare the half-exponent line form on the tiled configuration,
     scaled by 1/(pi^2 K), against the torus form. The gap decays like
     log(K)/K as the number of periods grows. A caller that checks one
-    configuration at several K can pass its `trig_form_value` once."""
+    configuration at several K can pass its `trig_form_value` once.
+
+    The line form is summed by period difference s (module docstring):
+    the ghost nodes of `periodize` reproduce the torus gaps d_m, and
+    K - |s| period pairs sit at difference s, so one (2K-1) x M x M array
+    replaces the (KM) x (KM) kernel of the tiled window. `q_alpha` on
+    `periodize(cfg, K)` is the same value up to rounding. Raises NonFinite
+    on a non-finite term instead of passing NaN on.
+    """
     if k_periods < 2:
         raise ValueError(f"k_periods must be >= 2, got {k_periods}")
-    seq, t = periodize(cfg, k_periods)
-    line_side = q_alpha(seq, t, 0.5) / (math.pi ** 2 * k_periods)
+    shifts = np.arange(1 - k_periods, k_periods, dtype=float)
+    d, tau, x = cfg.gaps, cfg.weights, cfg.points
+    with np.errstate(all="ignore"):
+        pairs = np.outer(d ** 1.5 * tau, d ** 0.5 * tau)
+        terms = pairs / np.square(x[:, None] - x[None, :] + shifts[:, None, None])
+    # s = 0 sits at index K - 1; its diagonal pairs a node with itself
+    np.einsum("ii->i", terms[k_periods - 1])[...] = 0.0
+    if not np.isfinite(terms).all():
+        raise NonFinite("periodized line form has non-finite terms")
+    terms *= (k_periods - np.abs(shifts))[:, None, None]
+    line_side = float(np.sum(terms)) / (math.pi ** 2 * k_periods)
     if trig_side is None:
         trig_side = trig_form_value(cfg)
     return EquivReport(line_side, trig_side, line_side - trig_side)

@@ -215,6 +215,34 @@ def pair_spacing_sum(seq: GapSequence, ell: int, m: int, seed: int = 0) -> dict:
     return record("pair-spacing", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
 
 
+def pair_spacing_margins(seq: GapSequence) -> tuple[np.ndarray, np.ndarray]:
+    """The two sides of `pair_spacing_sum` for every index pair at once, as
+    N x N arrays lhs, rhs whose entry (ell-1, m-1) is that pair's lhs and
+    rhs; the diagonal (ell = m, no bound) holds NaN in both.
+
+    One array over (k, ell, m) holds the terms delta_k / ((lam_k-lam_ell)^2
+    (lam_k-lam_m)^2), with the terms k = ell and k = m set to zero, and
+    sums them over k. Each term is the float expression of
+    `pair_spacing_sum`. Raises IndexOutOfRange below two active nodes,
+    where no pair exists.
+    """
+    if seq.n < 2:
+        raise IndexOutOfRange(f"need at least 2 active nodes for a pair, got {seq.n}")
+    d = seq.deltas
+    sq = seq.differences() ** 2
+    terms = d[:, None, None] / (sq[:, :, None] * sq[:, None, :])
+    k = np.arange(seq.n)
+    terms[k, k, :] = 0.0
+    terms[k, :, k] = 0.0
+    lhs = np.sum(terms, axis=0)
+    np.fill_diagonal(lhs, np.nan)
+    np.fill_diagonal(sq, np.nan)
+    d_sum = d[:, None] + d[None, :]
+    rhs = math.pi ** 2 * d_sum / (3.0 * d[:, None] * d[None, :] * sq) \
+        - 3.0 * d_sum / sq ** 2
+    return lhs, rhs
+
+
 def shan_split(seq: GapSequence, ell: int, sigma: float) -> tuple[float, float]:
     """The two one-sided functionals whose sum telescopes the spacing sum.
 

@@ -29,13 +29,13 @@ STDOUT_SHA256 = {
         "1b789f31e08866821fd20e3365c75ec580d72abc81765a265c8489237b613b62",
     # exponent cells such as 1.4418359876e-16
     ("verify", "--suite", "all", "--trials", "20", "--seed", "3"):
-        "4ff4e67bff4ac48f64f5ee2535645f557abb7bddd9575c04565c72f9fdec5166",
+        "c3c47375bba03f079823a3dd9778d7036ede145796a098dd56ee7f760e52d4f9",
     # a 30-entry witness list; params.seed is null, as no seed is drawn from
     ("constant", "--alpha", "0.5", "--n", "30", "--config", "trig"):
         "402cbb1f017be697baff3bb20b1a04f1ea2937e04c1447fd71bc90577481bd12",
 }
-VERIFY_TRIG_CSV_SHA256 = "6b86316911e4e18c8f60d542fbbdf8035ff26abfb2db61638de0514ac83a4a2f"
-VERIFY_ALL_CSV_SHA256 = "65b6bf927e8a1a6f72bb51ce42344db210db7886ff8ac56a80c239926a83b9af"
+VERIFY_TRIG_CSV_SHA256 = "6c64a1531c5afa3b6a3af83d0f17d134e2322f17bf0444171aa2f1556ef2e5db"
+VERIFY_ALL_CSV_SHA256 = "607cecf09663c791d6541b46b7f2bccc7d3706f224aa954e28a03da1fbd9ac55"
 
 
 def sha256(path: Path) -> str:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from hilbertlab.errors import (
     SeparationTooSmall,
 )
 from hilbertlab.lowerbound import maximize_g, periodize, toroidal_gaps
+from hilbertlab.quadforms import q_alpha
 
 # independent high-precision values (mpmath, 40 digits) for K=5, A=0.14
 KAPPA0_5_014 = 0.24397332105959524
@@ -164,6 +166,21 @@ class TestTrigFormValue:
                               / math.sin(math.pi * (x[m] - x[n])) ** 2)
         assert trig_form_value(cfg) == pytest.approx(total, rel=1e-12)
 
+    def test_close_pair_against_mpmath(self):
+        # differences of both signs, two of them within 3e-9 of zero
+        cfg = trig_config([0.1, 0.1 + 3e-9, 0.6], [1.0, 0.5, 0.7])
+        d, tau, x = ([mpmath.mpf(v) for v in arr.tolist()]
+                     for arr in (cfg.gaps, cfg.weights, cfg.points))
+        with mpmath.workdps(50):
+            total = sum(d[m] ** 2 * tau[m] ** 2 for m in range(cfg.m)) / 3
+            for m in range(cfg.m):
+                for n in range(cfg.m):
+                    if m != n:
+                        total += (d[m] ** 1.5 * d[n] ** 0.5 * tau[m] * tau[n]
+                                  / mpmath.sin(mpmath.pi * (x[m] - x[n])) ** 2)
+            want = float(total)
+        assert trig_form_value(cfg) == pytest.approx(want, rel=1e-14)
+
     def test_finite_construction_approaches_closed_form(self):
         res = big_g(5, 0.14)
         cfg = construction_config(5, 0.14, 2000, res.u_star)
@@ -178,6 +195,29 @@ class TestPeriodization:
         assert seq.n == 5 * cfg.m
         assert np.allclose(seq.deltas, np.tile(cfg.gaps, 5), rtol=1e-12)
         assert np.array_equal(t.values, np.tile(cfg.weights, 5))
+
+    @pytest.mark.parametrize("k", [2, 3, 50, 100])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_line_side_matches_the_tiled_window(self, m, k):
+        rng = np.random.default_rng(100 * m + k)
+        pts = (np.arange(m) + rng.uniform(0.1, 0.9, m)) / m
+        cfg = trig_config(pts, rng.uniform(0.1, 1.0, m))
+        seq, t = periodize(cfg, k)
+        tiled = q_alpha(seq, t, 0.5) / (math.pi ** 2 * k)
+        assert periodized_equivalence_check(cfg, k).line_side == pytest.approx(tiled, rel=1e-12)
+
+    def test_builds_no_tiled_window(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the tiled window was built")
+        monkeypatch.setattr(lowerbound, "periodize", refuse)
+        monkeypatch.setattr(lowerbound, "q_alpha", refuse, raising=False)
+        rep = periodized_equivalence_check(random_config(4), 100)
+        assert math.isfinite(rep.line_side) and rep.line_side > 0.0
+
+    def test_overflowing_terms_raise(self):
+        cfg = trig_config([0.0, 0.5], [1e200, 1e200])
+        with pytest.raises(NonFinite):
+            periodized_equivalence_check(cfg, 4, trig_side=1.0)
 
     def test_reference_gap_at_two_hundred_periods(self):
         cfg = trig_config([0.0, 0.5], [1.0, 1.0])

@@ -10,6 +10,7 @@ from hilbertlab import (
     f_n_functional,
     generate_random,
     generate_uniform,
+    pair_spacing_margins,
     pair_spacing_sum,
     spacing_sum,
     zeta,
@@ -23,6 +24,7 @@ from hilbertlab.errors import (
     SigmaOutOfRange,
 )
 from hilbertlab.spacing import shan_split, spacing_bound_report
+from hilbertlab.suites import PAIR_SPACING_MAX_N, _random_seq, suite_pair_spacing
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
 
@@ -225,6 +227,53 @@ class TestPairSpacing:
         for ell in range(1, seq.n + 1):
             for m in range(ell + 1, seq.n + 1):
                 assert pair_spacing_sum(seq, ell, m, seed=seed)["holds"]
+
+
+class TestPairSpacingMargins:
+    """The all-pairs table agrees with the scalar pair_spacing_sum."""
+
+    @staticmethod
+    def assert_matches_scalar(seq):
+        lhs, rhs = pair_spacing_margins(seq)
+        assert lhs.shape == rhs.shape == (seq.n, seq.n)
+        for ell in range(1, seq.n + 1):
+            for m in range(1, seq.n + 1):
+                if ell == m:
+                    continue
+                rep = pair_spacing_sum(seq, ell, m)
+                assert lhs[ell - 1, m - 1] == pytest.approx(rep["lhs"], rel=1e-12, abs=0.0)
+                assert rhs[ell - 1, m - 1] == pytest.approx(rep["rhs"], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_windows(self, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_matches_scalar(generate_random(int(rng.integers(2, 11)),
+                                                   float(rng.uniform(0.05, 1.0)), seed))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_uniform_windows(self, n):
+        self.assert_matches_scalar(generate_uniform(n, 0.7))
+
+    def test_rejects_a_window_without_pairs(self):
+        with pytest.raises(IndexOutOfRange):
+            pair_spacing_margins(generate_uniform(1, 1.0))
+
+    @pytest.mark.parametrize("seed", [0, 7, 300])
+    def test_suite_matches_the_scalar_loop(self, seed):
+        trials = 40
+        records = suite_pair_spacing(trials, seed)
+        assert len(records) == trials
+        for i, rec in enumerate(records):
+            s = seed + i
+            seq = _random_seq(s, PAIR_SPACING_MAX_N, min_n=2)
+            reps = [pair_spacing_sum(seq, ell, m, seed=s)
+                    for ell in range(1, seq.n + 1) for m in range(ell + 1, seq.n + 1)]
+            margins = [rep["lhs"] - rep["rhs"] for rep in reps]
+            assert rec["seed"] == s
+            assert rec["holds"] == all(rep["holds"] for rep in reps)
+            assert rec["lhs"] == pytest.approx(max(margins), rel=1e-12, abs=0.0)
+            # the reported margin is the scalar reference's at one pair
+            assert rec["lhs"] in margins
 
 
 class TestNonFiniteSigma:

@@ -1,11 +1,13 @@
 import json
 import math
 
+import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbertlab._util import to_json, to_json_lines
+from hilbertlab._util import cotpi, sinpi_abs, sinpi_abs_cotpi, to_json, to_json_lines
 
 
 def jsonable(obj):
@@ -102,3 +104,28 @@ class TestReportRenderer:
                       np.bool_(False), (), [], {}, np.zeros(0), {"%s": {}}]:
             assert to_json(value) == document(value)
             assert to_json_lines([value]) == compact(value)
+
+
+class TestReducedTrig:
+    """sinpi_abs is even and cotpi odd, bit for bit, and both keep full
+    relative precision near integers of either sign."""
+
+    POINTS = [1e-10, 3e-9, 8e-5, 0.1, 0.25, 0.5, 0.7, 1.0 - 1e-9, 1.3, 2.0 + 1e-7, 17.25]
+
+    def test_parity(self):
+        y = np.array(self.POINTS)
+        assert np.array_equal(sinpi_abs(-y), sinpi_abs(y))
+        assert np.array_equal(cotpi(-y), -cotpi(y))
+        for v in self.POINTS:
+            assert sinpi_abs(-v) == sinpi_abs(v)
+            assert cotpi(-v) == -cotpi(v)
+
+    @pytest.mark.parametrize("y", [1e-10, -1e-10, 8e-5, -8e-5, 1.0 - 1e-9, -(1.0 - 1e-9)])
+    def test_relative_precision_against_mpmath(self, y):
+        with mpmath.workdps(40):
+            sine = mpmath.sin(mpmath.pi * mpmath.mpf(y))
+            want_sin, want_cot = float(abs(sine)), float(mpmath.cos(mpmath.pi * mpmath.mpf(y)) / sine)
+        sines, cots = sinpi_abs_cotpi(y)
+        for got, want in ((sinpi_abs(y), want_sin), (sines, want_sin),
+                          (cotpi(y), want_cot), (cots, want_cot)):
+            assert abs(got - want) <= 4e-16 * abs(want)
