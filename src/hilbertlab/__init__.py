@@ -3,12 +3,9 @@
 from .gaps import (
     GapSequence,
     WeightVector,
-    from_csv,
-    from_json,
     generate_cluster,
     generate_random,
     generate_uniform,
-    new_gap_sequence,
 )
 from .lowerbound import (
     ConstructionResult,

@@ -10,7 +10,6 @@ share across threads.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,9 +62,6 @@ class GapSequence:
         """
         return node_differences(self.active)
 
-    def to_json(self) -> str:
-        return json.dumps({"nodes": self.nodes.tolist(), "n": self.n})
-
 
 def check_nodes(nodes: np.ndarray) -> None:
     """Raise unless each window along the last axis of `nodes` has at least
@@ -117,11 +113,6 @@ class WeightVector:
         return self.values.size
 
 
-def new_gap_sequence(nodes) -> GapSequence:
-    """Validate a raw node vector (ghosts included) into a GapSequence."""
-    return GapSequence(np.asarray(nodes, dtype=float))
-
-
 def generate_uniform(n: int, spacing: float) -> GapSequence:
     """lam_k = k * spacing for k = 0..n+1, so every delta equals spacing."""
     if n < 1:
@@ -157,18 +148,3 @@ def generate_random(n: int, min_gap: float, seed: int) -> GapSequence:
     nodes = np.concatenate(([0.0], np.cumsum(gaps)))
     return GapSequence(nodes)
 
-
-def from_json(text: str) -> GapSequence:
-    """Parse the {"nodes": [...], "n": N} serialization."""
-    payload = json.loads(text)
-    seq = new_gap_sequence(payload["nodes"])
-    if "n" in payload and int(payload["n"]) != seq.n:
-        raise ValueError(f"inconsistent serialization: n={payload['n']} but {seq.n} active nodes")
-    return seq
-
-
-def from_csv(path) -> GapSequence:
-    """Import a node vector from a file with one node per line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        nodes = [float(line.strip()) for line in fh if line.strip()]
-    return new_gap_sequence(nodes)

@@ -160,21 +160,29 @@ def trig_config(points, weights) -> TrigConfig:
 
 def trig_form_value(cfg: TrigConfig) -> float:
     """Evaluate the torus quadratic form; row blocks keep memory bounded
-    and give a fixed summation tree for reproducibility."""
+    and give a fixed summation tree for reproducibility. Raises NonFinite
+    when finite weights overflow the form instead of returning inf."""
     d, tau, x = cfg.gaps, cfg.weights, cfg.points
-    diag = float(np.sum(d ** 2 * tau ** 2)) / 3.0
-    row_coeff = d ** 1.5 * tau
-    col_coeff = d ** 0.5 * tau
-    blocks = []
-    for start in range(0, cfg.m, _BLOCK):
-        stop = min(cfg.m, start + _BLOCK)
-        s2 = sinpi_abs(x[start:stop, None] - x[None, :]) ** 2
-        num = np.outer(row_coeff[start:stop], col_coeff)
-        diag_at = (np.arange(stop - start), np.arange(start, stop))
-        s2[diag_at] = 1.0
-        num[diag_at] = 0.0
-        blocks.append(float(np.sum(num / s2)))
-    return diag + math.fsum(blocks)
+    with np.errstate(all="ignore"):
+        diag = float(np.sum(d ** 2 * tau ** 2)) / 3.0
+        row_coeff = d ** 1.5 * tau
+        col_coeff = d ** 0.5 * tau
+        blocks = []
+        for start in range(0, cfg.m, _BLOCK):
+            stop = min(cfg.m, start + _BLOCK)
+            s2 = sinpi_abs(x[start:stop, None] - x[None, :]) ** 2
+            num = np.outer(row_coeff[start:stop], col_coeff)
+            diag_at = (np.arange(stop - start), np.arange(start, stop))
+            s2[diag_at] = 1.0
+            num[diag_at] = 0.0
+            blocks.append(float(np.sum(num / s2)))
+    try:
+        value = diag + math.fsum(blocks)
+    except OverflowError:       # finite blocks whose sum overflows
+        value = math.inf
+    if not math.isfinite(value):
+        raise NonFinite("torus form overflows: the weights are too large")
+    return value
 
 
 def periodize(cfg: TrigConfig, k_periods: int) -> tuple[GapSequence, WeightVector]:

@@ -42,7 +42,7 @@ def _nodes_from_gaps(gaps: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros((*gaps.shape[:-1], 1)), np.cumsum(gaps, axis=-1)), axis=-1)
 
 
-def hill_climb(alpha: float, seq: GapSequence, rounds: int = 200) -> ConstantEstimate:
+def hill_climb(alpha: float, seq: GapSequence, rounds: int) -> ConstantEstimate:
     """Coordinate ascent on the n+1 gaps with multiplicative step halving.
 
     A round tries each gap in turn scaled by 1 + step and then by
@@ -92,7 +92,7 @@ def hill_climb(alpha: float, seq: GapSequence, rounds: int = 200) -> ConstantEst
     return estimate_constant(alpha, GapSequence(_nodes_from_gaps(gaps)))
 
 
-def candidate_configs(n: int, seed: int = 0, restarts: int = 3) -> list[tuple[str, GapSequence]]:
+def candidate_configs(n: int, seed: int = 0, *, restarts: int) -> list[tuple[str, GapSequence]]:
     """The three reference configurations plus seeded random restarts."""
     configs = [("uniform", generate_uniform(n, 1.0))]
     if n >= 2:
@@ -103,14 +103,14 @@ def candidate_configs(n: int, seed: int = 0, restarts: int = 3) -> list[tuple[st
     return configs
 
 
-def search_constant(alpha: float, n: int, seed: int = 0, restarts: int = 3,
-                    rounds: int = 200) -> SearchResult:
+def search_constant(alpha: float, n: int, seed: int = 0, *, restarts: int,
+                    rounds: int) -> SearchResult:
     """Best estimate over all candidate starts, each refined by the climb."""
     if restarts < 0 or rounds < 0:
         raise ValueError(f"restarts and rounds must be >= 0, got {restarts} and {rounds}")
     best: SearchResult | None = None
-    for label, seq in candidate_configs(n, seed, restarts):
-        estimate = hill_climb(alpha, seq, rounds=rounds)
+    for label, seq in candidate_configs(n, seed, restarts=restarts):
+        estimate = hill_climb(alpha, seq, rounds)
         if best is None or estimate.value > best.estimate.value:
             best = SearchResult(label, estimate)
     assert best is not None

@@ -150,21 +150,17 @@ def check_fn_upper(a, sigma: float, seed: int = 0) -> dict:
     return record("fn-upper", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
 
 
-def spacing_sum(seq: GapSequence, ell: int, sigma: float, window: int) -> float:
-    """Truncated sum_{k != ell} delta_k / |lam_k - lam_ell|^sigma.
+def spacing_sum(seq: GapSequence, ell: int, sigma: float) -> float:
+    """sum_{k != ell} delta_k / |lam_k - lam_ell|^sigma over every active
+    index k of the window.
 
-    window counts indices kept on each side of ell, capped at the data.
-    All terms are positive, so the truncation is a lower bound for the
+    All terms are positive, so the window's sum is a lower bound for the
     full series.
     """
     _check_sigma(sigma)
     if not 1 <= ell <= seq.n:
         raise IndexOutOfRange(f"ell={ell} outside 1..{seq.n}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    lo = max(1, ell - window)
-    hi = min(seq.n, ell + window)
-    idx = np.arange(lo - 1, hi)          # 0-indexed active positions
+    idx = np.arange(seq.n)               # 0-indexed active positions
     idx = idx[idx != ell - 1]
     lam = seq.active
     dist = np.abs(lam[idx] - lam[ell - 1])
@@ -180,7 +176,7 @@ def spacing_bound_report(seq: GapSequence, ell: int, sigma: float, seed: int = 0
     how close a truncated check could come to the bound, the verdict stays
     sound.
     """
-    lhs = spacing_sum(seq, ell, sigma, seq.n)
+    lhs = spacing_sum(seq, ell, sigma)
     d_ell = seq.delta(ell)
     rhs = 2.0 * zeta(sigma) / d_ell ** (sigma - 1)
     centre = seq.active[ell - 1]

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from hilbertlab import (
+    GapSequence,
     big_g,
     estimate_constant,
     generate_uniform,
-    new_gap_sequence,
     preissmann_chain,
     two_forms_bound,
     uniform_lower_bound,
@@ -81,7 +81,7 @@ class TestAcceptance:
     def test_05_exact_finite_constants(self):
         configs = (generate_uniform(2, 1.0),
                    generate_uniform(2, 0.37),
-                   new_gap_sequence([-5.0, 0.0, 2.0, 9.0]))
+                   GapSequence([-5.0, 0.0, 2.0, 9.0]))
         worst = 0.0
         for alpha in (0.0, 0.5, 1.0, 1.5, 2.0):
             for seq in configs:

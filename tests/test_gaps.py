@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,12 +6,9 @@ from hypothesis import strategies as st
 from hilbertlab import (
     GapSequence,
     WeightVector,
-    from_csv,
-    from_json,
     generate_cluster,
     generate_random,
     generate_uniform,
-    new_gap_sequence,
 )
 from hilbertlab.gaps import node_differences
 from hilbertlab.errors import IndexOutOfRange, NegativeEntry, NonFinite, NotIncreasing, TooShort
@@ -21,28 +16,28 @@ from hilbertlab.errors import IndexOutOfRange, NegativeEntry, NonFinite, NotIncr
 
 class TestConstruction:
     def test_basic_window(self):
-        seq = new_gap_sequence([-1.0, 0.0, 1.0, 2.0])
+        seq = GapSequence([-1.0, 0.0, 1.0, 2.0])
         assert seq.n == 2
         assert np.allclose(seq.deltas, [1.0, 1.0])
 
     def test_delta_takes_minimum_side(self):
-        seq = new_gap_sequence([0.0, 1.0, 3.0, 4.0])
+        seq = GapSequence([0.0, 1.0, 3.0, 4.0])
         assert seq.delta(1) == 1.0
         assert seq.delta(2) == 1.0
 
     def test_rejects_non_increasing(self):
         with pytest.raises(NotIncreasing):
-            new_gap_sequence([0.0, 1.0, 1.0])
+            GapSequence([0.0, 1.0, 1.0])
 
     def test_rejects_too_short(self):
         with pytest.raises(TooShort):
-            new_gap_sequence([0.0, 1.0])
+            GapSequence([0.0, 1.0])
 
     @pytest.mark.parametrize("nodes", ([0.0, 1.0, 2.0, np.inf], [-np.inf, 0.0, 1.0],
                                        [0.0, np.nan, 2.0]))
     def test_rejects_non_finite(self, nodes):
         with pytest.raises(NonFinite):
-            new_gap_sequence(nodes)
+            GapSequence(nodes)
 
     def test_delta_index_bounds(self):
         seq = generate_uniform(3, 1.0)
@@ -122,7 +117,7 @@ class TestGapInvariants:
 
     def test_translation_exact_at_zero(self):
         seq = generate_random(10, 0.5, 1)
-        shifted = new_gap_sequence(seq.nodes + 0.0)
+        shifted = GapSequence(seq.nodes + 0.0)
         assert np.array_equal(shifted.deltas, seq.deltas)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
@@ -131,20 +126,20 @@ class TestGapInvariants:
         # |c| capped so node rounding (ulp(c)/2 per node) stays below the
         # 1e-12 relative tolerance against gaps of order 1
         seq = generate_random(12, 0.5, 3)
-        shifted = new_gap_sequence(seq.nodes + c)
+        shifted = GapSequence(seq.nodes + c)
         assert np.allclose(shifted.deltas, seq.deltas, rtol=1e-12, atol=0.0)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(s=st.floats(min_value=1e-3, max_value=1e3, allow_nan=False))
     def test_scaling_covariance(self, s):
         seq = generate_random(12, 0.5, 4)
-        scaled = new_gap_sequence(seq.nodes * s)
+        scaled = GapSequence(seq.nodes * s)
         assert np.allclose(scaled.deltas, seq.deltas * s, rtol=1e-12, atol=0.0)
 
 
 class TestDifferences:
     def test_entries_and_unit_diagonal(self):
-        seq = new_gap_sequence([0.0, 1.0, 3.0, 7.0, 8.0])
+        seq = GapSequence([0.0, 1.0, 3.0, 7.0, 8.0])
         assert np.array_equal(seq.differences(), [[1.0, -2.0, -6.0],
                                                   [2.0, 1.0, -4.0],
                                                   [6.0, 4.0, 1.0]])
@@ -164,27 +159,6 @@ class TestDifferences:
         first = seq.differences()
         first[0, 1] = 0.0
         assert seq.differences()[0, 1] == seq.active[0] - seq.active[1]
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        seq = generate_random(6, 0.4, 9)
-        again = from_json(seq.to_json())
-        assert np.array_equal(again.nodes, seq.nodes)
-
-    def test_json_schema(self):
-        payload = json.loads(generate_uniform(2, 1.0).to_json())
-        assert payload == {"nodes": [0.0, 1.0, 2.0, 3.0], "n": 2}
-
-    def test_json_rejects_inconsistent_n(self):
-        with pytest.raises(ValueError):
-            from_json('{"nodes": [0, 1, 2, 3], "n": 7}')
-
-    def test_csv_import(self, tmp_path):
-        path = tmp_path / "nodes.csv"
-        path.write_text("0.0\n1.5\n\n2.0\n4.0\n")
-        seq = from_csv(path)
-        assert np.array_equal(seq.nodes, [0.0, 1.5, 2.0, 4.0])
 
 
 class TestWeightVector:

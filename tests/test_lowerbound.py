@@ -181,6 +181,12 @@ class TestTrigFormValue:
             want = float(total)
         assert trig_form_value(cfg) == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("weight", (1e200, 3e154))
+    def test_overflowing_weights_raise(self, weight):
+        # 1e200 overflows each pair's product, 3e154 only their sum
+        with pytest.raises(NonFinite):
+            trig_form_value(trig_config([0.0, 0.5], [weight, weight]))
+
     def test_finite_construction_approaches_closed_form(self):
         res = big_g(5, 0.14)
         cfg = construction_config(5, 0.14, 2000, res.u_star)

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertlab import (
+    GapSequence,
     cluster_lower_bound,
     estimate_constant,
     generate_cluster,
     generate_random,
     generate_uniform,
     WeightVector,
-    new_gap_sequence,
     q_alpha,
     top_eigen_nonneg_sym,
     uniform_lower_bound,
@@ -400,12 +400,12 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("alpha", (0.5, 1.0))
     def test_estimate_constant_raises(self, nodes, alpha):
         with pytest.raises(NonFinite):
-            estimate_constant(alpha, new_gap_sequence(nodes))
+            estimate_constant(alpha, GapSequence(nodes))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_q_alpha_raises_instead_of_nan(self):
         # the alpha = 1 kernel underflows to 0/0 at this gap scale
-        seq = new_gap_sequence([0.0, 1e-200, 2e-200, 1.0])
+        seq = GapSequence([0.0, 1e-200, 2e-200, 1.0])
         with pytest.raises(NonFinite):
             q_alpha(seq, [1.0, 1.0], 1.0)
 
@@ -424,7 +424,7 @@ class TestEstimateConstant:
     SATURATING = (
         generate_uniform(2, 1.0),
         generate_uniform(2, 0.37),
-        new_gap_sequence([-5.0, 0.0, 2.0, 9.0]),
+        GapSequence([-5.0, 0.0, 2.0, 9.0]),
     )
 
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -504,14 +504,14 @@ class TestEstimateConstant:
         # delta_m^(2-alpha) delta_n^alpha / (lam_m - lam_n)^2 is unchanged
         # by lam -> s lam + c, so the optimal constant is too
         seq = generate_random(12, 0.5, 5)
-        moved = new_gap_sequence(s * seq.nodes + c)
+        moved = GapSequence(s * seq.nodes + c)
         value = estimate_constant(alpha, seq).value
         assert estimate_constant(alpha, moved).value == pytest.approx(value, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_window_extension_monotone(self, seed):
         seq = generate_random(8, 0.3, 400 + seed)
-        extended = new_gap_sequence(
+        extended = GapSequence(
             np.append(seq.nodes, seq.nodes[-1] + (seq.nodes[-1] - seq.nodes[-2])))
         for alpha in (0.0, 0.7, 1.0):
             v1 = estimate_constant(alpha, seq).value

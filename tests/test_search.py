@@ -76,7 +76,7 @@ def reference_search(alpha, n, seed, restarts, rounds, climbs):
     """search_constant on the reference climb; `climbs` keeps the climbs by
     start label, since a start depends on the seed only through its label."""
     best = None
-    for label, seq in candidate_configs(n, seed, restarts):
+    for label, seq in candidate_configs(n, seed, restarts=restarts):
         if label not in climbs:
             climbs[label] = reference_hill_climb(alpha, seq, rounds)
         if best is None or climbs[label].value > best[1].value:

@@ -155,21 +155,32 @@ class TestSpacingSum:
     def test_uniform_large_window_sigma2(self):
         window = 10**6
         seq = generate_uniform(2 * window + 1, 1.0)
-        value = spacing_sum(seq, window + 1, 2.0, window)
+        value = spacing_sum(seq, window + 1, 2.0)
         # truncation misses ~2/window of the series
         assert abs(value - PI2_OVER_3) < 3e-6
 
     def test_uniform_window_sigma4(self):
         seq = generate_uniform(2001, 1.0)
-        value = spacing_sum(seq, 1001, 4.0, 1000)
+        value = spacing_sum(seq, 1001, 4.0)
         assert abs(value - math.pi ** 4 / 45) < 1e-9
 
     def test_index_bounds(self):
         seq = generate_uniform(5, 1.0)
         with pytest.raises(IndexOutOfRange):
-            spacing_sum(seq, 0, 2.0, 5)
+            spacing_sum(seq, 0, 2.0)
         with pytest.raises(IndexOutOfRange):
-            spacing_sum(seq, 6, 2.0, 5)
+            spacing_sum(seq, 6, 2.0)
+
+    @pytest.mark.parametrize("ell", [1, 7, 20])
+    @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.5])
+    def test_sums_every_other_index(self, ell, sigma):
+        # the edge indices 1 and 20 and an interior one, against a term loop
+        seq = generate_random(20, 0.3, 11)
+        lam, delta = seq.active, seq.deltas
+        terms = [delta[k] / abs(lam[k] - lam[ell - 1]) ** sigma
+                 for k in range(seq.n) if k != ell - 1]
+        assert len(terms) == seq.n - 1
+        assert spacing_sum(seq, ell, sigma) == pytest.approx(math.fsum(terms), rel=1e-14)
 
     @pytest.mark.parametrize("seed", range(50))
     @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0, 4.0])
@@ -187,7 +198,7 @@ class TestSpacingSum:
         tail = ((centre - seq.nodes[0]) ** (1 - sigma)
                 + (seq.nodes[-1] - centre) ** (1 - sigma)) / (sigma - 1)
         rep = spacing_bound_report(seq, ell, sigma)
-        assert rep["lhs"] == spacing_sum(seq, ell, sigma, seq.n)
+        assert rep["lhs"] == spacing_sum(seq, ell, sigma)
         assert rep["tail_bound"] == pytest.approx(tail, rel=1e-14)
 
     @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0])
@@ -195,7 +206,7 @@ class TestSpacingSum:
         seq = generate_random(30, 0.5, 7)
         for ell in (1, 11, 30):
             fa, fb = shan_split(seq, ell, sigma)
-            combined = seq.delta(ell) ** (sigma - 1) * spacing_sum(seq, ell, sigma, seq.n)
+            combined = seq.delta(ell) ** (sigma - 1) * spacing_sum(seq, ell, sigma)
             assert fa + fb == pytest.approx(combined, rel=1e-10)
             assert fa <= zeta(sigma) + 1e-12
             assert fb <= zeta(sigma) + 1e-12
@@ -288,7 +299,7 @@ class TestNonFiniteSigma:
         lambda sigma: check_equidistance([1.5, 1.5], sigma),
         lambda sigma: check_fn_upper([2.0, 1.0], sigma),
         lambda sigma: check_smoothing_monovariant([2.0, 1.0, 1.0], 2, 1.0, sigma),
-        lambda sigma: spacing_sum(TestNonFiniteSigma.SEQ, 4, sigma, 8),
+        lambda sigma: spacing_sum(TestNonFiniteSigma.SEQ, 4, sigma),
         lambda sigma: spacing_bound_report(TestNonFiniteSigma.SEQ, 2, sigma),
         lambda sigma: shan_split(TestNonFiniteSigma.SEQ, 4, sigma),
         lambda sigma: shan_split(generate_uniform(1, 1.0), 1, sigma),

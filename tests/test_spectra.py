@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertlab import (
+    GapSequence,
     build_h,
     check_selberg_identity,
     eigenpair_top,
@@ -13,7 +14,6 @@ from hilbertlab import (
     generate_cluster,
     generate_random,
     generate_uniform,
-    new_gap_sequence,
     numerical_radius_check,
     preissmann_chain,
     spectral_radius,
@@ -28,9 +28,16 @@ from hilbertlab.errors import (
     ZeroSpectrum,
 )
 from hilbertlab.quadforms import alpha_form_matrix
-from hilbertlab.spectra import bilinear_form, pair_residual, s_and_t
+from hilbertlab.spectra import bilinear_form, s_and_t
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
+
+
+def pair_residual(h, pair):
+    """max norm defect of H u_re = -mu u_im and H u_im = mu u_re."""
+    r1 = np.linalg.norm(h.entries @ pair.u_re + pair.mu * pair.u_im)
+    r2 = np.linalg.norm(h.entries @ pair.u_im - pair.mu * pair.u_re)
+    return float(max(r1, r2))
 
 
 def mirrored_window(gaps, centre: bool):
@@ -38,7 +45,7 @@ def mirrored_window(gaps, centre: bool):
     mirrored difference is the exact negative and J H J = -H holds exactly;
     n is odd with a centre node and even without one."""
     half = np.cumsum(gaps)
-    return new_gap_sequence(np.concatenate((-half[::-1], [0.0] if centre else [], half)))
+    return GapSequence(np.concatenate((-half[::-1], [0.0] if centre else [], half)))
 
 
 def random_instance(seed, max_n=12):
@@ -109,7 +116,7 @@ class TestSpectralRadius:
     def test_affine_invariance(self, s, c):
         # sqrt(delta_m delta_n) / (lam_m - lam_n) is unchanged by lam -> s lam + c
         seq = generate_random(12, 0.5, 6)
-        moved = new_gap_sequence(s * seq.nodes + c)
+        moved = GapSequence(s * seq.nodes + c)
         rho = spectral_radius(build_h(seq))
         assert spectral_radius(build_h(moved)) == pytest.approx(rho, rel=1e-10, abs=0.0)
 
@@ -158,7 +165,7 @@ class TestEigenpairTop:
         h = build_h(seq, rng.uniform(0.5, 2.0, n))
         pair = eigenpair_top(h)
         assert pair_residual(h, pair) <= 1e-14 * pair.mu
-        assert check_selberg_identity(h, pair).max_abs_residual <= 1e-14 * pair.mu ** 2
+        assert check_selberg_identity(h, pair)["lhs"] <= 1e-14
 
     def test_gram_pair_is_certified(self, monkeypatch):
         h, _ = random_instance(3)
@@ -185,7 +192,7 @@ class TestReflectionFold:
         pair = eigenpair_top(h)
         assert spectral_radius(h) == pair.mu
         assert pair_residual(h, pair) <= 1e-14 * pair.mu
-        assert check_selberg_identity(h, pair).max_abs_residual <= 1e-14 * pair.mu ** 2
+        assert check_selberg_identity(h, pair)["lhs"] <= 1e-14
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(gaps=st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=2, max_size=30),
@@ -222,13 +229,22 @@ class TestSelbergIdentity:
         pair = eigenpair_top(h)
         rep = check_selberg_identity(h, pair)
         assert np.allclose(pair.mu ** 2 * pair.abs2, [0.5, 0.5], atol=1e-12)
-        assert rep.max_abs_residual < 1e-12
+        assert rep["lhs"] < 1e-12
 
     @pytest.mark.parametrize("seed", range(100))
     def test_random_sweep(self, seed):
         h, _ = random_instance(seed)
-        rep = check_selberg_identity(h, eigenpair_top(h))
-        assert rep.max_rel_residual < 1e-8
+        rep = check_selberg_identity(h, eigenpair_top(h), seed=seed)
+        assert rep == {"lemma": "selberg-identity", "seed": seed, "lhs": rep["lhs"],
+                       "rhs": 1e-8, "holds": True, "tail_bound": 0.0}
+
+    def test_suite_records_are_the_checks(self):
+        records = suites.suite_selberg(trials=6, max_n=8, seed=40)
+        assert [rec["seed"] for rec in records] == list(range(40, 46))
+        for rec in records:
+            assert list(rec) == ["lemma", "seed", "lhs", "rhs", "holds", "tail_bound"]
+            s = rec["seed"]
+            assert rec == check_selberg_identity(*suites._random_h(s, 8), seed=s)
 
     def test_weight_scaling_homogeneity(self):
         seq = generate_random(7, 0.4, 9)
@@ -241,7 +257,7 @@ class TestSelbergIdentity:
         assert p2.mu == pytest.approx(s ** 2 * p1.mu, rel=1e-12)
         r1 = check_selberg_identity(h1, p1)
         r2 = check_selberg_identity(h2, p2)
-        assert r1.max_rel_residual < 1e-10 and r2.max_rel_residual < 1e-10
+        assert r1["lhs"] < 1e-10 and r2["lhs"] < 1e-10
 
 
 class TestTwoFormsBound:
@@ -303,20 +319,17 @@ class TestNumericalRadius:
 
     def test_thousand_random_vectors(self):
         held = 0
-        for seed in range(10):
-            h, _ = random_instance(seed)
-            for rep in numerical_radius_check(h, trials=100, seed=seed):
-                assert rep["holds"]
-                held += 1
+        for instance in range(10):
+            h, _ = random_instance(instance)
+            rho = spectral_radius(h)
+            for seed in range(100 * instance, 100 * instance + 100):
+                plain, normalized = numerical_radius_check(h, rho, seed=seed)
+                assert plain["lemma"] == "numerical-radius"
+                assert normalized["lemma"] == "numerical-radius-normalized"
+                for rep in (plain, normalized):
+                    assert rep["holds"] and rep["seed"] == seed
+                    held += 1
         assert held == 2000  # 1000 vectors, plain and normalized form each
-
-
-    def test_given_rho_matches_default(self):
-        h, _ = random_instance(23)
-        rho = eigenpair_top(h).mu
-        given_rho = numerical_radius_check(h, trials=5, seed=23, rho=rho)
-        default = numerical_radius_check(h, trials=5, seed=23)
-        assert given_rho == default
 
     def test_radius_suite_solves_each_window_once(self, monkeypatch):
         # the random windows take rho from their eigenpair; only the Schur
