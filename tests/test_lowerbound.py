@@ -187,6 +187,14 @@ class TestTrigFormValue:
         with pytest.raises(NonFinite):
             trig_form_value(trig_config([0.0, 0.5], [weight, weight]))
 
+    def test_row_blocks_that_overflow_together_raise(self):
+        # 1024 equispaced points: each 512-row block sums to about
+        # 512 w^2 / 3 < 1.8e308, both blocks together overflow
+        m = 2 * lowerbound._BLOCK
+        cfg = trig_config(np.arange(m) / m, np.full(m, 8.5e152))
+        with pytest.raises(NonFinite):
+            trig_form_value(cfg)
+
     def test_finite_construction_approaches_closed_form(self):
         res = big_g(5, 0.14)
         cfg = construction_config(5, 0.14, 2000, res.u_star)
