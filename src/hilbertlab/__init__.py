@@ -13,6 +13,7 @@ from .lowerbound import (
     TrigConfig,
     big_g,
     construction_config,
+    construction_form_value,
     cot_limit_check,
     g_of_u,
     kappas,

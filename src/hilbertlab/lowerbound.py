@@ -29,6 +29,21 @@ the best weight ratio u gives the closed form
     G_K(A) = (1/2) (1/3 + kappa_0 + sqrt((1/3 - kappa_0)^2 + kappa_1^2)),
 
 so pi^2 G_K(A) is a certified lower bound for the optimal constant.
+
+At finite L the coarse points carry gap A and weight 1/sqrt(K), the
+cluster points gap h = B/L and weight t = u/sqrt(L+1). A pair inside
+either group then depends only on its index difference d, shared by
+K - d coarse pairs or L + 1 - d cluster pairs in each order, so the form
+of the construction is
+
+    (A^2 + (L+1) h^2 t^2)/3
+      + (2A^2/K) sum_{d<K} (K-d) / sin^2(pi d A)
+      + 2 h^2 t^2 sum_{d<=L} (L+1-d) / sin^2(pi d h)
+      + sqrt(A h) (A + h) (t/sqrt(K)) sum_{j,i} 1/sin^2(pi (c_i - jA)),
+
+the last sum over the K x (L+1) pairs of a coarse point jA and a cluster
+point c_i = (K+1)A + i h: O(K L) terms in place of the (K+L+1)^2 of the
+dense form.
 """
 from __future__ import annotations
 
@@ -379,20 +394,55 @@ def cot_limit_check(k: int, a: float, l: int) -> CotLimitReport:
     return CotLimitReport(f1, f2, closed, f1 - closed, f2 - closed)
 
 
-def construction_config(k: int, a: float, l: int, u: float) -> TrigConfig:
-    """The finite (K, A, B, L, u) torus configuration: K coarse points at
-    spacing A, then L+1 cluster points at spacing B/L, weighted 1/sqrt(K)
-    and u/sqrt(L+1) respectively. Needs L >= B/A so the coarse points keep
-    gap A.
-    """
+def _construction_points(k: int, a: float, l: int, u: float):
+    """Validate a (K, A, L, u) construction; return its coarse points,
+    its cluster points and the cluster spacing h = B/L."""
     if u < 0:
         raise ValueError(f"u must be nonnegative, got {u}")
     kappas(k, a)     # validates (k, a)
     b = 1.0 - (k + 1) * a
     if l < b / a:
         raise ValueError(f"L must be at least B/A = {b / a:.3f}, got {l}")
+    h = b / l
     coarse = np.arange(1, k + 1, dtype=float) * a
-    cluster = (k + 1) * a + np.arange(l + 1, dtype=float) * (b / l)
+    cluster = (k + 1) * a + np.arange(l + 1, dtype=float) * h
+    return coarse, cluster, h
+
+
+def construction_config(k: int, a: float, l: int, u: float) -> TrigConfig:
+    """The finite (K, A, B, L, u) torus configuration: K coarse points at
+    spacing A, then L+1 cluster points at spacing B/L, weighted 1/sqrt(K)
+    and u/sqrt(L+1) respectively. Needs L >= B/A so the coarse points keep
+    gap A.
+    """
+    coarse, cluster, _ = _construction_points(k, a, l, u)
     weights = np.concatenate((np.full(k, 1.0 / math.sqrt(k)),
                               np.full(l + 1, u / math.sqrt(l + 1))))
     return trig_config(np.concatenate((coarse, cluster)), weights)
+
+
+def construction_form_value(k: int, a: float, l: int, u: float) -> float:
+    """trig_form_value(construction_config(k, a, l, u)), summed by index
+    difference in O(K L) terms (module docstring) at the construction's
+    positions. Same input checks as `construction_config`; raises
+    NonFinite on a non-finite u or when the form overflows.
+    """
+    coarse, cluster, h = _construction_points(k, a, l, u)
+    if not math.isfinite(u):
+        raise NonFinite(f"u must be finite, got {u}")
+    if h < SEPARATION_FLOOR:
+        raise SeparationTooSmall(f"cluster spacing {h:.3e} below {SEPARATION_FLOOR:g}")
+    t = u / math.sqrt(l + 1)
+    ht = h * t
+    dk = np.arange(1, k, dtype=float)
+    dl = np.arange(1, l + 1, dtype=float)
+    with np.errstate(all="ignore"):
+        diag = (a * a + (l + 1) * ht * ht) / 3.0
+        coarse_pairs = (2.0 * a * a / k) * float(np.sum((k - dk) / sinpi_abs(dk * a) ** 2))
+        cluster_pairs = 2.0 * ht * ht * float(np.sum((l + 1 - dl) / sinpi_abs(dl * h) ** 2))
+        cross = (math.sqrt(a * h) * (a + h) * (t / math.sqrt(k))
+                 * float(np.sum(sinpi_abs(cluster[None, :] - coarse[:, None]) ** -2.0)))
+        value = diag + coarse_pairs + cluster_pairs + cross
+    if not math.isfinite(value):
+        raise NonFinite("torus form overflows: u is too large")
+    return value

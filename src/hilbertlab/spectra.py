@@ -58,8 +58,10 @@ class ChainConstants:
 def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
     """Assemble H; default weights are c_n = sqrt(delta_n).
 
-    The strict upper triangle is built once and mirrored by negation, so
-    skew-symmetry holds exactly.
+    One divide gives exact skew-symmetry: fl(lam_m - lam_n) is exactly
+    -fl(lam_n - lam_m) and c_m c_n = c_n c_m, so entries (m, n) and (n, m)
+    round to the same magnitude with opposite signs. Raises NonFinite when
+    finite weights overflow an entry.
     """
     if weights is None:
         c = np.sqrt(seq.deltas)
@@ -71,9 +73,12 @@ def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
             raise NonFinite("weights must be finite")
         if np.any(c <= 0):
             raise NonpositiveWeight("weights must be strictly positive")
-    full = np.outer(c, c) / seq.differences()
-    upper = np.triu(full, k=1)
-    entries = upper - upper.T
+    with np.errstate(all="ignore"):
+        entries = np.outer(c, c)
+        entries /= seq.differences()
+    np.einsum("ii->i", entries)[...] = 0.0
+    if not np.isfinite(entries).all():
+        raise NonFinite("H has non-finite entries: the weights are too large for the gaps")
     entries.setflags(write=False)
     c = c.copy()
     c.setflags(write=False)

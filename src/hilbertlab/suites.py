@@ -15,7 +15,7 @@ from ._util import parallel_map
 from .gaps import GapSequence, generate_cluster, generate_random, generate_uniform
 from .lowerbound import (
     big_g,
-    construction_config,
+    construction_form_value,
     cot_limit_check,
     kappas,
     l_sum,
@@ -355,8 +355,8 @@ def suite_trig(trials: int = 20, seed: int = 0) -> list[dict]:
         records.append(record("trig-rotation-invariance", rel, 1e-12, rel <= 1e-12, seed=seed))
 
     res = big_g(5, 0.14)
-    fin = trig_form_value(construction_config(5, 0.14, 1000, res.u_star)) / (1.0 + res.u_star ** 2)
-    fin2 = trig_form_value(construction_config(5, 0.14, 2000, res.u_star)) / (1.0 + res.u_star ** 2)
+    fin = construction_form_value(5, 0.14, 1000, res.u_star) / (1.0 + res.u_star ** 2)
+    fin2 = construction_form_value(5, 0.14, 2000, res.u_star) / (1.0 + res.u_star ** 2)
     records.append(record("construction-finite-cap", fin2, res.g_value + 5e-3,
                           fin2 <= res.g_value + 5e-3 and fin2 > fin, seed=seed))
 

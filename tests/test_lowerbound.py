@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hilbertlab import (
     big_g,
     construction_config,
+    construction_form_value,
     cot_limit_check,
     g_of_u,
     kappas,
@@ -501,6 +502,61 @@ class TestCotLimit:
         implied = rep.closed * math.sqrt(0.14 ** 3 * b / 5.0)
         _, kappa1 = kappas(5, 0.14)
         assert implied == pytest.approx(kappa1, rel=1e-12)
+
+
+class TestConstructionFormValue:
+    @pytest.mark.parametrize("k, a", [(k, a) for k in (1, 2, 3, 5, 8)
+                                      for a in (0.05, 0.1, 0.14) if (k + 1) * a < 1.0])
+    def test_matches_the_dense_form(self, k, a):
+        b = 1.0 - (k + 1) * a
+        for ll in (math.ceil(b / a), 50, 300, 1200, 2000):
+            for u in (0.0, 0.5, 1.0, 3.0):
+                want = trig_form_value(construction_config(k, a, ll, u))
+                got = construction_form_value(k, a, ll, u)
+                assert got == pytest.approx(want, rel=1e-11, abs=0.0), (ll, u)
+
+    @pytest.mark.parametrize("k, a, ll, u", (
+        (5, 0.14, 20, -1.0),          # negative u
+        (5, 0.14, 20, math.nan),      # u < 0 is False on NaN
+        (5, 0.14, 20, math.inf),
+        (1, 0.1, 7, 1.0),             # L < B/A = 8
+        (1, 0.1, 7, math.nan),
+        (0, 0.14, 20, 1.0),           # K < 1
+        (5, 0.2, 20, 1.0),            # A >= 1/(K+1)
+        (5, -0.1, 20, 1.0),
+        (1, 1e-13, 20, 1.0),          # sin(pi A) below the pole floor
+    ))
+    def test_rejects_what_construction_config_rejects(self, k, a, ll, u):
+        with pytest.raises(Exception) as expected:
+            construction_config(k, a, ll, u)
+        with pytest.raises(Exception) as got:
+            construction_form_value(k, a, ll, u)
+        assert type(got.value) is type(expected.value)
+
+    def test_overflowing_u_raises(self):
+        with pytest.raises(NonFinite):
+            construction_form_value(5, 0.14, 20, 1e200)
+
+    def test_rises_toward_the_closed_form(self):
+        # the L -> infinity limit G_5(0.14), approached from below
+        res = big_g(5, 0.14)
+        values = [construction_form_value(5, 0.14, ll, res.u_star) / (1.0 + res.u_star ** 2)
+                  for ll in (10 ** 3, 2 * 10 ** 3, 10 ** 4, 4 * 10 ** 4)]
+        assert all(lo < hi for lo, hi in zip(values, values[1:]))
+        assert values[-1] < res.g_value
+
+    def test_trig_suite_forms_no_large_configuration_densely(self, monkeypatch):
+        from hilbertlab import suites
+        sizes = []
+
+        def recording(cfg):
+            sizes.append(cfg.m)
+            return trig_form_value(cfg)
+
+        monkeypatch.setattr(suites, "trig_form_value", recording)
+        monkeypatch.setattr(lowerbound, "trig_form_value", recording)
+        suites.suite_trig(trials=4, seed=2)
+        assert sizes and max(sizes) <= 64
 
 
 class TestConstructionConfig:

@@ -93,6 +93,40 @@ class TestBuildH:
         with pytest.raises(NonFinite):
             build_h(generate_uniform(3, 1.0), weights=[1.0, bad, 1.0])
 
+    @pytest.mark.parametrize("weights, nodes", (
+        ([1e200, 1e200, 1.0], [0.0, 1.0, 2.0, 3.0, 4.0]),     # c_m c_n overflows
+        ([1e150, 1e150, 1.0], [0.0, 1.0, 1.0 + 1e-10, 3.0, 4.0]),  # the divide does
+    ))
+    def test_overflowing_entries_raise(self, weights, nodes):
+        with pytest.raises(NonFinite):
+            build_h(GapSequence(nodes), weights=weights)
+
+
+def triu_and_mirror(seq, c):
+    """H as first assembled: the strict upper triangle of one divide,
+    mirrored by negation."""
+    upper = np.triu(np.outer(c, c) / seq.differences(), k=1)
+    return upper - upper.T
+
+
+class TestOneDivideAssembly:
+    WINDOWS = {
+        "uniform": lambda n: generate_uniform(n, 1.0),
+        "random": lambda n: generate_random(n, 0.05, n),
+        "cluster": lambda n: generate_cluster(max(n, 2)),
+    }
+
+    @pytest.mark.parametrize("custom", (False, True))
+    @pytest.mark.parametrize("kind", sorted(WINDOWS))
+    def test_bit_identical_to_triu_and_mirror(self, kind, custom):
+        rng = np.random.default_rng(7)
+        for n in (*range(1, 41), 2000):
+            seq = self.WINDOWS[kind](n)
+            weights = rng.uniform(0.5, 2.0, seq.n) if custom else None
+            h = build_h(seq, weights)
+            assert np.array_equal(h.entries, triu_and_mirror(seq, h.weights)), (kind, n)
+            assert (h.entries == -h.entries.T).all(), (kind, n)
+
 
 class TestSpectralRadius:
     def test_two_node_uniform(self):
