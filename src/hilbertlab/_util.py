@@ -120,27 +120,62 @@ def _render(obj, nl: str, step: str, colon: str) -> str:
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        if not obj:
+        texts = _items(obj, inner, step, colon)
+        if not texts:
             return "[]"
-        return "[" + inner + ("," + inner).join(_items(obj, inner, step, colon)) + nl + "]"
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+class Rows:
+    """A table of named columns of scalars, all of one length. In a list the
+    renderer writes it as one flat object per row, the text that a run of
+    dicts with these keys would give, without building the dicts."""
+
+    def __init__(self, columns: dict[str, list]):
+        self.columns = columns
+
+
+def _cells(column: list) -> list[str]:
+    """The JSON texts of a column of scalars. An all-float column is
+    formatted in one %.12g pass; only the cells that text does not already
+    give (exponents, integral and non-finite values) go through _scalar."""
+    if all(type(value) is float for value in column):
+        return [text if "." in text and "e" not in text else _scalar(value)
+                for text, value in zip(map("%.12g".__mod__, column), column)]
+    cells = list(map(_scalar, column))
+    if None in cells:
+        raise TypeError("Rows columns hold scalars only")
+    return cells
+
+
+def _row_template(keys, nl: str, step: str, colon: str) -> str:
+    """The text of a flat object with these keys at indentation nl, with a
+    %s slot for each value."""
+    inner = nl + step
+    return "{" + inner + ("," + inner).join(
+        _quote(str(key)).replace("%", "%%") + colon + "%s" for key in keys) + nl + "}"
 
 
 def _items(items, nl: str, step: str, colon: str) -> list[str]:
     """The JSON texts of items at indentation nl. A run of flat dicts with
-    the same keys is formatted through one row template."""
-    inner = nl + step
+    the same keys is formatted through one row template, and a Rows item
+    gives one text per row through its template."""
     texts, keys, template = [], None, ""
     for item in items:
+        if type(item) is Rows:
+            keys = tuple(item.columns)
+            template = _row_template(keys, nl, step, colon)
+            texts.extend(map(template.__mod__,
+                             zip(*map(_cells, item.columns.values()))))
+            continue
         if type(item) is dict and item:
             cells = tuple(map(_scalar, item.values()))
             if None not in cells:
                 row_keys = tuple(item)
                 if row_keys != keys:
                     keys = row_keys
-                    template = "{" + inner + ("," + inner).join(
-                        _quote(str(key)).replace("%", "%%") + colon + "%s"
-                        for key in keys) + nl + "}"
+                    template = _row_template(keys, nl, step, colon)
                 texts.append(template % cells)
                 continue
         texts.append(_render(item, nl, step, colon))

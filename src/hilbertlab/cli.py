@@ -11,7 +11,7 @@ import csv
 import sys
 import time
 
-from ._util import to_json, to_json_lines
+from ._util import Rows, to_json, to_json_lines
 from .errors import IoError, NoConvergence
 from .gaps import generate_cluster, generate_random, generate_uniform
 from .lowerbound import big_g, scan
@@ -212,7 +212,7 @@ def _run_scan(out: str | None, k_min: int, k_max: int, steps: int) -> tuple[dict
         write_csv({name: column for name, column in columns.items() if name != "B"}, out)
         results = [best]
     else:
-        results = [best, *(dict(zip(SCAN_FIELDS, row)) for row in zip(*columns.values()))]
+        results = [best, Rows(columns)]
     params = {"k_min": k_min, "k_max": k_max, "steps": steps, "rows": table.k.size}
     if out:
         params["out"] = out

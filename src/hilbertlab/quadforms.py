@@ -10,6 +10,15 @@ symmetrized kernel: the kernel is entrywise nonnegative, so a Perron
 eigenvector can be chosen nonnegative and the sign constraint is free.
 That optimum is a lower estimate for the best constant at this window
 size, and exactly the optimal constant for the given configuration.
+
+How the top eigenvalue is found depends on the matrix that is solved
+(the even reflection block when the window is mirror-symmetric, else the
+whole kernel). From PERRON_MIN_N = 256 rows on, a nonnegative matrix
+gets its Perron pair by Rayleigh-quotient iteration, and the value is
+certified to be the top one by the Collatz-Wielandt bracket; these values
+are Rayleigh quotients that agree with LAPACK's eigvalsh within 1e-12
+relative, not eigvalsh's own values. Smaller matrices, signed matrices
+and any matrix the certificate rejects get eigvalsh.
 """
 from __future__ import annotations
 
@@ -30,6 +39,11 @@ from .gaps import GapSequence, WeightVector, check_nodes, node_deltas, node_diff
 
 RESIDUAL_RTOL = 1e-10
 SQRT2 = float(np.sqrt(2.0))
+# nonnegative matrices solved at this size or larger go to `_perron_pair`
+PERRON_MIN_N = 256
+LANCZOS_STEPS = 80
+RQI_SWEEPS = 6
+RQI_RTOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +173,83 @@ def _inverse_iteration(matrix: np.ndarray, value: float, scale: float) -> np.nda
     return v
 
 
+def _lanczos_ritz(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+    """The top Ritz pair of at most LANCZOS_STEPS Lanczos steps from the
+    normalized ones vector, with full reorthogonalization. The run stops
+    when the new direction vanishes against ||Mq|| (breakdown: the Krylov
+    space is invariant, so its Ritz pairs are exact)."""
+    n = matrix.shape[0]
+    basis = np.empty((min(LANCZOS_STEPS, n), n))
+    diag, off = np.empty(len(basis)), np.empty(len(basis))
+    q = np.full(n, 1.0 / np.sqrt(n))
+    for k in range(len(basis)):
+        basis[k] = q
+        w = matrix @ q
+        diag[k] = q @ w
+        reach = np.linalg.norm(w)
+        # Gram-Schmidt against the whole basis, twice, as one pass loses
+        # orthogonality once the top Ritz value converges
+        for _ in range(2):
+            w -= (basis[:k + 1] @ w) @ basis[:k + 1]
+        off[k] = np.linalg.norm(w)
+        if off[k] <= 1e-12 * reach:
+            break
+        q = w / off[k]
+    steps = k + 1
+    upper = np.diag(off[:steps - 1], 1)
+    ritz, coords = np.linalg.eigh(np.diag(diag[:steps]) + upper + upper.T)
+    return float(ritz[-1]), coords[:, -1] @ basis[:steps]
+
+
+def _perron_pair(matrix: np.ndarray) -> tuple[float, np.ndarray] | None:
+    """The top eigenvalue and positive unit eigenvector of a nonzero,
+    nonnegative, symmetric matrix, or None when they cannot be certified.
+
+    The Lanczos Ritz pair seeds Rayleigh-quotient iteration (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 4): solve (theta I - M) x = v by LU,
+    normalize, set theta = v^T M v, until ||Mv - theta v|| <= RQI_RTOL *
+    theta, with at least one and at most RQI_SWEEPS solves. One shift
+    buffer serves every sweep.
+
+    RQI finds an eigenpair, not necessarily the top one; the
+    Collatz-Wielandt bracket certifies it. For nonnegative M and positive
+    v the spectral radius lies in [min_i (Mv)_i / v_i, max_i (Mv)_i / v_i],
+    and theta, the mean of those ratios weighted by v_i^2, too; so a
+    positive v whose bracket is at most RESIDUAL_RTOL * theta wide makes
+    theta the top eigenvalue within that width. A vector with a zero or
+    negative entry, a wider or non-finite bracket, or a singular solve
+    gives None.
+    """
+    n = matrix.shape[0]
+    shifted = None
+    try:
+        theta, v = _lanczos_ritz(matrix)
+        with np.errstate(all="ignore"):
+            # at least one solve: a Ritz pair near RQI_RTOL can still leave
+            # the bracket too wide where the vector has small entries
+            for _ in range(RQI_SWEEPS):
+                shifted = np.negative(matrix, out=shifted)
+                shifted.flat[:: n + 1] += theta
+                v = np.linalg.solve(shifted, v)
+                v /= np.linalg.norm(v)
+                product = matrix @ v
+                theta = float(v @ product)
+                if np.linalg.norm(product - theta * v) <= RQI_RTOL * theta:
+                    break
+            else:
+                return None
+            if v.sum() < 0.0:
+                v, product = -v, -product
+            if not v.min() > 0.0:
+                return None
+            ratios = product / v
+            if not ratios.max() - ratios.min() <= RESIDUAL_RTOL * theta:
+                return None
+    except np.linalg.LinAlgError:
+        return None
+    return theta, v
+
+
 def _checked_scales(stack: np.ndarray, nonneg: bool) -> np.ndarray:
     """max |M| of each matrix in a (B, n, n) stack, after the input checks
     run on each in turn: nonnegative entries when `nonneg` is set
@@ -195,17 +286,26 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     with `nonneg` the entries must also be nonnegative. The checks run on
     each matrix in turn, and the first that fails raises.
 
-    The values are LAPACK's eigvalsh, so no eigenvectors are formed, and
-    each vector comes from `_inverse_iteration`. It is returned only when
-    the residual certificate ||Mv - value*v|| <= RESIDUAL_RTOL * |value|
-    holds on the full matrix. A zero matrix gives 0 and the normalized ones
-    vector.
+    The method is chosen per matrix. The matrix solved is the even
+    reflection block when the matrix has exact reflection symmetry
+    J M J = M, else the matrix itself. With `nonneg` set and at least
+    PERRON_MIN_N rows, it goes to `_perron_pair`: the value is a Rayleigh
+    quotient that agrees with eigvalsh within 1e-12 relative, certified
+    top by the Collatz-Wielandt bracket, and the positive vector comes
+    with it. On a nonnegative matrix the Perron vector is even, so the
+    odd block is not solved. When the bracket or any other step of that
+    path fails, the matrix falls back to the path of the smaller ones.
 
-    A matrix with exact reflection symmetry J M J = M is solved on its two
-    half-size blocks: the larger of their top values is the value (the even
-    block wins a tie), and that block's vector is lifted back to length n.
-    The other matrices share one stacked eigvalsh, which solves each as a
-    lone call does.
+    There the values are LAPACK's eigvalsh, so no eigenvectors are
+    formed, and each vector comes from `_inverse_iteration`. A mirrored
+    matrix is solved on its two half-size blocks: the larger of their top
+    values is the value (the even block wins a tie). The other matrices
+    share one stacked eigvalsh, which solves each as a lone call does.
+
+    A vector from a block is lifted back to length n, and every vector is
+    returned only when the residual certificate ||Mv - value*v|| <=
+    RESIDUAL_RTOL * |value| holds on the full matrix. A zero matrix gives
+    0 and the normalized ones vector.
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise NotSymmetric(f"need a stack of square matrices, got shape {stack.shape}")
@@ -213,16 +313,22 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     count, n = stack.shape[:2]
     nonzero = [b for b, scale in enumerate(scales) if scale]
     values = np.zeros(count)
-    folds, plain = {}, []
+    # member -> (matrix solved, parity of its block or None, vector or None)
+    solved, plain = {}, []
     try:
         for b in nonzero:
             blocks = _reflection_blocks(stack[b], 1.0)
-            if blocks is None:
+            matrix = stack[b] if blocks is None else blocks[0]
+            pair = _perron_pair(matrix) if nonneg and len(matrix) >= PERRON_MIN_N else None
+            if pair is not None:
+                values[b] = pair[0]
+                solved[b] = (matrix, None if blocks is None else True, pair[1])
+            elif blocks is None:
                 plain.append(b)
-                continue
-            even, odd = (float(np.linalg.eigvalsh(block)[-1]) for block in blocks)
-            values[b] = max(even, odd)
-            folds[b] = (blocks[0], True) if even >= odd else (blocks[1], False)
+            else:
+                even, odd = (float(np.linalg.eigvalsh(block)[-1]) for block in blocks)
+                values[b] = max(even, odd)
+                solved[b] = (blocks[0], True, None) if even >= odd else (blocks[1], False, None)
         if plain:
             # a slice, unlike an index list, takes the whole stack without a copy
             index = slice(None) if len(plain) == count else plain
@@ -231,9 +337,10 @@ def _top_eigen(stack: np.ndarray, vector: bool,
             return values, None
         vectors = [None if scale else np.full(n, 1.0 / np.sqrt(n)) for scale in scales]
         for b in nonzero:
-            solved, even = folds.get(b, (stack[b], None))
+            matrix, even, v = solved.get(b, (stack[b], None, None))
             value = float(values[b])
-            v = _inverse_iteration(solved, value, scales[b])
+            if v is None:
+                v = _inverse_iteration(matrix, value, scales[b])
             if even is not None:
                 v = _reflection_lift(v, n, even)
             _certify(stack[b] @ v, value, v)
@@ -248,9 +355,14 @@ def top_eigen_nonneg_sym(matrix) -> tuple[float, np.ndarray]:
 
     Requires a finite symmetric matrix with nonnegative entries; the
     returned vector is the Perron direction with residual ||Mv - v*val||
-    bounded by 1e-10 * val. Inverse iteration from a positive start stays
-    positive on such a matrix, so the absolute value only clears the sign
-    of entries that vanish to rounding.
+    bounded by 1e-10 * val. When the matrix solved (its even reflection
+    block if it is mirror-symmetric) has at least PERRON_MIN_N rows, the
+    pair comes from Rayleigh-quotient iteration and the value is certified
+    top by the Collatz-Wielandt bracket, agreeing with eigvalsh within
+    1e-12 relative; smaller matrices, and any the bracket does not
+    certify, get eigvalsh and inverse iteration. Inverse iteration from a
+    positive start stays positive on such a matrix, so the absolute value
+    only clears the sign of entries that vanish to rounding.
     """
     values, vectors = _top_eigen(np.asarray(matrix, dtype=float)[None], True, nonneg=True)
     return float(values[0]), np.abs(vectors[0])

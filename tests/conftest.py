@@ -18,3 +18,17 @@ def eigvalsh_sizes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     return sizes
+
+
+@pytest.fixture
+def solve_sizes(monkeypatch):
+    """The size of each system np.linalg.solve factors, one LU each."""
+    sizes = []
+    solve = np.linalg.solve
+
+    def recording(a, b):
+        sizes.append(np.shape(a)[-1])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return sizes

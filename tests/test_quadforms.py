@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,10 +31,12 @@ from hilbertlab import quadforms
 from hilbertlab.quadforms import (
     RESIDUAL_RTOL,
     _alpha_kernels,
+    _symmetrized,
     _top_eigen,
     alpha_form_matrix,
     constant_values,
 )
+from hilbertlab.search import generate_trig_periodized
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
 ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
@@ -388,6 +391,131 @@ class TestConstantValues:
     def test_kernel_overflow_raises(self):
         with pytest.raises(NonFinite):
             constant_values(1.0, np.array([[0.0, 1.0, 2.0, 3.0], [0.0, 1e-200, 2e-200, 1.0]]))
+
+
+def perron_windows(n: int) -> list:
+    """Windows of n active nodes whose kernels the Perron path solves at
+    large n; uniform spacing 0.3 misses the fold, spacing 1.0 takes it."""
+    return [*(generate_random(n, 0.3, s) for s in range(3)), generate_cluster(n),
+            generate_trig_periodized(n), generate_uniform(n, 0.3), generate_uniform(n, 1.0)]
+
+
+def assert_certified_witness(m: np.ndarray, value: float, witness: np.ndarray) -> None:
+    """Unit, positive, with the residual certificate and a Collatz-Wielandt
+    bracket [min (Mw)_i / w_i, max (Mw)_i / w_i] at most RESIDUAL_RTOL wide."""
+    assert np.linalg.norm(witness) == pytest.approx(1.0, abs=1e-14)
+    assert np.min(witness) > 0.0
+    product = m @ witness
+    assert np.linalg.norm(product - value * witness) <= RESIDUAL_RTOL * value
+    ratios = product / witness
+    assert np.max(ratios) - np.min(ratios) <= RESIDUAL_RTOL * value
+
+
+class TestPerronPath:
+    """Nonnegative matrices solved at PERRON_MIN_N rows or more take the
+    Rayleigh-quotient path, certified by the Collatz-Wielandt bracket."""
+
+    @pytest.mark.parametrize("n", (256, 300, 600))
+    @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0, 2.0))
+    def test_against_eigvalsh_oracle(self, n, alpha, eigvalsh_sizes):
+        for seq in perron_windows(n):
+            m = _symmetrized(alpha_form_matrix(seq, alpha))
+            blocks = quadforms._reflection_blocks(m, 1.0)
+            solved = len(m) if blocks is None else len(blocks[0])
+            eigvalsh_sizes.clear()
+            est = estimate_constant(alpha, seq)
+            # the path follows the size of the matrix solved, the even block if folded
+            if solved >= quadforms.PERRON_MIN_N:
+                assert eigvalsh_sizes == []
+            else:
+                assert eigvalsh_sizes == [solved, n - solved]
+            oracle = float(np.linalg.eigvalsh(m)[-1])
+            assert abs(est.value - oracle) <= 1e-12 * oracle
+            assert_certified_witness(m, est.value, est.witness.values)
+
+    @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0, 1.7))
+    def test_constant_values_equals_estimate_constant(self, alpha):
+        seqs = perron_windows(300)
+        values = constant_values(alpha, np.array([seq.nodes for seq in seqs]))
+        assert list(values) == [estimate_constant(alpha, seq).value for seq in seqs]
+
+    def test_rank_one_breakdown(self, eigvalsh_sizes):
+        # Lanczos stops after one step on the all-ones matrix, and its
+        # Ritz value is the eigenvalue that the shift then makes singular
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, vector = quadforms._perron_pair(np.ones((300, 300)))
+            assert value == pytest.approx(300.0, rel=1e-14)
+            assert np.allclose(vector, 1.0 / np.sqrt(300.0), rtol=1e-14, atol=0.0)
+            # mirrored, so 300 rows fold to eigvalsh blocks and 600 to a Perron block
+            assert top_eigen_nonneg_sym(np.ones((300, 300)))[0] == pytest.approx(300.0, rel=1e-14)
+            assert eigvalsh_sizes == [150, 150]
+            eigvalsh_sizes.clear()
+            value, vector = top_eigen_nonneg_sym(np.ones((600, 600)))
+        assert eigvalsh_sizes == []
+        assert value == pytest.approx(600.0, rel=1e-14)
+        assert np.allclose(vector, 1.0 / np.sqrt(600.0), rtol=1e-14, atol=0.0)
+
+    def test_reducible_matrix_falls_back(self, eigvalsh_sizes):
+        # two positive blocks: the Perron vector has zeros, so no positive
+        # vector can certify it, and eigvalsh gives the value
+        rng = np.random.default_rng(11)
+        m = np.zeros((300, 300))
+        m[:140, :140] = random_nonneg_sym(140, rng)
+        m[140:, 140:] = random_nonneg_sym(160, rng)
+        assert quadforms._perron_pair(m) is None
+        value, vector = top_eigen_nonneg_sym(m)
+        assert eigvalsh_sizes == [300]
+        assert value == np.linalg.eigvalsh(m)[-1]
+        assert np.linalg.norm(m @ vector - value * vector) <= RESIDUAL_RTOL * value
+
+    def test_eigenpair_below_the_top_falls_back(self, monkeypatch, eigvalsh_sizes):
+        # seeded at the second eigenpair, RQI stays there; that vector has
+        # entries of both signs and none zero, so every ratio (Mv)_i / v_i
+        # is its eigenvalue and only the positivity test rejects it
+        m = random_nonneg_sym(300, np.random.default_rng(14))
+        values, vectors = np.linalg.eigh(m)
+        monkeypatch.setattr(quadforms, "_lanczos_ritz",
+                            lambda matrix: (float(values[-2]), vectors[:, -2].copy()))
+        assert quadforms._perron_pair(m) is None
+        value, vector = top_eigen_nonneg_sym(m)
+        assert eigvalsh_sizes == [300]
+        assert value == np.linalg.eigvalsh(m)[-1]
+
+    @pytest.mark.parametrize("bad, error", ((-1.0, NegativeEntry), (np.nan, NonFinite),
+                                            (np.inf, NonFinite)))
+    def test_bad_entries_raise_before_any_solve(self, bad, error, eigvalsh_sizes,
+                                                solve_sizes):
+        m = random_nonneg_sym(300, np.random.default_rng(12))
+        m[3, 7] = m[7, 3] = bad
+        with pytest.raises(error):
+            top_eigen_nonneg_sym(m)
+        m = random_nonneg_sym(300, np.random.default_rng(13))
+        m[3, 7] += 1e-6
+        with pytest.raises(NotSymmetric):
+            top_eigen_nonneg_sym(m)
+        assert eigvalsh_sizes == [] and solve_sizes == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_window_skips_eigvalsh(self, seed, eigvalsh_sizes, solve_sizes):
+        # a silent fallback would show here as a 600 in eigvalsh_sizes
+        estimate_constant(0.5, generate_random(600, 0.2, seed))
+        assert eigvalsh_sizes == []
+        assert 1 <= len(solve_sizes) <= 3 and set(solve_sizes) == {600}
+
+    @pytest.mark.parametrize("n", (200, 255))
+    def test_small_window_keeps_eigvalsh(self, n, eigvalsh_sizes, solve_sizes):
+        estimate_constant(0.5, generate_random(n, 0.2, 1))
+        assert eigvalsh_sizes == [n]
+        assert solve_sizes == [n, n]
+
+    def test_threshold_applies_to_the_even_block(self, eigvalsh_sizes):
+        # mirrored windows of 510 and 511 nodes have even blocks of 255 and 256
+        estimate_constant(1.0, generate_uniform(510, 1.0))
+        assert eigvalsh_sizes == [255, 255]
+        eigvalsh_sizes.clear()
+        estimate_constant(1.0, generate_uniform(511, 1.0))
+        assert eigvalsh_sizes == []
 
 
 class TestNonFiniteInput:

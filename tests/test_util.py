@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbertlab._util import cotpi, sinpi_abs, sinpi_abs_cotpi, to_json, to_json_lines
+from hilbertlab._util import Rows, cotpi, sinpi_abs, sinpi_abs_cotpi, to_json, to_json_lines
 
 
 def jsonable(obj):
@@ -97,6 +97,25 @@ class TestReportRenderer:
     @given(st.lists(REPORTS, min_size=1, max_size=6) | rows())
     def test_lines_match_json_dumps(self, items):
         assert to_json_lines(items) == "\n".join(map(compact, items))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(TEXT, min_size=1, max_size=4, unique=True).flatmap(
+        lambda keys: st.tuples(st.just(keys), st.lists(
+            st.lists(FLOATS, min_size=len(keys), max_size=len(keys))
+            | st.lists(SCALARS, min_size=len(keys), max_size=len(keys)), max_size=6))))
+    def test_rows_render_as_their_dicts(self, table):
+        # a Rows item, between other items, gives the text of its row dicts
+        keys, rows = table
+        dicts = [dict(zip(keys, row)) for row in rows]
+        columns = {key: [row[i] for row in rows] for i, key in enumerate(keys)}
+        items, expanded = [{"k": 1}, Rows(columns), dicts[:1]], [{"k": 1}, *dicts, dicts[:1]]
+        assert to_json(items) == document(expanded)
+        assert to_json_lines(items) == "\n".join(map(compact, expanded))
+        assert to_json([Rows(columns)]) == document(dicts)
+
+    def test_rows_reject_containers(self):
+        with pytest.raises(TypeError):
+            to_json([Rows({"a": [1.0, [2.0]]})])
 
     def test_cells(self):
         # the float cases one by one, and empty containers
