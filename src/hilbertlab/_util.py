@@ -149,36 +149,18 @@ def _cells(column: list) -> list[str]:
     return cells
 
 
-def _row_template(keys, nl: str, step: str, colon: str) -> str:
-    """The text of a flat object with these keys at indentation nl, with a
-    %s slot for each value."""
-    inner = nl + step
-    return "{" + inner + ("," + inner).join(
-        _quote(str(key)).replace("%", "%%") + colon + "%s" for key in keys) + nl + "}"
-
-
 def _items(items, nl: str, step: str, colon: str) -> list[str]:
-    """The JSON texts of items at indentation nl. A run of flat dicts with
-    the same keys is formatted through one row template, and a Rows item
-    gives one text per row through its template."""
-    texts, keys, template = [], None, ""
+    """The JSON texts of items at indentation nl; a Rows item gives one
+    text per row, through one row template with a %s slot per value."""
+    texts = []
     for item in items:
-        if type(item) is Rows:
-            keys = tuple(item.columns)
-            template = _row_template(keys, nl, step, colon)
-            texts.extend(map(template.__mod__,
-                             zip(*map(_cells, item.columns.values()))))
+        if type(item) is not Rows:
+            texts.append(_render(item, nl, step, colon))
             continue
-        if type(item) is dict and item:
-            cells = tuple(map(_scalar, item.values()))
-            if None not in cells:
-                row_keys = tuple(item)
-                if row_keys != keys:
-                    keys = row_keys
-                    template = _row_template(keys, nl, step, colon)
-                texts.append(template % cells)
-                continue
-        texts.append(_render(item, nl, step, colon))
+        inner = nl + step
+        template = "{" + inner + ("," + inner).join(
+            _quote(str(key)).replace("%", "%%") + colon + "%s" for key in item.columns) + nl + "}"
+        texts.extend(map(template.__mod__, zip(*map(_cells, item.columns.values()))))
     return texts
 
 

@@ -139,12 +139,13 @@ def _run_verify(args) -> tuple[dict, list, int]:
     max_n = DEFAULT_MAX_N if args.max_n is None else args.max_n
     names = ALL_SUITES if args.suite == "all" else (args.suite,)
     records = run_suites(names, trials=args.trials, max_n=max_n, seed=args.seed)
+    # every record has the same keys, so one column table serves both writers
+    columns = {key: [r[key] for r in records] for key in (records[0] if records else ())}
     if args.out:
-        write_csv({key: [r[key] for r in records] for key in (records[0] if records else ())},
-                  args.out)
+        write_csv(columns, args.out)
     params = {"suite": args.suite, "trials": args.trials, "max_n": max_n, "seed": args.seed}
     # a run that checked nothing must not report a pass
-    return params, records, 0 if records and all(r["holds"] for r in records) else 1
+    return params, [Rows(columns)], 0 if records and all(columns["holds"]) else 1
 
 
 # constant's flags that act only without --search (the start window) and

@@ -22,28 +22,28 @@ depends on the two periods only through s = p - q, and k - |s| pairs
 Scaled by 1/(pi^2 k) it tends to the torus form as k grows, since
 sum_s 1/(y + s)^2 = pi^2/sin^2(pi y) and sum_{s != 0} 1/s^2 = pi^2/3.
 
-The K-point construction places K coarse points at spacing A plus a
-cluster of L+1 points spanning B = 1 - (K+1)A. In the L -> infinity limit
-the best weight ratio u gives the closed form
+The K-point construction places K coarse points jA, j = 1..K, at gap A
+and weight 1/sqrt(K), then a cluster of L+1 points (K+1)A + i h at gap
+h = B/L and weight t = u/sqrt(L+1), spanning B = 1 - (K+1)A. A pair
+inside either group depends only on its index difference, shared by a
+count of pairs per difference, so the form of the construction has three
+parts, each with its L -> infinity limit:
+
+    kappa_0                                          (coarse points)
+  + h^2 t^2 ((L+1)/3 + 2 l_sum(B, L))                (cluster, -> u^2/3)
+  + sqrt(A h) (A + h) (t/sqrt(K)) sum_{j<=K} sum_{i<=L} 1/sin^2(pi (jA + iB/L))
+                                                     (coarse-cluster, -> kappa_1 u)
+
+The cluster limit is l_sum's growth L^3/(6B^2), and the coarse-cluster
+limit is the Riemann sum of `cot_limit_check`; the last sum has O(K L)
+terms in place of the (K+L+1)^2 of the dense form. The weights have
+squared norm 1 + u^2, so the Rayleigh quotient tends to
+g(u) = (kappa_0 + kappa_1 u + u^2/3)/(1 + u^2), and the best ratio u
+gives the closed form
 
     G_K(A) = (1/2) (1/3 + kappa_0 + sqrt((1/3 - kappa_0)^2 + kappa_1^2)),
 
 so pi^2 G_K(A) is a certified lower bound for the optimal constant.
-
-At finite L the coarse points carry gap A and weight 1/sqrt(K), the
-cluster points gap h = B/L and weight t = u/sqrt(L+1). A pair inside
-either group then depends only on its index difference d, shared by
-K - d coarse pairs or L + 1 - d cluster pairs in each order, so the form
-of the construction is
-
-    (A^2 + (L+1) h^2 t^2)/3
-      + (2A^2/K) sum_{d<K} (K-d) / sin^2(pi d A)
-      + 2 h^2 t^2 sum_{d<=L} (L+1-d) / sin^2(pi d h)
-      + sqrt(A h) (A + h) (t/sqrt(K)) sum_{j,i} 1/sin^2(pi (c_i - jA)),
-
-the last sum over the K x (L+1) pairs of a coarse point jA and a cluster
-point c_i = (K+1)A + i h: O(K L) terms in place of the (K+L+1)^2 of the
-dense form.
 """
 from __future__ import annotations
 
@@ -380,33 +380,36 @@ def cot_limit_check(k: int, a: float, l: int) -> CotLimitReport:
         raise ValueError(f"L must be >= 10, got {l}")
     kappas(k, a)     # validates (k, a)
     b = 1.0 - (k + 1) * a
-
-    def finite(ll: int) -> float:
-        offsets = np.arange(ll + 1, dtype=float) * (b / ll)
-        total = math.fsum(
-            float(np.sum(sinpi_abs(j * a + offsets) ** -2.0))
-            for j in range(1, k + 1)
-        )
-        return total / ll
-
     closed = (2.0 / (math.pi * b)) * float(np.sum(cotpi(np.arange(1, k + 1, dtype=float) * a)))
-    f1, f2 = finite(l), finite(2 * l)
+    f1, f2 = _cross_sum(k, a, b, l) / l, _cross_sum(k, a, b, 2 * l) / (2 * l)
     return CotLimitReport(f1, f2, closed, f1 - closed, f2 - closed)
 
 
+def _cross_sum(k: int, a: float, b: float, l: int) -> float:
+    """sum_{j<=K} sum_{i=0..L} 1/sin^2(pi (jA + iB/L)), one fsum term per j:
+    the term (j, i) is the pair of coarse point (K+1-j)A and cluster point
+    (K+1)A + iB/L."""
+    offsets = np.arange(l + 1, dtype=float) * (b / l)
+    return math.fsum(float(np.sum(sinpi_abs(j * a + offsets) ** -2.0)) for j in range(1, k + 1))
+
+
 def _construction_points(k: int, a: float, l: int, u: float):
-    """Validate a (K, A, L, u) construction; return its coarse points,
-    its cluster points and the cluster spacing h = B/L."""
+    """Validate a (K, A, L, u) construction: u finite (NonFinite) and
+    nonnegative, (K, A) as `kappas` takes them, L >= B/A so the coarse
+    points keep gap A, and the cluster spacing h = B/L at least
+    SEPARATION_FLOOR (SeparationTooSmall). Returns (kappa_0, B, h)."""
+    if not math.isfinite(u):
+        raise NonFinite(f"u must be finite, got {u}")
     if u < 0:
         raise ValueError(f"u must be nonnegative, got {u}")
-    kappas(k, a)     # validates (k, a)
+    kappa0, _ = kappas(k, a)
     b = 1.0 - (k + 1) * a
     if l < b / a:
         raise ValueError(f"L must be at least B/A = {b / a:.3f}, got {l}")
     h = b / l
-    coarse = np.arange(1, k + 1, dtype=float) * a
-    cluster = (k + 1) * a + np.arange(l + 1, dtype=float) * h
-    return coarse, cluster, h
+    if h < SEPARATION_FLOOR:
+        raise SeparationTooSmall(f"cluster spacing {h:.3e} below {SEPARATION_FLOOR:g}")
+    return kappa0, b, h
 
 
 def construction_config(k: int, a: float, l: int, u: float) -> TrigConfig:
@@ -415,34 +418,25 @@ def construction_config(k: int, a: float, l: int, u: float) -> TrigConfig:
     and u/sqrt(L+1) respectively. Needs L >= B/A so the coarse points keep
     gap A.
     """
-    coarse, cluster, _ = _construction_points(k, a, l, u)
+    _, _, h = _construction_points(k, a, l, u)
+    points = np.concatenate((np.arange(1, k + 1, dtype=float) * a,
+                             (k + 1) * a + np.arange(l + 1, dtype=float) * h))
     weights = np.concatenate((np.full(k, 1.0 / math.sqrt(k)),
                               np.full(l + 1, u / math.sqrt(l + 1))))
-    return trig_config(np.concatenate((coarse, cluster)), weights)
+    return trig_config(points, weights)
 
 
 def construction_form_value(k: int, a: float, l: int, u: float) -> float:
-    """trig_form_value(construction_config(k, a, l, u)), summed by index
-    difference in O(K L) terms (module docstring) at the construction's
-    positions. Same input checks as `construction_config`; raises
-    NonFinite on a non-finite u or when the form overflows.
+    """trig_form_value(construction_config(k, a, l, u)) as the three parts
+    of the module docstring: kappa_0 from `kappas`, the cluster part from
+    `l_sum` and the coarse-cluster part from `_cross_sum`. Same input checks
+    as `construction_config`; raises NonFinite when the form overflows.
     """
-    coarse, cluster, h = _construction_points(k, a, l, u)
-    if not math.isfinite(u):
-        raise NonFinite(f"u must be finite, got {u}")
-    if h < SEPARATION_FLOOR:
-        raise SeparationTooSmall(f"cluster spacing {h:.3e} below {SEPARATION_FLOOR:g}")
+    kappa0, b, h = _construction_points(k, a, l, u)
     t = u / math.sqrt(l + 1)
     ht = h * t
-    dk = np.arange(1, k, dtype=float)
-    dl = np.arange(1, l + 1, dtype=float)
-    with np.errstate(all="ignore"):
-        diag = (a * a + (l + 1) * ht * ht) / 3.0
-        coarse_pairs = (2.0 * a * a / k) * float(np.sum((k - dk) / sinpi_abs(dk * a) ** 2))
-        cluster_pairs = 2.0 * ht * ht * float(np.sum((l + 1 - dl) / sinpi_abs(dl * h) ** 2))
-        cross = (math.sqrt(a * h) * (a + h) * (t / math.sqrt(k))
-                 * float(np.sum(sinpi_abs(cluster[None, :] - coarse[:, None]) ** -2.0)))
-        value = diag + coarse_pairs + cluster_pairs + cross
+    value = (kappa0 + ht * ht * ((l + 1) / 3.0 + 2.0 * l_sum(b, l))
+             + math.sqrt(a * h) * (a + h) * (t / math.sqrt(k)) * _cross_sum(k, a, b, l))
     if not math.isfinite(value):
         raise NonFinite("torus form overflows: u is too large")
     return value

@@ -131,7 +131,8 @@ def _reflection_blocks(matrix: np.ndarray, sign: float) -> tuple[np.ndarray, np.
         return None
     k = n // 2
     m11, m12j = matrix[:k, :k], matrix[:k, ::-1][:, :k]
-    even, odd = m11 + m12j, m11 - m12j
+    with np.errstate(over="ignore"):    # an overflow fails the certificate
+        even, odd = m11 + m12j, m11 - m12j
     if n % 2:
         even = np.hstack((even, SQRT2 * matrix[:k, k:k + 1]))
         centre_row = SQRT2 * matrix[k:k + 1, :k]
@@ -154,9 +155,9 @@ def _reflection_lift(y: np.ndarray, n: int, even: bool) -> np.ndarray:
 
 def _certify(product: np.ndarray, value: float, v: np.ndarray) -> None:
     """Raise NoConvergence unless ||Mv - value*v|| <= RESIDUAL_RTOL * |value|,
-    given the product Mv."""
+    given the product Mv; a NaN residual fails."""
     residual = float(np.linalg.norm(product - value * v))
-    if residual > RESIDUAL_RTOL * max(abs(value), 1e-300):
+    if not residual <= RESIDUAL_RTOL * max(abs(value), 1e-300):
         raise NoConvergence(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:g}*|value|")
 
 
@@ -166,10 +167,12 @@ def _inverse_iteration(matrix: np.ndarray, value: float, scale: float) -> np.nda
     n = matrix.shape[0]
     v = np.full(n, 1.0 / np.sqrt(n))
     shifted = -matrix
-    shifted.flat[:: n + 1] += value + 1e-14 * (abs(value) + scale)
-    for _ in range(2):
-        v = np.linalg.solve(shifted, v)
-        v /= np.linalg.norm(v)
+    # a shift or solve that overflows gives NaN, which the certificate fails
+    with np.errstate(all="ignore"):
+        shifted.flat[:: n + 1] += value + 1e-14 * (abs(value) + scale)
+        for _ in range(2):
+            v = np.linalg.solve(shifted, v)
+            v /= np.linalg.norm(v)
     return v
 
 
@@ -257,12 +260,14 @@ def _checked_scales(stack: np.ndarray, nonneg: bool) -> np.ndarray:
     1e-12 * (1 + max |M|) (NotSymmetric). The first matrix that fails
     raises.
 
-    max(max M, -min M) is max |M| without an n x n temporary, and the
-    tolerance test runs only on a matrix that is not exactly symmetric.
+    max(max M, -min M) is max |M| without an n x n temporary, and it is
+    finite exactly when every entry is: a NaN propagates through min and
+    max, and an infinite entry is one of them. The tolerance test runs
+    only on a matrix that is not exactly symmetric.
     """
     low = stack.min(axis=(1, 2))
     scales = np.maximum(stack.max(axis=(1, 2)), -low)
-    finite = np.isfinite(stack).all(axis=(1, 2))
+    finite = np.isfinite(scales)
     passed = finite & (stack == stack.swapaxes(1, 2)).all(axis=(1, 2))
     if nonneg:
         passed &= low >= 0.0
@@ -305,7 +310,8 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     A vector from a block is lifted back to length n, and every vector is
     returned only when the residual certificate ||Mv - value*v|| <=
     RESIDUAL_RTOL * |value| holds on the full matrix. A zero matrix gives
-    0 and the normalized ones vector.
+    0 and the normalized ones vector; a value that overflows raises
+    NoConvergence, with or without vectors.
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise NotSymmetric(f"need a stack of square matrices, got shape {stack.shape}")
@@ -333,6 +339,8 @@ def _top_eigen(stack: np.ndarray, vector: bool,
             # a slice, unlike an index list, takes the whole stack without a copy
             index = slice(None) if len(plain) == count else plain
             values[index] = np.linalg.eigvalsh(stack[index])[:, -1]
+        if not np.isfinite(values).all():
+            raise NoConvergence("a top eigenvalue overflows")
         if not vector:
             return values, None
         vectors = [None if scale else np.full(n, 1.0 / np.sqrt(n)) for scale in scales]
@@ -362,9 +370,13 @@ def top_eigen_nonneg_sym(matrix) -> tuple[float, np.ndarray]:
     1e-12 relative; smaller matrices, and any the bracket does not
     certify, get eigvalsh and inverse iteration. Inverse iteration from a
     positive start stays positive on such a matrix, so the absolute value
-    only clears the sign of entries that vanish to rounding.
+    only clears the sign of entries that vanish to rounding. A matrix that
+    is not n x n with n >= 1 raises NotSymmetric.
     """
-    values, vectors = _top_eigen(np.asarray(matrix, dtype=float)[None], True, nonneg=True)
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or not 0 < matrix.shape[0] == matrix.shape[1]:
+        raise NotSymmetric(f"need a nonempty square matrix, got shape {matrix.shape}")
+    values, vectors = _top_eigen(matrix[None], True, nonneg=True)
     return float(values[0]), np.abs(vectors[0])
 
 

@@ -62,11 +62,9 @@ def zeta(sigma: float) -> float:
     relative accuracy for every sigma > 1.
     """
     sigma = _check_sigma(sigma)
-    k = np.arange(1, _ZETA_CUTOFF + 1, dtype=float)
-    head = float(np.sum(k ** (-sigma)))
     m = float(_ZETA_CUTOFF)
     tail = m ** (1 - sigma) / (sigma - 1) - 0.5 * m ** (-sigma) + sigma * m ** (-sigma - 1) / 12.0
-    return head + tail
+    return _integer_weight_sum(sigma, _ZETA_CUTOFF) + tail
 
 
 def _integer_weight_sum(sigma: float, upto: int) -> float:

@@ -113,8 +113,6 @@ def _top_gram(h: SkewHilbertMatrix, vector: bool) -> tuple[float, np.ndarray | N
 
 def spectral_radius(h: SkewHilbertMatrix) -> float:
     """|mu_max| = sqrt(top eigenvalue of H^T H)."""
-    if h.n == 1:
-        return 0.0
     value, _ = _top_gram(h, vector=False)
     return math.sqrt(max(value, 0.0))
 
@@ -124,8 +122,6 @@ def eigenpair_top(h: SkewHilbertMatrix) -> ComplexEigenpair:
 
     u = v - (i/mu) H v satisfies H u = i mu u whenever H^T H v = mu^2 v.
     """
-    if h.n == 1:
-        raise ZeroSpectrum("1x1 skew matrix has only the zero eigenvalue")
     value, v = _top_gram(h, vector=True)
     mu = math.sqrt(max(value, 0.0))
     if mu <= 0.0:

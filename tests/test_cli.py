@@ -271,6 +271,15 @@ class TestOutputContract:
             assert code == 0
             assert out.endswith("\n")
 
+    def test_verify_json_lines_match_the_document(self, capsys):
+        argv = ["verify", "--suite", "chain", "--trials", "3"]
+        _, document = run(capsys, argv)
+        _, lines = run(capsys, [*argv, "--json"])
+        records = [json.loads(line) for line in lines.splitlines()]
+        assert records[:-1] == parse_report(document)["results"]
+        assert len(records) == 1 + 4 * (2 + 3)
+        assert "results" not in records[-1]
+
     def test_verify_csv_digest(self, capsys, tmp_path):
         out_path = tmp_path / "trig.csv"
         code, _ = run(capsys, ["verify", "--suite", "trig", "--trials", "20", "--seed", "1",

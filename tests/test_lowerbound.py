@@ -519,8 +519,11 @@ class TestConstructionFormValue:
         (5, 0.14, 20, -1.0),          # negative u
         (5, 0.14, 20, math.nan),      # u < 0 is False on NaN
         (5, 0.14, 20, math.inf),
+        (5, 0.14, 20, -math.inf),
         (1, 0.1, 7, 1.0),             # L < B/A = 8
+        (3, 0.1, 5, 1.0),             # L < B/A = 6
         (1, 0.1, 7, math.nan),
+        (1, 0.1, 10 ** 9, 1.0),       # cluster spacing 8e-10, rejected before allocating
         (0, 0.14, 20, 1.0),           # K < 1
         (5, 0.2, 20, 1.0),            # A >= 1/(K+1)
         (5, -0.1, 20, 1.0),
@@ -532,6 +535,10 @@ class TestConstructionFormValue:
         with pytest.raises(Exception) as got:
             construction_form_value(k, a, ll, u)
         assert type(got.value) is type(expected.value)
+        if not math.isfinite(u):
+            assert type(got.value) is NonFinite
+        if ll == 10 ** 9:
+            assert type(got.value) is SeparationTooSmall
 
     def test_overflowing_u_raises(self):
         with pytest.raises(NonFinite):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -169,6 +170,18 @@ class TestTopEigen:
         assert top_eigen_nonneg_sym(near)[0] == pytest.approx(3.0 * scale, rel=1e-12)
         with pytest.raises(NotSymmetric, match="not symmetric within 1e-12"):
             top_eigen_nonneg_sym(far)
+
+    @pytest.mark.parametrize("matrix", ([[0.0, 1e308], [1e308, 0.0]],
+                                        [[1e308, 1e308], [1e308, 1e308]]))
+    def test_overflowing_solve_fails_the_certificate(self, matrix):
+        # finite entries whose solve overflows leave a NaN witness behind
+        with pytest.raises(NoConvergence):
+            top_eigen_nonneg_sym(np.array(matrix))
+
+    @pytest.mark.parametrize("shape", ((0, 0), (3,), (2, 3), (1, 2, 2)))
+    def test_rejects_a_shape_that_is_not_square(self, shape):
+        with pytest.raises(NotSymmetric, match=re.escape(f"got shape {shape}")):
+            top_eigen_nonneg_sym(np.zeros(shape))
 
     def test_zero_matrix_keeps_start_vector(self):
         value, vector = top_eigen_nonneg_sym(np.zeros((4, 4)))
@@ -347,6 +360,11 @@ class TestStackedValues:
         stack[2, 0, 0] = np.nan
         with pytest.raises(NegativeEntry):
             stack_values(stack)
+
+    def test_overflowing_value_raises(self):
+        # finite entries whose top eigenvalue overflows; no certificate runs here
+        with pytest.raises(NoConvergence, match="overflows"):
+            stack_values(np.full((1, 2, 2), 1e308))
 
     @pytest.mark.parametrize("shape", ((4, 4), (2, 3, 4)))
     def test_rejects_non_square_stack(self, shape):
