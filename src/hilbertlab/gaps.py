@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import IndexOutOfRange, NegativeEntry, NonFinite, NotIncreasing, TooShort
 
+# rows per block of an n x n kernel: 32 rows of 2,000 entries are 512 kB
+ROW_BLOCK = 32
+
 
 @dataclass(frozen=True, eq=False)
 class GapSequence:
@@ -82,12 +85,27 @@ def node_deltas(nodes: np.ndarray) -> np.ndarray:
     return np.minimum(gaps[..., :-1], gaps[..., 1:])
 
 
-def node_differences(lam: np.ndarray) -> np.ndarray:
+def row_blocks(n: int):
+    """Slices of ROW_BLOCK consecutive rows covering range(n): the unit in
+    which n x n kernels are built and compared, so no step makes a second
+    n x n array."""
+    for start in range(0, n, ROW_BLOCK):
+        yield slice(start, min(start + ROW_BLOCK, n))
+
+
+def block_diagonal(block: np.ndarray, rows: slice) -> np.ndarray:
+    """Writable view of the entries (m, m) of a block of rows `rows` of an
+    N x N matrix, or of a stack of such blocks."""
+    return np.einsum("...ii->...i", block[..., rows])
+
+
+def node_differences(lam: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
     """lam_m - lam_n over the last axis of `lam`, a window of N nodes or a
     stack of them, as N x N matrices with a unit diagonal so that kernels
-    in 1/(lam_m - lam_n) can divide by them."""
-    diff = lam[..., :, None] - lam[..., None, :]
-    np.einsum("...ii->...i", diff)[...] = 1.0
+    in 1/(lam_m - lam_n) can divide by them; only the rows m in `rows`
+    when it is given."""
+    diff = lam[..., rows, None] - lam[..., None, :]
+    block_diagonal(diff, rows)[...] = 1.0
     return diff
 
 

@@ -19,9 +19,16 @@ certified to be the top one by the Collatz-Wielandt bracket; these values
 are Rayleigh quotients that agree with LAPACK's eigvalsh within 1e-12
 relative, not eigvalsh's own values. Smaller matrices, signed matrices
 and any matrix the certificate rejects get eigvalsh.
+
+Kernels are built a block of rows at a time, and `_top_eigen` shifts the
+matrix it solves in place and restores it, so a Perron solve holds the
+matrix and LAPACK's working copy; `top_eigen_nonneg_sym` solves a copy of
+its input unless told to overwrite it, as `estimate_constant` does with
+its own kernel.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +42,15 @@ from .errors import (
     NotSymmetric,
     TooShort,
 )
-from .gaps import GapSequence, WeightVector, check_nodes, node_deltas, node_differences
+from .gaps import (
+    GapSequence,
+    WeightVector,
+    block_diagonal,
+    check_nodes,
+    node_deltas,
+    node_differences,
+    row_blocks,
+)
 
 RESIDUAL_RTOL = 1e-10
 SQRT2 = float(np.sqrt(2.0))
@@ -64,26 +79,45 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _alpha_kernels(delta: np.ndarray, lam: np.ndarray, alpha: float) -> np.ndarray:
+def _alpha_kernels(delta: np.ndarray, lam: np.ndarray, alpha: float,
+                   symmetrized: bool = False) -> np.ndarray:
     """The kernels of Q_alpha from the deltas and active nodes along the
     last axis: an N x N matrix for one window, a stack of them for a stack
-    of windows. Raises NonFinite when a gap scale under- or overflows a
-    kernel (0/0 or inf/inf) instead of passing NaN on."""
+    of windows; with `symmetrized`, each kernel's (M + M^T) / 2 instead.
+    Raises NonFinite when a gap scale under- or overflows a kernel (0/0 or
+    inf/inf) instead of passing NaN on.
+
+    The kernels are built ROW_BLOCK rows at a time, with no difference
+    matrix, unsymmetrized copy or transpose of the whole. With
+    a = delta^(2-alpha), b = delta^alpha and d2 = (lam_m - lam_n)^2, entry
+    (m, n) of the kernel is fl(a_m b_n) / d2. fl(lam_n - lam_m) is exactly
+    -fl(lam_m - lam_n), so fl(b_m a_n) / d2 is exactly entry (n, m), and
+    adding it and halving gives (M + M^T) / 2 bit for bit. Every entry is
+    >= 0, NaN or inf, so one max of a block's kernel entries tells whether
+    they are all finite.
+    """
+    n = lam.shape[-1]
+    out = np.empty(lam.shape + (n,))
     with np.errstate(all="ignore"):
-        diff = node_differences(lam)
-        entries = (delta ** (2.0 - alpha))[..., :, None] * (delta ** alpha)[..., None, :]
-        entries /= np.square(diff, out=diff)
-    np.einsum("...ii->...i", entries)[...] = 0.0
-    if not np.isfinite(entries).all():
-        raise NonFinite(f"alpha = {alpha} kernel has non-finite entries")
-    return entries
-
-
-def _symmetrized(kernels: np.ndarray) -> np.ndarray:
-    """(M + M^T) / 2 of each kernel in a matrix or a stack of them."""
-    sym = kernels + kernels.swapaxes(-1, -2)
-    sym /= 2.0
-    return sym
+        a, b = delta ** (2.0 - alpha), delta ** alpha
+        for rows in row_blocks(n):
+            d2 = node_differences(lam, rows)
+            np.square(d2, out=d2)
+            block = np.multiply(a[..., rows, None], b[..., None, :], out=out[..., rows, :])
+            block /= d2
+            block_diagonal(block, rows)[...] = 0.0
+            entries = block
+            if symmetrized:
+                entries = b[..., rows, None] * a[..., None, :]
+                entries /= d2
+                block_diagonal(entries, rows)[...] = 0.0
+            # over all blocks, the mirror terms are every entry of the kernel
+            if not entries.max(initial=0.0) < np.inf:
+                raise NonFinite(f"alpha = {alpha} kernel has non-finite entries")
+            if symmetrized:
+                block += entries
+                block /= 2.0
+    return out
 
 
 def alpha_form_matrix(seq: GapSequence, alpha: float) -> np.ndarray:
@@ -127,7 +161,7 @@ def _reflection_blocks(matrix: np.ndarray, sign: float) -> tuple[np.ndarray, np.
     # one mirrored pair rules out most matrices before the full comparison
     if n < 2 or matrix[0, 1] != sign * matrix[-1, -2]:
         return None
-    if not np.array_equal(matrix[::-1, ::-1], matrix if sign > 0 else -matrix):
+    if not _mirrored(matrix, sign):
         return None
     k = n // 2
     m11, m12j = matrix[:k, :k], matrix[:k, ::-1][:, :k]
@@ -141,6 +175,18 @@ def _reflection_blocks(matrix: np.ndarray, sign: float) -> tuple[np.ndarray, np.
         else:
             odd = np.vstack((odd, centre_row))
     return even, odd
+
+
+def _mirrored(matrix: np.ndarray, sign: float) -> bool:
+    """Whether J M J = sign * M exactly, compared a block of rows of the
+    upper half at a time against its mirror image, with no n x n
+    temporary; row m of J M J is row n - 1 - m of M reversed."""
+    n = matrix.shape[0]
+    for rows in row_blocks((n + 1) // 2):
+        mirror = matrix[n - rows.stop:n - rows.start, ::-1][::-1]
+        if not np.array_equal(matrix[rows], sign * mirror):
+            return False
+    return True
 
 
 def _reflection_lift(y: np.ndarray, n: int, even: bool) -> np.ndarray:
@@ -161,17 +207,35 @@ def _certify(product: np.ndarray, value: float, v: np.ndarray) -> None:
         raise NoConvergence(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:g}*|value|")
 
 
-def _inverse_iteration(matrix: np.ndarray, value: float, scale: float) -> np.ndarray:
+@contextmanager
+def _shifted(matrix: np.ndarray, shift: float, exact: bool):
+    """Overwrite a square matrix with shift * I - M for the body of the
+    block, and yield the array to hand np.linalg.solve: the F-contiguous
+    view when M == M^T exactly, which solve copies without a strided
+    transpose, to the same values. Negation is exact and the diagonal is
+    kept, so the matrix is restored bit for bit on leaving, an exception
+    included."""
+    diagonal = matrix.diagonal().copy()
+    np.negative(matrix, out=matrix)
+    try:
+        matrix.flat[:: len(matrix) + 1] += shift
+        yield matrix.T if exact else matrix
+    finally:
+        np.negative(matrix, out=matrix)
+        matrix.flat[:: len(matrix) + 1] = diagonal
+
+
+def _inverse_iteration(matrix: np.ndarray, value: float, scale: float, exact: bool) -> np.ndarray:
     """Two steps of inverse iteration (Wielandt) on sigma*I - M from the
-    normalized ones vector, with the shift sigma just above the value."""
+    normalized ones vector, with the shift sigma just above the value.
+    The shift is made in `matrix` and undone (`_shifted`)."""
     n = matrix.shape[0]
     v = np.full(n, 1.0 / np.sqrt(n))
-    shifted = -matrix
     # a shift or solve that overflows gives NaN, which the certificate fails
-    with np.errstate(all="ignore"):
-        shifted.flat[:: n + 1] += value + 1e-14 * (abs(value) + scale)
+    with np.errstate(all="ignore"), \
+            _shifted(matrix, value + 1e-14 * (abs(value) + scale), exact) as system:
         for _ in range(2):
-            v = np.linalg.solve(shifted, v)
+            v = np.linalg.solve(system, v)
             v /= np.linalg.norm(v)
     return v
 
@@ -204,15 +268,17 @@ def _lanczos_ritz(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return float(ritz[-1]), coords[:, -1] @ basis[:steps]
 
 
-def _perron_pair(matrix: np.ndarray) -> tuple[float, np.ndarray] | None:
+def _perron_pair(matrix: np.ndarray, exact: bool = True) -> tuple[float, np.ndarray] | None:
     """The top eigenvalue and positive unit eigenvector of a nonzero,
-    nonnegative, symmetric matrix, or None when they cannot be certified.
+    nonnegative, symmetric matrix, or None when they cannot be certified;
+    `exact` says the matrix equals its transpose entrywise.
 
     The Lanczos Ritz pair seeds Rayleigh-quotient iteration (Parlett, The
     Symmetric Eigenvalue Problem, ch. 4): solve (theta I - M) x = v by LU,
     normalize, set theta = v^T M v, until ||Mv - theta v|| <= RQI_RTOL *
-    theta, with at least one and at most RQI_SWEEPS solves. One shift
-    buffer serves every sweep.
+    theta, with at least one and at most RQI_SWEEPS solves. Each shift is
+    made in `matrix` itself and undone after its solve (`_shifted`), so
+    the matrix is the only n x n array besides LAPACK's working copy.
 
     RQI finds an eigenpair, not necessarily the top one; the
     Collatz-Wielandt bracket certifies it. For nonnegative M and positive
@@ -223,17 +289,14 @@ def _perron_pair(matrix: np.ndarray) -> tuple[float, np.ndarray] | None:
     negative entry, a wider or non-finite bracket, or a singular solve
     gives None.
     """
-    n = matrix.shape[0]
-    shifted = None
     try:
         theta, v = _lanczos_ritz(matrix)
         with np.errstate(all="ignore"):
             # at least one solve: a Ritz pair near RQI_RTOL can still leave
             # the bracket too wide where the vector has small entries
             for _ in range(RQI_SWEEPS):
-                shifted = np.negative(matrix, out=shifted)
-                shifted.flat[:: n + 1] += theta
-                v = np.linalg.solve(shifted, v)
+                with _shifted(matrix, theta, exact) as system:
+                    v = np.linalg.solve(system, v)
                 v /= np.linalg.norm(v)
                 product = matrix @ v
                 theta = float(v @ product)
@@ -253,12 +316,29 @@ def _perron_pair(matrix: np.ndarray) -> tuple[float, np.ndarray] | None:
     return theta, v
 
 
-def _checked_scales(stack: np.ndarray, nonneg: bool) -> np.ndarray:
-    """max |M| of each matrix in a (B, n, n) stack, after the input checks
-    run on each in turn: nonnegative entries when `nonneg` is set
-    (NegativeEntry), finite entries (NonFinite), and symmetric within
-    1e-12 * (1 + max |M|) (NotSymmetric). The first matrix that fails
-    raises.
+def _exactly_symmetric(stack: np.ndarray) -> np.ndarray:
+    """Whether M == M^T entrywise, for each matrix in a (B, n, n) stack;
+    each block of rows is compared with its mirror columns from the
+    diagonal on, so no n x n temporary is formed."""
+    symmetric = np.ones(len(stack), dtype=bool)
+    for rows in row_blocks(stack.shape[1]):
+        upper = stack[:, rows, rows.start:]
+        symmetric &= (upper == stack[:, rows.start:, rows].swapaxes(1, 2)).all(axis=(1, 2))
+    return symmetric
+
+
+def _asymmetry(matrix: np.ndarray) -> float:
+    """max |M - M^T| of a square matrix, a block of rows at a time."""
+    return max(float(np.max(np.abs(matrix[rows, rows.start:] - matrix[rows.start:, rows].T)))
+               for rows in row_blocks(matrix.shape[0]))
+
+
+def _checked_scales(stack: np.ndarray, nonneg: bool) -> tuple[np.ndarray, np.ndarray]:
+    """max |M| of each matrix in a (B, n, n) stack, and whether each is
+    exactly symmetric, after the input checks run on each in turn:
+    nonnegative entries when `nonneg` is set (NegativeEntry), finite
+    entries (NonFinite), and symmetric within 1e-12 * (1 + max |M|)
+    (NotSymmetric). The first matrix that fails raises.
 
     max(max M, -min M) is max |M| without an n x n temporary, and it is
     finite exactly when every entry is: a NaN propagates through min and
@@ -268,20 +348,20 @@ def _checked_scales(stack: np.ndarray, nonneg: bool) -> np.ndarray:
     low = stack.min(axis=(1, 2))
     scales = np.maximum(stack.max(axis=(1, 2)), -low)
     finite = np.isfinite(scales)
-    passed = finite & (stack == stack.swapaxes(1, 2)).all(axis=(1, 2))
+    exact = _exactly_symmetric(stack)
+    passed = finite & exact
     if nonneg:
         passed &= low >= 0.0
     if passed.all():
-        return scales
+        return scales, exact
     for b in np.flatnonzero(~passed):
         if nonneg and low[b] < 0.0:
             raise NegativeEntry("matrix entries must be nonnegative")
         if not finite[b]:
             raise NonFinite("matrix has non-finite entries")
-        matrix = stack[b]
-        if float(np.max(np.abs(matrix - matrix.T))) > 1e-12 * (1.0 + scales[b]):
+        if _asymmetry(stack[b]) > 1e-12 * (1.0 + scales[b]):
             raise NotSymmetric("matrix is not symmetric within 1e-12")
-    return scales
+    return scales, exact
 
 
 def _top_eigen(stack: np.ndarray, vector: bool,
@@ -312,10 +392,17 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     RESIDUAL_RTOL * |value| holds on the full matrix. A zero matrix gives
     0 and the normalized ones vector; a value that overflows raises
     NoConvergence, with or without vectors.
+
+    The solves shift the matrix they solve in place, the member itself when
+    it is not folded, and restore it bit for bit before they return or
+    raise: `stack` must be writable, and callers hand over an array of
+    their own, so a solve holds no n x n array besides the stack, the
+    blocks of a folded member and LAPACK's working copy.
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise NotSymmetric(f"need a stack of square matrices, got shape {stack.shape}")
-    scales = _checked_scales(stack, nonneg).tolist()
+    scales, exact = _checked_scales(stack, nonneg)
+    scales = scales.tolist()
     count, n = stack.shape[:2]
     nonzero = [b for b, scale in enumerate(scales) if scale]
     values = np.zeros(count)
@@ -325,7 +412,8 @@ def _top_eigen(stack: np.ndarray, vector: bool,
         for b in nonzero:
             blocks = _reflection_blocks(stack[b], 1.0)
             matrix = stack[b] if blocks is None else blocks[0]
-            pair = _perron_pair(matrix) if nonneg and len(matrix) >= PERRON_MIN_N else None
+            pair = (_perron_pair(matrix, exact[b]) if nonneg and len(matrix) >= PERRON_MIN_N
+                    else None)
             if pair is not None:
                 values[b] = pair[0]
                 solved[b] = (matrix, None if blocks is None else True, pair[1])
@@ -348,7 +436,7 @@ def _top_eigen(stack: np.ndarray, vector: bool,
             matrix, even, v = solved.get(b, (stack[b], None, None))
             value = float(values[b])
             if v is None:
-                v = _inverse_iteration(matrix, value, scales[b])
+                v = _inverse_iteration(matrix, value, scales[b], exact[b])
             if even is not None:
                 v = _reflection_lift(v, n, even)
             _certify(stack[b] @ v, value, v)
@@ -358,7 +446,7 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     return values, vectors
 
 
-def top_eigen_nonneg_sym(matrix) -> tuple[float, np.ndarray]:
+def top_eigen_nonneg_sym(matrix, overwrite: bool = False) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and a nonnegative unit eigenvector.
 
     Requires a finite symmetric matrix with nonnegative entries; the
@@ -372,8 +460,14 @@ def top_eigen_nonneg_sym(matrix) -> tuple[float, np.ndarray]:
     positive start stays positive on such a matrix, so the absolute value
     only clears the sign of entries that vanish to rounding. A matrix that
     is not n x n with n >= 1 raises NotSymmetric.
+
+    The solve runs on a private copy, so the caller's array, read-only or
+    not, is never written. With `overwrite`, a writable float64 matrix is
+    solved in place instead: it is shifted and restored bit for bit before
+    the call returns or raises (`_top_eigen`), which saves the copy for a
+    caller that owns the matrix and does not read it during the call.
     """
-    matrix = np.asarray(matrix, dtype=float)
+    matrix = np.asarray(matrix, dtype=float) if overwrite else np.array(matrix, dtype=float)
     if matrix.ndim != 2 or not 0 < matrix.shape[0] == matrix.shape[1]:
         raise NotSymmetric(f"need a nonempty square matrix, got shape {matrix.shape}")
     values, vectors = _top_eigen(matrix[None], True, nonneg=True)
@@ -384,8 +478,8 @@ def estimate_constant(alpha: float, seq: GapSequence) -> ConstantEstimate:
     """Optimal constant for this configuration: top eigenvalue of the
     symmetrized kernel, witnessed by the unit nonnegative optimizer."""
     alpha = _check_alpha(alpha)
-    sym = _symmetrized(alpha_form_matrix(seq, alpha))
-    value, vector = top_eigen_nonneg_sym(sym)
+    sym = _alpha_kernels(seq.deltas, seq.active, alpha, symmetrized=True)
+    value, vector = top_eigen_nonneg_sym(sym, overwrite=True)
     return ConstantEstimate(alpha, seq.n, value, seq, WeightVector(vector))
 
 
@@ -399,8 +493,8 @@ def constant_values(alpha: float, nodes: np.ndarray) -> np.ndarray:
     if nodes.ndim != 2:
         raise TooShort(f"need a stack of windows, got shape {nodes.shape}")
     check_nodes(nodes)
-    kernels = _alpha_kernels(node_deltas(nodes), nodes[:, 1:-1], alpha)
-    return _top_eigen(_symmetrized(kernels), False, nonneg=True)[0]
+    kernels = _alpha_kernels(node_deltas(nodes), nodes[:, 1:-1], alpha, symmetrized=True)
+    return _top_eigen(kernels, False, nonneg=True)[0]
 
 
 def uniform_lower_bound(n: int) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, NonFinite, NonpositiveWeight, ZeroSpectrum
-from .gaps import GapSequence
+from .gaps import GapSequence, block_diagonal, node_differences, row_blocks
 from .quadforms import _certify, _reflection_blocks, _reflection_lift, _top_eigen
 from .reports import record
 
@@ -60,8 +60,10 @@ def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
 
     One divide gives exact skew-symmetry: fl(lam_m - lam_n) is exactly
     -fl(lam_n - lam_m) and c_m c_n = c_n c_m, so entries (m, n) and (n, m)
-    round to the same magnitude with opposite signs. Raises NonFinite when
-    finite weights overflow an entry.
+    round to the same magnitude with opposite signs. H is built ROW_BLOCK
+    rows at a time, outer(c, c) / (lam_m - lam_n) block by block, so no
+    second n x n array is formed. Raises NonFinite when finite weights
+    overflow an entry.
     """
     if weights is None:
         c = np.sqrt(seq.deltas)
@@ -73,12 +75,14 @@ def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
             raise NonFinite("weights must be finite")
         if np.any(c <= 0):
             raise NonpositiveWeight("weights must be strictly positive")
+    entries = np.empty((seq.n, seq.n))
     with np.errstate(all="ignore"):
-        entries = np.outer(c, c)
-        entries /= seq.differences()
-    np.einsum("ii->i", entries)[...] = 0.0
-    if not np.isfinite(entries).all():
-        raise NonFinite("H has non-finite entries: the weights are too large for the gaps")
+        for rows in row_blocks(seq.n):
+            block = np.multiply(c[rows, None], c, out=entries[rows])
+            block /= node_differences(seq.active, rows)
+            block_diagonal(block, rows)[...] = 0.0
+            if not np.isfinite(block).all():
+                raise NonFinite("H has non-finite entries: the weights are too large for the gaps")
     entries.setflags(write=False)
     c = c.copy()
     c.setflags(write=False)
@@ -86,9 +90,9 @@ def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
-    """A^T A, symmetrized exactly."""
-    gram = a.T @ a
-    return (gram + gram.T) / 2.0
+    """A^T A. numpy forms it with one syrk and mirrors the triangle, so it
+    is exactly symmetric with no symmetrizing pass (`_top_eigen` checks)."""
+    return a.T @ a
 
 
 def _top_gram(h: SkewHilbertMatrix, vector: bool) -> tuple[float, np.ndarray | None]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,3 +33,24 @@ def solve_sizes(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", recording)
     return sizes
+
+
+@pytest.fixture
+def traced_peak():
+    """A function that calls fn() and returns the peak memory tracemalloc
+    traced during the call, in bytes above what was traced when it began.
+    numpy's array buffers are traced; LAPACK's working copy of a matrix
+    is malloc'd outside tracemalloc and is not counted."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+
+    def measure(fn):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+
+    yield measure
+    if started:
+        tracemalloc.stop()

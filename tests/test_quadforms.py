@@ -32,15 +32,22 @@ from hilbertlab import quadforms
 from hilbertlab.quadforms import (
     RESIDUAL_RTOL,
     _alpha_kernels,
-    _symmetrized,
     _top_eigen,
     alpha_form_matrix,
     constant_values,
 )
+from hilbertlab.gaps import node_deltas, node_differences
 from hilbertlab.search import generate_trig_periodized
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
 ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+def _symmetrized(kernels: np.ndarray) -> np.ndarray:
+    """(M + M^T) / 2 of each kernel in a matrix or a stack of them."""
+    sym = kernels + kernels.swapaxes(-1, -2)
+    sym /= 2.0
+    return sym
 
 
 def jacobi_eigenvalues(matrix: np.ndarray, sweeps: int = 50) -> np.ndarray:
@@ -534,6 +541,138 @@ class TestPerronPath:
         eigvalsh_sizes.clear()
         estimate_constant(1.0, generate_uniform(511, 1.0))
         assert eigvalsh_sizes == []
+
+
+def dense_kernels(delta: np.ndarray, lam: np.ndarray, alpha: float) -> np.ndarray:
+    """The kernels as first assembled: one product and one divide over the
+    whole N x N difference matrices, with no row blocks."""
+    with np.errstate(all="ignore"):
+        diff = node_differences(lam)
+        entries = (delta ** (2.0 - alpha))[..., :, None] * (delta ** alpha)[..., None, :]
+        entries /= np.square(diff, out=diff)
+    np.einsum("...ii->...i", entries)[...] = 0.0
+    return entries
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def kernel_windows(n: int) -> list:
+    windows = [generate_uniform(n, 1.0), generate_uniform(n, 0.3), generate_random(n, 0.3, n),
+               generate_trig_periodized(n)]
+    return windows + [generate_cluster(n)] if n >= 2 else windows
+
+
+class TestRowBlockedKernels:
+    """Kernels built a block of rows at a time equal the whole-matrix
+    assembly and its (M + M^T) / 2 bit for bit, at sizes around the block."""
+
+    @pytest.mark.parametrize("alpha", (0.0, 0.37, 0.5, 1.0, 1.5, 2.0))
+    @pytest.mark.parametrize("n", (1, 2, 31, 32, 33, 255, 256, 257, 600))
+    def test_bit_identical_to_dense_assembly(self, n, alpha):
+        seqs = kernel_windows(n)
+        for seq in seqs:
+            dense = dense_kernels(seq.deltas, seq.active, alpha)
+            assert_same_bits(alpha_form_matrix(seq, alpha), dense)
+            assert_same_bits(_alpha_kernels(seq.deltas, seq.active, alpha, symmetrized=True),
+                             _symmetrized(dense))
+        nodes = np.array([seq.nodes for seq in seqs])
+        delta, lam = node_deltas(nodes), nodes[:, 1:-1]
+        dense = dense_kernels(delta, lam, alpha)
+        assert_same_bits(_alpha_kernels(delta, lam, alpha), dense)
+        assert_same_bits(_alpha_kernels(delta, lam, alpha, symmetrized=True), _symmetrized(dense))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_entry_in_a_later_block_raises(self):
+        # the 0/0 entries couple active rows 69 to 71, all in the third block
+        nodes = np.concatenate((np.arange(-70.0, 0.0), [0.0, 1e-200, 2e-200, 1.0]))
+        seq = GapSequence(nodes)
+        with pytest.raises(NonFinite, match="alpha = 1.0 kernel has non-finite entries"):
+            estimate_constant(1.0, seq)
+        with pytest.raises(NonFinite, match="alpha = 1.0 kernel has non-finite entries"):
+            alpha_form_matrix(seq, 1.0)
+
+
+class TestInPlaceShift:
+    """`_top_eigen` shifts the matrix it solves in place and restores it
+    bit for bit; the public solver works on a copy of its input unless
+    told to overwrite it."""
+
+    def test_perron_path_restores_the_stack(self, eigvalsh_sizes, solve_sizes):
+        stack = random_nonneg_sym(300, np.random.default_rng(21))[None]
+        before = stack.copy()
+        _top_eigen(stack, True, nonneg=True)
+        assert eigvalsh_sizes == [] and solve_sizes
+        assert_same_bits(stack, before)
+
+    def test_bracket_fallback_restores_the_stack(self, eigvalsh_sizes):
+        # reducible, so the bracket rejects and eigvalsh and inverse iteration run
+        rng = np.random.default_rng(11)
+        stack = np.zeros((1, 300, 300))
+        stack[0, :140, :140] = random_nonneg_sym(140, rng)
+        stack[0, 140:, 140:] = random_nonneg_sym(160, rng)
+        before = stack.copy()
+        _top_eigen(stack, True, nonneg=True)
+        assert eigvalsh_sizes == [300]
+        assert_same_bits(stack, before)
+
+    def test_failed_solve_restores_the_stack(self, monkeypatch):
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        stack = random_nonneg_sym(300, np.random.default_rng(22))[None]
+        before = stack.copy()
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        # the Perron pair gives up and eigvalsh gives the value
+        values, _ = _top_eigen(stack, False, nonneg=True)
+        assert values[0] == np.linalg.eigvalsh(before[0])[-1]
+        assert_same_bits(stack, before)
+        # inverse iteration cannot recover, so the vector solve raises
+        with pytest.raises(NoConvergence):
+            _top_eigen(stack, True, nonneg=True)
+        assert_same_bits(stack, before)
+
+    @pytest.mark.parametrize("seq", (generate_random(300, 0.2, 3), generate_uniform(600, 1.0)))
+    def test_public_solver_leaves_its_input_alone(self, seq):
+        m = _symmetrized(alpha_form_matrix(seq, 0.5))
+        before = m.copy()
+        value, vector = top_eigen_nonneg_sym(m)
+        assert_same_bits(m, before)
+        assert value == estimate_constant(0.5, seq).value
+        in_place = top_eigen_nonneg_sym(m, overwrite=True)
+        assert_same_bits(m, before)
+        assert in_place[0] == value
+        assert_same_bits(in_place[1], vector)
+        m.setflags(write=False)
+        again = top_eigen_nonneg_sym(m)
+        assert again[0] == value
+        assert_same_bits(again[1], vector)
+
+    def test_solve_takes_the_transpose_only_of_an_exactly_symmetric_matrix(self, monkeypatch):
+        # an F-contiguous system is the transpose of the C-contiguous shift
+        layouts = []
+        solve = np.linalg.solve
+
+        def recording(a, b):
+            layouts.append(a.flags.f_contiguous and not a.flags.c_contiguous)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        m = random_nonneg_sym(300, np.random.default_rng(23))
+        top_eigen_nonneg_sym(m)
+        assert layouts and all(layouts)
+        layouts.clear()
+        m[0, 5] *= 1.0 + 1e-13     # symmetric within the tolerance only
+        top_eigen_nonneg_sym(m)
+        assert layouts and not any(layouts)
+
+    def test_estimate_constant_holds_about_one_kernel(self, traced_peak):
+        # the whole-matrix assembly peaked at 2.125 kernels; LAPACK's copy is not traced
+        n = 600
+        seq = generate_random(n, 0.2, 5)
+        assert traced_peak(lambda: estimate_constant(0.5, seq)) <= 1.5 * 8 * n * n
 
 
 class TestNonFiniteInput:

@@ -128,6 +128,57 @@ class TestOneDivideAssembly:
             assert (h.entries == -h.entries.T).all(), (kind, n)
 
 
+def one_divide(seq, c):
+    """H as one divide of the whole matrix, outer(c, c) / (lam_m - lam_n),
+    with the diagonal zeroed."""
+    entries = np.outer(c, c) / seq.differences()
+    np.fill_diagonal(entries, 0.0)
+    return entries
+
+
+class TestRowBlockedAssembly:
+    @pytest.mark.parametrize("n", (1, 2, 31, 32, 33, 255, 256, 257, 600))
+    def test_bit_identical_to_one_divide(self, n):
+        rng = np.random.default_rng(n)
+        windows = (generate_uniform(n, 1.0), generate_uniform(n, 0.3),
+                   generate_random(n, 0.3, n), generate_cluster(max(n, 2)))
+        for seq in windows:
+            for weights in (None, rng.uniform(0.5, 2.0, seq.n)):
+                h = build_h(seq, weights)
+                want = one_divide(seq, h.weights)
+                assert h.entries.tobytes() == want.tobytes(), (seq.n, weights is None)
+
+
+def assert_exactly_symmetric(matrix):
+    # int64 views compare bits, signed zeros included
+    assert np.array_equal(matrix.view(np.int64), matrix.T.view(np.int64))
+
+
+class TestGram:
+    """`_gram` forms A^T A with no symmetrizing pass: numpy's syrk leaves
+    it exactly symmetric on the matrices and fold blocks the solver gives it."""
+
+    def test_random_windows(self):
+        for seed in range(600):
+            h, rng = random_instance(seed, max_n=40)
+            assert_exactly_symmetric(spectra._gram(h.entries))
+            seq = mirrored_window(rng.uniform(0.1, 2.0, h.n // 2 + 1), bool(seed % 2))
+            fold = quadforms._reflection_blocks(build_h(seq).entries, -1.0)[0]
+            assert_exactly_symmetric(spectra._gram(fold))
+
+    @pytest.mark.parametrize("n", (2, 3, 60, 1000, 2000, 2001))
+    def test_uniform_windows(self, n):
+        h = build_h(generate_uniform(n, 1.0))
+        assert_exactly_symmetric(spectra._gram(h.entries))
+        assert_exactly_symmetric(spectra._gram(quadforms._reflection_blocks(h.entries, -1.0)[0]))
+
+    def test_radius_holds_h_and_its_half_size_blocks(self, traced_peak):
+        # the whole-matrix assembly and symmetrized Gram peaked at 2.13 n x n arrays
+        n = 600
+        seq = generate_uniform(n, 1.0)
+        assert traced_peak(lambda: spectral_radius(build_h(seq, np.ones(n)))) <= 2.0 * 8 * n * n
+
+
 class TestSpectralRadius:
     def test_two_node_uniform(self):
         assert spectral_radius(build_h(generate_uniform(2, 1.0))) == pytest.approx(1.0, abs=1e-12)
