@@ -142,10 +142,27 @@ def q_alpha(seq: GapSequence, t, alpha: float) -> float:
     return float(np.sum(alpha_form_matrix(seq, alpha) * np.outer(values, values)))
 
 
-def _reflection_blocks(matrix: np.ndarray, sign: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """The two half-size blocks of a square matrix with exact reflection
-    symmetry J M J = sign * M, J the reversal, or None without it or when
-    n < 2 (Cantoni & Butler, Linear Algebra Appl. 13, 1976).
+def _mirrored(matrix: np.ndarray, sign: float) -> bool:
+    """Whether a square matrix has exact reflection symmetry J M J =
+    sign * M, J the reversal; False when n < 2. One mirrored pair rules out
+    most matrices; the rest are compared a block of rows of the upper half
+    at a time against their mirror image, with no n x n temporary. Row m
+    of J M J is row n - 1 - m of M reversed."""
+    n = matrix.shape[0]
+    if n < 2 or matrix[0, 1] != sign * matrix[-1, -2]:
+        return False
+    for rows in row_blocks((n + 1) // 2):
+        mirror = matrix[n - rows.stop:n - rows.start, ::-1][::-1]
+        if not np.array_equal(matrix[rows], sign * mirror):
+            return False
+    return True
+
+
+def _reflection_block(matrix: np.ndarray, sign: float, first: bool) -> np.ndarray:
+    """One of the two half-size blocks of a square matrix with exact
+    reflection symmetry J M J = sign * M (`_mirrored`), n >= 2 (Cantoni &
+    Butler, Linear Algebra Appl. 13, 1976); each is built only for a caller
+    that solves it.
 
     Even vectors (u, s, Ju) and odd vectors (u, 0, -Ju), with the centre
     entry s only for odd n, split R^n orthogonally; their orthonormal
@@ -158,40 +175,23 @@ def _reflection_blocks(matrix: np.ndarray, sign: float) -> tuple[np.ndarray, np.
     for sign = 1 that is the first block, which also takes the centre entry.
     """
     n = matrix.shape[0]
-    # one mirrored pair rules out most matrices before the full comparison
-    if n < 2 or matrix[0, 1] != sign * matrix[-1, -2]:
-        return None
-    if not _mirrored(matrix, sign):
-        return None
     k = n // 2
     m11, m12j = matrix[:k, :k], matrix[:k, ::-1][:, :k]
     with np.errstate(over="ignore"):    # an overflow fails the certificate
-        even, odd = m11 + m12j, m11 - m12j
+        block = m11 + m12j if first else m11 - m12j
     if n % 2:
-        even = np.hstack((even, SQRT2 * matrix[:k, k:k + 1]))
-        centre_row = SQRT2 * matrix[k:k + 1, :k]
-        if sign > 0:
-            even = np.vstack((even, np.append(centre_row, matrix[k, k])))
-        else:
-            odd = np.vstack((odd, centre_row))
-    return even, odd
-
-
-def _mirrored(matrix: np.ndarray, sign: float) -> bool:
-    """Whether J M J = sign * M exactly, compared a block of rows of the
-    upper half at a time against its mirror image, with no n x n
-    temporary; row m of J M J is row n - 1 - m of M reversed."""
-    n = matrix.shape[0]
-    for rows in row_blocks((n + 1) // 2):
-        mirror = matrix[n - rows.stop:n - rows.start, ::-1][::-1]
-        if not np.array_equal(matrix[rows], sign * mirror):
-            return False
-    return True
+        if first:
+            block = np.hstack((block, SQRT2 * matrix[:k, k:k + 1]))
+        if first == (sign > 0):
+            centre_row = SQRT2 * matrix[k:k + 1, :k]
+            block = np.vstack((block, np.append(centre_row, matrix[k, k]) if first
+                               else centre_row))
+    return block
 
 
 def _reflection_lift(y: np.ndarray, n: int, even: bool) -> np.ndarray:
     """The length-n vector with even (or odd) coordinates y; the inverse
-    of the coordinates in `_reflection_blocks`, so norms are kept."""
+    of the coordinates in `_reflection_block`, so norms are kept."""
     k = n // 2
     half = y[:k] / SQRT2
     if even:
@@ -378,7 +378,7 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     quotient that agrees with eigvalsh within 1e-12 relative, certified
     top by the Collatz-Wielandt bracket, and the positive vector comes
     with it. On a nonnegative matrix the Perron vector is even, so the
-    odd block is not solved. When the bracket or any other step of that
+    odd block is not built. When the bracket or any other step of that
     path fails, the matrix falls back to the path of the smaller ones.
 
     There the values are LAPACK's eigvalsh, so no eigenvectors are
@@ -397,7 +397,9 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     it is not folded, and restore it bit for bit before they return or
     raise: `stack` must be writable, and callers hand over an array of
     their own, so a solve holds no n x n array besides the stack, the
-    blocks of a folded member and LAPACK's working copy.
+    blocks of a folded member and LAPACK's working copy. One compare of
+    each member's (0, 1) entry with its (n-1, n-2) mirror, over the whole
+    stack, rules out the fold for most members before `_mirrored` runs.
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise NotSymmetric(f"need a stack of square matrices, got shape {stack.shape}")
@@ -406,23 +408,26 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     count, n = stack.shape[:2]
     nonzero = [b for b, scale in enumerate(scales) if scale]
     values = np.zeros(count)
+    # one mirrored pair per member rules out most of the stack at once
+    mirror = (stack[:, 0, 1] == stack[:, -1, -2]).tolist() if n >= 2 else [False] * count
     # member -> (matrix solved, parity of its block or None, vector or None)
     solved, plain = {}, []
     try:
         for b in nonzero:
-            blocks = _reflection_blocks(stack[b], 1.0)
-            matrix = stack[b] if blocks is None else blocks[0]
+            folded = mirror[b] and _mirrored(stack[b], 1.0)
+            matrix = _reflection_block(stack[b], 1.0, True) if folded else stack[b]
             pair = (_perron_pair(matrix, exact[b]) if nonneg and len(matrix) >= PERRON_MIN_N
                     else None)
             if pair is not None:
                 values[b] = pair[0]
-                solved[b] = (matrix, None if blocks is None else True, pair[1])
-            elif blocks is None:
+                solved[b] = (matrix, True if folded else None, pair[1])
+            elif not folded:
                 plain.append(b)
             else:
-                even, odd = (float(np.linalg.eigvalsh(block)[-1]) for block in blocks)
-                values[b] = max(even, odd)
-                solved[b] = (blocks[0], True, None) if even >= odd else (blocks[1], False, None)
+                odd = _reflection_block(stack[b], 1.0, False)
+                tops = [float(np.linalg.eigvalsh(block)[-1]) for block in (matrix, odd)]
+                values[b] = max(tops)
+                solved[b] = (matrix, True, None) if tops[0] >= tops[1] else (odd, False, None)
         if plain:
             # a slice, unlike an index list, takes the whole stack without a copy
             index = slice(None) if len(plain) == count else plain

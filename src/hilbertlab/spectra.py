@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import LengthMismatch, NonFinite, NonpositiveWeight, ZeroSpectrum
 from .gaps import GapSequence, block_diagonal, node_differences, row_blocks
-from .quadforms import _certify, _reflection_blocks, _reflection_lift, _top_eigen
+from .quadforms import _certify, _mirrored, _reflection_block, _reflection_lift, _top_eigen
 from .reports import record
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
@@ -95,45 +95,74 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return a.T @ a
 
 
-def _top_gram(h: SkewHilbertMatrix, vector: bool) -> tuple[float, np.ndarray | None]:
-    """Top eigenvalue mu^2 of H^T H and, when `vector` is set, a certified
-    unit eigenvector for it.
+def _top_grams(hs: list[SkewHilbertMatrix],
+               vector: bool) -> tuple[list[float], list[np.ndarray | None]]:
+    """Top eigenvalue mu^2 of each H^T H and, when `vector` is set, a
+    certified unit eigenvector for it.
 
     When J H J = -H exactly, as on a reflection-symmetric window, H maps
-    even vectors to odd ones by the first block C of `_reflection_blocks`
+    even vectors to odd ones by the first block C of `_reflection_block`
     and odd vectors back by -C^T. So mu^2 is the top eigenvalue of the
     half-size Gram C^T C, and its vector, lifted to an even vector of
     length n, is certified against H^T H, applied as two products with H.
+
+    The Grams solved are grouped by size, and each group is one
+    `_top_eigen` stack, which solves each member as a lone call does.
     """
-    blocks = _reflection_blocks(h.entries, -1.0)
-    values, vectors = _top_eigen(_gram(h.entries if blocks is None else blocks[0])[None], vector)
-    value, y = float(values[0]), vectors[0] if vector else None
-    if y is None or blocks is None:
-        return value, y
-    v = _reflection_lift(y, h.n, even=True)
-    _certify(h.entries.T @ (h.entries @ v), value, v)
-    return value, v
+    folded = [_mirrored(h.entries, -1.0) for h in hs]
+    grams = [_gram(_reflection_block(h.entries, -1.0, True) if fold else h.entries)
+             for h, fold in zip(hs, folded)]
+    groups: dict[int, list[int]] = {}
+    for i, gram in enumerate(grams):
+        groups.setdefault(len(gram), []).append(i)
+    values, vectors = [0.0] * len(hs), [None] * len(hs)
+    for members in groups.values():
+        # a lone Gram is solved as it is, without the copy np.stack makes
+        stack = (grams[members[0]][None] if len(members) == 1
+                 else np.stack([grams[i] for i in members]))
+        top, ys = _top_eigen(stack, vector)
+        for i, value, y in zip(members, top.tolist(), ys or [None] * len(members)):
+            if y is not None and folded[i]:
+                h = hs[i]
+                y = _reflection_lift(y, h.n, even=True)
+                _certify(h.entries.T @ (h.entries @ y), value, y)
+            values[i], vectors[i] = value, y
+    return values, vectors
 
 
 def spectral_radius(h: SkewHilbertMatrix) -> float:
     """|mu_max| = sqrt(top eigenvalue of H^T H)."""
-    value, _ = _top_gram(h, vector=False)
-    return math.sqrt(max(value, 0.0))
+    values, _ = _top_grams([h], vector=False)
+    return math.sqrt(max(values[0], 0.0))
+
+
+def eigenpairs_top(hs) -> list[ComplexEigenpair]:
+    """Top-modulus eigenpair of each matrix in a sequence, built from its
+    Gram eigenvector v:
+
+    u = v - (i/mu) H v satisfies H u = i mu u whenever H^T H v = mu^2 v.
+
+    The Grams are solved as one stack per size (`_top_grams`), and each
+    pair is bit for bit the one a call on that matrix alone gives. A
+    matrix whose spectrum vanishes raises ZeroSpectrum after all are solved.
+    """
+    hs = list(hs)
+    values, vectors = _top_grams(hs, vector=True)
+    pairs = []
+    for h, value, v in zip(hs, values, vectors):
+        mu = math.sqrt(max(value, 0.0))
+        if mu <= 0.0:
+            raise ZeroSpectrum("all eigenvalues vanish")
+        u_re = v
+        u_im = -(h.entries @ v) / mu
+        norm = math.sqrt(float(u_re @ u_re + u_im @ u_im))
+        pairs.append(ComplexEigenpair(mu, u_re / norm, u_im / norm))
+    return pairs
 
 
 def eigenpair_top(h: SkewHilbertMatrix) -> ComplexEigenpair:
-    """Top-modulus eigenpair, built from the Gram eigenvector v:
-
-    u = v - (i/mu) H v satisfies H u = i mu u whenever H^T H v = mu^2 v.
-    """
-    value, v = _top_gram(h, vector=True)
-    mu = math.sqrt(max(value, 0.0))
-    if mu <= 0.0:
-        raise ZeroSpectrum("all eigenvalues vanish")
-    u_re = v
-    u_im = -(h.entries @ v) / mu
-    norm = math.sqrt(float(u_re @ u_re + u_im @ u_im))
-    return ComplexEigenpair(mu, u_re / norm, u_im / norm)
+    """Top-modulus eigenpair of one matrix (`eigenpairs_top`)."""
+    return eigenpairs_top([h])[0]
 
 
 def _inverse_square(seq: GapSequence) -> np.ndarray:

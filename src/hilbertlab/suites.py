@@ -45,6 +45,7 @@ from .spectra import (
     build_h,
     check_selberg_identity,
     eigenpair_top,
+    eigenpairs_top,
     numerical_radius_check,
     preissmann_chain,
     s_and_t,
@@ -67,21 +68,33 @@ def _random_seq(seed: int, max_n: int, min_n: int = 3) -> GapSequence:
     return generate_random(n, min_gap, seed)
 
 
-def _random_h(seed: int, max_n: int) -> tuple[SkewHilbertMatrix, ComplexEigenpair]:
-    """A seeded random window of 2..max_n nodes with random weights in
-    [0.5, 2]: its skew matrix H and top eigenpair."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, max_n + 1))
-    seq = generate_random(n, float(rng.uniform(0.05, 1.0)), seed)
-    h = build_h(seq, rng.uniform(0.5, 2.0, n))
-    return h, eigenpair_top(h)
+def _random_windows(trials: int, max_n: int, seed: int,
+                    shared: dict | None = None) -> list[tuple[SkewHilbertMatrix, ComplexEigenpair]]:
+    """For seeds seed, ..., seed + trials - 1, a seeded random window of
+    2..max_n nodes with random weights in [0.5, 2]: its skew matrix H and
+    top eigenpair, all solved by one `eigenpairs_top` call. With `shared`,
+    a dict that lives as long as one `run_suites` call, the table is built
+    once per (trials, max_n, seed) and read by every suite given it."""
+    shared = {} if shared is None else shared
+    key = (trials, max_n, seed)
+    if key not in shared:
+        hs = []
+        for s in range(seed, seed + trials):
+            rng = np.random.default_rng(s)
+            n = int(rng.integers(2, max_n + 1))
+            seq = generate_random(n, float(rng.uniform(0.05, 1.0)), s)
+            hs.append(build_h(seq, rng.uniform(0.5, 2.0, n)))
+        shared[key] = list(zip(hs, eigenpairs_top(hs)))
+    return shared[key]
 
 
-def suite_selberg(trials: int = 100, max_n: int = 12, seed: int = 0) -> list[dict]:
+def suite_selberg(trials: int = 100, max_n: int = 12, seed: int = 0, *,
+                  _windows: dict | None = None) -> list[dict]:
     """Eigenvector identity residuals on random windows and weights."""
+    table = _random_windows(trials, max_n, seed, _windows)
+
     def one(i: int) -> dict:
-        s = seed + i
-        return check_selberg_identity(*_random_h(s, max_n), seed=s)
+        return check_selberg_identity(*table[i], seed=seed + i)
 
     return parallel_map(one, range(trials))
 
@@ -90,9 +103,11 @@ def suite_spacing(trials: int = 100, seed: int = 0) -> list[dict]:
     """Spacing bound, equidistance, smoothing and series-cap sweeps."""
     records: list[dict] = []
 
+    # one window per seed, read by the spacing and shan-chain records
+    seqs = [_random_seq(seed + i, SPACING_MAX_N) for i in range(trials)]
+
     def spacing_case(i: int) -> list[dict]:
-        s = seed + i
-        seq = _random_seq(s, SPACING_MAX_N)
+        s, seq = seed + i, seqs[i]
         rng = np.random.default_rng(s + 10**6)
         ell = int(rng.integers(1, seq.n + 1))
         return [spacing_bound_report(seq, ell, sigma, seed=s)
@@ -129,8 +144,7 @@ def suite_spacing(trials: int = 100, seed: int = 0) -> list[dict]:
         records.extend(chunk)
 
     def shan_case(i: int) -> dict:
-        s = seed + i
-        seq = _random_seq(s, SPACING_MAX_N)
+        s, seq = seed + i, seqs[i]
         rng = np.random.default_rng(s + 3 * 10**6)
         ell = int(rng.integers(1, seq.n + 1))
         sigma = float(rng.choice(SIGMAS))
@@ -167,14 +181,16 @@ def suite_pair_spacing(trials: int = 100, seed: int = 0) -> list[dict]:
     return parallel_map(one, range(trials))
 
 
-def suite_radius(trials: int = 100, max_n: int = 12, seed: int = 0) -> list[dict]:
+def suite_radius(trials: int = 100, max_n: int = 12, seed: int = 0, *,
+                 _windows: dict | None = None) -> list[dict]:
     """Numerical-radius inequality on random vectors plus the extremal case,
     and the unit-spacing floor/ceiling at large size."""
     records: list[dict] = []
+    table = _random_windows(trials, max_n, seed, _windows)
 
     def one(i: int) -> list[dict]:
         s = seed + i
-        h, pair = _random_h(s, max_n)
+        h, pair = table[i]
         rho = pair.mu
         out = numerical_radius_check(h, rho, seed=s)
         lhs = bilinear_form(h, pair.u_re, pair.u_im)
@@ -383,12 +399,15 @@ DEFAULT_MAX_N = 12
 
 
 def run_suites(names, trials: int = 100, max_n: int = DEFAULT_MAX_N, seed: int = 0) -> list[dict]:
-    """Run the named suites in order with shared sweep parameters."""
+    """Run the named suites in order with shared sweep parameters. The
+    suites that take max_n read one table of seeded windows and eigenpairs,
+    built by the first of them and dropped when the call returns."""
     records: list[dict] = []
+    windows: dict = {}
     for name in names:
         suite = SUITES[name]
         kwargs = {"trials": trials, "seed": seed}
         if name in MAX_N_SUITES:
-            kwargs["max_n"] = max_n
+            kwargs.update(max_n=max_n, _windows=windows)
         records.extend(suite(**kwargs))
     return records

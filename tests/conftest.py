@@ -36,6 +36,25 @@ def solve_sizes(monkeypatch):
 
 
 @pytest.fixture
+def calls(monkeypatch):
+    """A function that wraps the function `name` of `module` for the test,
+    and returns the list of the positional arguments of each call to it
+    through the module, in order; its length is the call count."""
+    def record(module, name):
+        seen = []
+        fn = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            seen.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+        return seen
+
+    return record
+
+
+@pytest.fixture
 def traced_peak():
     """A function that calls fn() and returns the peak memory tracemalloc
     traced during the call, in bytes above what was traced when it began.

@@ -293,6 +293,33 @@ class TestReflectionFold:
         estimate_constant(1.0, generate_random(200, 0.5, 1))
         assert eigvalsh_sizes == [200]
 
+    def test_odd_block_is_built_only_for_eigvalsh(self, calls):
+        blocks = calls(quadforms, "_reflection_block")
+        estimate_constant(1.0, generate_uniform(200, 1.0))
+        assert [first for _, _, first in blocks] == [True, False]
+        blocks.clear()
+        # an even block of 300 rows goes to the Perron path, which never reads the odd one
+        estimate_constant(1.0, generate_uniform(600, 1.0))
+        assert [first for _, _, first in blocks] == [True]
+
+    def test_folded_estimate_holds_a_quarter_kernel_besides_its_own(self, traced_peak):
+        # building the unread odd block as well peaked at 1.53 kernels
+        n = 2000
+        seq = generate_uniform(n, 1.0)
+        assert traced_peak(lambda: estimate_constant(0.5, seq)) <= 1.3 * 8 * n * n
+
+    def test_one_stack_compare_rules_out_unmirrored_members(self, calls):
+        rng = np.random.default_rng(12)
+        stack = np.array([random_nonneg_sym(9, rng), centrosymmetric(9, rng),
+                          random_nonneg_sym(9, rng), np.zeros((9, 9)), centrosymmetric(9, rng)])
+        mirrored = calls(quadforms, "_mirrored")
+        values, vectors = _top_eigen(stack, True, nonneg=True)
+        # the zero member is not solved; the random ones fail the (0, 1) pair
+        assert [len(args[0]) for args in mirrored] == [9, 9]
+        for member, value, vector in zip(stack, values, vectors):
+            lone = lone_pair(member)
+            assert value == lone[0] and np.array_equal(vector, lone[1])
+
 
 def random_nonneg_sym(n: int, rng) -> np.ndarray:
     m = rng.uniform(0.0, 1.0, (n, n))
@@ -445,8 +472,8 @@ class TestPerronPath:
     def test_against_eigvalsh_oracle(self, n, alpha, eigvalsh_sizes):
         for seq in perron_windows(n):
             m = _symmetrized(alpha_form_matrix(seq, alpha))
-            blocks = quadforms._reflection_blocks(m, 1.0)
-            solved = len(m) if blocks is None else len(blocks[0])
+            solved = (len(quadforms._reflection_block(m, 1.0, True))
+                      if quadforms._mirrored(m, 1.0) else len(m))
             eigvalsh_sizes.clear()
             est = estimate_constant(alpha, seq)
             # the path follows the size of the matrix solved, the even block if folded

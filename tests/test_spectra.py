@@ -56,6 +56,20 @@ def random_instance(seed, max_n=12):
     return build_h(seq, weights), rng
 
 
+def _random_h(seed, max_n):
+    """The selberg and radius suites' window for one seed, drawn and solved
+    on its own: H and its lone eigenpair."""
+    h, _ = random_instance(seed, max_n)
+    return h, eigenpair_top(h)
+
+
+def assert_same_pair(got, want):
+    # int64 views compare bits, signed zeros included
+    assert got.mu == want.mu
+    for a, b in ((got.u_re, want.u_re), (got.u_im, want.u_im)):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestBuildH:
     def test_two_node_default_weights(self):
         h = build_h(generate_uniform(2, 1.0))
@@ -163,20 +177,29 @@ class TestGram:
             h, rng = random_instance(seed, max_n=40)
             assert_exactly_symmetric(spectra._gram(h.entries))
             seq = mirrored_window(rng.uniform(0.1, 2.0, h.n // 2 + 1), bool(seed % 2))
-            fold = quadforms._reflection_blocks(build_h(seq).entries, -1.0)[0]
+            entries = build_h(seq).entries
+            assert quadforms._mirrored(entries, -1.0)
+            fold = quadforms._reflection_block(entries, -1.0, True)
             assert_exactly_symmetric(spectra._gram(fold))
 
     @pytest.mark.parametrize("n", (2, 3, 60, 1000, 2000, 2001))
     def test_uniform_windows(self, n):
         h = build_h(generate_uniform(n, 1.0))
         assert_exactly_symmetric(spectra._gram(h.entries))
-        assert_exactly_symmetric(spectra._gram(quadforms._reflection_blocks(h.entries, -1.0)[0]))
+        assert quadforms._mirrored(h.entries, -1.0)
+        assert_exactly_symmetric(spectra._gram(quadforms._reflection_block(h.entries, -1.0, True)))
 
     def test_radius_holds_h_and_its_half_size_blocks(self, traced_peak):
         # the whole-matrix assembly and symmetrized Gram peaked at 2.13 n x n arrays
         n = 600
         seq = generate_uniform(n, 1.0)
         assert traced_peak(lambda: spectral_radius(build_h(seq, np.ones(n)))) <= 2.0 * 8 * n * n
+
+    def test_schur_record_builds_only_the_block_it_solves(self, traced_peak):
+        # building the unread second fold block as well peaked at 1.76 n x n arrays
+        n = 2000
+        seq = generate_uniform(n, 1.0)
+        assert traced_peak(lambda: spectral_radius(build_h(seq, np.ones(n)))) <= 1.55 * 8 * n * n
 
 
 class TestSpectralRadius:
@@ -265,6 +288,71 @@ MIRRORED = [mirrored_window(np.random.default_rng(seed).uniform(0.1, 2.0, size),
 SYMMETRIC_WINDOWS = [generate_uniform(n, 1.0) for n in (2, 3, 40, 41, 200, 201)] + MIRRORED
 
 
+class TestEigenpairsTop:
+    """One stacked solve per Gram size gives each window its lone pair."""
+
+    def test_suite_windows(self, calls):
+        hs = [random_instance(s, 12)[0] for s in range(300)]
+        stacks = calls(spectra, "_top_eigen")
+        pairs = spectra.eigenpairs_top(hs)
+        # the Gram of a window with J H J = -H, every n = 2 one, is half size
+        sizes = {(h.n + 1) // 2 if quadforms._mirrored(h.entries, -1.0) else h.n for h in hs}
+        assert sorted(len(args[0][0]) for args in stacks) == sorted(sizes)
+        assert 1 in sizes
+        for h, pair in zip(hs, pairs):
+            assert_same_pair(pair, eigenpair_top(h))
+
+    def test_mixed_windows(self):
+        hs = []
+        for n in range(2, 41):
+            rng = np.random.default_rng(9000 + n)
+            seq = generate_random(n, float(rng.uniform(0.05, 1.0)), 9000 + n)
+            hs += [build_h(seq, rng.uniform(0.5, 2.0, n)), build_h(seq)]
+        for seq in SYMMETRIC_WINDOWS:
+            hs += [build_h(seq), build_h(seq, np.ones(seq.n))]
+        order = np.random.default_rng(5).permutation(len(hs))
+        hs = [hs[i] for i in order]
+        for h, pair in zip(hs, spectra.eigenpairs_top(hs)):
+            assert_same_pair(pair, eigenpair_top(h))
+
+    def test_lone_pair_is_the_one_member_call(self, calls):
+        stacked = calls(spectra, "eigenpairs_top")
+        h, _ = random_instance(8)
+        eigenpair_top(h)
+        assert [len(args[0]) for args in stacked] == [1]
+
+    def test_zero_spectrum_raises(self):
+        hs = [random_instance(1)[0], build_h(generate_uniform(1, 1.0))]
+        with pytest.raises(ZeroSpectrum):
+            spectra.eigenpairs_top(hs)
+
+
+class TestSharedWindows:
+    """`run_suites` draws and solves the windows of selberg and radius once."""
+
+    def test_one_table_per_run(self, calls):
+        built = calls(suites, "build_h")
+        solved = calls(suites, "eigenpairs_top")
+        for _ in range(2):
+            built.clear()
+            solved.clear()
+            suites.run_suites(["selberg", "radius"], trials=5, max_n=8, seed=2)
+            # five windows and the Schur record's H, in every run
+            assert len(built) == 6 and built[-1][0].n == 2000
+            assert [len(args[0]) for args in solved] == [5]
+
+    def test_lone_suites_equal_their_slice(self):
+        kwargs = {"trials": 4, "max_n": 9, "seed": 11}
+        together = suites.run_suites(suites.ALL_SUITES, **kwargs)
+        alone = [rec for name in suites.ALL_SUITES for rec in suites.run_suites([name], **kwargs)]
+        assert together == alone
+
+    def test_spacing_draws_each_window_once(self, calls):
+        drawn = calls(suites, "_random_seq")
+        suites.suite_spacing(trials=6, seed=3)
+        assert [args[0] for args in drawn] == list(range(3, 9))
+
+
 class TestReflectionFold:
     """Reflection-symmetric windows are solved on the half-size Gram C^T C."""
 
@@ -329,7 +417,7 @@ class TestSelbergIdentity:
         for rec in records:
             assert list(rec) == ["lemma", "seed", "lhs", "rhs", "holds", "tail_bound"]
             s = rec["seed"]
-            assert rec == check_selberg_identity(*suites._random_h(s, 8), seed=s)
+            assert rec == check_selberg_identity(*_random_h(s, 8), seed=s)
 
     def test_weight_scaling_homogeneity(self):
         seq = generate_random(7, 0.4, 9)
