@@ -56,15 +56,6 @@ class GapSequence:
             raise IndexOutOfRange(f"k={k} outside 1..{self.n}")
         return float(self.deltas[k - 1])
 
-    def differences(self) -> np.ndarray:
-        """The N x N matrix lam_m - lam_n over the active nodes, with a unit
-        diagonal (see `node_differences`).
-
-        Built fresh on each call: a cached copy would stay alive as long
-        as the window does.
-        """
-        return node_differences(self.active)
-
 
 def check_nodes(nodes: np.ndarray) -> None:
     """Raise unless each window along the last axis of `nodes` has at least
@@ -107,6 +98,47 @@ def node_differences(lam: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
     diff = lam[..., rows, None] - lam[..., None, :]
     block_diagonal(diff, rows)[...] = 1.0
     return diff
+
+
+def pair_kernel(row: np.ndarray, col: np.ndarray, lam: np.ndarray, power: int,
+                message: str, symmetrized: bool = False) -> np.ndarray:
+    """The kernel K_mn = row_m col_n / (lam_m - lam_n)^power, power 1 or 2,
+    off the diagonal and 0 on it, over the last axis of `lam`: an N x N
+    matrix for one window of N nodes, a stack of them for a stack of
+    windows, with `row` and `col` shaped like `lam`. With `symmetrized`,
+    each kernel's (K + K^T) / 2 instead. Raises NonFinite(message) when an
+    entry under- or overflows (0/0, inf/inf or inf) instead of passing NaN on.
+
+    The kernel is built ROW_BLOCK rows at a time, with no difference
+    matrix, unsymmetrized copy or transpose of the whole. Entry (m, n) is
+    fl(row_m col_n) / fl(d^power), d = lam_m - lam_n. fl(lam_n - lam_m) is
+    exactly -fl(d), so fl(col_m row_n) / fl(d^power), negated for odd
+    power, is exactly entry (n, m), and adding it and halving gives
+    (K + K^T) / 2 bit for bit. Each block is checked before it is
+    symmetrized, so every entry of K is checked once, and the mirror terms
+    are those same entries.
+    """
+    n = lam.shape[-1]
+    out = np.empty(lam.shape + (n,))
+    with np.errstate(all="ignore"):
+        for rows in row_blocks(n):
+            dp = node_differences(lam, rows)
+            if power == 2:
+                np.square(dp, out=dp)
+            block = np.multiply(row[..., rows, None], col[..., None, :], out=out[..., rows, :])
+            block /= dp
+            block_diagonal(block, rows)[...] = 0.0
+            if not np.isfinite(block).all():
+                raise NonFinite(message)
+            if symmetrized:
+                mirror = col[..., rows, None] * row[..., None, :]
+                mirror /= dp
+                block_diagonal(mirror, rows)[...] = 0.0
+                if power % 2:
+                    np.negative(mirror, out=mirror)
+                block += mirror
+                block /= 2.0
+    return out
 
 
 @dataclass(frozen=True, eq=False)

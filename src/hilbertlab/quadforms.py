@@ -42,15 +42,7 @@ from .errors import (
     NotSymmetric,
     TooShort,
 )
-from .gaps import (
-    GapSequence,
-    WeightVector,
-    block_diagonal,
-    check_nodes,
-    node_deltas,
-    node_differences,
-    row_blocks,
-)
+from .gaps import GapSequence, WeightVector, check_nodes, node_deltas, pair_kernel, row_blocks
 
 RESIDUAL_RTOL = 1e-10
 SQRT2 = float(np.sqrt(2.0))
@@ -83,41 +75,15 @@ def _alpha_kernels(delta: np.ndarray, lam: np.ndarray, alpha: float,
                    symmetrized: bool = False) -> np.ndarray:
     """The kernels of Q_alpha from the deltas and active nodes along the
     last axis: an N x N matrix for one window, a stack of them for a stack
-    of windows; with `symmetrized`, each kernel's (M + M^T) / 2 instead.
-    Raises NonFinite when a gap scale under- or overflows a kernel (0/0 or
+    of windows; with `symmetrized`, each kernel's (M + M^T) / 2 instead
+    (`pair_kernel` with delta^(2-alpha), delta^alpha and power 2). Raises
+    NonFinite when a gap scale under- or overflows a kernel (0/0 or
     inf/inf) instead of passing NaN on.
-
-    The kernels are built ROW_BLOCK rows at a time, with no difference
-    matrix, unsymmetrized copy or transpose of the whole. With
-    a = delta^(2-alpha), b = delta^alpha and d2 = (lam_m - lam_n)^2, entry
-    (m, n) of the kernel is fl(a_m b_n) / d2. fl(lam_n - lam_m) is exactly
-    -fl(lam_m - lam_n), so fl(b_m a_n) / d2 is exactly entry (n, m), and
-    adding it and halving gives (M + M^T) / 2 bit for bit. Every entry is
-    >= 0, NaN or inf, so one max of a block's kernel entries tells whether
-    they are all finite.
     """
-    n = lam.shape[-1]
-    out = np.empty(lam.shape + (n,))
     with np.errstate(all="ignore"):
         a, b = delta ** (2.0 - alpha), delta ** alpha
-        for rows in row_blocks(n):
-            d2 = node_differences(lam, rows)
-            np.square(d2, out=d2)
-            block = np.multiply(a[..., rows, None], b[..., None, :], out=out[..., rows, :])
-            block /= d2
-            block_diagonal(block, rows)[...] = 0.0
-            entries = block
-            if symmetrized:
-                entries = b[..., rows, None] * a[..., None, :]
-                entries /= d2
-                block_diagonal(entries, rows)[...] = 0.0
-            # over all blocks, the mirror terms are every entry of the kernel
-            if not entries.max(initial=0.0) < np.inf:
-                raise NonFinite(f"alpha = {alpha} kernel has non-finite entries")
-            if symmetrized:
-                block += entries
-                block /= 2.0
-    return out
+    return pair_kernel(a, b, lam, 2, f"alpha = {alpha} kernel has non-finite entries",
+                       symmetrized)
 
 
 def alpha_form_matrix(seq: GapSequence, alpha: float) -> np.ndarray:

@@ -28,7 +28,7 @@ from .errors import (
     SameIndex,
     SigmaOutOfRange,
 )
-from .gaps import GapSequence
+from .gaps import GapSequence, node_differences
 from .reports import record
 
 _ZETA_CUTOFF = 1_000_000
@@ -158,11 +158,10 @@ def spacing_sum(seq: GapSequence, ell: int, sigma: float) -> float:
     _check_sigma(sigma)
     if not 1 <= ell <= seq.n:
         raise IndexOutOfRange(f"ell={ell} outside 1..{seq.n}")
-    idx = np.arange(seq.n)               # 0-indexed active positions
-    idx = idx[idx != ell - 1]
     lam = seq.active
-    dist = np.abs(lam[idx] - lam[ell - 1])
-    return float(np.sum(seq.deltas[idx] / dist ** sigma))
+    with np.errstate(divide="ignore"):      # the self term, deleted below
+        terms = seq.deltas / np.abs(lam - lam[ell - 1]) ** sigma
+    return float(np.sum(np.delete(terms, ell - 1)))
 
 
 def spacing_bound_report(seq: GapSequence, ell: int, sigma: float, seed: int = 0) -> dict:
@@ -197,11 +196,11 @@ def pair_spacing_sum(seq: GapSequence, ell: int, m: int, seed: int = 0) -> dict:
         if not 1 <= idx <= seq.n:
             raise IndexOutOfRange(f"index {idx} outside 1..{seq.n}")
     lam = seq.active
-    idx = np.arange(seq.n)
-    idx = idx[(idx != ell - 1) & (idx != m - 1)]
-    dl = lam[idx] - lam[ell - 1]
-    dm = lam[idx] - lam[m - 1]
-    lhs = float(np.sum(seq.deltas[idx] / (dl ** 2 * dm ** 2)))
+    dl = lam - lam[ell - 1]
+    dm = lam - lam[m - 1]
+    with np.errstate(divide="ignore"):      # the two self terms, deleted below
+        terms = seq.deltas / (dl ** 2 * dm ** 2)
+    lhs = float(np.sum(np.delete(terms, [ell - 1, m - 1])))
     d_ell, d_m = seq.delta(ell), seq.delta(m)
     sep2 = (lam[ell - 1] - lam[m - 1]) ** 2
     rhs = math.pi ** 2 * (d_ell + d_m) / (3.0 * d_ell * d_m * sep2) \
@@ -223,7 +222,7 @@ def pair_spacing_margins(seq: GapSequence) -> tuple[np.ndarray, np.ndarray]:
     if seq.n < 2:
         raise IndexOutOfRange(f"need at least 2 active nodes for a pair, got {seq.n}")
     d = seq.deltas
-    sq = seq.differences() ** 2
+    sq = node_differences(seq.active) ** 2
     terms = d[:, None, None] / (sq[:, :, None] * sq[:, None, :])
     k = np.arange(seq.n)
     terms[k, k, :] = 0.0

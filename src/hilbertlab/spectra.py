@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, NonFinite, NonpositiveWeight, ZeroSpectrum
-from .gaps import GapSequence, block_diagonal, node_differences, row_blocks
+from .gaps import GapSequence, node_differences, pair_kernel
 from .quadforms import _certify, _mirrored, _reflection_block, _reflection_lift, _top_eigen
 from .reports import record
 
@@ -60,10 +60,9 @@ def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
 
     One divide gives exact skew-symmetry: fl(lam_m - lam_n) is exactly
     -fl(lam_n - lam_m) and c_m c_n = c_n c_m, so entries (m, n) and (n, m)
-    round to the same magnitude with opposite signs. H is built ROW_BLOCK
-    rows at a time, outer(c, c) / (lam_m - lam_n) block by block, so no
-    second n x n array is formed. Raises NonFinite when finite weights
-    overflow an entry.
+    round to the same magnitude with opposite signs. H is `pair_kernel`
+    with c, c and power 1, so no second n x n array is formed. Raises
+    NonFinite when finite weights overflow an entry.
     """
     if weights is None:
         c = np.sqrt(seq.deltas)
@@ -75,14 +74,8 @@ def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
             raise NonFinite("weights must be finite")
         if np.any(c <= 0):
             raise NonpositiveWeight("weights must be strictly positive")
-    entries = np.empty((seq.n, seq.n))
-    with np.errstate(all="ignore"):
-        for rows in row_blocks(seq.n):
-            block = np.multiply(c[rows, None], c, out=entries[rows])
-            block /= node_differences(seq.active, rows)
-            block_diagonal(block, rows)[...] = 0.0
-            if not np.isfinite(block).all():
-                raise NonFinite("H has non-finite entries: the weights are too large for the gaps")
+    entries = pair_kernel(c, c, seq.active, 1,
+                          "H has non-finite entries: the weights are too large for the gaps")
     entries.setflags(write=False)
     c = c.copy()
     c.setflags(write=False)
@@ -167,7 +160,7 @@ def eigenpair_top(h: SkewHilbertMatrix) -> ComplexEigenpair:
 
 def _inverse_square(seq: GapSequence) -> np.ndarray:
     """1/(lam_m - lam_n)^2 off the diagonal, zero on it."""
-    inv2 = seq.differences() ** -2.0
+    inv2 = node_differences(seq.active) ** -2.0
     np.fill_diagonal(inv2, 0.0)
     return inv2
 

@@ -140,25 +140,19 @@ class TestGapInvariants:
 class TestDifferences:
     def test_entries_and_unit_diagonal(self):
         seq = GapSequence([0.0, 1.0, 3.0, 7.0, 8.0])
-        assert np.array_equal(seq.differences(), [[1.0, -2.0, -6.0],
-                                                  [2.0, 1.0, -4.0],
-                                                  [6.0, 4.0, 1.0]])
+        assert np.array_equal(node_differences(seq.active), [[1.0, -2.0, -6.0],
+                                                             [2.0, 1.0, -4.0],
+                                                             [6.0, 4.0, 1.0]])
 
     def test_single_active_node(self):
-        assert np.array_equal(generate_uniform(1, 2.0).differences(), [[1.0]])
+        assert np.array_equal(node_differences(generate_uniform(1, 2.0).active), [[1.0]])
 
     def test_stack_gives_each_window_its_matrix(self):
         seqs = [generate_random(5, 0.3, s) for s in range(3)] + [generate_cluster(5)]
         stack = node_differences(np.array([seq.active for seq in seqs]))
         assert stack.shape == (4, 5, 5)
         for seq, diff in zip(seqs, stack):
-            assert np.array_equal(seq.differences(), diff)
-
-    def test_built_fresh_on_each_call(self):
-        seq = generate_random(6, 0.3, 2)
-        first = seq.differences()
-        first[0, 1] = 0.0
-        assert seq.differences()[0, 1] == seq.active[0] - seq.active[1]
+            assert np.array_equal(node_differences(seq.active), diff)
 
 
 class TestWeightVector:

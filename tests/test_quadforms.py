@@ -36,7 +36,7 @@ from hilbertlab.quadforms import (
     alpha_form_matrix,
     constant_values,
 )
-from hilbertlab.gaps import node_deltas, node_differences
+from hilbertlab.gaps import node_deltas, node_differences, pair_kernel
 from hilbertlab.search import generate_trig_periodized
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
@@ -610,6 +610,32 @@ class TestRowBlockedKernels:
         dense = dense_kernels(delta, lam, alpha)
         assert_same_bits(_alpha_kernels(delta, lam, alpha), dense)
         assert_same_bits(_alpha_kernels(delta, lam, alpha, symmetrized=True), _symmetrized(dense))
+
+    @pytest.mark.parametrize("n", (1, 31, 32, 33, 65))
+    def test_pair_kernel_power_two(self, n):
+        rng = np.random.default_rng(n)
+        seqs = kernel_windows(n)
+        rows, cols = rng.uniform(0.5, 2.0, (2, len(seqs), n))
+        lam = np.array([seq.active for seq in seqs])
+        stacked = pair_kernel(rows, cols, lam, 2, "unused")
+        sym_stacked = pair_kernel(rows, cols, lam, 2, "unused", symmetrized=True)
+        for seq, row, col, in_stack, sym_in_stack in zip(seqs, rows, cols, stacked, sym_stacked):
+            dense = np.outer(row, col) / np.square(node_differences(seq.active))
+            np.fill_diagonal(dense, 0.0)
+            kernel = pair_kernel(row, col, seq.active, 2, "unused")
+            assert_same_bits(kernel, dense)
+            assert_same_bits(in_stack, kernel)
+            sym = pair_kernel(row, col, seq.active, 2, "unused", symmetrized=True)
+            assert_same_bits(sym, _symmetrized(kernel))
+            assert_same_bits(sym_in_stack, sym)
+
+    @pytest.mark.parametrize("symmetrized", (False, True))
+    def test_pair_kernel_raises_the_callers_message(self, symmetrized):
+        # 0/0 in the third block, as below
+        nodes = np.concatenate((np.arange(-70.0, 0.0), [0.0, 1e-200, 2e-200, 1.0]))
+        delta = GapSequence(nodes).deltas
+        with pytest.raises(NonFinite, match="^kernel underflows$"):
+            pair_kernel(delta, delta, nodes[1:-1], 2, "kernel underflows", symmetrized)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_entry_in_a_later_block_raises(self):

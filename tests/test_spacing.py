@@ -212,6 +212,61 @@ class TestSpacingSum:
             assert fb <= zeta(sigma) + 1e-12
 
 
+def spacing_sum_by_index(seq, ell, sigma):
+    """spacing_sum as first written: the other indices picked by an index array."""
+    idx = np.arange(seq.n)
+    idx = idx[idx != ell - 1]
+    lam = seq.active
+    dist = np.abs(lam[idx] - lam[ell - 1])
+    return float(np.sum(seq.deltas[idx] / dist ** sigma))
+
+
+def pair_spacing_lhs_by_index(seq, ell, m):
+    """pair_spacing_sum's lhs as first written, with an index array."""
+    lam = seq.active
+    idx = np.arange(seq.n)
+    idx = idx[(idx != ell - 1) & (idx != m - 1)]
+    dl = lam[idx] - lam[ell - 1]
+    dm = lam[idx] - lam[m - 1]
+    return float(np.sum(seq.deltas[idx] / (dl ** 2 * dm ** 2)))
+
+
+# seeded random windows of 3 to 69 active nodes, then windows of 1 and 2
+WHOLE_WINDOW_CASES = [
+    *(generate_random(int(np.random.default_rng(s).integers(3, 70)), 0.05 + 0.1 * s, s)
+      for s in range(12)),
+    generate_uniform(1, 1.0), generate_random(1, 0.3, 5),
+    generate_uniform(2, 0.7), generate_random(2, 0.3, 6),
+]
+
+
+class TestWholeWindowSums:
+    """The spacing sums over the whole window, self terms deleted, equal
+    the index-array sums bit for bit and hold fewer window-length arrays."""
+
+    @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("seq", WHOLE_WINDOW_CASES)
+    def test_spacing_sum_every_index(self, seq, sigma):
+        for ell in range(1, seq.n + 1):
+            assert spacing_sum(seq, ell, sigma) == spacing_sum_by_index(seq, ell, sigma), ell
+
+    @pytest.mark.parametrize("seq", WHOLE_WINDOW_CASES)
+    def test_pair_spacing_sum_every_pair(self, seq):
+        for ell in range(1, seq.n + 1):
+            for m in range(1, seq.n + 1):
+                if ell != m:
+                    want = pair_spacing_lhs_by_index(seq, ell, m)
+                    assert pair_spacing_sum(seq, ell, m)["lhs"] == want, (ell, m)
+
+    def test_spacing_sum_peak(self, traced_peak):
+        # the index arrays peaked at 4.0 window-length float arrays
+        n = 2 * 10**5 + 1
+        seq = generate_uniform(n, 1.0)
+        seq.deltas      # cached before the trace, as after any earlier call
+        peak = traced_peak(lambda: spacing_sum(seq, n // 2 + 1, 2.0))
+        assert peak <= 2.5 * 8 * n
+
+
 class TestPairSpacing:
     def test_uniform_adjacent_pair(self):
         rep = pair_spacing_sum(generate_uniform(50, 1.0), 1, 2)

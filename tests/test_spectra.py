@@ -27,6 +27,7 @@ from hilbertlab.errors import (
     NonpositiveWeight,
     ZeroSpectrum,
 )
+from hilbertlab.gaps import node_differences, pair_kernel
 from hilbertlab.quadforms import alpha_form_matrix
 from hilbertlab.spectra import bilinear_form, s_and_t
 
@@ -119,7 +120,7 @@ class TestBuildH:
 def triu_and_mirror(seq, c):
     """H as first assembled: the strict upper triangle of one divide,
     mirrored by negation."""
-    upper = np.triu(np.outer(c, c) / seq.differences(), k=1)
+    upper = np.triu(np.outer(c, c) / node_differences(seq.active), k=1)
     return upper - upper.T
 
 
@@ -142,10 +143,10 @@ class TestOneDivideAssembly:
             assert (h.entries == -h.entries.T).all(), (kind, n)
 
 
-def one_divide(seq, c):
-    """H as one divide of the whole matrix, outer(c, c) / (lam_m - lam_n),
-    with the diagonal zeroed."""
-    entries = np.outer(c, c) / seq.differences()
+def one_divide(seq, row, col):
+    """H, or any power-1 pair kernel, as one divide of the whole matrix,
+    outer(row, col) / (lam_m - lam_n), with the diagonal zeroed."""
+    entries = np.outer(row, col) / node_differences(seq.active)
     np.fill_diagonal(entries, 0.0)
     return entries
 
@@ -159,8 +160,33 @@ class TestRowBlockedAssembly:
         for seq in windows:
             for weights in (None, rng.uniform(0.5, 2.0, seq.n)):
                 h = build_h(seq, weights)
-                want = one_divide(seq, h.weights)
+                want = one_divide(seq, h.weights, h.weights)
                 assert h.entries.tobytes() == want.tobytes(), (seq.n, weights is None)
+
+    @pytest.mark.parametrize("n", (1, 31, 32, 33, 65))
+    def test_pair_kernel_power_one(self, n):
+        # unequal row and col weights, so the symmetrization is not zero
+        rng = np.random.default_rng(n)
+        seqs = (generate_uniform(n, 0.3), generate_random(n, 0.3, n), generate_random(n, 0.05, 1))
+        rows, cols = rng.uniform(0.5, 2.0, (2, len(seqs), n))
+        lam = np.array([seq.active for seq in seqs])
+        stacked = pair_kernel(rows, cols, lam, 1, "unused")
+        sym_stacked = pair_kernel(rows, cols, lam, 1, "unused", symmetrized=True)
+        for seq, row, col, in_stack, sym_in_stack in zip(seqs, rows, cols, stacked, sym_stacked):
+            kernel = pair_kernel(row, col, seq.active, 1, "unused")
+            assert kernel.tobytes() == one_divide(seq, row, col).tobytes()
+            assert in_stack.tobytes() == kernel.tobytes()
+            sym = pair_kernel(row, col, seq.active, 1, "unused", symmetrized=True)
+            assert sym.tobytes() == ((kernel + kernel.T) / 2).tobytes()
+            assert sym_in_stack.tobytes() == sym.tobytes()
+
+    @pytest.mark.parametrize("symmetrized", (False, True))
+    def test_pair_kernel_raises_the_callers_message(self, symmetrized):
+        # the divide overflows in the second block
+        nodes = np.concatenate((np.arange(-40.0, 0.0), [0.0, 1e-10, 3.0]))
+        c = np.full(len(nodes) - 2, 1e150)
+        with pytest.raises(NonFinite, match="^kernel too large$"):
+            pair_kernel(c, c, GapSequence(nodes).active, 1, "kernel too large", symmetrized)
 
 
 def assert_exactly_symmetric(matrix):
