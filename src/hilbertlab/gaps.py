@@ -65,7 +65,8 @@ def check_nodes(nodes: np.ndarray) -> None:
         raise TooShort(f"need windows of at least 3 nodes, got shape {nodes.shape}")
     if not np.isfinite(nodes).all():
         raise NonFinite("nodes must be finite")
-    if not (np.diff(nodes) > 0).all():
+    # for finite nodes, b > a exactly when b - a > 0, with no float temporary
+    if not (nodes[..., 1:] > nodes[..., :-1]).all():
         raise NotIncreasing("nodes must be strictly increasing")
 
 
@@ -100,6 +101,24 @@ def node_differences(lam: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
     return diff
 
 
+def kernel_rows(row: np.ndarray, col: np.ndarray, lam: np.ndarray, power: int,
+                message: str, rows: slice, out: np.ndarray | None = None
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows `rows` of the unsymmetrized kernel of `pair_kernel`, written to
+    `out` when it is given, and the block of fl(d^power) they divide by.
+    Raises NonFinite(message) when an entry under- or overflows."""
+    with np.errstate(all="ignore"):
+        dp = node_differences(lam, rows)
+        if power == 2:
+            np.square(dp, out=dp)
+        block = np.multiply(row[..., rows, None], col[..., None, :], out=out)
+        block /= dp
+    block_diagonal(block, rows)[...] = 0.0
+    if not np.isfinite(block).all():
+        raise NonFinite(message)
+    return block, dp
+
+
 def pair_kernel(row: np.ndarray, col: np.ndarray, lam: np.ndarray, power: int,
                 message: str, symmetrized: bool = False) -> np.ndarray:
     """The kernel K_mn = row_m col_n / (lam_m - lam_n)^power, power 1 or 2,
@@ -109,28 +128,21 @@ def pair_kernel(row: np.ndarray, col: np.ndarray, lam: np.ndarray, power: int,
     each kernel's (K + K^T) / 2 instead. Raises NonFinite(message) when an
     entry under- or overflows (0/0, inf/inf or inf) instead of passing NaN on.
 
-    The kernel is built ROW_BLOCK rows at a time, with no difference
-    matrix, unsymmetrized copy or transpose of the whole. Entry (m, n) is
-    fl(row_m col_n) / fl(d^power), d = lam_m - lam_n. fl(lam_n - lam_m) is
-    exactly -fl(d), so fl(col_m row_n) / fl(d^power), negated for odd
-    power, is exactly entry (n, m), and adding it and halving gives
-    (K + K^T) / 2 bit for bit. Each block is checked before it is
-    symmetrized, so every entry of K is checked once, and the mirror terms
-    are those same entries.
+    The kernel is built ROW_BLOCK rows at a time (`kernel_rows`), with no
+    difference matrix, unsymmetrized copy or transpose of the whole.
+    Entry (m, n) is fl(row_m col_n) / fl(d^power), d = lam_m - lam_n.
+    fl(lam_n - lam_m) is exactly -fl(d), so fl(col_m row_n) / fl(d^power),
+    negated for odd power, is exactly entry (n, m), and adding it and
+    halving gives (K + K^T) / 2 bit for bit. Each block is checked before
+    it is symmetrized, so every entry of K is checked once, and the mirror
+    terms are those same entries.
     """
     n = lam.shape[-1]
     out = np.empty(lam.shape + (n,))
-    with np.errstate(all="ignore"):
-        for rows in row_blocks(n):
-            dp = node_differences(lam, rows)
-            if power == 2:
-                np.square(dp, out=dp)
-            block = np.multiply(row[..., rows, None], col[..., None, :], out=out[..., rows, :])
-            block /= dp
-            block_diagonal(block, rows)[...] = 0.0
-            if not np.isfinite(block).all():
-                raise NonFinite(message)
-            if symmetrized:
+    for rows in row_blocks(n):
+        block, dp = kernel_rows(row, col, lam, power, message, rows, out[..., rows, :])
+        if symmetrized:
+            with np.errstate(all="ignore"):
                 mirror = col[..., rows, None] * row[..., None, :]
                 mirror /= dp
                 block_diagonal(mirror, rows)[...] = 0.0

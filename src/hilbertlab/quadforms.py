@@ -364,8 +364,9 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     raise: `stack` must be writable, and callers hand over an array of
     their own, so a solve holds no n x n array besides the stack, the
     blocks of a folded member and LAPACK's working copy. One compare of
-    each member's (0, 1) entry with its (n-1, n-2) mirror, over the whole
-    stack, rules out the fold for most members before `_mirrored` runs.
+    each member's first row with its last row reversed, over the whole
+    stack, is a necessary condition for J M J = M, so `_mirrored` runs
+    only on the members that pass it.
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise NotSymmetric(f"need a stack of square matrices, got shape {stack.shape}")
@@ -374,8 +375,9 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     count, n = stack.shape[:2]
     nonzero = [b for b, scale in enumerate(scales) if scale]
     values = np.zeros(count)
-    # one mirrored pair per member rules out most of the stack at once
-    mirror = (stack[:, 0, 1] == stack[:, -1, -2]).tolist() if n >= 2 else [False] * count
+    # row 0 of J M J is row n - 1 of M reversed
+    mirror = ((stack[:, 0, :] == stack[:, -1, ::-1]).all(axis=1).tolist() if n >= 2
+              else [False] * count)
     # member -> (matrix solved, parity of its block or None, vector or None)
     solved, plain = {}, []
     try:

@@ -28,11 +28,13 @@ from .errors import (
     SameIndex,
     SigmaOutOfRange,
 )
-from .gaps import GapSequence, node_differences
+from .gaps import GapSequence, node_deltas, node_differences
 from .reports import record
 
 _ZETA_CUTOFF = 1_000_000
 _CHUNK = 1 << 20
+# terms per chunk of `spacing_sum`: 64 kB arrays, small beside a large window
+_TERM_CHUNK = 1 << 13
 
 
 def _check_sigma(sigma: float) -> float:
@@ -152,16 +154,23 @@ def spacing_sum(seq: GapSequence, ell: int, sigma: float) -> float:
     """sum_{k != ell} delta_k / |lam_k - lam_ell|^sigma over every active
     index k of the window.
 
-    All terms are positive, so the window's sum is a lower bound for the
-    full series.
+    The terms are written _TERM_CHUNK at a time into one array that skips
+    the self term, each chunk's deltas taken from the nodes, so the only
+    window-length array is the terms; np.sum then sees the floats of the
+    whole-window expression in index order. All terms are positive, so the
+    window's sum is a lower bound for the full series.
     """
     _check_sigma(sigma)
     if not 1 <= ell <= seq.n:
         raise IndexOutOfRange(f"ell={ell} outside 1..{seq.n}")
-    lam = seq.active
-    with np.errstate(divide="ignore"):      # the self term, deleted below
-        terms = seq.deltas / np.abs(lam - lam[ell - 1]) ** sigma
-    return float(np.sum(np.delete(terms, ell - 1)))
+    nodes, centre = seq.nodes, seq.active[ell - 1]
+    terms = np.empty(seq.n - 1)
+    for first, last, shift in ((0, ell - 1, 0), (ell, seq.n, 1)):
+        for start in range(first, last, _TERM_CHUNK):
+            stop = min(start + _TERM_CHUNK, last)
+            d, lam = node_deltas(nodes[start:stop + 2]), nodes[start + 1:stop + 1]
+            terms[start - shift:stop - shift] = d / np.abs(lam - centre) ** sigma
+    return float(np.sum(terms))
 
 
 def spacing_bound_report(seq: GapSequence, ell: int, sigma: float, seed: int = 0) -> dict:

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, NonFinite, NonpositiveWeight, ZeroSpectrum
-from .gaps import GapSequence, node_differences, pair_kernel
-from .quadforms import _certify, _mirrored, _reflection_block, _reflection_lift, _top_eigen
+from .gaps import GapSequence, kernel_rows, node_differences, pair_kernel, row_blocks
+from .quadforms import (SQRT2, _certify, _mirrored, _reflection_block, _reflection_lift,
+                        _top_eigen)
 from .reports import record
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
+H_OVERFLOW = "H has non-finite entries: the weights are too large for the gaps"
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,6 +57,21 @@ class ChainConstants:
     c1_upper: float
 
 
+def _weights(seq: GapSequence, weights) -> np.ndarray:
+    """The weights c of H on `seq`: c_n = sqrt(delta_n) by default, else
+    `weights` checked for length, finiteness and positivity."""
+    if weights is None:
+        return np.sqrt(seq.deltas)
+    c = np.asarray(weights, dtype=float)
+    if c.size != seq.n:
+        raise LengthMismatch(f"{c.size} weights for {seq.n} active nodes")
+    if not np.all(np.isfinite(c)):
+        raise NonFinite("weights must be finite")
+    if np.any(c <= 0):
+        raise NonpositiveWeight("weights must be strictly positive")
+    return c
+
+
 def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
     """Assemble H; default weights are c_n = sqrt(delta_n).
 
@@ -64,18 +81,8 @@ def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
     with c, c and power 1, so no second n x n array is formed. Raises
     NonFinite when finite weights overflow an entry.
     """
-    if weights is None:
-        c = np.sqrt(seq.deltas)
-    else:
-        c = np.asarray(weights, dtype=float)
-        if c.size != seq.n:
-            raise LengthMismatch(f"{c.size} weights for {seq.n} active nodes")
-        if not np.all(np.isfinite(c)):
-            raise NonFinite("weights must be finite")
-        if np.any(c <= 0):
-            raise NonpositiveWeight("weights must be strictly positive")
-    entries = pair_kernel(c, c, seq.active, 1,
-                          "H has non-finite entries: the weights are too large for the gaps")
+    c = _weights(seq, weights)
+    entries = pair_kernel(c, c, seq.active, 1, H_OVERFLOW)
     entries.setflags(write=False)
     c = c.copy()
     c.setflags(write=False)
@@ -88,10 +95,9 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return a.T @ a
 
 
-def _top_grams(hs: list[SkewHilbertMatrix],
-               vector: bool) -> tuple[list[float], list[np.ndarray | None]]:
-    """Top eigenvalue mu^2 of each H^T H and, when `vector` is set, a
-    certified unit eigenvector for it.
+def _top_grams(hs: list[SkewHilbertMatrix]) -> tuple[list[float], list[np.ndarray]]:
+    """Top eigenvalue mu^2 of each H^T H and a certified unit eigenvector
+    for it.
 
     When J H J = -H exactly, as on a reflection-symmetric window, H maps
     even vectors to odd ones by the first block C of `_reflection_block`
@@ -113,9 +119,9 @@ def _top_grams(hs: list[SkewHilbertMatrix],
         # a lone Gram is solved as it is, without the copy np.stack makes
         stack = (grams[members[0]][None] if len(members) == 1
                  else np.stack([grams[i] for i in members]))
-        top, ys = _top_eigen(stack, vector)
-        for i, value, y in zip(members, top.tolist(), ys or [None] * len(members)):
-            if y is not None and folded[i]:
+        top, ys = _top_eigen(stack, True)
+        for i, value, y in zip(members, top.tolist(), ys):
+            if folded[i]:
                 h = hs[i]
                 y = _reflection_lift(y, h.n, even=True)
                 _certify(h.entries.T @ (h.entries @ y), value, y)
@@ -123,10 +129,52 @@ def _top_grams(hs: list[SkewHilbertMatrix],
     return values, vectors
 
 
-def spectral_radius(h: SkewHilbertMatrix) -> float:
-    """|mu_max| = sqrt(top eigenvalue of H^T H)."""
-    values, _ = _top_grams([h], vector=False)
-    return math.sqrt(max(values[0], 0.0))
+def _folded_block(c: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
+    """The block C = H11 + H12 J of `_reflection_block(H, -1.0, True)`, with
+    the centre column scaled by sqrt(2) for odd n, when J H J = -H exactly
+    (`_mirrored`) for H with weights c on the nodes lam; None when it does
+    not hold or n < 2.
+
+    H is built a block of rows of its upper half at a time, next to the
+    mirror rows it is compared with, so at most C and two blocks of rows
+    are held: every entry is H's own float, and C's entries are the same
+    sums, so C is the array `_reflection_block` makes from all of H.
+    """
+    n = lam.size
+    k = n // 2
+    if n < 2:
+        return None
+    fold = np.empty((k, n - k))
+    for rows in row_blocks(n - k):
+        top, _ = kernel_rows(c, c, lam, 1, H_OVERFLOW, rows)
+        low, _ = kernel_rows(c, c, lam, 1, H_OVERFLOW, slice(n - rows.stop, n - rows.start))
+        # row m of J H J is row n - 1 - m of H reversed
+        if not np.array_equal(top, -low[::-1, ::-1]):
+            return None
+        top = top[:k - rows.start]     # the centre row of odd n is only compared
+        out = fold[rows.start:rows.start + len(top)]
+        with np.errstate(over="ignore"):    # an overflow fails the certificate
+            np.add(top[:, :k], top[:, ::-1][:, :k], out=out[:, :k])
+        if n % 2:
+            np.multiply(SQRT2, top[:, k], out=out[:, k])
+    return fold
+
+
+def spectral_radius(seq: GapSequence, weights=None) -> float:
+    """|mu_max| of H = build_h(seq, weights), the square root of the top
+    eigenvalue of H^T H, with no eigenvectors formed; the value is bit for
+    bit the mu of eigenpair_top(build_h(seq, weights)).
+
+    When J H J = -H exactly, mu^2 is the top eigenvalue of the half-size
+    Gram C^T C (`_top_grams`), and C is built without all of H
+    (`_folded_block`); otherwise H is built whole.
+    """
+    c = _weights(seq, weights)
+    half = _folded_block(c, seq.active)
+    gram = _gram(pair_kernel(c, c, seq.active, 1, H_OVERFLOW) if half is None else half)
+    del half
+    value = float(_top_eigen(gram[None], False)[0][0])
+    return math.sqrt(max(value, 0.0))
 
 
 def eigenpairs_top(hs) -> list[ComplexEigenpair]:
@@ -140,7 +188,7 @@ def eigenpairs_top(hs) -> list[ComplexEigenpair]:
     matrix whose spectrum vanishes raises ZeroSpectrum after all are solved.
     """
     hs = list(hs)
-    values, vectors = _top_grams(hs, vector=True)
+    values, vectors = _top_grams(hs)
     pairs = []
     for h, value, v in zip(hs, values, vectors):
         mu = math.sqrt(max(value, 0.0))
@@ -223,8 +271,8 @@ def bilinear_form(h: SkewHilbertMatrix, z_re, z_im) -> float:
 def numerical_radius_check(h: SkewHilbertMatrix, rho: float, seed: int = 0) -> list[dict]:
     """Check |B(z)| <= rho * sum |z_n|^2 and its c_n-normalized variant on
     one random complex vector z = zr + i zi drawn from `seed`, as two
-    records. `rho` is the spectral radius of h: spectral_radius(h), or the
-    mu of eigenpair_top(h), which is the same float.
+    records. `rho` is the spectral radius of h: spectral_radius(h.source,
+    h.weights), or the mu of eigenpair_top(h), which is the same float.
     """
     rng = np.random.default_rng(seed)
     zr, zi = rng.standard_normal(h.n), rng.standard_normal(h.n)

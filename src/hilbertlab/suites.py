@@ -202,7 +202,7 @@ def suite_radius(trials: int = 100, max_n: int = 12, seed: int = 0, *,
         records.extend(chunk)
 
     seq = generate_uniform(2000, 1.0)
-    rho = spectral_radius(build_h(seq, np.ones(2000)))
+    rho = spectral_radius(seq, np.ones(2000))
     records.append(record("schur-floor", rho, math.pi - 0.05, rho > math.pi - 0.05, seed=seed))
     records.append(record("schur-ceiling", rho, math.pi, rho <= math.pi + 1e-9, seed=seed))
     return records

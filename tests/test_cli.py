@@ -189,6 +189,49 @@ class TestModuleEntryPoint:
         assert captured.err == "error: alpha = 1.0 kernel has non-finite entries\n"
 
 
+# `python -m hilbertlab` with the arguments after -c, then the exit code and
+# the process's ru_maxrss (kB on Linux) on the last line of stderr
+PEAK_CHILD = """
+import resource, runpy, sys
+try:
+    runpy.run_module("hilbertlab", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+# A process started by a large one begins with that one's ru_maxrss, which
+# Linux carries across exec, so the test runner's own footprint would hide
+# the command's. A bare interpreter in between starts it with a small count.
+LAUNCHER = ("import subprocess, sys; "
+            "sys.exit(subprocess.run([sys.executable, *sys.argv[1:]]).returncode)")
+
+
+def module_peak_mb(*argv) -> float:
+    """Peak resident memory, in MB, of `python -m hilbertlab *argv` run alone
+    in a fresh interpreter on this checkout; the command must succeed."""
+    src = str(Path(hilbertlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", LAUNCHER, "-c", PEAK_CHILD, *argv],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=120)
+    code, maxrss_kb = proc.stderr.split("\n")[-2].split()
+    assert code == "0", proc.stderr
+    return int(maxrss_kb) / 1024.0
+
+
+class TestFreshProcessPeaks:
+    """The two largest verify records, measured as the operating system sees
+    them: LAPACK's copies and memory malloc keeps for reuse count too, which
+    tracemalloc does not see. Each is measured above a command that builds
+    no window, so the interpreter and numpy's own footprint cancel."""
+
+    def test_spacing_and_radius_suites(self):
+        base = module_peak_mb("preissmann")
+        # the spacing-uniform-window record: 2 * 10^6 + 1 nodes
+        assert module_peak_mb("verify", "--suite", "spacing", "--trials", "3") - base <= 50.0
+        # the Schur records: n = 2000
+        assert module_peak_mb("verify", "--suite", "radius", "--trials", "2") - base <= 40.0
+
+
 class TestLowerBoundCommand:
     def test_point_json(self, capsys):
         code, out = run(capsys, ["lower-bound", "--point", "5", "0.14"])

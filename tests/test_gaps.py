@@ -29,6 +29,26 @@ class TestConstruction:
         with pytest.raises(NotIncreasing):
             GapSequence([0.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("nodes", ([0.0, 2.0, 1.0, 3.0], [-0.0, 0.0, 1.0],
+                                       [0.0, 5e-324, 5e-324], [-1.7e308, 1.7e308, 1.0]))
+    def test_rejects_equal_or_decreasing_pairs(self, nodes):
+        with pytest.raises(NotIncreasing):
+            GapSequence(nodes)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(nodes=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                    st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1.7e308))),
+                          min_size=3, max_size=8))
+    def test_order_check_is_the_difference_check(self, nodes):
+        # for finite floats, b > a exactly when the rounded b - a is above 0
+        increasing = bool((np.diff(nodes) > 0).all())
+        try:
+            GapSequence(nodes)
+        except NotIncreasing:
+            assert not increasing
+        else:
+            assert increasing
+
     def test_rejects_too_short(self):
         with pytest.raises(TooShort):
             GapSequence([0.0, 1.0])
@@ -53,6 +73,12 @@ class TestConstruction:
 
 
 class TestGenerators:
+    def test_uniform_window_peak(self, traced_peak):
+        # the arange and the window's own copy; the float difference array
+        # of the order check read 3.1
+        n = 2 * 10**5 + 1
+        assert traced_peak(lambda: generate_uniform(n, 1.0)) <= 2.3 * 8 * n
+
     def test_uniform_small(self):
         seq = generate_uniform(3, 1.0)
         assert np.array_equal(seq.nodes, [0.0, 1.0, 2.0, 3.0, 4.0])

@@ -314,8 +314,26 @@ class TestReflectionFold:
                           random_nonneg_sym(9, rng), np.zeros((9, 9)), centrosymmetric(9, rng)])
         mirrored = calls(quadforms, "_mirrored")
         values, vectors = _top_eigen(stack, True, nonneg=True)
-        # the zero member is not solved; the random ones fail the (0, 1) pair
+        # the zero member is not solved; the random ones fail the first-row compare
         assert [len(args[0]) for args in mirrored] == [9, 9]
+        for member, value, vector in zip(stack, values, vectors):
+            lone = lone_pair(member)
+            assert value == lone[0] and np.array_equal(vector, lone[1])
+
+    def test_first_row_compare_is_the_precheck(self, calls):
+        rng = np.random.default_rng(5)
+        # (0, 1) equals its mirror (n-1, n-2), as the old one-pair compare tested
+        pair_only = random_nonneg_sym(9, rng)
+        pair_only[0, 1] = pair_only[1, 0] = pair_only[8, 7] = pair_only[7, 8]
+        # first and last rows mirror each other, an inner pair does not
+        rows_only = centrosymmetric(9, rng)
+        rows_only[3, 4] = rows_only[4, 3] = rows_only[3, 4] + 0.5
+        folded = centrosymmetric(9, rng)
+        stack = np.array([pair_only, rows_only, folded])
+        mirrored = calls(quadforms, "_mirrored")
+        values, vectors = _top_eigen(stack, True, nonneg=True)
+        assert [next(i for i, m in enumerate(stack) if np.array_equal(args[0], m))
+                for args in mirrored] == [1, 2]
         for member, value, vector in zip(stack, values, vectors):
             lone = lone_pair(member)
             assert value == lone[0] and np.array_equal(vector, lone[1])

@@ -141,6 +141,14 @@ class TestStackedClimb:
         assert folded
         assert best.value == reference_hill_climb(1.0, seq, rounds=3).value
 
+    def test_fold_is_tested_only_on_mirrored_trials(self, calls):
+        # the (0, 1) pair alone let 371 kernels of this search through, 70 mirrored
+        mirrored = quadforms._mirrored
+        tested = calls(quadforms, "_mirrored")
+        search_constant(0.5, 12, seed=0, restarts=1, rounds=18)
+        assert len(tested) == 70
+        assert all(mirrored(*args) for args in tested)
+
 
 # the two searches of the benchmark as printed on the trial-by-trial loop:
 # label, value, and sha256 of stdout with elapsed_ms zeroed

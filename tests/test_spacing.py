@@ -23,7 +23,7 @@ from hilbertlab.errors import (
     SameIndex,
     SigmaOutOfRange,
 )
-from hilbertlab.spacing import shan_split, spacing_bound_report
+from hilbertlab.spacing import _TERM_CHUNK, shan_split, spacing_bound_report
 from hilbertlab.suites import PAIR_SPACING_MAX_N, _random_seq, suite_pair_spacing
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
@@ -259,12 +259,52 @@ class TestWholeWindowSums:
                     assert pair_spacing_sum(seq, ell, m)["lhs"] == want, (ell, m)
 
     def test_spacing_sum_peak(self, traced_peak):
-        # the index arrays peaked at 4.0 window-length float arrays
+        # the index arrays peaked at 4.0 window-length float arrays beside the
+        # cached deltas, and the whole-window terms with np.delete at 3.0
+        # with the deltas built; chunked terms hold one array of n - 1
         n = 2 * 10**5 + 1
         seq = generate_uniform(n, 1.0)
-        seq.deltas      # cached before the trace, as after any earlier call
         peak = traced_peak(lambda: spacing_sum(seq, n // 2 + 1, 2.0))
-        assert peak <= 2.5 * 8 * n
+        assert peak <= 1.2 * 8 * n
+
+
+def spacing_sum_by_delete(seq, ell, sigma):
+    """spacing_sum as last written: every term over the whole window, the
+    self term deleted before the sum."""
+    lam = seq.active
+    with np.errstate(divide="ignore"):
+        terms = seq.deltas / np.abs(lam - lam[ell - 1]) ** sigma
+    return float(np.sum(np.delete(terms, ell - 1)))
+
+
+# windows of one to three chunks of terms, with the centre next to a chunk edge
+C = _TERM_CHUNK
+CHUNKED_CASES = [(generate_random(n, 0.05 + 0.1 * s, s), ell)
+                 for s, (n, ell) in enumerate(((C, C), (C + 1, 1), (C + 1, C + 1), (C + 2, C + 1),
+                                               (2 * C + 999, C), (2 * C + 999, 2 * C + 1),
+                                               (2 * C + 999, C + 500)))]
+
+
+class TestChunkedSpacingSum:
+    """spacing_sum writes its terms a chunk at a time, skipping the self
+    term, and equals the whole-window sum bit for bit."""
+
+    @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("case", range(len(CHUNKED_CASES)))
+    def test_windows_of_several_chunks(self, case, sigma):
+        seq, ell = CHUNKED_CASES[case]
+        assert spacing_sum(seq, ell, sigma) == spacing_sum_by_delete(seq, ell, sigma)
+
+    @pytest.mark.parametrize("n", (3, 2 * 10**5 + 1))
+    def test_uniform_windows(self, n):
+        seq = generate_uniform(n, 1.0)
+        for ell in (1, n // 2 + 1, n):
+            assert spacing_sum(seq, ell, 2.0) == spacing_sum_by_delete(seq, ell, 2.0)
+
+    def test_deltas_are_not_built(self):
+        seq = generate_random(50, 0.3, 4)
+        spacing_sum(seq, 20, 2.0)
+        assert "deltas" not in vars(seq)
 
 
 class TestPairSpacing:

@@ -219,27 +219,27 @@ class TestGram:
         # the whole-matrix assembly and symmetrized Gram peaked at 2.13 n x n arrays
         n = 600
         seq = generate_uniform(n, 1.0)
-        assert traced_peak(lambda: spectral_radius(build_h(seq, np.ones(n)))) <= 2.0 * 8 * n * n
+        assert traced_peak(lambda: spectral_radius(seq, np.ones(n))) <= 2.0 * 8 * n * n
 
     def test_schur_record_builds_only_the_block_it_solves(self, traced_peak):
-        # building the unread second fold block as well peaked at 1.76 n x n arrays
+        # building the unread second fold block as well peaked at 1.76 n x n
+        # arrays, and holding all of H beside the fold block and its Gram at 1.5
         n = 2000
         seq = generate_uniform(n, 1.0)
-        assert traced_peak(lambda: spectral_radius(build_h(seq, np.ones(n)))) <= 1.55 * 8 * n * n
+        assert traced_peak(lambda: spectral_radius(seq, np.ones(n))) <= 0.8 * 8 * n * n
 
 
 class TestSpectralRadius:
     def test_two_node_uniform(self):
-        assert spectral_radius(build_h(generate_uniform(2, 1.0))) == pytest.approx(1.0, abs=1e-12)
+        assert spectral_radius(generate_uniform(2, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_node(self):
-        assert spectral_radius(build_h(generate_uniform(1, 1.0))) == 0.0
+        assert spectral_radius(generate_uniform(1, 1.0)) == 0.0
 
     def test_unit_weights_below_pi_and_increasing(self):
         values = []
         for n in (25, 50, 100):
-            h = build_h(generate_uniform(n, 1.0), weights=np.ones(n))
-            values.append(spectral_radius(h))
+            values.append(spectral_radius(generate_uniform(n, 1.0), weights=np.ones(n)))
         assert all(v <= math.pi for v in values)
         assert values[0] < values[1] < values[2]
 
@@ -251,22 +251,85 @@ class TestSpectralRadius:
         # sqrt(delta_m delta_n) / (lam_m - lam_n) is unchanged by lam -> s lam + c
         seq = generate_random(12, 0.5, 6)
         moved = GapSequence(s * seq.nodes + c)
-        rho = spectral_radius(build_h(seq))
-        assert spectral_radius(build_h(moved)) == pytest.approx(rho, rel=1e-10, abs=0.0)
+        rho = spectral_radius(seq)
+        assert spectral_radius(moved) == pytest.approx(rho, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_equals_eigenpair_mu_exactly(self, n):
         # the radius and chain suites read rho from the eigenpair they solve
         seq = generate_random(n, 0.3, n)
         weights = np.random.default_rng(n).uniform(0.5, 2.0, n)
-        for h in (build_h(seq), build_h(seq, weights)):
-            assert spectral_radius(h) == eigenpair_top(h).mu
+        for w in (None, weights):
+            assert spectral_radius(seq, w) == eigenpair_top(build_h(seq, w)).mu
 
     def test_schur_floor_at_two_thousand(self):
         n = 2000
-        rho = spectral_radius(build_h(generate_uniform(n, 1.0), weights=np.ones(n)))
+        rho = spectral_radius(generate_uniform(n, 1.0), weights=np.ones(n))
         assert rho > math.pi - 0.05
         assert rho <= math.pi
+
+
+def radius_from_whole_h(seq, weights=None):
+    """spectral_radius as it was computed from all of H: the fold test and
+    fold block on the whole matrix, then the Gram's top eigenvalue."""
+    entries = build_h(seq, weights).entries
+    folded = quadforms._mirrored(entries, -1.0)
+    gram = spectra._gram(quadforms._reflection_block(entries, -1.0, True) if folded
+                         else entries)
+    return math.sqrt(max(float(quadforms._top_eigen(gram[None], False)[0][0]), 0.0))
+
+
+class TestWindowRadius:
+    """spectral_radius(seq, weights) builds only the fold block of a mirrored
+    window, and gives the whole-H value bit for bit."""
+
+    @pytest.mark.parametrize("n", (1, 2, 31, 32, 33, 64, 65, 66, 2000, 2001))
+    @pytest.mark.parametrize("unit", (False, True))
+    def test_uniform_windows(self, n, unit):
+        seq = generate_uniform(n, 1.0 if unit else 0.7)
+        weights = np.ones(n) if unit else None
+        assert spectral_radius(seq, weights) == radius_from_whole_h(seq, weights)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_mirrored_windows(self, seed):
+        rng = np.random.default_rng(seed)
+        seq = mirrored_window(rng.uniform(0.1, 2.0, int(rng.integers(2, 90))), bool(seed % 2))
+        for weights in (None, np.ones(seq.n), np.r_[1.5, np.ones(seq.n - 1)]):
+            assert spectral_radius(seq, weights) == radius_from_whole_h(seq, weights)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_windows(self, seed):
+        rng = np.random.default_rng(seed)
+        seq = generate_random(int(rng.integers(1, 100)), 0.3, seed)
+        for weights in (None, rng.uniform(0.5, 2.0, seq.n)):
+            assert spectral_radius(seq, weights) == radius_from_whole_h(seq, weights)
+
+    def test_unmirrored_window_builds_all_of_h(self, calls):
+        kernels = calls(spectra, "pair_kernel")
+        spectral_radius(generate_random(40, 0.3, 2))
+        assert len(kernels) == 1
+        kernels.clear()
+        spectral_radius(generate_uniform(40, 1.0))
+        assert kernels == []
+
+    def test_rejects_bad_weights(self):
+        seq = generate_uniform(3, 1.0)
+        with pytest.raises(NonpositiveWeight):
+            spectral_radius(seq, weights=[1.0, 0.0, 1.0])
+        with pytest.raises(LengthMismatch):
+            spectral_radius(seq, weights=[1.0, 1.0])
+        with pytest.raises(NonFinite):
+            spectral_radius(seq, weights=[1.0, np.nan, 1.0])
+
+    @pytest.mark.parametrize("weights, nodes", (
+        ([1e200, 1e200, 1.0], [0.0, 1.0, 2.0, 3.0, 4.0]),
+        ([1e150, 1e150, 1.0], [0.0, 1.0, 1.0 + 1e-10, 3.0, 4.0]),
+        # mirrored, so the overflow is met in the fold block's rows
+        ([1e200, 1.0, 1e200], [-2.0, -1.0, 0.0, 1.0, 2.0]),
+    ))
+    def test_overflowing_entries_raise(self, weights, nodes):
+        with pytest.raises(NonFinite, match="^H has non-finite entries"):
+            spectral_radius(GapSequence(nodes), weights=weights)
 
 
 class TestEigenpairTop:
@@ -359,13 +422,16 @@ class TestSharedWindows:
     def test_one_table_per_run(self, calls):
         built = calls(suites, "build_h")
         solved = calls(suites, "eigenpairs_top")
+        radii = calls(suites, "spectral_radius")
         for _ in range(2):
             built.clear()
             solved.clear()
+            radii.clear()
             suites.run_suites(["selberg", "radius"], trials=5, max_n=8, seed=2)
-            # five windows and the Schur record's H, in every run
-            assert len(built) == 6 and built[-1][0].n == 2000
+            # five windows in every run; the Schur record takes its window
+            assert len(built) == 5
             assert [len(args[0]) for args in solved] == [5]
+            assert [args[0].n for args in radii] == [2000]
 
     def test_lone_suites_equal_their_slice(self):
         kwargs = {"trials": 4, "max_n": 9, "seed": 11}
@@ -389,7 +455,7 @@ class TestReflectionFold:
         h = build_h(seq, np.ones(seq.n) if unit else None)
         assert np.array_equal(h.entries[::-1, ::-1], -h.entries)
         pair = eigenpair_top(h)
-        assert spectral_radius(h) == pair.mu
+        assert spectral_radius(seq, h.weights) == pair.mu
         assert pair_residual(h, pair) <= 1e-14 * pair.mu
         assert check_selberg_identity(h, pair)["lhs"] <= 1e-14
 
@@ -400,16 +466,16 @@ class TestReflectionFold:
         seq = mirrored_window(gaps, centre)
         h = build_h(seq)
         oracle = float(np.max(np.abs(np.linalg.eigvals(h.entries))))
-        assert spectral_radius(h) == pytest.approx(oracle, rel=1e-12)
+        assert spectral_radius(seq) == pytest.approx(oracle, rel=1e-12)
         kernel = alpha_form_matrix(seq, alpha)
         assert np.array_equal(kernel[::-1, ::-1], kernel)
         top = float(np.linalg.eigh((kernel + kernel.T) / 2.0)[0][-1])
         assert estimate_constant(alpha, seq).value == pytest.approx(top, rel=1e-12)
 
     def test_gram_is_folded_only_on_symmetric_windows(self, eigvalsh_sizes):
-        spectral_radius(build_h(generate_uniform(200, 1.0)))
-        spectral_radius(build_h(generate_uniform(201, 1.0)))
-        spectral_radius(build_h(generate_random(200, 0.5, 1)))
+        spectral_radius(generate_uniform(200, 1.0))
+        spectral_radius(generate_uniform(201, 1.0))
+        spectral_radius(generate_random(200, 0.5, 1))
         assert eigvalsh_sizes == [100, 101, 200]
 
     @pytest.mark.parametrize("n", (12, 13))
@@ -513,14 +579,14 @@ class TestNumericalRadius:
         h, _ = random_instance(17)
         pair = eigenpair_top(h)
         lhs = bilinear_form(h, pair.u_re, pair.u_im)
-        rho = spectral_radius(h)
+        rho = spectral_radius(h.source, h.weights)
         assert lhs == pytest.approx(rho, rel=1e-9)
 
     def test_thousand_random_vectors(self):
         held = 0
         for instance in range(10):
             h, _ = random_instance(instance)
-            rho = spectral_radius(h)
+            rho = spectral_radius(h.source, h.weights)
             for seed in range(100 * instance, 100 * instance + 100):
                 plain, normalized = numerical_radius_check(h, rho, seed=seed)
                 assert plain["lemma"] == "numerical-radius"
@@ -535,9 +601,9 @@ class TestNumericalRadius:
         # record calls spectral_radius
         sizes = []
 
-        def counting(h):
-            sizes.append(h.n)
-            return spectral_radius(h)
+        def counting(seq, weights=None):
+            sizes.append(seq.n)
+            return spectral_radius(seq, weights)
 
         monkeypatch.setattr(spectra, "spectral_radius", counting)
         monkeypatch.setattr(suites, "spectral_radius", counting)
@@ -557,7 +623,7 @@ class TestChainInvariants:
         h = build_h(seq)
         pair = eigenpair_top(h)
         s_val, t_val = s_and_t(h, pair)
-        rho = spectral_radius(h)
+        rho = spectral_radius(seq)
         assert s_val <= PI2_OVER_3 + 1e-9
         assert rho ** 2 <= s_val + 2 * t_val + 1e-8
         assert rho <= two_forms_bound(preissmann_chain().c3_upper) + 1e-9
