@@ -11,14 +11,16 @@ eigenvector can be chosen nonnegative and the sign constraint is free.
 That optimum is a lower estimate for the best constant at this window
 size, and exactly the optimal constant for the given configuration.
 
-How the top eigenvalue is found depends on the matrix that is solved
-(the even reflection block when the window is mirror-symmetric, else the
-whole kernel). From PERRON_MIN_N = 256 rows on, a nonnegative matrix
-gets its Perron pair by Rayleigh-quotient iteration, and the value is
-certified to be the top one by the Collatz-Wielandt bracket; these values
-are Rayleigh quotients that agree with LAPACK's eigvalsh within 1e-12
-relative, not eigvalsh's own values. Smaller matrices, signed matrices
-and any matrix the certificate rejects get eigvalsh.
+How the top eigenvalue is found depends on the matrix that is solved:
+the even reflection block when the window is mirror-symmetric, else the
+whole kernel. `_fold` is the one builder of that half-size block, for
+the kernels here (J M J = M) and for spectra's skew H (J H J = -H). From
+PERRON_MIN_N = 256 rows on, a nonnegative matrix gets its Perron pair by
+Rayleigh-quotient iteration, and the value is certified to be the top one
+by the Collatz-Wielandt bracket; these values are Rayleigh quotients that
+agree with LAPACK's eigvalsh within 1e-12 relative, not eigvalsh's own
+values. Smaller matrices, signed matrices and any matrix the certificate
+rejects get eigvalsh.
 
 Kernels are built a block of rows at a time, and `_top_eigen` shifts the
 matrix it solves in place and restores it, so a Perron solve holds the
@@ -108,56 +110,59 @@ def q_alpha(seq: GapSequence, t, alpha: float) -> float:
     return float(np.sum(alpha_form_matrix(seq, alpha) * np.outer(values, values)))
 
 
-def _mirrored(matrix: np.ndarray, sign: float) -> bool:
-    """Whether a square matrix has exact reflection symmetry J M J =
-    sign * M, J the reversal; False when n < 2. One mirrored pair rules out
-    most matrices; the rest are compared a block of rows of the upper half
-    at a time against their mirror image, with no n x n temporary. Row m
-    of J M J is row n - 1 - m of M reversed."""
-    n = matrix.shape[0]
-    if n < 2 or matrix[0, 1] != sign * matrix[-1, -2]:
-        return False
-    for rows in row_blocks((n + 1) // 2):
-        mirror = matrix[n - rows.stop:n - rows.start, ::-1][::-1]
-        if not np.array_equal(matrix[rows], sign * mirror):
-            return False
-    return True
-
-
-def _reflection_block(matrix: np.ndarray, sign: float, first: bool) -> np.ndarray:
-    """One of the two half-size blocks of a square matrix with exact
-    reflection symmetry J M J = sign * M (`_mirrored`), n >= 2 (Cantoni &
-    Butler, Linear Algebra Appl. 13, 1976); each is built only for a caller
-    that solves it.
+def _fold(rows, n: int, sign: float) -> np.ndarray | None:
+    """The even block of an n x n matrix M with exact reflection symmetry
+    J M J = sign * M, J the reversal (Cantoni & Butler, Linear Algebra
+    Appl. 13, 1976), where rows(s) returns the rows s of M; None when the
+    symmetry does not hold or n < 2.
 
     Even vectors (u, s, Ju) and odd vectors (u, 0, -Ju), with the centre
     entry s only for odd n, split R^n orthogonally; their orthonormal
-    coordinates are (sqrt(2) u, s) and sqrt(2) u. The first block maps
-    even coordinates and the second odd ones, into coordinates of the same
-    parity when sign = 1 and of the other parity when sign = -1. With
-    k = n // 2 they are M11 + M12 J and M11 - M12 J. For odd n the centre
-    column, scaled by sqrt(2), joins the first block, and the centre row,
-    scaled by sqrt(2), joins the block that maps into even coordinates;
-    for sign = 1 that is the first block, which also takes the centre entry.
+    coordinates are (sqrt(2) u, s) and sqrt(2) u. With k = n // 2 the even
+    block E = M11 + M12 J maps even coordinates to coordinates of the same
+    parity when sign = 1 and to odd ones when sign = -1 (the odd block
+    M11 - M12 J is `_odd_block`). For odd n the centre column, scaled by
+    sqrt(2), joins E, and for sign = 1 so do the centre row, scaled by
+    sqrt(2), and the centre entry.
+
+    The rows of the upper half are read ROW_BLOCK at a time, each block
+    next to the mirror rows it is compared with, and written into E, so a
+    source that builds its rows on demand never holds M. Row m of J M J
+    is row n - 1 - m of M reversed.
     """
-    n = matrix.shape[0]
+    if n < 2:
+        return None
     k = n // 2
-    m11, m12j = matrix[:k, :k], matrix[:k, ::-1][:, :k]
+    fold = np.empty((n - k if sign > 0 else k, n - k))
     with np.errstate(over="ignore"):    # an overflow fails the certificate
-        block = m11 + m12j if first else m11 - m12j
-    if n % 2:
-        if first:
-            block = np.hstack((block, SQRT2 * matrix[:k, k:k + 1]))
-        if first == (sign > 0):
-            centre_row = SQRT2 * matrix[k:k + 1, :k]
-            block = np.vstack((block, np.append(centre_row, matrix[k, k]) if first
-                               else centre_row))
-    return block
+        for block in row_blocks(n - k):
+            top = rows(block)
+            mirror = rows(slice(n - block.stop, n - block.start))[::-1, ::-1]
+            if not np.array_equal(top, sign * mirror):
+                return None
+            out = fold[block.start:block.stop]
+            top = top[:len(out)]    # for sign = -1 the centre row of odd n is only compared
+            np.add(top[:, :k], top[:, ::-1][:, :k], out=out[:, :k])
+            if n % 2:
+                np.multiply(SQRT2, top[:, k], out=out[:, k])
+        if n % 2 and sign > 0:
+            # the last row read is the centre row
+            np.multiply(SQRT2, top[-1, :k], out=fold[k, :k])
+            fold[k, k] = top[-1, k]
+    return fold
+
+
+def _odd_block(matrix: np.ndarray) -> np.ndarray:
+    """The odd block M11 - M12 J of a matrix with J M J = M (`_fold`),
+    which maps odd coordinates to odd ones."""
+    k = len(matrix) // 2
+    with np.errstate(over="ignore"):    # an overflow fails the certificate
+        return matrix[:k, :k] - matrix[:k, ::-1][:, :k]
 
 
 def _reflection_lift(y: np.ndarray, n: int, even: bool) -> np.ndarray:
     """The length-n vector with even (or odd) coordinates y; the inverse
-    of the coordinates in `_reflection_block`, so norms are kept."""
+    of the coordinates in `_fold`, so norms are kept."""
     k = n // 2
     half = y[:k] / SQRT2
     if even:
@@ -337,8 +342,8 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     with `nonneg` the entries must also be nonnegative. The checks run on
     each matrix in turn, and the first that fails raises.
 
-    The method is chosen per matrix. The matrix solved is the even
-    reflection block when the matrix has exact reflection symmetry
+    The method is chosen per matrix. The matrix solved is its even
+    reflection block `_fold` when the matrix has exact reflection symmetry
     J M J = M, else the matrix itself. With `nonneg` set and at least
     PERRON_MIN_N rows, it goes to `_perron_pair`: the value is a Rayleigh
     quotient that agrees with eigvalsh within 1e-12 relative, certified
@@ -349,9 +354,10 @@ def _top_eigen(stack: np.ndarray, vector: bool,
 
     There the values are LAPACK's eigvalsh, so no eigenvectors are
     formed, and each vector comes from `_inverse_iteration`. A mirrored
-    matrix is solved on its two half-size blocks: the larger of their top
-    values is the value (the even block wins a tie). The other matrices
-    share one stacked eigvalsh, which solves each as a lone call does.
+    matrix is solved on its even block and its odd block `_odd_block`,
+    built only here: the larger of their top values is the value (the
+    even block wins a tie). The other matrices share one stacked
+    eigvalsh, which solves each as a lone call does.
 
     A vector from a block is lifted back to length n, and every vector is
     returned only when the residual certificate ||Mv - value*v|| <=
@@ -365,8 +371,8 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     their own, so a solve holds no n x n array besides the stack, the
     blocks of a folded member and LAPACK's working copy. One compare of
     each member's first row with its last row reversed, over the whole
-    stack, is a necessary condition for J M J = M, so `_mirrored` runs
-    only on the members that pass it.
+    stack, is a necessary condition for J M J = M, so `_fold` runs only
+    on the members that pass it.
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise NotSymmetric(f"need a stack of square matrices, got shape {stack.shape}")
@@ -382,17 +388,17 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     solved, plain = {}, []
     try:
         for b in nonzero:
-            folded = mirror[b] and _mirrored(stack[b], 1.0)
-            matrix = _reflection_block(stack[b], 1.0, True) if folded else stack[b]
+            fold = _fold(stack[b].__getitem__, n, 1.0) if mirror[b] else None
+            matrix = stack[b] if fold is None else fold
             pair = (_perron_pair(matrix, exact[b]) if nonneg and len(matrix) >= PERRON_MIN_N
                     else None)
             if pair is not None:
                 values[b] = pair[0]
-                solved[b] = (matrix, True if folded else None, pair[1])
-            elif not folded:
+                solved[b] = (matrix, None if fold is None else True, pair[1])
+            elif fold is None:
                 plain.append(b)
             else:
-                odd = _reflection_block(stack[b], 1.0, False)
+                odd = _odd_block(stack[b])
                 tops = [float(np.linalg.eigvalsh(block)[-1]) for block in (matrix, odd)]
                 values[b] = max(tops)
                 solved[b] = (matrix, True, None) if tops[0] >= tops[1] else (odd, False, None)

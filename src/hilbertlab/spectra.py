@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LengthMismatch, NonFinite, NonpositiveWeight, ZeroSpectrum
-from .gaps import GapSequence, kernel_rows, node_differences, pair_kernel, row_blocks
-from .quadforms import (SQRT2, _certify, _mirrored, _reflection_block, _reflection_lift,
-                        _top_eigen)
+from .gaps import GapSequence, kernel_rows, node_differences, pair_kernel
+from .quadforms import _certify, _fold, _reflection_lift, _top_eigen
 from .reports import record
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
@@ -100,17 +99,19 @@ def _top_grams(hs: list[SkewHilbertMatrix]) -> tuple[list[float], list[np.ndarra
     for it.
 
     When J H J = -H exactly, as on a reflection-symmetric window, H maps
-    even vectors to odd ones by the first block C of `_reflection_block`
-    and odd vectors back by -C^T. So mu^2 is the top eigenvalue of the
-    half-size Gram C^T C, and its vector, lifted to an even vector of
-    length n, is certified against H^T H, applied as two products with H.
+    even vectors to odd ones by its even block C (`_fold`) and odd vectors
+    back by -C^T. So mu^2 is the top eigenvalue of the half-size Gram
+    C^T C, and its vector, lifted to an even vector of length n, is
+    certified against H^T H, applied as two products with H.
 
     The Grams solved are grouped by size, and each group is one
     `_top_eigen` stack, which solves each member as a lone call does.
     """
-    folded = [_mirrored(h.entries, -1.0) for h in hs]
-    grams = [_gram(_reflection_block(h.entries, -1.0, True) if fold else h.entries)
-             for h, fold in zip(hs, folded)]
+    folded, grams = [], []
+    for h in hs:
+        fold = _fold(h.entries.__getitem__, h.n, -1.0)
+        folded.append(fold is not None)
+        grams.append(_gram(h.entries if fold is None else fold))
     groups: dict[int, list[int]] = {}
     for i, gram in enumerate(grams):
         groups.setdefault(len(gram), []).append(i)
@@ -129,49 +130,19 @@ def _top_grams(hs: list[SkewHilbertMatrix]) -> tuple[list[float], list[np.ndarra
     return values, vectors
 
 
-def _folded_block(c: np.ndarray, lam: np.ndarray) -> np.ndarray | None:
-    """The block C = H11 + H12 J of `_reflection_block(H, -1.0, True)`, with
-    the centre column scaled by sqrt(2) for odd n, when J H J = -H exactly
-    (`_mirrored`) for H with weights c on the nodes lam; None when it does
-    not hold or n < 2.
-
-    H is built a block of rows of its upper half at a time, next to the
-    mirror rows it is compared with, so at most C and two blocks of rows
-    are held: every entry is H's own float, and C's entries are the same
-    sums, so C is the array `_reflection_block` makes from all of H.
-    """
-    n = lam.size
-    k = n // 2
-    if n < 2:
-        return None
-    fold = np.empty((k, n - k))
-    for rows in row_blocks(n - k):
-        top, _ = kernel_rows(c, c, lam, 1, H_OVERFLOW, rows)
-        low, _ = kernel_rows(c, c, lam, 1, H_OVERFLOW, slice(n - rows.stop, n - rows.start))
-        # row m of J H J is row n - 1 - m of H reversed
-        if not np.array_equal(top, -low[::-1, ::-1]):
-            return None
-        top = top[:k - rows.start]     # the centre row of odd n is only compared
-        out = fold[rows.start:rows.start + len(top)]
-        with np.errstate(over="ignore"):    # an overflow fails the certificate
-            np.add(top[:, :k], top[:, ::-1][:, :k], out=out[:, :k])
-        if n % 2:
-            np.multiply(SQRT2, top[:, k], out=out[:, k])
-    return fold
-
-
 def spectral_radius(seq: GapSequence, weights=None) -> float:
     """|mu_max| of H = build_h(seq, weights), the square root of the top
     eigenvalue of H^T H, with no eigenvectors formed; the value is bit for
     bit the mu of eigenpair_top(build_h(seq, weights)).
 
     When J H J = -H exactly, mu^2 is the top eigenvalue of the half-size
-    Gram C^T C (`_top_grams`), and C is built without all of H
-    (`_folded_block`); otherwise H is built whole.
+    Gram C^T C (`_top_grams`), and `_fold` builds C from rows of H made a
+    block at a time, so H is never held whole; otherwise H is built whole.
     """
     c = _weights(seq, weights)
-    half = _folded_block(c, seq.active)
-    gram = _gram(pair_kernel(c, c, seq.active, 1, H_OVERFLOW) if half is None else half)
+    lam = seq.active
+    half = _fold(lambda rows: kernel_rows(c, c, lam, 1, H_OVERFLOW, rows)[0], lam.size, -1.0)
+    gram = _gram(pair_kernel(c, c, lam, 1, H_OVERFLOW) if half is None else half)
     del half
     value = float(_top_eigen(gram[None], False)[0][0])
     return math.sqrt(max(value, 0.0))
@@ -260,11 +231,15 @@ def bilinear_form(h: SkewHilbertMatrix, z_re, z_im) -> float:
     """|sum_{m != n} c_m c_n z_m conj(z_n) / (lam_m - lam_n)|.
 
     For skew H the symmetric part cancels, leaving |2 * z_im^T H z_re|.
+    Vector parts of the wrong size raise LengthMismatch, and non-finite
+    ones NonFinite.
     """
     z_re = np.asarray(z_re, dtype=float)
     z_im = np.asarray(z_im, dtype=float)
     if z_re.size != h.n or z_im.size != h.n:
         raise LengthMismatch("vector parts must match the matrix size")
+    if not (np.isfinite(z_re).all() and np.isfinite(z_im).all()):
+        raise NonFinite("vector parts must be finite")
     return abs(2.0 * float(z_im @ (h.entries @ z_re)))
 
 
@@ -273,7 +248,12 @@ def numerical_radius_check(h: SkewHilbertMatrix, rho: float, seed: int = 0) -> l
     one random complex vector z = zr + i zi drawn from `seed`, as two
     records. `rho` is the spectral radius of h: spectral_radius(h.source,
     h.weights), or the mu of eigenpair_top(h), which is the same float.
+    A non-finite `rho` raises NonFinite and a negative one ValueError.
     """
+    if not math.isfinite(rho):
+        raise NonFinite(f"rho must be finite, got {rho}")
+    if rho < 0:
+        raise ValueError(f"rho must be nonnegative, got {rho}")
     rng = np.random.default_rng(seed)
     zr, zi = rng.standard_normal(h.n), rng.standard_normal(h.n)
     records = []

@@ -294,13 +294,14 @@ class TestReflectionFold:
         assert eigvalsh_sizes == [200]
 
     def test_odd_block_is_built_only_for_eigvalsh(self, calls):
-        blocks = calls(quadforms, "_reflection_block")
+        folds, odd = calls(quadforms, "_fold"), calls(quadforms, "_odd_block")
         estimate_constant(1.0, generate_uniform(200, 1.0))
-        assert [first for _, _, first in blocks] == [True, False]
-        blocks.clear()
+        assert (len(folds), len(odd)) == (1, 1)
+        folds.clear()
+        odd.clear()
         # an even block of 300 rows goes to the Perron path, which never reads the odd one
         estimate_constant(1.0, generate_uniform(600, 1.0))
-        assert [first for _, _, first in blocks] == [True]
+        assert (len(folds), len(odd)) == (1, 0)
 
     def test_folded_estimate_holds_a_quarter_kernel_besides_its_own(self, traced_peak):
         # building the unread odd block as well peaked at 1.53 kernels
@@ -312,10 +313,10 @@ class TestReflectionFold:
         rng = np.random.default_rng(12)
         stack = np.array([random_nonneg_sym(9, rng), centrosymmetric(9, rng),
                           random_nonneg_sym(9, rng), np.zeros((9, 9)), centrosymmetric(9, rng)])
-        mirrored = calls(quadforms, "_mirrored")
+        folds = calls(quadforms, "_fold")
         values, vectors = _top_eigen(stack, True, nonneg=True)
         # the zero member is not solved; the random ones fail the first-row compare
-        assert [len(args[0]) for args in mirrored] == [9, 9]
+        assert [args[1] for args in folds] == [9, 9]
         for member, value, vector in zip(stack, values, vectors):
             lone = lone_pair(member)
             assert value == lone[0] and np.array_equal(vector, lone[1])
@@ -330,10 +331,11 @@ class TestReflectionFold:
         rows_only[3, 4] = rows_only[4, 3] = rows_only[3, 4] + 0.5
         folded = centrosymmetric(9, rng)
         stack = np.array([pair_only, rows_only, folded])
-        mirrored = calls(quadforms, "_mirrored")
+        folds = calls(quadforms, "_fold")
         values, vectors = _top_eigen(stack, True, nonneg=True)
-        assert [next(i for i, m in enumerate(stack) if np.array_equal(args[0], m))
-                for args in mirrored] == [1, 2]
+        # each call reads the rows of one member
+        assert [next(i for i, m in enumerate(stack) if np.array_equal(args[0](slice(None)), m))
+                for args in folds] == [1, 2]
         for member, value, vector in zip(stack, values, vectors):
             lone = lone_pair(member)
             assert value == lone[0] and np.array_equal(vector, lone[1])
@@ -490,8 +492,8 @@ class TestPerronPath:
     def test_against_eigvalsh_oracle(self, n, alpha, eigvalsh_sizes):
         for seq in perron_windows(n):
             m = _symmetrized(alpha_form_matrix(seq, alpha))
-            solved = (len(quadforms._reflection_block(m, 1.0, True))
-                      if quadforms._mirrored(m, 1.0) else len(m))
+            fold = quadforms._fold(m.__getitem__, n, 1.0)
+            solved = n if fold is None else len(fold)
             eigvalsh_sizes.clear()
             est = estimate_constant(alpha, seq)
             # the path follows the size of the matrix solved, the even block if folded

@@ -27,7 +27,7 @@ from hilbertlab.errors import (
     NonpositiveWeight,
     ZeroSpectrum,
 )
-from hilbertlab.gaps import node_differences, pair_kernel
+from hilbertlab.gaps import ROW_BLOCK, kernel_rows, node_differences, pair_kernel
 from hilbertlab.quadforms import alpha_form_matrix
 from hilbertlab.spectra import bilinear_form, s_and_t
 
@@ -47,6 +47,11 @@ def mirrored_window(gaps, centre: bool):
     n is odd with a centre node and even without one."""
     half = np.cumsum(gaps)
     return GapSequence(np.concatenate((-half[::-1], [0.0] if centre else [], half)))
+
+
+def h_fold(h):
+    """The even block C of H when J H J = -H exactly, else None."""
+    return quadforms._fold(h.entries.__getitem__, h.n, -1.0)
 
 
 def random_instance(seed, max_n=12):
@@ -203,17 +208,17 @@ class TestGram:
             h, rng = random_instance(seed, max_n=40)
             assert_exactly_symmetric(spectra._gram(h.entries))
             seq = mirrored_window(rng.uniform(0.1, 2.0, h.n // 2 + 1), bool(seed % 2))
-            entries = build_h(seq).entries
-            assert quadforms._mirrored(entries, -1.0)
-            fold = quadforms._reflection_block(entries, -1.0, True)
+            fold = h_fold(build_h(seq))
+            assert fold is not None
             assert_exactly_symmetric(spectra._gram(fold))
 
     @pytest.mark.parametrize("n", (2, 3, 60, 1000, 2000, 2001))
     def test_uniform_windows(self, n):
         h = build_h(generate_uniform(n, 1.0))
         assert_exactly_symmetric(spectra._gram(h.entries))
-        assert quadforms._mirrored(h.entries, -1.0)
-        assert_exactly_symmetric(spectra._gram(quadforms._reflection_block(h.entries, -1.0, True)))
+        fold = h_fold(h)
+        assert fold is not None
+        assert_exactly_symmetric(spectra._gram(fold))
 
     def test_radius_holds_h_and_its_half_size_blocks(self, traced_peak):
         # the whole-matrix assembly and symmetrized Gram peaked at 2.13 n x n arrays
@@ -269,14 +274,113 @@ class TestSpectralRadius:
         assert rho <= math.pi
 
 
+def mirrored(matrix, sign):
+    """Whether n >= 2 and J M J = sign * M exactly, J the reversal, compared
+    on the whole matrix."""
+    return len(matrix) >= 2 and np.array_equal(matrix[::-1, ::-1], sign * matrix)
+
+
+def reflection_block(matrix, sign, first):
+    """The even (`first`) or odd half-size block of a matrix with
+    J M J = sign * M, sliced from the whole matrix: M11 + M12 J or
+    M11 - M12 J, k = n // 2. For odd n the centre column, scaled by
+    sqrt(2), joins the even block, and the centre row, scaled by sqrt(2),
+    joins the block that maps into even coordinates; for sign = 1 that is
+    the even block, which also takes the centre entry."""
+    n = matrix.shape[0]
+    k = n // 2
+    m11, m12j = matrix[:k, :k], matrix[:k, ::-1][:, :k]
+    block = m11 + m12j if first else m11 - m12j
+    if n % 2:
+        if first:
+            block = np.hstack((block, quadforms.SQRT2 * matrix[:k, k:k + 1]))
+        if first == (sign > 0):
+            centre_row = quadforms.SQRT2 * matrix[k:k + 1, :k]
+            block = np.vstack((block, np.append(centre_row, matrix[k, k]) if first
+                               else centre_row))
+    return block
+
+
 def radius_from_whole_h(seq, weights=None):
     """spectral_radius as it was computed from all of H: the fold test and
     fold block on the whole matrix, then the Gram's top eigenvalue."""
     entries = build_h(seq, weights).entries
-    folded = quadforms._mirrored(entries, -1.0)
-    gram = spectra._gram(quadforms._reflection_block(entries, -1.0, True) if folded
-                         else entries)
+    folded = mirrored(entries, -1.0)
+    gram = spectra._gram(reflection_block(entries, -1.0, True) if folded else entries)
     return math.sqrt(max(float(quadforms._top_eigen(gram[None], False)[0][0]), 0.0))
+
+
+FOLD_SIZES = (1, 2, 3, 31, 32, 33, 64, 65, 66, 2000, 2001)
+
+
+def fold_windows(n):
+    """A uniform window and a mirrored one with random gaps, n nodes each;
+    the spacing 0.5 keeps the uniform nodes and their differences exact."""
+    gaps = np.random.default_rng(n).uniform(0.1, 2.0, n // 2 + 1)
+    return [generate_uniform(n, 0.5), mirrored_window(gaps, bool(n % 2))]
+
+
+def kernel(seq, sign, alpha=0.5):
+    """The symmetrized alpha kernel for sign = 1, H for sign = -1."""
+    if sign > 0:
+        return quadforms._alpha_kernels(seq.deltas, seq.active, alpha, symmetrized=True)
+    return build_h(seq).entries
+
+
+class TestOneFold:
+    """`_fold` builds the even reflection block a block of rows at a time,
+    byte for byte the block `reflection_block` slices from the whole matrix."""
+
+    @pytest.mark.parametrize("n", FOLD_SIZES)
+    def test_against_whole_matrix_oracle(self, n):
+        for seq in fold_windows(n):
+            for sign, alpha in ((1.0, 0.0), (1.0, 0.5), (1.0, 1.0), (-1.0, None)):
+                m = kernel(seq, sign, alpha)
+                fold = quadforms._fold(m.__getitem__, n, sign)
+                if n < 2:
+                    assert fold is None
+                    continue
+                assert mirrored(m, sign)
+                want = reflection_block(m, sign, True)
+                assert fold.shape == want.shape and fold.tobytes() == want.tobytes()
+                if sign > 0:
+                    assert quadforms._odd_block(m).tobytes() == \
+                        reflection_block(m, sign, False).tobytes()
+
+    @pytest.mark.parametrize("n", FOLD_SIZES)
+    def test_streamed_rows_give_the_bytes_of_built_h(self, n):
+        for seq in fold_windows(n):
+            for weights in (None, np.ones(n)):
+                c = spectra._weights(seq, weights)
+                streamed = quadforms._fold(
+                    lambda rows: kernel_rows(c, c, seq.active, 1, spectra.H_OVERFLOW, rows)[0],
+                    n, -1.0)
+                built = h_fold(build_h(seq, weights))
+                if n < 2:
+                    assert streamed is None and built is None
+                else:
+                    assert streamed.tobytes() == built.tobytes()
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_unmirrored_windows_give_none(self, seed, sign):
+        # every n = 2 kernel and H is mirrored
+        seq = generate_random(int(np.random.default_rng(seed).integers(3, 100)), 0.3, seed)
+        m = kernel(seq, sign)
+        assert not mirrored(m, sign)
+        assert quadforms._fold(m.__getitem__, seq.n, sign) is None
+
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_mirror_broken_after_the_first_row_block(self, sign):
+        n = 100
+        m = kernel(mirrored_window(np.random.default_rng(3).uniform(0.1, 2.0, 51), False),
+                   sign).copy()
+        m[40, 7] = np.nextafter(m[40, 7], np.inf)
+        # row 40 lies in the second block of the upper half's rows
+        assert ROW_BLOCK <= 40 < n // 2
+        assert np.array_equal(m[:ROW_BLOCK], sign * m[::-1, ::-1][:ROW_BLOCK])
+        assert not mirrored(m, sign)
+        assert quadforms._fold(m.__getitem__, n, sign) is None
 
 
 class TestWindowRadius:
@@ -385,7 +489,7 @@ class TestEigenpairsTop:
         stacks = calls(spectra, "_top_eigen")
         pairs = spectra.eigenpairs_top(hs)
         # the Gram of a window with J H J = -H, every n = 2 one, is half size
-        sizes = {(h.n + 1) // 2 if quadforms._mirrored(h.entries, -1.0) else h.n for h in hs}
+        sizes = {h.n if h_fold(h) is None else (h.n + 1) // 2 for h in hs}
         assert sorted(len(args[0][0]) for args in stacks) == sorted(sizes)
         assert 1 in sizes
         for h, pair in zip(hs, pairs):
@@ -595,6 +699,26 @@ class TestNumericalRadius:
                     assert rep["holds"] and rep["seed"] == seed
                     held += 1
         assert held == 2000  # 1000 vectors, plain and normalized form each
+
+    @pytest.mark.parametrize("rho", (math.nan, math.inf, -math.inf))
+    def test_rejects_non_finite_rho(self, rho):
+        with pytest.raises(NonFinite):
+            numerical_radius_check(build_h(generate_uniform(4, 1.0)), rho)
+
+    def test_rejects_negative_rho(self):
+        with pytest.raises(ValueError) as info:
+            numerical_radius_check(build_h(generate_uniform(4, 1.0)), -0.5)
+        assert not isinstance(info.value, NonFinite)
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_bilinear_form_rejects_non_finite_vectors(self, bad):
+        h = build_h(generate_uniform(4, 1.0))
+        finite = np.ones(4)
+        broken = finite.copy()
+        broken[2] = bad
+        for parts in ((broken, finite), (finite, broken)):
+            with pytest.raises(NonFinite):
+                bilinear_form(h, *parts)
 
     def test_radius_suite_solves_each_window_once(self, monkeypatch):
         # the random windows take rho from their eigenpair; only the Schur
