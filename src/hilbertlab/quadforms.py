@@ -15,18 +15,25 @@ How the top eigenvalue is found depends on the matrix that is solved:
 the even reflection block when the window is mirror-symmetric, else the
 whole kernel. `_fold` is the one builder of that half-size block, for
 the kernels here (J M J = M) and for spectra's skew H (J H J = -H). From
-PERRON_MIN_N = 256 rows on, a nonnegative matrix gets its Perron pair by
-Rayleigh-quotient iteration, and the value is certified to be the top one
-by the Collatz-Wielandt bracket; these values are Rayleigh quotients that
-agree with LAPACK's eigvalsh within 1e-12 relative, not eigvalsh's own
-values. Smaller matrices, signed matrices and any matrix the certificate
-rejects get eigvalsh.
+PERRON_MIN_N = 256 rows on, a nonnegative matrix gets its Perron pair from
+Lanczos steps and inverse iteration on one Cholesky factorization of
+sigma I - M, sigma just above the top eigenvalue, made in the matrix
+itself, and the value is certified to be the top one by the
+Collatz-Wielandt bracket; these values are Rayleigh quotients that agree
+with LAPACK's eigvalsh within 1e-12 relative, not eigvalsh's own values.
+Smaller matrices, signed matrices, any matrix whose factorization fails
+(sigma fell below the top eigenvalue) and any the certificate rejects get
+eigvalsh.
 
-Kernels are built a block of rows at a time, and `_top_eigen` shifts the
-matrix it solves in place and restores it, so a Perron solve holds the
-matrix and LAPACK's working copy; `top_eigen_nonneg_sym` solves a copy of
-its input unless told to overwrite it, as `estimate_constant` does with
-its own kernel.
+Kernels are built a block of rows at a time. A Perron solve factors in
+blocks of 32 rows (`row_blocks`): it reads the matrix from the diagonal
+blocks and the upper triangle, writes the factor over the entries left of
+the diagonal blocks and restores those bit for bit, so it holds no n x n
+array besides the matrix and hands LAPACK only 32 x 32 blocks. The
+eigvalsh path shifts the matrix in place for LAPACK's solve, which copies
+it, and restores it too.
+`top_eigen_nonneg_sym` solves a copy of its input unless told to
+overwrite it, as `estimate_constant` does with its own kernel.
 """
 from __future__ import annotations
 
@@ -51,8 +58,6 @@ SQRT2 = float(np.sqrt(2.0))
 # nonnegative matrices solved at this size or larger go to `_perron_pair`
 PERRON_MIN_N = 256
 LANCZOS_STEPS = 80
-RQI_SWEEPS = 6
-RQI_RTOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,48 +244,133 @@ def _lanczos_ritz(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     return float(ritz[-1]), coords[:, -1] @ basis[:steps]
 
 
+def _factor(matrix: np.ndarray, shift: float, blocks: list[slice]) -> list[np.ndarray]:
+    """The Cholesky factor L L^T = shift * I - M, made in `matrix` itself,
+    left-looking over the blocks `blocks` (Golub & Van Loan, Matrix
+    Computations, 4th ed., 4.2). M is read from its diagonal blocks and
+    its upper triangle, which are never written; the entries of L left of
+    its diagonal blocks overwrite those of M, which are not read.
+
+    For each block, its rows of shift * I - M from the diagonal block on
+    are updated by one GEMM with the columns of L made so far;
+    np.linalg.cholesky factors the diagonal block, and the inverse of that
+    factor turns the rest into the block's columns of L below it. Returns
+    the inverses of the diagonal factors. Raises LinAlgError when a
+    diagonal block is not positive definite, as when the shift is below
+    the top eigenvalue.
+    """
+    inverses = []
+    for block in blocks:
+        start, width = block.start, block.stop - block.start
+        panel = np.negative(matrix[block, start:])
+        panel[:, :width].flat[:: width + 1] += shift
+        if start:
+            panel -= matrix[block, :start] @ matrix[start:, :start].T
+        inverse = np.linalg.inv(np.linalg.cholesky(panel[:, :width]))
+        matrix[block.stop:, block] = (inverse @ panel[:, width:]).T
+        inverses.append(inverse)
+    return inverses
+
+
+def _solve_factor(matrix: np.ndarray, inverses: list[np.ndarray], blocks: list[slice],
+                  v: np.ndarray) -> np.ndarray:
+    """x with L L^T x = v for the factor `_factor` left in `matrix`: one
+    forward and one backward triangular solve, a block at a time."""
+    x = np.empty_like(v)
+    for block, inverse in zip(blocks, inverses):
+        x[block] = inverse @ (v[block] - matrix[block, :block.start] @ x[:block.start])
+    for block, inverse in zip(blocks[::-1], inverses[::-1]):
+        x[block] = inverse.T @ (x[block] - x[block.stop:] @ matrix[block.stop:, block])
+    return x
+
+
+def _upper_product(matrix: np.ndarray, blocks: list[slice], v: np.ndarray) -> np.ndarray:
+    """M v for the symmetric M held in the diagonal blocks and the upper
+    triangle of `matrix`, which `_factor` leaves as they were."""
+    product = np.empty_like(v)
+    for rows in blocks:
+        product[rows] = (matrix[rows, rows.start:] @ v[rows.start:]
+                         + v[:rows.start] @ matrix[:rows.start, rows])
+    return product
+
+
+def _bracket(product: np.ndarray, v: np.ndarray) -> float:
+    """The width max_i (Mv)_i / v_i - min_i (Mv)_i / v_i of the
+    Collatz-Wielandt bracket of v, given the product Mv; inf when v has a
+    zero, negative or NaN entry."""
+    if not v.min() > 0.0:
+        return np.inf
+    ratios = product / v
+    return float(ratios.max() - ratios.min())
+
+
+def _inverse_steps(matrix: np.ndarray, shift: float, v: np.ndarray, exact: bool) -> np.ndarray:
+    """Inverse iteration at the fixed shift (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 4) from v, on one factorization of shift * I -
+    M made in `matrix` itself (`_factor`). Steps run while each one at
+    least halves the Collatz-Wielandt bracket of its unit iterate, so they
+    stop once rounding limits the bracket; the last iterate that halved it
+    is returned, v itself when none did. A failed factorization raises
+    LinAlgError.
+
+    The entries left of the diagonal blocks, where the factor is made, are
+    restored bit for bit before the call returns or raises: from the upper
+    triangle when `exact` says M == M^T bit for bit, else from a copy of
+    them taken first.
+    """
+    blocks = list(row_blocks(len(matrix)))
+    saved = None if exact else [matrix[rows, :rows.start].copy() for rows in blocks]
+    try:
+        inverses = _factor(matrix, shift, blocks)
+        narrowest = np.inf
+        while True:
+            x = _solve_factor(matrix, inverses, blocks, v)
+            x /= np.copysign(np.linalg.norm(x), x.sum())
+            width = _bracket(_upper_product(matrix, blocks, x), x)
+            if not width < 0.5 * narrowest:
+                return v
+            v, narrowest = x, width
+    finally:
+        for k, rows in enumerate(blocks):
+            matrix[rows, :rows.start] = matrix[:rows.start, rows].T if saved is None else saved[k]
+
+
 def _perron_pair(matrix: np.ndarray, exact: bool = True) -> tuple[float, np.ndarray] | None:
     """The top eigenvalue and positive unit eigenvector of a nonzero,
     nonnegative, symmetric matrix, or None when they cannot be certified;
-    `exact` says the matrix equals its transpose entrywise.
+    `exact` says the matrix equals its transpose bit for bit.
 
-    The Lanczos Ritz pair seeds Rayleigh-quotient iteration (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 4): solve (theta I - M) x = v by LU,
-    normalize, set theta = v^T M v, until ||Mv - theta v|| <= RQI_RTOL *
-    theta, with at least one and at most RQI_SWEEPS solves. Each shift is
-    made in `matrix` itself and undone after its solve (`_shifted`), so
-    the matrix is the only n x n array besides LAPACK's working copy.
+    The Lanczos Ritz pair (theta, v) sets the shift sigma = theta +
+    max(2 ||Mv - theta v||, RESIDUAL_RTOL * theta). A Ritz value is at most
+    the top eigenvalue and some eigenvalue lies within the residual of it,
+    so sigma is above the top one when that eigenvalue is the top; the
+    floor keeps rounding from breaking the factorization when the residual
+    vanishes. sigma * I - M is factored once, in the matrix itself, and
+    inverse iteration from v runs on that factor (`_inverse_steps`), so
+    the matrix is the only n x n array held: the factor takes the place of
+    the entries left of its diagonal blocks, which are restored after. A
+    shift below the top eigenvalue leaves sigma * I - M indefinite, its
+    factorization fails, and the pair is None.
 
-    RQI finds an eigenpair, not necessarily the top one; the
-    Collatz-Wielandt bracket certifies it. For nonnegative M and positive
-    v the spectral radius lies in [min_i (Mv)_i / v_i, max_i (Mv)_i / v_i],
-    and theta, the mean of those ratios weighted by v_i^2, too; so a
-    positive v whose bracket is at most RESIDUAL_RTOL * theta wide makes
-    theta the top eigenvalue within that width. A vector with a zero or
-    negative entry, a wider or non-finite bracket, or a singular solve
-    gives None.
+    The Collatz-Wielandt bracket certifies the value as the top one. For
+    nonnegative M and positive v the spectral radius lies in [min_i (Mv)_i
+    / v_i, max_i (Mv)_i / v_i], and theta = v^T M v, the mean of those
+    ratios weighted by v_i^2, too; so a positive v whose bracket on the
+    restored matrix is at most RESIDUAL_RTOL * theta wide makes theta the
+    top eigenvalue within that width. A vector with a zero or negative
+    entry, a wider or non-finite bracket, or a failed factorization gives
+    None.
     """
     try:
-        theta, v = _lanczos_ritz(matrix)
+        # an overflow gives inf or NaN, which the factorization or the bracket fails
         with np.errstate(all="ignore"):
-            # at least one solve: a Ritz pair near RQI_RTOL can still leave
-            # the bracket too wide where the vector has small entries
-            for _ in range(RQI_SWEEPS):
-                with _shifted(matrix, theta, exact) as system:
-                    v = np.linalg.solve(system, v)
-                v /= np.linalg.norm(v)
-                product = matrix @ v
-                theta = float(v @ product)
-                if np.linalg.norm(product - theta * v) <= RQI_RTOL * theta:
-                    break
-            else:
-                return None
-            if v.sum() < 0.0:
-                v, product = -v, -product
-            if not v.min() > 0.0:
-                return None
-            ratios = product / v
-            if not ratios.max() - ratios.min() <= RESIDUAL_RTOL * theta:
+            theta, v = _lanczos_ritz(matrix)
+            residual = float(np.linalg.norm(matrix @ v - theta * v))
+            v = _inverse_steps(matrix, theta + max(2.0 * residual, RESIDUAL_RTOL * theta), v,
+                               exact)
+            product = matrix @ v
+            theta = float(v @ product)
+            if not _bracket(product, v) <= RESIDUAL_RTOL * theta:
                 return None
     except np.linalg.LinAlgError:
         return None
@@ -288,13 +378,15 @@ def _perron_pair(matrix: np.ndarray, exact: bool = True) -> tuple[float, np.ndar
 
 
 def _exactly_symmetric(stack: np.ndarray) -> np.ndarray:
-    """Whether M == M^T entrywise, for each matrix in a (B, n, n) stack;
-    each block of rows is compared with its mirror columns from the
-    diagonal on, so no n x n temporary is formed."""
+    """Whether M == M^T bit for bit, for each matrix in a (B, n, n) stack,
+    so that a zero and a negative zero differ; each block of rows is
+    compared with its mirror columns from the diagonal on, so no n x n
+    temporary is formed."""
+    bits = stack.view(np.int64)
     symmetric = np.ones(len(stack), dtype=bool)
     for rows in row_blocks(stack.shape[1]):
-        upper = stack[:, rows, rows.start:]
-        symmetric &= (upper == stack[:, rows.start:, rows].swapaxes(1, 2)).all(axis=(1, 2))
+        upper = bits[:, rows, rows.start:]
+        symmetric &= (upper == bits[:, rows.start:, rows].swapaxes(1, 2)).all(axis=(1, 2))
     return symmetric
 
 
@@ -345,12 +437,15 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     The method is chosen per matrix. The matrix solved is its even
     reflection block `_fold` when the matrix has exact reflection symmetry
     J M J = M, else the matrix itself. With `nonneg` set and at least
-    PERRON_MIN_N rows, it goes to `_perron_pair`: the value is a Rayleigh
-    quotient that agrees with eigvalsh within 1e-12 relative, certified
-    top by the Collatz-Wielandt bracket, and the positive vector comes
-    with it. On a nonnegative matrix the Perron vector is even, so the
-    odd block is not built. When the bracket or any other step of that
-    path fails, the matrix falls back to the path of the smaller ones.
+    PERRON_MIN_N rows, it goes to `_perron_pair`: inverse iteration on one
+    Cholesky factorization of sigma I - M, with sigma above the top
+    eigenvalue, gives a Rayleigh quotient that agrees with eigvalsh within
+    1e-12 relative, certified top by the Collatz-Wielandt bracket, and the
+    positive vector comes with it. On a nonnegative matrix the Perron
+    vector is even, so the odd block is not built. When the factorization
+    fails (sigma is not above the top eigenvalue), the bracket does not
+    certify or any other step of that path fails, the matrix falls back to
+    the path of the smaller ones.
 
     There the values are LAPACK's eigvalsh, so no eigenvectors are
     formed, and each vector comes from `_inverse_iteration`. A mirrored
@@ -365,11 +460,14 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     0 and the normalized ones vector; a value that overflows raises
     NoConvergence, with or without vectors.
 
-    The solves shift the matrix they solve in place, the member itself when
-    it is not folded, and restore it bit for bit before they return or
-    raise: `stack` must be writable, and callers hand over an array of
-    their own, so a solve holds no n x n array besides the stack, the
-    blocks of a folded member and LAPACK's working copy. One compare of
+    The solves work in the matrix they solve, the member itself when it is
+    not folded, and restore it bit for bit before they return or raise:
+    the Perron path writes its factor over the strict lower triangle,
+    the eigvalsh path shifts the matrix for LAPACK's solve. `stack` must
+    be writable, and callers hand over an array of their own, so a Perron
+    solve holds no n x n array besides the stack and the blocks of a
+    folded member, and the eigvalsh path adds LAPACK's working copy of the
+    matrix solved. One compare of
     each member's first row with its last row reversed, over the whole
     stack, is a necessary condition for J M J = M, so `_fold` runs only
     on the members that pass it.
@@ -432,9 +530,12 @@ def top_eigen_nonneg_sym(matrix, overwrite: bool = False) -> tuple[float, np.nda
     returned vector is the Perron direction with residual ||Mv - v*val||
     bounded by 1e-10 * val. When the matrix solved (its even reflection
     block if it is mirror-symmetric) has at least PERRON_MIN_N rows, the
-    pair comes from Rayleigh-quotient iteration and the value is certified
-    top by the Collatz-Wielandt bracket, agreeing with eigvalsh within
-    1e-12 relative; smaller matrices, and any the bracket does not
+    pair comes from inverse iteration on one in-place Cholesky
+    factorization of sigma I - M, sigma set just above the top eigenvalue
+    from a Lanczos Ritz pair, and the value is certified top by the
+    Collatz-Wielandt bracket, agreeing with eigvalsh within 1e-12
+    relative; that solve holds no n x n array besides the matrix. Smaller
+    matrices, and any whose factorization fails or whose bracket does not
     certify, get eigvalsh and inverse iteration. Inverse iteration from a
     positive start stays positive on such a matrix, so the absolute value
     only clears the sign of entries that vanish to rounding. A matrix that
@@ -442,9 +543,10 @@ def top_eigen_nonneg_sym(matrix, overwrite: bool = False) -> tuple[float, np.nda
 
     The solve runs on a private copy, so the caller's array, read-only or
     not, is never written. With `overwrite`, a writable float64 matrix is
-    solved in place instead: it is shifted and restored bit for bit before
-    the call returns or raises (`_top_eigen`), which saves the copy for a
-    caller that owns the matrix and does not read it during the call.
+    solved in place instead: it is overwritten in part and restored bit for
+    bit before the call returns or raises (`_top_eigen`), which saves the
+    copy for a caller that owns the matrix and does not read it during the
+    call.
     """
     matrix = np.asarray(matrix, dtype=float) if overwrite else np.array(matrix, dtype=float)
     if matrix.ndim != 2 or not 0 < matrix.shape[0] == matrix.shape[1]:

@@ -58,12 +58,13 @@ class ChainConstants:
 
 def _weights(seq: GapSequence, weights) -> np.ndarray:
     """The weights c of H on `seq`: c_n = sqrt(delta_n) by default, else
-    `weights` checked for length, finiteness and positivity."""
+    `weights` checked for shape (a vector of one weight per active node),
+    finiteness and positivity."""
     if weights is None:
         return np.sqrt(seq.deltas)
     c = np.asarray(weights, dtype=float)
-    if c.size != seq.n:
-        raise LengthMismatch(f"{c.size} weights for {seq.n} active nodes")
+    if c.shape != (seq.n,):
+        raise LengthMismatch(f"weights of shape {c.shape} for {seq.n} active nodes")
     if not np.all(np.isfinite(c)):
         raise NonFinite("weights must be finite")
     if np.any(c <= 0):
@@ -231,13 +232,13 @@ def bilinear_form(h: SkewHilbertMatrix, z_re, z_im) -> float:
     """|sum_{m != n} c_m c_n z_m conj(z_n) / (lam_m - lam_n)|.
 
     For skew H the symmetric part cancels, leaving |2 * z_im^T H z_re|.
-    Vector parts of the wrong size raise LengthMismatch, and non-finite
-    ones NonFinite.
+    Vector parts that are not vectors of the matrix size raise
+    LengthMismatch, and non-finite ones NonFinite.
     """
     z_re = np.asarray(z_re, dtype=float)
     z_im = np.asarray(z_im, dtype=float)
-    if z_re.size != h.n or z_im.size != h.n:
-        raise LengthMismatch("vector parts must match the matrix size")
+    if z_re.shape != (h.n,) or z_im.shape != (h.n,):
+        raise LengthMismatch("vector parts must be vectors of the matrix size")
     if not (np.isfinite(z_re).all() and np.isfinite(z_im).all()):
         raise NonFinite("vector parts must be finite")
     return abs(2.0 * float(z_im @ (h.entries @ z_re)))

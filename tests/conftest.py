@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hilbertlab.quadforms import PERRON_MIN_N
+
 
 @pytest.fixture
 def eigvalsh_sizes(monkeypatch):
@@ -32,6 +34,31 @@ def solve_sizes(monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", recording)
+    return sizes
+
+
+@pytest.fixture
+def cholesky_sizes(monkeypatch):
+    """The size of each block np.linalg.cholesky factors. For the test,
+    np.linalg.solve, eigvalsh and cholesky each fail it when they receive
+    a matrix of PERRON_MIN_N rows or more: a Perron solve factors its
+    matrix in blocks and hands LAPACK no copy of it."""
+    sizes = []
+
+    def guarded(name):
+        fn = getattr(np.linalg, name)
+
+        def checking(a, *args, **kwargs):
+            n = np.shape(a)[-1]
+            assert n < PERRON_MIN_N, f"np.linalg.{name} received a {n} x {n} matrix"
+            if name == "cholesky":
+                sizes.append(n)
+            return fn(a, *args, **kwargs)
+
+        return checking
+
+    for name in ("solve", "eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, guarded(name))
     return sizes
 
 

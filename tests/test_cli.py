@@ -219,11 +219,11 @@ def module_peak_mb(*argv) -> float:
 
 
 class TestFreshProcessPeaks:
-    """The two largest verify records and the folded n = 2000 constant,
-    measured as the operating system sees them: LAPACK's copies and memory
-    malloc keeps for reuse count too, which tracemalloc does not see. Each
-    is measured above a command that builds no window, so the interpreter
-    and numpy's own footprint cancel."""
+    """The two largest verify records and two n = 2000 constants, one
+    folded and one not, measured as the operating system sees them:
+    LAPACK's copies and memory malloc keeps for reuse count too, which
+    tracemalloc does not see. Each is measured above a command that builds
+    no window, so the interpreter and numpy's own footprint cancel."""
 
     def test_spacing_and_radius_suites(self):
         base = module_peak_mb("preissmann")
@@ -233,11 +233,19 @@ class TestFreshProcessPeaks:
         assert module_peak_mb("verify", "--suite", "radius", "--trials", "2") - base <= 40.0
 
     def test_folded_uniform_constant(self):
-        # the n = 2000 kernel (32 MB), its even block and LAPACK's copy of
-        # it; a second 32 MB kernel held beside them exceeds the bound
+        # the n = 2000 kernel (32 MB) and its even block (8 MB), which the
+        # Perron path factors in place; a second 32 MB kernel held beside
+        # them exceeds the bound
         base = module_peak_mb("preissmann")
         assert module_peak_mb("constant", "--alpha", "1.0", "--n", "2000",
                               "--config", "uniform") - base <= 60.0
+
+    def test_random_constant(self):
+        # the n = 2000 kernel (32 MB), factored in place: a copy of it for
+        # LAPACK's solve, as the Perron path once made, exceeds the bound
+        base = module_peak_mb("preissmann")
+        assert module_peak_mb("constant", "--alpha", "0.5", "--n", "2000",
+                              "--config", "random") - base <= 55.0
 
 
 class TestLowerBoundCommand:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -36,7 +37,7 @@ from hilbertlab.quadforms import (
     alpha_form_matrix,
     constant_values,
 )
-from hilbertlab.gaps import node_deltas, node_differences, pair_kernel
+from hilbertlab.gaps import node_deltas, node_differences, pair_kernel, row_blocks
 from hilbertlab.search import generate_trig_periodized
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
@@ -483,9 +484,15 @@ def assert_certified_witness(m: np.ndarray, value: float, witness: np.ndarray) -
     assert np.max(ratios) - np.min(ratios) <= RESIDUAL_RTOL * value
 
 
+def block_sizes(n: int) -> list[int]:
+    """The size of each diagonal block of an n x n factorization."""
+    return [rows.stop - rows.start for rows in row_blocks(n)]
+
+
 class TestPerronPath:
     """Nonnegative matrices solved at PERRON_MIN_N rows or more take the
-    Rayleigh-quotient path, certified by the Collatz-Wielandt bracket."""
+    path of one in-place Cholesky factorization and inverse iteration,
+    certified by the Collatz-Wielandt bracket."""
 
     @pytest.mark.parametrize("n", (256, 300, 600))
     @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0, 2.0))
@@ -504,6 +511,17 @@ class TestPerronPath:
             oracle = float(np.linalg.eigvalsh(m)[-1])
             assert abs(est.value - oracle) <= 1e-12 * oracle
             assert_certified_witness(m, est.value, est.witness.values)
+
+    @pytest.mark.parametrize("seq, alpha", ((generate_cluster(1000), 1.0),
+                                            (generate_uniform(1500, 1.0), 0.0)))
+    def test_witness_bracket_ends_at_rounding(self, seq, alpha):
+        # the inverse steps run while each halves the bracket, so it ends far
+        # inside RESIDUAL_RTOL; stopping at the first certified step left
+        # these two near 1e-11
+        est = estimate_constant(alpha, seq)
+        m = _symmetrized(alpha_form_matrix(seq, alpha))
+        ratios = m @ est.witness.values / est.witness.values
+        assert ratios.max() - ratios.min() <= 1e-13 * est.value
 
     @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0, 1.7))
     def test_constant_values_equals_estimate_constant(self, alpha):
@@ -528,6 +546,16 @@ class TestPerronPath:
         assert value == pytest.approx(600.0, rel=1e-14)
         assert np.allclose(vector, 1.0 / np.sqrt(600.0), rtol=1e-14, atol=0.0)
 
+    @pytest.mark.parametrize("n", (256, 300, 320, 600))
+    @pytest.mark.parametrize("scale", (0.1, 1.0, 1.3))
+    def test_rank_one_shift_keeps_a_floor(self, n, scale, cholesky_sizes):
+        # the Ritz pair is exact, so the residual leaves the shift on the
+        # eigenvalue; without the floor most of these factorizations fail
+        value, vector = quadforms._perron_pair(np.full((n, n), scale))
+        assert value == pytest.approx(scale * n, rel=1e-14)
+        assert np.allclose(vector, 1.0 / np.sqrt(n), rtol=1e-14, atol=0.0)
+        assert cholesky_sizes == block_sizes(n)
+
     def test_reducible_matrix_falls_back(self, eigvalsh_sizes):
         # two positive blocks: the Perron vector has zeros, so no positive
         # vector can certify it, and eigvalsh gives the value
@@ -542,9 +570,8 @@ class TestPerronPath:
         assert np.linalg.norm(m @ vector - value * vector) <= RESIDUAL_RTOL * value
 
     def test_eigenpair_below_the_top_falls_back(self, monkeypatch, eigvalsh_sizes):
-        # seeded at the second eigenpair, RQI stays there; that vector has
-        # entries of both signs and none zero, so every ratio (Mv)_i / v_i
-        # is its eigenvalue and only the positivity test rejects it
+        # seeded at the second eigenpair, the shift falls below the top
+        # eigenvalue, so sigma I - M is indefinite and its factorization fails
         m = random_nonneg_sym(300, np.random.default_rng(14))
         values, vectors = np.linalg.eigh(m)
         monkeypatch.setattr(quadforms, "_lanczos_ritz",
@@ -569,11 +596,12 @@ class TestPerronPath:
         assert eigvalsh_sizes == [] and solve_sizes == []
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_large_window_skips_eigvalsh(self, seed, eigvalsh_sizes, solve_sizes):
-        # a silent fallback would show here as a 600 in eigvalsh_sizes
+    def test_large_window_skips_eigvalsh(self, seed, eigvalsh_sizes, cholesky_sizes):
+        # a silent fallback would fail the recorder at eigvalsh's 600 rows;
+        # the shifted matrix is factored once, a block of rows at a time
         estimate_constant(0.5, generate_random(600, 0.2, seed))
         assert eigvalsh_sizes == []
-        assert 1 <= len(solve_sizes) <= 3 and set(solve_sizes) == {600}
+        assert cholesky_sizes == block_sizes(600)
 
     @pytest.mark.parametrize("n", (200, 255))
     def test_small_window_keeps_eigvalsh(self, n, eigvalsh_sizes, solve_sizes):
@@ -669,15 +697,16 @@ class TestRowBlockedKernels:
 
 
 class TestInPlaceShift:
-    """`_top_eigen` shifts the matrix it solves in place and restores it
-    bit for bit; the public solver works on a copy of its input unless
-    told to overwrite it."""
+    """`_top_eigen` factors or shifts the matrix it solves in place and
+    restores it bit for bit; the public solver works on a copy of its input
+    unless told to overwrite it."""
 
-    def test_perron_path_restores_the_stack(self, eigvalsh_sizes, solve_sizes):
+    def test_perron_path_restores_the_stack(self, eigvalsh_sizes, cholesky_sizes):
         stack = random_nonneg_sym(300, np.random.default_rng(21))[None]
         before = stack.copy()
         _top_eigen(stack, True, nonneg=True)
-        assert eigvalsh_sizes == [] and solve_sizes
+        assert eigvalsh_sizes == []
+        assert cholesky_sizes == block_sizes(300)
         assert_same_bits(stack, before)
 
     def test_bracket_fallback_restores_the_stack(self, eigvalsh_sizes):
@@ -692,20 +721,90 @@ class TestInPlaceShift:
         assert_same_bits(stack, before)
 
     def test_failed_solve_restores_the_stack(self, monkeypatch):
+        stack = random_nonneg_sym(300, np.random.default_rng(22))[None]
+        before = stack.copy()
+        cholesky, written = np.linalg.cholesky, []
+
+        def failing_fifth_block(error):
+            count = itertools.count(1)
+
+            def factor(a):
+                if next(count) == 5:
+                    # four blocks of the factor are in the matrix by now
+                    written.append(not np.array_equal(stack, before))
+                    raise error
+                return cholesky(a)
+
+            return factor
+
         def singular(a, b):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        stack = random_nonneg_sym(300, np.random.default_rng(22))[None]
-        before = stack.copy()
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            failing_fifth_block(np.linalg.LinAlgError("not positive definite")))
         # the Perron pair gives up and eigvalsh gives the value
         values, _ = _top_eigen(stack, False, nonneg=True)
         assert values[0] == np.linalg.eigvalsh(before[0])[-1]
         assert_same_bits(stack, before)
-        # inverse iteration cannot recover, so the vector solve raises
+        # any other error propagates, after the restore
+        monkeypatch.setattr(np.linalg, "cholesky", failing_fifth_block(MemoryError()))
+        with pytest.raises(MemoryError):
+            _top_eigen(stack, False, nonneg=True)
+        assert_same_bits(stack, before)
+        # after the fallback, inverse iteration cannot recover, so the vector solve raises
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            failing_fifth_block(np.linalg.LinAlgError("not positive definite")))
+        monkeypatch.setattr(np.linalg, "solve", singular)
         with pytest.raises(NoConvergence):
             _top_eigen(stack, True, nonneg=True)
         assert_same_bits(stack, before)
+        assert written == [True, True, True]
+
+    def test_indefinite_shift_falls_back_and_restores_the_stack(self, monkeypatch, calls,
+                                                               eigvalsh_sizes):
+        # seeded at the second eigenpair, the shift is below the top eigenvalue
+        m = random_nonneg_sym(300, np.random.default_rng(14))
+        values, vectors = np.linalg.eigh(m)
+        monkeypatch.setattr(quadforms, "_lanczos_ritz",
+                            lambda matrix: (float(values[-2]), vectors[:, -2].copy()))
+        steps = calls(quadforms, "_solve_factor")
+        stack = m[None].copy()
+        tops, witnesses = _top_eigen(stack, True, nonneg=True)
+        # the factorization failed, so no step ran, and eigvalsh gave the value
+        assert steps == [] and eigvalsh_sizes == [300]
+        assert tops[0] == np.linalg.eigvalsh(m)[-1]
+        assert np.linalg.norm(m @ witnesses[0] - tops[0] * witnesses[0]) <= RESIDUAL_RTOL * tops[0]
+        assert_same_bits(stack[0], m)
+
+    @pytest.mark.parametrize("lower, upper", ((None, None), (-0.0, 0.0)))
+    def test_nearly_symmetric_matrix_is_restored_from_a_copy(self, lower, upper, eigvalsh_sizes):
+        # the lower entry lies left of its diagonal block, where the factor is
+        # made, and differs from its upper mirror: by 1e-13 relative, or as a
+        # negative zero against a zero, which compare equal
+        m = random_nonneg_sym(300, np.random.default_rng(25))
+        if lower is None:
+            m[200, 3] *= 1.0 + 1e-13
+        else:
+            m[200, 3], m[3, 200] = lower, upper
+        stack = m[None].copy()
+        values, vectors = _top_eigen(stack, True, nonneg=True)
+        assert eigvalsh_sizes == []
+        assert_same_bits(stack[0], m)
+        assert abs(values[0] - np.linalg.eigvalsh(m)[-1]) <= 1e-12 * values[0]
+        assert_certified_witness(m, values[0], vectors[0])
+
+    @pytest.mark.parametrize("scale", (1e150, 1e300))
+    def test_huge_entries_certify_or_fall_back(self, scale):
+        m = random_nonneg_sym(300, np.random.default_rng(26)) * scale
+        stack = m[None].copy()
+        pair = quadforms._perron_pair(stack[0])
+        assert_same_bits(stack[0], m)
+        if pair is not None:
+            assert np.isfinite(pair[0]) and np.isfinite(pair[1]).all()
+            assert abs(pair[0] - np.linalg.eigvalsh(m)[-1]) <= 1e-12 * pair[0]
+        values, _ = _top_eigen(stack, False, nonneg=True)
+        assert values[0] == pytest.approx(np.linalg.eigvalsh(m)[-1], rel=1e-12)
+        assert_same_bits(stack[0], m)
 
     @pytest.mark.parametrize("seq", (generate_random(300, 0.2, 3), generate_uniform(600, 1.0)))
     def test_public_solver_leaves_its_input_alone(self, seq):
@@ -724,7 +823,8 @@ class TestInPlaceShift:
         assert_same_bits(again[1], vector)
 
     def test_solve_takes_the_transpose_only_of_an_exactly_symmetric_matrix(self, monkeypatch):
-        # an F-contiguous system is the transpose of the C-contiguous shift
+        # an F-contiguous system is the transpose of the C-contiguous shift;
+        # below PERRON_MIN_N rows inverse iteration solves with np.linalg.solve
         layouts = []
         solve = np.linalg.solve
 
@@ -733,7 +833,7 @@ class TestInPlaceShift:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", recording)
-        m = random_nonneg_sym(300, np.random.default_rng(23))
+        m = random_nonneg_sym(200, np.random.default_rng(23))
         top_eigen_nonneg_sym(m)
         assert layouts and all(layouts)
         layouts.clear()

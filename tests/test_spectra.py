@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,15 @@ class TestBuildH:
             build_h(seq, weights=[1.0, 0.0, 1.0])
         with pytest.raises(LengthMismatch):
             build_h(seq, weights=[1.0, 1.0])
+
+    @pytest.mark.parametrize("shape", ((1, 4), (4, 1), (2, 2)))
+    def test_rejects_weights_that_are_not_a_vector(self, shape):
+        # the right number of weights in the wrong shape
+        seq = generate_random(4, 0.5, 1)
+        with pytest.raises(LengthMismatch, match=re.escape(f"shape {shape}")):
+            build_h(seq, np.ones(shape))
+        with pytest.raises(LengthMismatch, match=re.escape(f"shape {shape}")):
+            spectral_radius(seq, np.ones(shape))
 
     @pytest.mark.parametrize("bad", (np.nan, np.inf))
     def test_rejects_non_finite_weights(self, bad):
@@ -718,6 +728,14 @@ class TestNumericalRadius:
         broken[2] = bad
         for parts in ((broken, finite), (finite, broken)):
             with pytest.raises(NonFinite):
+                bilinear_form(h, *parts)
+
+    @pytest.mark.parametrize("shape", ((4, 1), (1, 4), (2, 2)))
+    def test_bilinear_form_rejects_parts_that_are_not_vectors(self, shape):
+        h = build_h(generate_random(4, 0.5, 1))
+        z = np.ones(4)
+        for parts in ((np.ones(shape), z), (z, np.ones(shape))):
+            with pytest.raises(LengthMismatch):
                 bilinear_form(h, *parts)
 
     def test_radius_suite_solves_each_window_once(self, monkeypatch):
