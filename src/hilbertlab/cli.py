@@ -11,6 +11,8 @@ import csv
 import sys
 import time
 
+import numpy as np
+
 from ._util import Rows, to_json, to_json_lines
 from .errors import IoError, NoConvergence
 from .gaps import generate_cluster, generate_random, generate_uniform
@@ -86,44 +88,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _csv_column(values: list) -> tuple[str, list]:
-    """One column's field in the row template and the values it formats:
-    a float column keeps its values under %.12g, an int column under %d,
-    and any other column becomes text cells under %s."""
-    kinds = set(map(type, values))
+# rows the CSV writer formats and writes at a time, so that its memory
+# does not grow with the row count
+CSV_BLOCK_ROWS = 4096
+
+
+def _csv_format(column) -> str:
+    """A column's field in the row template, chosen over the whole column:
+    %.12g when every value is a float, %d when every value is an int, and
+    %s, for text cells (`_csv_text`), otherwise. A numpy array without
+    object entries converts every value to one Python type, so its first
+    value gives the type of them all."""
+    if isinstance(column, np.ndarray) and column.dtype != object:
+        kinds = set(map(type, column[:1].tolist()))
+    else:
+        kinds = set(map(type, column))
     if all(issubclass(kind, float) for kind in kinds):
-        return "%.12g", values
+        return "%.12g"
     if kinds <= {int}:
-        return "%d", values
-    return "%s", [("true" if v else "false") if isinstance(v, bool)
-                  else "%.12g" % v if isinstance(v, float) else str(v) for v in values]
+        return "%d"
+    return "%s"
 
 
-def write_csv(columns: dict[str, list], path: str) -> None:
-    """RFC-4180-style CSV from named columns of equal length: header row,
-    LF endings, bool cells as true/false, floats to 12 significant digits
-    (inf as inf), anything else as str.
+def _csv_text(values: list) -> list[str]:
+    """The text cells of a %s column: bools as true/false, floats under
+    %.12g and anything else as str."""
+    return [("true" if v else "false") if isinstance(v, bool)
+            else "%.12g" % v if isinstance(v, float) else str(v) for v in values]
 
-    Each column is formatted in one pass. Numbers never need quoting, so
-    all-number rows are written through one row template; rows with text
-    cells go through the csv module, which quotes them where needed.
+
+def write_csv(columns: dict, path: str) -> None:
+    """RFC-4180-style CSV from named columns of equal length, lists or 1-D
+    numpy arrays: header row, LF endings, bool cells as true/false, floats
+    to 12 significant digits (inf as inf), anything else as str.
+
+    Each column's format is chosen once over the whole column
+    (`_csv_format`), and the rows are then formatted and written
+    CSV_BLOCK_ROWS at a time, an array's block converted by tolist(), so
+    the text of only one block is held at once. Numbers never need
+    quoting, so all-number rows are written through one row template; rows
+    with text cells go through the csv module, which quotes them where
+    needed.
     """
-    fields, values = [], []
-    for column in columns.values():
-        field, cells = _csv_column(column)
-        fields.append(field)
-        values.append(cells)
+    fields = [_csv_format(column) for column in columns.values()]
+    rows = len(next(iter(columns.values()), ()))
+    template = ",".join(fields) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             if columns:
                 writer.writerow(columns)
-            if "%s" in fields:
-                writer.writerows(zip(*(cells if field == "%s" else [field % v for v in cells]
-                                       for field, cells in zip(fields, values))))
-            else:
-                template = ",".join(fields) + "\n"
-                fh.write("".join(map(template.__mod__, zip(*values))))
+            for start in range(0, rows, CSV_BLOCK_ROWS):
+                stop = start + CSV_BLOCK_ROWS
+                block = [column[start:stop].tolist() if isinstance(column, np.ndarray)
+                         else column[start:stop] for column in columns.values()]
+                if "%s" in fields:
+                    writer.writerows(zip(*(_csv_text(cells) if field == "%s"
+                                           else [field % v for v in cells]
+                                           for field, cells in zip(fields, block))))
+                else:
+                    fh.write("".join(map(template.__mod__, zip(*block))))
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
@@ -205,15 +229,15 @@ def _run_preissmann(args) -> tuple[dict, list, int]:
 
 def _run_scan(out: str | None, k_min: int, k_max: int, steps: int) -> tuple[dict, list, int]:
     table = scan(k_min, k_max, steps)
-    columns = dict(zip(SCAN_FIELDS, (c.tolist() for c in (
-        table.k, table.x, table.a, table.b, table.kappa0, table.kappa1, table.u_star,
-        table.g_value))))
-    best = dict({name: column[table.best] for name, column in columns.items()}, argmax=True)
+    arrays = dict(zip(SCAN_FIELDS, (table.k, table.x, table.a, table.b, table.kappa0,
+                                    table.kappa1, table.u_star, table.g_value)))
+    best = dict({name: column[table.best].item() for name, column in arrays.items()},
+                argmax=True)
     if out:
-        write_csv({name: column for name, column in columns.items() if name != "B"}, out)
+        write_csv({name: column for name, column in arrays.items() if name != "B"}, out)
         results = [best]
     else:
-        results = [best, Rows(columns)]
+        results = [best, Rows({name: column.tolist() for name, column in arrays.items()})]
     params = {"k_min": k_min, "k_max": k_max, "steps": steps, "rows": table.k.size}
     if out:
         params["out"] = out

@@ -37,6 +37,7 @@ overwrite it, as `estimate_constant` does with its own kernel.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -175,10 +176,34 @@ def _reflection_lift(y: np.ndarray, n: int, even: bool) -> np.ndarray:
     return np.concatenate((half, np.zeros(n % 2), -half[::-1]))
 
 
+def _unit(magnitude: float) -> float:
+    """A power of two for vectors of about this magnitude: 1.0 when it lies
+    in [2^-256, 2^256), else the power that takes it into [1/2, 1), held
+    within [2^-1020, 2^1020] so that it and its inverse are normal.
+
+    Scaling by a power of two is exact, so the norm of x * unit, divided
+    by the unit, is the norm np.linalg.norm gives in range, and the sum of
+    squares of up to 2^30 entries of about that magnitude neither
+    overflows nor underflows. In the normal range the unit is 1.0 and the
+    arithmetic is unchanged."""
+    exponent = math.frexp(magnitude)[1]
+    if -256 < exponent <= 256:
+        return 1.0
+    return math.ldexp(1.0, -min(max(exponent, -1020), 1020))
+
+
+def _scaled_norm(x: np.ndarray, unit: float) -> float:
+    """||x||, taken of x * unit (`_unit`) so that its sum of squares stays
+    in range."""
+    return float(np.linalg.norm(x * unit)) / unit
+
+
 def _certify(product: np.ndarray, value: float, v: np.ndarray) -> None:
     """Raise NoConvergence unless ||Mv - value*v|| <= RESIDUAL_RTOL * |value|,
-    given the product Mv; a NaN residual fails."""
-    residual = float(np.linalg.norm(product - value * v))
+    given the product Mv; a NaN residual fails. The norm is taken in the
+    unit of the value, so a residual of a huge or tiny value does not
+    overflow or underflow."""
+    residual = _scaled_norm(product - value * v, _unit(abs(value)))
     if not residual <= RESIDUAL_RTOL * max(abs(value), 1e-300):
         raise NoConvergence(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:g}*|value|")
 
@@ -204,14 +229,20 @@ def _shifted(matrix: np.ndarray, shift: float, exact: bool):
 def _inverse_iteration(matrix: np.ndarray, value: float, scale: float, exact: bool) -> np.ndarray:
     """Two steps of inverse iteration (Wielandt) on sigma*I - M from the
     normalized ones vector, with the shift sigma just above the value.
-    The shift is made in `matrix` and undone (`_shifted`)."""
+    The shift is made in `matrix` and undone (`_shifted`).
+
+    The shift is summed, and each iterate, which grows as 1 / (sigma -
+    value), normalized, in the unit (`_unit`) of max |M| = `scale`: near
+    the largest floats the sum |value| + scale would overflow, and the
+    sum of squares of an iterate would under- or overflow."""
     n = matrix.shape[0]
     v = np.full(n, 1.0 / np.sqrt(n))
+    unit = _unit(scale)
+    shift = (value * unit + 1e-14 * (abs(value) * unit + scale * unit)) / unit
     # a shift or solve that overflows gives NaN, which the certificate fails
-    with np.errstate(all="ignore"), \
-            _shifted(matrix, value + 1e-14 * (abs(value) + scale), exact) as system:
+    with np.errstate(all="ignore"), _shifted(matrix, shift, exact) as system:
         for _ in range(2):
-            v = np.linalg.solve(system, v)
+            v = np.linalg.solve(system, v) / unit
             v /= np.linalg.norm(v)
     return v
 
@@ -220,14 +251,20 @@ def _lanczos_ritz(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     """The top Ritz pair of at most LANCZOS_STEPS Lanczos steps from the
     normalized ones vector, with full reorthogonalization. The run stops
     when the new direction vanishes against ||Mq|| (breakdown: the Krylov
-    space is invariant, so its Ritz pairs are exact)."""
+    space is invariant, so its Ritz pairs are exact).
+
+    The products M q are taken in the unit (`_unit`) of max M, so that
+    their norms neither overflow nor underflow for a huge or tiny matrix;
+    the Ritz value is returned in the units of M."""
     n = matrix.shape[0]
+    unit = _unit(float(matrix.max()))
     basis = np.empty((min(LANCZOS_STEPS, n), n))
     diag, off = np.empty(len(basis)), np.empty(len(basis))
     q = np.full(n, 1.0 / np.sqrt(n))
     for k in range(len(basis)):
         basis[k] = q
         w = matrix @ q
+        w *= unit
         diag[k] = q @ w
         reach = np.linalg.norm(w)
         # Gram-Schmidt against the whole basis, twice, as one pass loses
@@ -241,7 +278,7 @@ def _lanczos_ritz(matrix: np.ndarray) -> tuple[float, np.ndarray]:
     steps = k + 1
     upper = np.diag(off[:steps - 1], 1)
     ritz, coords = np.linalg.eigh(np.diag(diag[:steps]) + upper + upper.T)
-    return float(ritz[-1]), coords[:, -1] @ basis[:steps]
+    return float(ritz[-1]) / unit, coords[:, -1] @ basis[:steps]
 
 
 def _factor(matrix: np.ndarray, shift: float, blocks: list[slice]) -> list[np.ndarray]:
@@ -319,12 +356,15 @@ def _inverse_steps(matrix: np.ndarray, shift: float, v: np.ndarray, exact: bool)
     them taken first.
     """
     blocks = list(row_blocks(len(matrix)))
+    # an iterate grows as 1 / (shift - lambda): in the unit of the shift
+    # its sum of squares stays in range
+    unit = _unit(shift)
     saved = None if exact else [matrix[rows, :rows.start].copy() for rows in blocks]
     try:
         inverses = _factor(matrix, shift, blocks)
         narrowest = np.inf
         while True:
-            x = _solve_factor(matrix, inverses, blocks, v)
+            x = _solve_factor(matrix, inverses, blocks, v) / unit
             x /= np.copysign(np.linalg.norm(x), x.sum())
             width = _bracket(_upper_product(matrix, blocks, x), x)
             if not width < 0.5 * narrowest:
@@ -360,12 +400,16 @@ def _perron_pair(matrix: np.ndarray, exact: bool = True) -> tuple[float, np.ndar
     top eigenvalue within that width. A vector with a zero or negative
     entry, a wider or non-finite bracket, or a failed factorization gives
     None.
+
+    The Lanczos products, the residual and the iterates are taken in
+    power-of-two units (`_unit`), so a matrix near either end of the float
+    range certifies as a copy of it scaled into the normal range does.
     """
     try:
         # an overflow gives inf or NaN, which the factorization or the bracket fails
         with np.errstate(all="ignore"):
             theta, v = _lanczos_ritz(matrix)
-            residual = float(np.linalg.norm(matrix @ v - theta * v))
+            residual = _scaled_norm(matrix @ v - theta * v, _unit(theta))
             v = _inverse_steps(matrix, theta + max(2.0 * residual, RESIDUAL_RTOL * theta), v,
                                exact)
             product = matrix @ v

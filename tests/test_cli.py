@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hilbertlab
-from hilbertlab.cli import build_parser, dispatch, write_csv
+from hilbertlab import cli
+from hilbertlab.cli import CSV_BLOCK_ROWS, build_parser, dispatch, write_csv
 from hilbertlab.errors import NoConvergence
 from hilbertlab.suites import ALL_SUITES, run_suites
 
@@ -219,11 +221,12 @@ def module_peak_mb(*argv) -> float:
 
 
 class TestFreshProcessPeaks:
-    """The two largest verify records and two n = 2000 constants, one
-    folded and one not, measured as the operating system sees them:
-    LAPACK's copies and memory malloc keeps for reuse count too, which
-    tracemalloc does not see. Each is measured above a command that builds
-    no window, so the interpreter and numpy's own footprint cancel."""
+    """The two largest verify records, two n = 2000 constants, one folded
+    and one not, and a 160,000-row scan written to CSV, measured as the
+    operating system sees them: LAPACK's copies and memory malloc keeps
+    for reuse count too, which tracemalloc does not see. Each is measured
+    above a command that builds no window, so the interpreter and numpy's
+    own footprint cancel."""
 
     def test_spacing_and_radius_suites(self):
         base = module_peak_mb("preissmann")
@@ -246,6 +249,13 @@ class TestFreshProcessPeaks:
         base = module_peak_mb("preissmann")
         assert module_peak_mb("constant", "--alpha", "0.5", "--n", "2000",
                               "--config", "random") - base <= 55.0
+
+    def test_large_scan_csv(self, tmp_path):
+        # the scan's eight columns (10 MB) and one block of rows of CSV text;
+        # the whole 15 MB table formatted before writing peaked 95 MB above
+        base = module_peak_mb("preissmann")
+        assert module_peak_mb("lower-bound", "--scan", "1", "40", "4000",
+                              "--out", str(tmp_path / "scan.csv")) - base <= 30.0
 
 
 class TestLowerBoundCommand:
@@ -612,7 +622,26 @@ class TestPreissmannCommand:
         assert abs(record["root_residual"]) < 1e-9
 
 
+B = CSV_BLOCK_ROWS
+
+
+def csv_bytes(path: Path, columns: dict) -> bytes:
+    write_csv(columns, str(path))
+    return path.read_bytes()
+
+
+def one_block_bytes(monkeypatch, path: Path, columns: dict) -> bytes:
+    """The bytes write_csv gives with every row in one block."""
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "CSV_BLOCK_ROWS", 1 << 40)
+        return csv_bytes(path, columns)
+
+
 class TestWriteCsv:
+    """write_csv formats and writes CSV_BLOCK_ROWS rows at a time; each
+    column's format is chosen over the whole column, so the bytes do not
+    depend on where the blocks fall."""
+
     def test_empty_rows_give_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         write_csv({"a": [], "b": []}, str(path))
@@ -639,6 +668,46 @@ class TestWriteCsv:
         path = tmp_path / "none.csv"
         write_csv({}, str(path))
         assert path.read_text() == ""
+
+    @pytest.mark.parametrize("rows", (0, B - 1, B, B + 1, 2 * B + 1))
+    @pytest.mark.parametrize("text", (False, True))
+    def test_rows_at_the_block_edge(self, tmp_path, rows, text):
+        columns = {"i": list(range(rows)), "x": [i / 7 for i in range(rows)]}
+        lines = [f"{i},{'%.12g' % (i / 7)}" for i in range(rows)]
+        if text:
+            columns["ok"] = [i % 3 == 0 for i in range(rows)]
+            lines = [f"{line},{'true' if i % 3 == 0 else 'false'}"
+                     for i, line in enumerate(lines)]
+        got = csv_bytes(tmp_path / "edge.csv", columns).decode()
+        assert got == ",".join(columns) + "\n" + "".join(line + "\n" for line in lines)
+
+    def test_int_column_meeting_a_float_after_the_first_block(self, tmp_path, monkeypatch):
+        # the column is text throughout, as it is when written in one block
+        columns = {"v": [*range(B), 0.5, -7, float("inf")], "w": [0.25] * (B + 3)}
+        got = csv_bytes(tmp_path / "a.csv", columns)
+        assert got == one_block_bytes(monkeypatch, tmp_path / "b.csv", columns)
+        assert got.endswith(f"\n{B - 1},0.25\n0.5,0.25\n-7,0.25\ninf,0.25\n".encode())
+
+    def test_quoted_text_after_the_first_block(self, tmp_path, monkeypatch):
+        columns = {"name": ["plain"] * (B + 1) + ["a,b", 'say "hi"'], "n": list(range(B + 3))}
+        got = csv_bytes(tmp_path / "a.csv", columns)
+        assert got == one_block_bytes(monkeypatch, tmp_path / "b.csv", columns)
+        assert got.endswith(f'plain,{B}\n"a,b",{B + 1}\n"say ""hi""",{B + 2}\n'.encode())
+
+    @pytest.mark.parametrize("dtype", (np.int64, np.float64, np.bool_))
+    def test_arrays_give_the_bytes_of_equal_lists(self, tmp_path, dtype):
+        rng = np.random.default_rng(7)
+        if dtype is np.float64:
+            array = rng.standard_normal(2 * B + 1) * 10.0 ** rng.integers(-40, 40, 2 * B + 1)
+            array[:4] = (np.inf, -np.inf, -0.0, 1e-30)
+        elif dtype is np.int64:
+            array = rng.integers(-2 ** 62, 2 ** 62, 2 * B + 1)
+        else:
+            array = rng.random(2 * B + 1) < 0.5
+        array.setflags(write=False)
+        for other in ([0.5] * (2 * B + 1), ["a,b"] * (2 * B + 1)):
+            got = csv_bytes(tmp_path / "array.csv", {"c": array, "d": other})
+            assert got == csv_bytes(tmp_path / "list.csv", {"c": array.tolist(), "d": other})
 
 
 class TestThreadCap:

@@ -179,12 +179,23 @@ class TestTopEigen:
         with pytest.raises(NotSymmetric, match="not symmetric within 1e-12"):
             top_eigen_nonneg_sym(far)
 
+    def test_overflowing_value_raises_with_vectors(self):
+        # finite entries whose top eigenvalue, 2e308, overflows
+        with pytest.raises(NoConvergence, match="overflows"):
+            top_eigen_nonneg_sym(np.full((2, 2), 1e308))
+
     @pytest.mark.parametrize("matrix", ([[0.0, 1e308], [1e308, 0.0]],
-                                        [[1e308, 1e308], [1e308, 1e308]]))
-    def test_overflowing_solve_fails_the_certificate(self, matrix):
-        # finite entries whose solve overflows leave a NaN witness behind
-        with pytest.raises(NoConvergence):
-            top_eigen_nonneg_sym(np.array(matrix))
+                                        [[1e308, 1e300], [1e300, 1e307]]))
+    def test_largest_floats_certify(self, matrix):
+        # summed as they are, the shift value + 1e-14 (|value| + max |M|)
+        # overflows and the iterates' sums of squares underflow
+        m = np.array(matrix)
+        before = m.copy()
+        value, vector = top_eigen_nonneg_sym(m, overwrite=True)
+        assert_same_bits(m, before)
+        assert value == np.linalg.eigvalsh(m)[-1]
+        assert np.linalg.norm((m @ vector - value * vector) / value) <= RESIDUAL_RTOL
+        assert np.linalg.norm(vector) == pytest.approx(1.0, rel=1e-15)
 
     @pytest.mark.parametrize("shape", ((0, 0), (3,), (2, 3), (1, 2, 2)))
     def test_rejects_a_shape_that_is_not_square(self, shape):
@@ -805,6 +816,21 @@ class TestInPlaceShift:
         values, _ = _top_eigen(stack, False, nonneg=True)
         assert values[0] == pytest.approx(np.linalg.eigvalsh(m)[-1], rel=1e-12)
         assert_same_bits(stack[0], m)
+
+    @pytest.mark.parametrize("scale", (1e154, 1e160))
+    def test_huge_entries_certify_on_the_perron_path(self, scale, cholesky_sizes):
+        # past ||Mq|| ~ 1.3e154 the sums of squares of unscaled Lanczos
+        # products overflow; a fallback would reach eigvalsh, which the
+        # fixture refuses at 300 rows
+        m = random_nonneg_sym(300, np.random.default_rng(26))
+        value, vector = top_eigen_nonneg_sym(m)
+        cholesky_sizes.clear()
+        scaled = m * scale
+        huge, huge_vector = top_eigen_nonneg_sym(scaled, overwrite=True)
+        assert cholesky_sizes == block_sizes(300)
+        assert abs(huge / scale - value) <= 1e-12 * value
+        assert np.allclose(huge_vector, vector, rtol=1e-10, atol=0.0)
+        assert_same_bits(scaled, m * scale)
 
     @pytest.mark.parametrize("seq", (generate_random(300, 0.2, 3), generate_uniform(600, 1.0)))
     def test_public_solver_leaves_its_input_alone(self, seq):
