@@ -23,10 +23,20 @@ ROW_BLOCK = 32
 
 @dataclass(frozen=True, eq=False)
 class GapSequence:
+    """A window of nodes, held as a read-only float64 vector.
+
+    A 1-D float64 array that owns its data and is already read-only, as
+    `generate_uniform` builds, is adopted as it is; any other input is
+    copied, so no caller's writable buffer is shared.
+    """
+
     nodes: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.nodes, dtype=float)
+        arr = self.nodes
+        if not (type(arr) is np.ndarray and arr.dtype == np.float64 and arr.ndim == 1
+                and arr.flags.owndata and not arr.flags.writeable):
+            arr = np.array(arr, dtype=float)
         if arr.ndim != 1:
             raise TooShort(f"need a vector of nodes, got shape {arr.shape}")
         check_nodes(arr)
@@ -51,10 +61,12 @@ class GapSequence:
         return out
 
     def delta(self, k: int) -> float:
-        """delta_k for a 1-indexed active index k."""
+        """delta_k for a 1-indexed active index k, from its two gaps: the
+        float of `deltas`, with no window-length array built."""
         if not 1 <= k <= self.n:
             raise IndexOutOfRange(f"k={k} outside 1..{self.n}")
-        return float(self.deltas[k - 1])
+        lam = self.nodes
+        return float(min(lam[k] - lam[k - 1], lam[k + 1] - lam[k]))
 
 
 def check_nodes(nodes: np.ndarray) -> None:
@@ -181,7 +193,11 @@ def generate_uniform(n: int, spacing: float) -> GapSequence:
         raise ValueError(f"n must be >= 1, got {n}")
     if spacing <= 0:
         raise ValueError(f"spacing must be positive, got {spacing}")
-    return GapSequence(np.arange(n + 2, dtype=float) * spacing)
+    # built in place and handed over read-only, so the window adopts it
+    nodes = np.arange(n + 2, dtype=float)
+    nodes *= spacing
+    nodes.setflags(write=False)
+    return GapSequence(nodes)
 
 
 def generate_cluster(n: int) -> GapSequence:

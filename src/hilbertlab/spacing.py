@@ -33,7 +33,8 @@ from .reports import record
 
 _ZETA_CUTOFF = 1_000_000
 _CHUNK = 1 << 20
-# terms per chunk of `spacing_sum`: 64 kB arrays, small beside a large window
+# most terms `spacing_sum` holds at once, one leaf of np.sum's tree
+# (`_pairwise_sum`): 64 kB arrays, small beside a large window
 _TERM_CHUNK = 1 << 13
 
 
@@ -150,27 +151,56 @@ def check_fn_upper(a, sigma: float, seed: int = 0) -> dict:
     return record("fn-upper", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
 
 
+def _pairwise_sum(start: int, stop: int, leaf) -> float:
+    """np.sum of the entries start..stop-1 of a float64 vector, bit for bit,
+    from leaf(a, b), the np.sum of its entries a..b-1, which is called on
+    parts of at most _TERM_CHUNK entries, in index order.
+
+    np.sum adds a contiguous float64 vector pairwise (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 4.2): a part of c > 128
+    entries is split after c//2 - (c//2) % 8 of them and the sums of its two
+    sides are added. This walks the same splits down to parts of at most
+    _TERM_CHUNK (> 128) entries and adds their sums in tree order, so it
+    gives np.sum's float while no part larger than a leaf need exist.
+    """
+    count = stop - start
+    if count <= _TERM_CHUNK:
+        return leaf(start, stop)
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(start, start + half, leaf) + _pairwise_sum(start + half, stop, leaf)
+
+
 def spacing_sum(seq: GapSequence, ell: int, sigma: float) -> float:
     """sum_{k != ell} delta_k / |lam_k - lam_ell|^sigma over every active
     index k of the window.
 
-    The terms are written _TERM_CHUNK at a time into one array that skips
-    the self term, each chunk's deltas taken from the nodes, so the only
-    window-length array is the terms; np.sum then sees the floats of the
-    whole-window expression in index order. All terms are positive, so the
-    window's sum is a lower bound for the full series.
+    The sum is np.sum of the n - 1 terms of the whole-window expression with
+    the self term skipped, bit for bit, but that vector is never formed:
+    `_pairwise_sum` walks np.sum's tree, and each leaf's terms are written
+    into one array of at most _TERM_CHUNK entries, their deltas taken from
+    the nodes, and summed there. So the window's cached `deltas` are neither
+    read nor built. All terms are positive, so the window's sum is a lower
+    bound for the full series.
     """
     _check_sigma(sigma)
     if not 1 <= ell <= seq.n:
         raise IndexOutOfRange(f"ell={ell} outside 1..{seq.n}")
     nodes, centre = seq.nodes, seq.active[ell - 1]
-    terms = np.empty(seq.n - 1)
-    for first, last, shift in ((0, ell - 1, 0), (ell, seq.n, 1)):
-        for start in range(first, last, _TERM_CHUNK):
-            stop = min(start + _TERM_CHUNK, last)
-            d, lam = node_deltas(nodes[start:stop + 2]), nodes[start + 1:stop + 1]
-            terms[start - shift:stop - shift] = d / np.abs(lam - centre) ** sigma
-    return float(np.sum(terms))
+    buffer = np.empty(min(seq.n - 1, _TERM_CHUNK))
+
+    def leaf(start: int, stop: int) -> float:
+        # term i is that of active index i below the self term, i + 1 from it on
+        terms = buffer[:stop - start]
+        split = min(max(start, ell - 1), stop)
+        for first, last, shift in ((start, split, 0), (split, stop, 1)):
+            if first < last:
+                k, end = first + shift, last + shift
+                d, lam = node_deltas(nodes[k:end + 2]), nodes[k + 1:end + 1]
+                terms[first - start:last - start] = d / np.abs(lam - centre) ** sigma
+        return float(np.sum(terms))
+
+    return _pairwise_sum(0, seq.n - 1, leaf)
 
 
 def spacing_bound_report(seq: GapSequence, ell: int, sigma: float, seed: int = 0) -> dict:

@@ -89,10 +89,11 @@ def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
     return SkewHilbertMatrix(entries, c, seq)
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    """A^T A. numpy forms it with one syrk and mirrors the triangle, so it
-    is exactly symmetric with no symmetrizing pass (`_top_eigen` checks)."""
-    return a.T @ a
+def _gram(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A^T A, written to `out` when it is given. numpy forms it with one
+    syrk and mirrors the triangle, so it is exactly symmetric with no
+    symmetrizing pass (`_top_eigen` checks)."""
+    return np.matmul(a.T, a, out=out)
 
 
 def _top_grams(hs: list[SkewHilbertMatrix]) -> tuple[list[float], list[np.ndarray]]:
@@ -139,11 +140,23 @@ def spectral_radius(seq: GapSequence, weights=None) -> float:
     When J H J = -H exactly, mu^2 is the top eigenvalue of the half-size
     Gram C^T C (`_top_grams`), and `_fold` builds C from rows of H made a
     block at a time, so H is never held whole; otherwise H is built whole.
+
+    The Gram's buffer is allocated before C and filled by `_gram`. C,
+    allocated last, then lies above the Gram in the heap, and once it is
+    freed, LAPACK's slightly larger working copy of the Gram in `_top_eigen`
+    reuses its memory; C allocated first leaves a hole that copy cannot
+    use, and three such arrays are resident at once.
     """
     c = _weights(seq, weights)
     lam = seq.active
+    size = lam.size - lam.size // 2
+    gram = np.empty((size, size))
     half = _fold(lambda rows: kernel_rows(c, c, lam, 1, H_OVERFLOW, rows)[0], lam.size, -1.0)
-    gram = _gram(pair_kernel(c, c, lam, 1, H_OVERFLOW) if half is None else half)
+    if half is None:
+        del gram    # the whole H has a whole-size Gram
+        gram = _gram(pair_kernel(c, c, lam, 1, H_OVERFLOW))
+    else:
+        _gram(half, out=gram)
     del half
     value = float(_top_eigen(gram[None], False)[0][0])
     return math.sqrt(max(value, 0.0))

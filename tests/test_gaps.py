@@ -71,13 +71,50 @@ class TestConstruction:
         with pytest.raises(ValueError):
             seq.nodes[0] = 5.0
 
+    def test_adopts_a_read_only_array_it_owns(self):
+        nodes = np.array([0.0, 1.0, 3.0])
+        nodes.setflags(write=False)
+        assert GapSequence(nodes).nodes is nodes
+
+    @pytest.mark.parametrize("make", ("writable", "read-only view", "list"))
+    def test_copies_every_other_input(self, make):
+        buffer = np.array([0.0, 1.0, 3.0, 4.0])
+        if make == "writable":
+            seq = GapSequence(buffer)
+        elif make == "read-only view":
+            view = buffer[:]
+            view.setflags(write=False)
+            assert not view.flags.owndata
+            seq = GapSequence(view)
+        else:
+            buffer = [0.0, 1.0, 3.0, 4.0]
+            seq = GapSequence(buffer)
+        buffer[1] = 2.0
+        assert np.array_equal(seq.nodes, [0.0, 1.0, 3.0, 4.0])
+        assert not seq.nodes.flags.writeable
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_delta_builds_no_deltas(self, seed):
+        # each delta(k) is the float of the cached vector, read from the nodes
+        seq = generate_random(40, 0.3, seed)
+        values = [seq.delta(k) for k in range(1, seq.n + 1)]
+        assert "deltas" not in vars(seq)
+        assert values == seq.deltas.tolist()
+
 
 class TestGenerators:
     def test_uniform_window_peak(self, traced_peak):
-        # the arange and the window's own copy; the float difference array
-        # of the order check read 3.1
+        # the nodes, built in place and adopted by the window; the window's
+        # own copy of an arange read 2.13, and the float difference array of
+        # the order check 3.1
         n = 2 * 10**5 + 1
-        assert traced_peak(lambda: generate_uniform(n, 1.0)) <= 2.3 * 8 * n
+        assert traced_peak(lambda: generate_uniform(n, 1.0)) <= 1.3 * 8 * n
+
+    @pytest.mark.parametrize("spacing", (1.0, 0.3, 0.7, 3.5))
+    def test_uniform_nodes_are_the_scaled_arange(self, spacing):
+        n = 1000
+        want = np.arange(n + 2) * spacing
+        assert generate_uniform(n, spacing).nodes.tobytes() == want.tobytes()
 
     def test_uniform_small(self):
         seq = generate_uniform(3, 1.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbertlab import (
     check_equidistance,
@@ -23,7 +25,7 @@ from hilbertlab.errors import (
     SameIndex,
     SigmaOutOfRange,
 )
-from hilbertlab.spacing import _TERM_CHUNK, shan_split, spacing_bound_report
+from hilbertlab.spacing import _TERM_CHUNK, _pairwise_sum, shan_split, spacing_bound_report
 from hilbertlab.suites import PAIR_SPACING_MAX_N, _random_seq, suite_pair_spacing
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
@@ -198,6 +200,7 @@ class TestSpacingSum:
         tail = ((centre - seq.nodes[0]) ** (1 - sigma)
                 + (seq.nodes[-1] - centre) ** (1 - sigma)) / (sigma - 1)
         rep = spacing_bound_report(seq, ell, sigma)
+        assert "deltas" not in vars(seq)
         assert rep["lhs"] == spacing_sum(seq, ell, sigma)
         assert rep["tail_bound"] == pytest.approx(tail, rel=1e-14)
 
@@ -260,12 +263,13 @@ class TestWholeWindowSums:
 
     def test_spacing_sum_peak(self, traced_peak):
         # the index arrays peaked at 4.0 window-length float arrays beside the
-        # cached deltas, and the whole-window terms with np.delete at 3.0
-        # with the deltas built; chunked terms hold one array of n - 1
+        # cached deltas, the whole-window terms with np.delete at 3.0 with the
+        # deltas built, and one array of the n - 1 terms at 1.13; the terms of
+        # one leaf of np.sum's tree read 0.13
         n = 2 * 10**5 + 1
         seq = generate_uniform(n, 1.0)
         peak = traced_peak(lambda: spacing_sum(seq, n // 2 + 1, 2.0))
-        assert peak <= 1.2 * 8 * n
+        assert peak <= 0.25 * 8 * n
 
 
 def spacing_sum_by_delete(seq, ell, sigma):
@@ -277,17 +281,59 @@ def spacing_sum_by_delete(seq, ell, sigma):
     return float(np.sum(np.delete(terms, ell - 1)))
 
 
-# windows of one to three chunks of terms, with the centre next to a chunk edge
+def leaf_edges(count):
+    """The inner edges of the leaves `_pairwise_sum` cuts count terms into."""
+    edges = []
+
+    def leaf(start, stop):
+        edges.append(stop)
+        return 0.0
+
+    _pairwise_sum(0, count, leaf)
+    return edges[:-1]
+
+
 C = _TERM_CHUNK
+# lengths of np.sum's tree splits: a part of c terms splits after
+# c//2 - (c//2) % 8, so the leaves change at these counts
+SPLIT_EDGES = sorted({c + d for c in (C, 2 * C, 3 * C) for d in (-8, -1, 0, 1, 7, 8, 9, 16, 17)})
+
+
+class TestPairwiseSum:
+    """The tree walk gives np.sum's float bit for bit, so a numpy that sums
+    in another order fails here before it moves a pinned digest."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(count=st.one_of(st.integers(1, 3 * C), st.sampled_from(SPLIT_EDGES)),
+           seed=st.integers(0, 2**32 - 1), spread=st.integers(0, 60))
+    def test_equals_np_sum(self, count, seed, spread):
+        # mixed signs and magnitudes up to 2^+-spread, so the order shows
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(count) * 2.0 ** rng.integers(-spread, spread + 1, count)
+        got = _pairwise_sum(0, count, lambda start, stop: float(np.sum(x[start:stop])))
+        assert np.float64(got).tobytes() == np.sum(x).tobytes()
+
+    def test_leaves_are_at_most_a_chunk(self):
+        assert leaf_edges(C) == []
+        assert leaf_edges(C + 1) == [C // 2]
+        assert leaf_edges(2 * C + 1) == [C, C + C // 2]
+
+
+# windows of one to three chunks of terms, with the centre next to a chunk edge
 CHUNKED_CASES = [(generate_random(n, 0.05 + 0.1 * s, s), ell)
                  for s, (n, ell) in enumerate(((C, C), (C + 1, 1), (C + 1, C + 1), (C + 2, C + 1),
                                                (2 * C + 999, C), (2 * C + 999, 2 * C + 1),
                                                (2 * C + 999, C + 500)))]
+# windows of n - 1 terms at the tree's split counts, each summed with its
+# self term on either side of every leaf edge and at both ends
+LEAF_EDGE_CASES = [(n, ell) for n in (C + 1, C + 2, 2 * C + 1, 2 * C + 2, 3 * C + 8)
+                   for ell in sorted({1, n, *(e for edge in leaf_edges(n - 1)
+                                              for e in (edge, edge + 1, edge + 2))})]
 
 
 class TestChunkedSpacingSum:
-    """spacing_sum writes its terms a chunk at a time, skipping the self
-    term, and equals the whole-window sum bit for bit."""
+    """spacing_sum writes its terms a leaf of np.sum's tree at a time,
+    skipping the self term, and equals the whole-window sum bit for bit."""
 
     @pytest.mark.parametrize("sigma", [1.5, 2.0, 3.0, 4.0])
     @pytest.mark.parametrize("case", range(len(CHUNKED_CASES)))
@@ -295,11 +341,20 @@ class TestChunkedSpacingSum:
         seq, ell = CHUNKED_CASES[case]
         assert spacing_sum(seq, ell, sigma) == spacing_sum_by_delete(seq, ell, sigma)
 
+    @pytest.mark.parametrize("sigma", [1.5, 3.0])
+    @pytest.mark.parametrize("n, ell", LEAF_EDGE_CASES)
+    def test_self_term_at_leaf_edges(self, n, ell, sigma):
+        seq = generate_random(n, 0.2, n)
+        assert spacing_sum(seq, ell, sigma) == spacing_sum_by_delete(seq, ell, sigma)
+
     @pytest.mark.parametrize("n", (3, 2 * 10**5 + 1))
     def test_uniform_windows(self, n):
         seq = generate_uniform(n, 1.0)
         for ell in (1, n // 2 + 1, n):
             assert spacing_sum(seq, ell, 2.0) == spacing_sum_by_delete(seq, ell, 2.0)
+
+    def test_one_node_window(self):
+        assert spacing_sum(generate_uniform(1, 1.0), 1, 2.0) == 0.0
 
     def test_deltas_are_not_built(self):
         seq = generate_random(50, 0.3, 4)
