@@ -44,7 +44,8 @@ def sinpi_abs_cotpi(y):
     """(sinpi_abs(y), cotpi(y)) from one reduction of y and one sine."""
     theta, negative = _pi_folded(y)
     sines = np.sin(theta)
-    with np.errstate(divide="ignore"):
+    # at a pole the cotangent is inf: a zero sine divides, a subnormal one overflows
+    with np.errstate(divide="ignore", over="ignore"):
         cot = np.where(negative, -1.0, 1.0) * np.cos(theta) / sines
     return _unwrap(sines), _unwrap(cot)
 

@@ -155,6 +155,8 @@ def write_csv(columns: dict, path: str) -> None:
 def _run_verify(args) -> tuple[dict, list, int]:
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:    # numpy's generators take only seeds >= 0
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.max_n is not None and args.suite not in (*MAX_N_SUITES, "all"):
         raise ValueError(f"--max-n has no effect on the {args.suite} suite; it applies "
                          f"to {', '.join(MAX_N_SUITES)} and all")
@@ -199,6 +201,10 @@ def _run_constant(args) -> tuple[dict, list, int]:
     for name, default in {**WINDOW_FLAGS, **SEARCH_FLAGS}.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
+    # only the random window and the search draw from the seed
+    uses_seed = args.search or args.config == "random"
+    if uses_seed and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.search:
         # a negative count would skip the climb yet still label its start a search
         for flag, value in (("--restarts", args.restarts), ("--rounds", args.rounds)):
@@ -211,8 +217,6 @@ def _run_constant(args) -> tuple[dict, list, int]:
         label, est = args.config, estimate_constant(args.alpha, _build_config(args))
     record = {"alpha": est.alpha, "n": est.n, "config": label,
               "value": est.value, "witness": est.witness.values.tolist()}
-    # only the random window and the search draw from the seed
-    uses_seed = args.search or args.config == "random"
     params = {"alpha": args.alpha, "n": args.n, "config": args.config,
               "seed": args.seed if uses_seed else None, "search": bool(args.search)}
     return params, [record], 0

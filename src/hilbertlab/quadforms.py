@@ -12,28 +12,26 @@ That optimum is a lower estimate for the best constant at this window
 size, and exactly the optimal constant for the given configuration.
 
 How the top eigenvalue is found depends on the matrix that is solved:
-the even reflection block when the window is mirror-symmetric, else the
-whole kernel. `_fold` is the one builder of that half-size block, for
-the kernels here (J M J = M) and for spectra's skew H (J H J = -H). From
+the even reflection block when a nonnegative kernel is mirror-symmetric,
+as that block holds its top eigenvalue, else the whole kernel. `_fold` is
+the one builder of that half-size block, for the kernels here (J M J = M)
+and for spectra's skew H (J H J = -H). Every matrix solved equals its
+transpose bit for bit: one that is symmetric only within the tolerance is
+solved as a copy of its lower triangle, mirrored. From
 PERRON_MIN_N = 256 rows on, a nonnegative matrix gets its Perron pair from
 Lanczos steps and inverse iteration on one Cholesky factorization of
-sigma I - M, sigma just above the top eigenvalue, made in the matrix
-itself, and the value is certified to be the top one by the
+sigma I - M made in the matrix itself, certified top by the
 Collatz-Wielandt bracket; these values are Rayleigh quotients that agree
-with LAPACK's eigvalsh within 1e-12 relative, not eigvalsh's own values.
-Smaller matrices, signed matrices, any matrix whose factorization fails
-(sigma fell below the top eigenvalue) and any the certificate rejects get
-eigvalsh.
+with LAPACK's eigvalsh within 1e-12 relative. Smaller and signed
+matrices, and any that path fails on, get eigvalsh.
 
-Kernels are built a block of rows at a time. A Perron solve factors in
-blocks of 32 rows (`row_blocks`): it reads the matrix from the diagonal
-blocks and the upper triangle, writes the factor over the entries left of
-the diagonal blocks and restores those bit for bit, so it holds no n x n
-array besides the matrix and hands LAPACK only 32 x 32 blocks. The
-eigvalsh path shifts the matrix in place for LAPACK's solve, which copies
-it, and restores it too.
-`top_eigen_nonneg_sym` solves a copy of its input unless told to
-overwrite it, as `estimate_constant` does with its own kernel.
+Kernels are built a block of rows at a time. Every solve works in the
+matrix it solves and restores it bit for bit: a Perron solve writes its
+factor over the entries left of its 32 x 32 diagonal blocks, so it holds
+no n x n array besides the matrix, and the eigvalsh path shifts it for
+LAPACK's solve, which copies it. `top_eigen_nonneg_sym` solves a copy of
+its input unless told to overwrite it, as `estimate_constant` does with
+its own kernel.
 """
 from __future__ import annotations
 
@@ -126,10 +124,11 @@ def _fold(rows, n: int, sign: float) -> np.ndarray | None:
     entry s only for odd n, split R^n orthogonally; their orthonormal
     coordinates are (sqrt(2) u, s) and sqrt(2) u. With k = n // 2 the even
     block E = M11 + M12 J maps even coordinates to coordinates of the same
-    parity when sign = 1 and to odd ones when sign = -1 (the odd block
-    M11 - M12 J is `_odd_block`). For odd n the centre column, scaled by
-    sqrt(2), joins E, and for sign = 1 so do the centre row, scaled by
-    sqrt(2), and the centre entry.
+    parity when sign = 1 and to odd ones when sign = -1. For odd n the
+    centre column, scaled by sqrt(2), joins E, and for sign = 1 so do the
+    centre row, scaled by sqrt(2), and the centre entry. A nonnegative M
+    with sign = 1 has its top eigenvalue in E: for a Perron vector v, Jv is
+    one too, and v + Jv is an even one.
 
     The rows of the upper half are read ROW_BLOCK at a time, each block
     next to the mirror rows it is compared with, and written into E, so a
@@ -158,22 +157,12 @@ def _fold(rows, n: int, sign: float) -> np.ndarray | None:
     return fold
 
 
-def _odd_block(matrix: np.ndarray) -> np.ndarray:
-    """The odd block M11 - M12 J of a matrix with J M J = M (`_fold`),
-    which maps odd coordinates to odd ones."""
-    k = len(matrix) // 2
-    with np.errstate(over="ignore"):    # an overflow fails the certificate
-        return matrix[:k, :k] - matrix[:k, ::-1][:, :k]
-
-
-def _reflection_lift(y: np.ndarray, n: int, even: bool) -> np.ndarray:
-    """The length-n vector with even (or odd) coordinates y; the inverse
-    of the coordinates in `_fold`, so norms are kept."""
+def _reflection_lift(y: np.ndarray, n: int) -> np.ndarray:
+    """The even length-n vector with coordinates y; the inverse of the
+    coordinates in `_fold`, so norms are kept."""
     k = n // 2
     half = y[:k] / SQRT2
-    if even:
-        return np.concatenate((half, y[k:], half[::-1]))
-    return np.concatenate((half, np.zeros(n % 2), -half[::-1]))
+    return np.concatenate((half, y[k:], half[::-1]))
 
 
 def _unit(magnitude: float) -> float:
@@ -209,38 +198,39 @@ def _certify(product: np.ndarray, value: float, v: np.ndarray) -> None:
 
 
 @contextmanager
-def _shifted(matrix: np.ndarray, shift: float, exact: bool):
+def _shifted(matrix: np.ndarray, shift: float):
     """Overwrite a square matrix with shift * I - M for the body of the
-    block, and yield the array to hand np.linalg.solve: the F-contiguous
-    view when M == M^T exactly, which solve copies without a strided
-    transpose, to the same values. Negation is exact and the diagonal is
-    kept, so the matrix is restored bit for bit on leaving, an exception
-    included."""
+    block, and yield the array to hand np.linalg.solve: its F-contiguous
+    transpose, which solve copies without a strided transpose and which
+    has the same values, as M == M^T exactly. Negation is exact and the
+    diagonal is kept, so the matrix is restored bit for bit on leaving, an
+    exception included."""
     diagonal = matrix.diagonal().copy()
     np.negative(matrix, out=matrix)
     try:
         matrix.flat[:: len(matrix) + 1] += shift
-        yield matrix.T if exact else matrix
+        yield matrix.T
     finally:
         np.negative(matrix, out=matrix)
         matrix.flat[:: len(matrix) + 1] = diagonal
 
 
-def _inverse_iteration(matrix: np.ndarray, value: float, scale: float, exact: bool) -> np.ndarray:
+def _inverse_iteration(matrix: np.ndarray, value: float, scale: float,
+                       v: np.ndarray | None = None) -> np.ndarray:
     """Two steps of inverse iteration (Wielandt) on sigma*I - M from the
-    normalized ones vector, with the shift sigma just above the value.
-    The shift is made in `matrix` and undone (`_shifted`).
+    unit vector v, the normalized ones vector by default, with the shift
+    sigma just above the value, made in `matrix` and undone (`_shifted`).
 
     The shift is summed, and each iterate, which grows as 1 / (sigma -
     value), normalized, in the unit (`_unit`) of max |M| = `scale`: near
     the largest floats the sum |value| + scale would overflow, and the
     sum of squares of an iterate would under- or overflow."""
-    n = matrix.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n))
+    if v is None:
+        v = np.full(matrix.shape[0], 1.0 / np.sqrt(matrix.shape[0]))
     unit = _unit(scale)
     shift = (value * unit + 1e-14 * (abs(value) * unit + scale * unit)) / unit
     # a shift or solve that overflows gives NaN, which the certificate fails
-    with np.errstate(all="ignore"), _shifted(matrix, shift, exact) as system:
+    with np.errstate(all="ignore"), _shifted(matrix, shift) as system:
         for _ in range(2):
             v = np.linalg.solve(system, v) / unit
             v /= np.linalg.norm(v)
@@ -341,7 +331,7 @@ def _bracket(product: np.ndarray, v: np.ndarray) -> float:
     return float(ratios.max() - ratios.min())
 
 
-def _inverse_steps(matrix: np.ndarray, shift: float, v: np.ndarray, exact: bool) -> np.ndarray:
+def _inverse_steps(matrix: np.ndarray, shift: float, v: np.ndarray) -> np.ndarray:
     """Inverse iteration at the fixed shift (Parlett, The Symmetric
     Eigenvalue Problem, ch. 4) from v, on one factorization of shift * I -
     M made in `matrix` itself (`_factor`). Steps run while each one at
@@ -351,15 +341,13 @@ def _inverse_steps(matrix: np.ndarray, shift: float, v: np.ndarray, exact: bool)
     LinAlgError.
 
     The entries left of the diagonal blocks, where the factor is made, are
-    restored bit for bit before the call returns or raises: from the upper
-    triangle when `exact` says M == M^T bit for bit, else from a copy of
-    them taken first.
+    restored bit for bit from the upper triangle, as M == M^T exactly,
+    before the call returns or raises.
     """
     blocks = list(row_blocks(len(matrix)))
     # an iterate grows as 1 / (shift - lambda): in the unit of the shift
     # its sum of squares stays in range
     unit = _unit(shift)
-    saved = None if exact else [matrix[rows, :rows.start].copy() for rows in blocks]
     try:
         inverses = _factor(matrix, shift, blocks)
         narrowest = np.inf
@@ -371,14 +359,14 @@ def _inverse_steps(matrix: np.ndarray, shift: float, v: np.ndarray, exact: bool)
                 return v
             v, narrowest = x, width
     finally:
-        for k, rows in enumerate(blocks):
-            matrix[rows, :rows.start] = matrix[:rows.start, rows].T if saved is None else saved[k]
+        for rows in blocks:
+            matrix[rows, :rows.start] = matrix[:rows.start, rows].T
 
 
-def _perron_pair(matrix: np.ndarray, exact: bool = True) -> tuple[float, np.ndarray] | None:
+def _perron_pair(matrix: np.ndarray) -> tuple[float, np.ndarray] | None:
     """The top eigenvalue and positive unit eigenvector of a nonzero,
-    nonnegative, symmetric matrix, or None when they cannot be certified;
-    `exact` says the matrix equals its transpose bit for bit.
+    nonnegative matrix that equals its transpose bit for bit, or None when
+    they cannot be certified.
 
     The Lanczos Ritz pair (theta, v) sets the shift sigma = theta +
     max(2 ||Mv - theta v||, RESIDUAL_RTOL * theta). A Ritz value is at most
@@ -410,8 +398,7 @@ def _perron_pair(matrix: np.ndarray, exact: bool = True) -> tuple[float, np.ndar
         with np.errstate(all="ignore"):
             theta, v = _lanczos_ritz(matrix)
             residual = _scaled_norm(matrix @ v - theta * v, _unit(theta))
-            v = _inverse_steps(matrix, theta + max(2.0 * residual, RESIDUAL_RTOL * theta), v,
-                               exact)
+            v = _inverse_steps(matrix, theta + max(2.0 * residual, RESIDUAL_RTOL * theta), v)
             product = matrix @ v
             theta = float(v @ product)
             if not _bracket(product, v) <= RESIDUAL_RTOL * theta:
@@ -471,6 +458,15 @@ def _checked_scales(stack: np.ndarray, nonneg: bool) -> tuple[np.ndarray, np.nda
     return scales, exact
 
 
+def _lower_mirrored(matrix: np.ndarray) -> np.ndarray:
+    """A copy of a square matrix with its lower triangle mirrored into the
+    upper one, a row at a time, so no other n x n array is formed."""
+    copy = matrix.copy()
+    for i in range(len(copy) - 1):
+        copy[i, i + 1:] = matrix[i + 1:, i]
+    return copy
+
+
 def _top_eigen(stack: np.ndarray, vector: bool,
                nonneg: bool = False) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """Top eigenvalue of each square, finite, symmetric matrix in a (B, n, n)
@@ -478,43 +474,39 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     with `nonneg` the entries must also be nonnegative. The checks run on
     each matrix in turn, and the first that fails raises.
 
-    The method is chosen per matrix. The matrix solved is its even
-    reflection block `_fold` when the matrix has exact reflection symmetry
-    J M J = M, else the matrix itself. With `nonneg` set and at least
-    PERRON_MIN_N rows, it goes to `_perron_pair`: inverse iteration on one
-    Cholesky factorization of sigma I - M, with sigma above the top
-    eigenvalue, gives a Rayleigh quotient that agrees with eigvalsh within
-    1e-12 relative, certified top by the Collatz-Wielandt bracket, and the
-    positive vector comes with it. On a nonnegative matrix the Perron
-    vector is even, so the odd block is not built. When the factorization
-    fails (sigma is not above the top eigenvalue), the bracket does not
-    certify or any other step of that path fails, the matrix falls back to
-    the path of the smaller ones.
+    The matrix solved equals its transpose bit for bit: the member, or,
+    for one symmetric only within the tolerance, `_lower_mirrored`'s copy,
+    made only where a solve reads the whole matrix (a fold, the Perron
+    path, a vector). With `nonneg` and J M J = M it is then the even block
+    `_fold`, which holds the top eigenvalue; a signed matrix is solved
+    whole. A nonnegative matrix of PERRON_MIN_N rows or more goes to
+    `_perron_pair`, whose Rayleigh quotient agrees with eigvalsh within
+    1e-12 relative; when that gives None, it takes the path of the smaller
+    ones.
 
-    There the values are LAPACK's eigvalsh, so no eigenvectors are
-    formed, and each vector comes from `_inverse_iteration`. A mirrored
-    matrix is solved on its even block and its odd block `_odd_block`,
-    built only here: the larger of their top values is the value (the
-    even block wins a tie). The other matrices share one stacked
-    eigvalsh, which solves each as a lone call does.
+    There the values are LAPACK's eigvalsh: one call per even block and
+    one stacked call for the other members, which solves each as a lone
+    call does and reads its lower triangle, that of the matrix solved.
+    Each vector comes from `_inverse_iteration` from the ones vector. A
+    signed matrix can have a top eigenvector orthogonal to it, as an odd
+    one (J v = -v) of a matrix with J M J = M is, so a signed member whose
+    vector fails the certificate gets a second run from a ramp, which has
+    an odd part.
 
     A vector from a block is lifted back to length n, and every vector is
     returned only when the residual certificate ||Mv - value*v|| <=
-    RESIDUAL_RTOL * |value| holds on the full matrix. A zero matrix gives
-    0 and the normalized ones vector; a value that overflows raises
+    RESIDUAL_RTOL * |value| holds on the member. A zero matrix gives 0 and
+    the normalized ones vector; a value that overflows raises
     NoConvergence, with or without vectors.
 
-    The solves work in the matrix they solve, the member itself when it is
-    not folded, and restore it bit for bit before they return or raise:
-    the Perron path writes its factor over the strict lower triangle,
-    the eigvalsh path shifts the matrix for LAPACK's solve. `stack` must
-    be writable, and callers hand over an array of their own, so a Perron
-    solve holds no n x n array besides the stack and the blocks of a
-    folded member, and the eigvalsh path adds LAPACK's working copy of the
-    matrix solved. One compare of
-    each member's first row with its last row reversed, over the whole
-    stack, is a necessary condition for J M J = M, so `_fold` runs only
-    on the members that pass it.
+    The solves work in the matrix they solve and restore it bit for bit
+    before they return or raise: the Perron path writes its factor over
+    the strict lower triangle, the eigvalsh path shifts the matrix for
+    LAPACK's solve. `stack` must be writable, and callers hand over an
+    array of their own, so a Perron solve holds no n x n array besides the
+    stack and the blocks of a folded member. A compare of each member's
+    first column with its last row reversed, over the whole stack, picks
+    the members `_fold` runs on.
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise NotSymmetric(f"need a stack of square matrices, got shape {stack.shape}")
@@ -523,27 +515,26 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     count, n = stack.shape[:2]
     nonzero = [b for b, scale in enumerate(scales) if scale]
     values = np.zeros(count)
-    # row 0 of J M J is row n - 1 of M reversed
-    mirror = ((stack[:, 0, :] == stack[:, -1, ::-1]).all(axis=1).tolist() if n >= 2
+    # row 0 of J M J is row n - 1 of M reversed; column 0 is row 0 of the matrix solved
+    mirror = ((stack[:, :, 0] == stack[:, -1, ::-1]).all(axis=1).tolist() if nonneg and n >= 2
               else [False] * count)
-    # member -> (matrix solved, parity of its block or None, vector or None)
+    # member -> (matrix solved, whether it is the even block, vector or None)
     solved, plain = {}, []
     try:
         for b in nonzero:
-            fold = _fold(stack[b].__getitem__, n, 1.0) if mirror[b] else None
-            matrix = stack[b] if fold is None else fold
-            pair = (_perron_pair(matrix, exact[b]) if nonneg and len(matrix) >= PERRON_MIN_N
-                    else None)
+            # every solve but the stacked eigvalsh, which reads the lower triangle, reads all of M
+            whole = vector or mirror[b] or nonneg and n >= PERRON_MIN_N
+            matrix = stack[b] if exact[b] or not whole else _lower_mirrored(stack[b])
+            fold = _fold(matrix.__getitem__, n, 1.0) if mirror[b] else None
+            matrix = matrix if fold is None else fold
+            pair = _perron_pair(matrix) if nonneg and len(matrix) >= PERRON_MIN_N else None
             if pair is not None:
                 values[b] = pair[0]
-                solved[b] = (matrix, None if fold is None else True, pair[1])
             elif fold is None:
                 plain.append(b)
             else:
-                odd = _odd_block(stack[b])
-                tops = [float(np.linalg.eigvalsh(block)[-1]) for block in (matrix, odd)]
-                values[b] = max(tops)
-                solved[b] = (matrix, True, None) if tops[0] >= tops[1] else (odd, False, None)
+                values[b] = np.linalg.eigvalsh(fold)[-1]
+            solved[b] = (matrix, fold is not None, None if pair is None else pair[1])
         if plain:
             # a slice, unlike an index list, takes the whole stack without a copy
             index = slice(None) if len(plain) == count else plain
@@ -554,13 +545,20 @@ def _top_eigen(stack: np.ndarray, vector: bool,
             return values, None
         vectors = [None if scale else np.full(n, 1.0 / np.sqrt(n)) for scale in scales]
         for b in nonzero:
-            matrix, even, v = solved.get(b, (stack[b], None, None))
+            matrix, folded, v = solved[b]
             value = float(values[b])
             if v is None:
-                v = _inverse_iteration(matrix, value, scales[b], exact[b])
-            if even is not None:
-                v = _reflection_lift(v, n, even)
-            _certify(stack[b] @ v, value, v)
+                v = _inverse_iteration(matrix, value, scales[b])
+            if folded:
+                v = _reflection_lift(v, n)
+            try:
+                _certify(stack[b] @ v, value, v)
+            except NoConvergence:
+                if nonneg:
+                    raise
+                ramp = np.arange(1.0, n + 1)
+                v = _inverse_iteration(matrix, value, scales[b], ramp / np.linalg.norm(ramp))
+                _certify(stack[b] @ v, value, v)
             vectors[b] = v
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
@@ -572,25 +570,19 @@ def top_eigen_nonneg_sym(matrix, overwrite: bool = False) -> tuple[float, np.nda
 
     Requires a finite symmetric matrix with nonnegative entries; the
     returned vector is the Perron direction with residual ||Mv - v*val||
-    bounded by 1e-10 * val. When the matrix solved (its even reflection
-    block if it is mirror-symmetric) has at least PERRON_MIN_N rows, the
-    pair comes from inverse iteration on one in-place Cholesky
-    factorization of sigma I - M, sigma set just above the top eigenvalue
-    from a Lanczos Ritz pair, and the value is certified top by the
-    Collatz-Wielandt bracket, agreeing with eigvalsh within 1e-12
-    relative; that solve holds no n x n array besides the matrix. Smaller
-    matrices, and any whose factorization fails or whose bracket does not
-    certify, get eigvalsh and inverse iteration. Inverse iteration from a
-    positive start stays positive on such a matrix, so the absolute value
-    only clears the sign of entries that vanish to rounding. A matrix that
-    is not n x n with n >= 1 raises NotSymmetric.
+    bounded by 1e-10 * val, from `_top_eigen`: its even reflection block
+    when the matrix is mirror-symmetric, the Perron path from PERRON_MIN_N
+    rows on, eigvalsh and inverse iteration below, which stays positive
+    from a positive start, so the absolute value only clears the sign of
+    entries that vanish to rounding. A matrix that is not n x n with n >= 1
+    raises NotSymmetric.
 
     The solve runs on a private copy, so the caller's array, read-only or
-    not, is never written. With `overwrite`, a writable float64 matrix is
-    solved in place instead: it is overwritten in part and restored bit for
-    bit before the call returns or raises (`_top_eigen`), which saves the
-    copy for a caller that owns the matrix and does not read it during the
-    call.
+    not, is never written. With `overwrite`, a writable float64 matrix that
+    is exactly symmetric is solved in place instead: it is overwritten in
+    part and restored bit for bit before the call returns or raises
+    (`_top_eigen`), which saves the copy for a caller that owns the matrix
+    and does not read it during the call.
     """
     matrix = np.asarray(matrix, dtype=float) if overwrite else np.array(matrix, dtype=float)
     if matrix.ndim != 2 or not 0 < matrix.shape[0] == matrix.shape[1]:

@@ -96,24 +96,39 @@ def _gram(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.matmul(a.T, a, out=out)
 
 
+def _skew_gram(rows, n: int, whole) -> tuple[np.ndarray, bool]:
+    """The Gram whose top eigenvalue is mu^2 for the n x n skew H with
+    rows s = rows(s), and whether it is folded: when J H J = -H exactly,
+    as on a reflection-symmetric window, H maps even vectors to odd ones
+    by its even block C (`_fold`) and odd ones back by -C^T, so it is the
+    half-size C^T C; else H^T H, with H = whole(), called only then.
+
+    The Gram's buffer is allocated before C. C, allocated last, then lies
+    above the Gram in the heap, and once it is freed on return, LAPACK's
+    slightly larger working copy of the Gram in `_top_eigen` reuses its
+    memory; C allocated first leaves a hole that copy cannot use, and
+    three such arrays are resident at once.
+    """
+    size = n - n // 2
+    gram = np.empty((size, size))
+    half = _fold(rows, n, -1.0)
+    if half is None:
+        del gram    # the whole H has a whole-size Gram
+        return _gram(whole()), False
+    return _gram(half, out=gram), True
+
+
 def _top_grams(hs: list[SkewHilbertMatrix]) -> tuple[list[float], list[np.ndarray]]:
     """Top eigenvalue mu^2 of each H^T H and a certified unit eigenvector
-    for it.
-
-    When J H J = -H exactly, as on a reflection-symmetric window, H maps
-    even vectors to odd ones by its even block C (`_fold`) and odd vectors
-    back by -C^T. So mu^2 is the top eigenvalue of the half-size Gram
-    C^T C, and its vector, lifted to an even vector of length n, is
-    certified against H^T H, applied as two products with H.
+    for it, from the Gram `_skew_gram` gives. The vector of a folded Gram,
+    lifted to an even vector of length n, is certified against H^T H,
+    applied as two products with H.
 
     The Grams solved are grouped by size, and each group is one
     `_top_eigen` stack, which solves each member as a lone call does.
     """
-    folded, grams = [], []
-    for h in hs:
-        fold = _fold(h.entries.__getitem__, h.n, -1.0)
-        folded.append(fold is not None)
-        grams.append(_gram(h.entries if fold is None else fold))
+    solved = [_skew_gram(h.entries.__getitem__, h.n, lambda: h.entries) for h in hs]
+    grams, folded = [gram for gram, _ in solved], [fold for _, fold in solved]
     groups: dict[int, list[int]] = {}
     for i, gram in enumerate(grams):
         groups.setdefault(len(gram), []).append(i)
@@ -126,7 +141,7 @@ def _top_grams(hs: list[SkewHilbertMatrix]) -> tuple[list[float], list[np.ndarra
         for i, value, y in zip(members, top.tolist(), ys):
             if folded[i]:
                 h = hs[i]
-                y = _reflection_lift(y, h.n, even=True)
+                y = _reflection_lift(y, h.n)
                 _certify(h.entries.T @ (h.entries @ y), value, y)
             values[i], vectors[i] = value, y
     return values, vectors
@@ -137,27 +152,13 @@ def spectral_radius(seq: GapSequence, weights=None) -> float:
     eigenvalue of H^T H, with no eigenvectors formed; the value is bit for
     bit the mu of eigenpair_top(build_h(seq, weights)).
 
-    When J H J = -H exactly, mu^2 is the top eigenvalue of the half-size
-    Gram C^T C (`_top_grams`), and `_fold` builds C from rows of H made a
-    block at a time, so H is never held whole; otherwise H is built whole.
-
-    The Gram's buffer is allocated before C and filled by `_gram`. C,
-    allocated last, then lies above the Gram in the heap, and once it is
-    freed, LAPACK's slightly larger working copy of the Gram in `_top_eigen`
-    reuses its memory; C allocated first leaves a hole that copy cannot
-    use, and three such arrays are resident at once.
+    The Gram is `_skew_gram`'s. Its rows of H are made a block at a time,
+    so a folded H is never held whole; otherwise H is built whole.
     """
     c = _weights(seq, weights)
     lam = seq.active
-    size = lam.size - lam.size // 2
-    gram = np.empty((size, size))
-    half = _fold(lambda rows: kernel_rows(c, c, lam, 1, H_OVERFLOW, rows)[0], lam.size, -1.0)
-    if half is None:
-        del gram    # the whole H has a whole-size Gram
-        gram = _gram(pair_kernel(c, c, lam, 1, H_OVERFLOW))
-    else:
-        _gram(half, out=gram)
-    del half
+    gram = _skew_gram(lambda rows: kernel_rows(c, c, lam, 1, H_OVERFLOW, rows)[0], lam.size,
+                      lambda: pair_kernel(c, c, lam, 1, H_OVERFLOW))[0]
     value = float(_top_eigen(gram[None], False)[0][0])
     return math.sqrt(max(value, 0.0))
 

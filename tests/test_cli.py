@@ -96,6 +96,32 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: {flag} must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("argv", (["verify", "--suite", "spacing"],
+                                      ["constant", "--search", "--alpha", "0.5", "--n", "4"],
+                                      ["constant", "--config", "random", "--alpha", "0.5",
+                                       "--n", "4"]))
+    def test_negative_seed_is_rejected_before_the_run(self, capsys, argv):
+        # numpy's own "expected non-negative integer" did not name the flag
+        assert dispatch([*argv, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("config", ("uniform", "cluster", "trig"))
+    def test_negative_seed_is_ignored_where_nothing_draws(self, capsys, config):
+        # as before: these windows never read the seed, and params echo None
+        assert dispatch(["constant", "--config", config, "--alpha", "1", "--n", "4",
+                         "--seed", "-1"]) == 0
+        assert '"seed": null' in capsys.readouterr().out
+
+    def test_pole_point_prints_only_its_error_line(self):
+        # a subnormal offset once printed numpy's overflow warning first
+        proc = run_module("lower-bound", "--point", "3", "1e-310")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: sin(pi k A) vanished; A too close to a "
+                               "small-denominator rational\n")
+
     def test_solver_failure_is_reported_not_raised(self, capsys, monkeypatch):
         import hilbertlab.quadforms as quadforms
 

@@ -366,6 +366,15 @@ class TestArrayForm:
         with pytest.raises(CotangentPole):
             kappas(3, np.array([0.1, 1e-13, 0.2]))
 
+    @pytest.mark.parametrize("call", ((kappas, 5, 1e-320), (kappas, 1, 5e-324),
+                                      (big_g, 3, 1e-310)))
+    def test_subnormal_offset_is_a_pole(self, call):
+        # cos / sin overflows on a subnormal sine; under the test suite's
+        # error::RuntimeWarning a warning would escape instead
+        fn, k, a = call
+        with pytest.raises(CotangentPole):
+            fn(k, a)
+
     def test_scalar_input_gives_floats(self):
         for a in (0.14, np.float64(0.14), np.array(0.14)):
             pair = kappas(5, a)

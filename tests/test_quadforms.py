@@ -231,9 +231,9 @@ def centrosymmetric(n: int, rng, low: float = 0.0) -> np.ndarray:
     return a + a[::-1, ::-1]
 
 
-def lone_pair(m: np.ndarray) -> tuple[float, np.ndarray]:
+def lone_pair(m: np.ndarray, nonneg: bool) -> tuple[float, np.ndarray]:
     """The solver's value and vector for m as a one-member stack."""
-    values, vectors = _top_eigen(m[None], True)
+    values, vectors = _top_eigen(m[None], True, nonneg)
     return values[0], vectors[0]
 
 
@@ -245,78 +245,150 @@ def assert_top_pair(m: np.ndarray, value: float, vector: np.ndarray) -> None:
     assert np.linalg.norm(m @ vector - value * vector) <= RESIDUAL_RTOL * abs(value)
 
 
+def assert_whole_solve(m: np.ndarray, eigvalsh_sizes: list[int]) -> np.ndarray:
+    """A signed matrix is solved whole, with one full-size eigvalsh, and
+    its pair holds against the eigh oracle; returns the vector."""
+    value = _top_eigen(m[None], False)[0][0]
+    assert eigvalsh_sizes == [len(m)]
+    pair = lone_pair(m, False)
+    assert_top_pair(m, *pair)
+    assert pair[0] == value
+    return pair[1]
+
+
 class TestReflectionFold:
-    """Matrices with J M J = M are solved on their two half-size blocks."""
+    """Nonnegative matrices with J M J = M are solved on their even
+    half-size block, which holds the top eigenvalue; signed ones whole."""
 
     @pytest.mark.parametrize("n", range(1, 65))
     @pytest.mark.parametrize("low", (0.0, -1.0))
-    def test_against_eigh_oracle(self, n, low):
+    def test_against_eigh_oracle(self, n, low, eigvalsh_sizes):
         m = centrosymmetric(n, np.random.default_rng(3000 + n), low)
-        value, vector = lone_pair(m)
-        assert_top_pair(m, value, vector)
-        assert _top_eigen(m[None], False)[0][0] == value
-
-    @pytest.mark.parametrize("n", range(2, 65))
-    def test_odd_block_wins(self, n):
-        # -J has +1 on the odd vectors and -1 on the even ones; a
-        # perturbation of norm below 1/2 keeps the odd block on top
-        rng = np.random.default_rng(4000 + n)
-        m = -np.eye(n)[::-1] + centrosymmetric(n, rng, -1.0) / (8.0 * n)
-        value, vector = lone_pair(m)
-        assert_top_pair(m, value, vector)
-        assert np.array_equal(vector[::-1], -vector)
-
-    @pytest.mark.parametrize("n", range(2, 65, 2))
-    def test_tie_between_blocks_takes_even(self, n):
-        # diag(A, JAJ) has the same even and odd block A
-        k = n // 2
-        a = np.random.default_rng(5000 + n).uniform(-1.0, 1.0, (k, k))
-        a = a + a.T
-        m = np.zeros((n, n))
-        m[:k, :k] = a
-        m[k:, k:] = a[::-1, ::-1]
-        value, vector = lone_pair(m)
+        if low < 0.0:
+            assert_whole_solve(m, eigvalsh_sizes)
+            return
+        value, vector = lone_pair(m, True)
+        assert eigvalsh_sizes == [(n + 1) // 2]
         assert_top_pair(m, value, vector)
         assert np.array_equal(vector[::-1], vector)
+        assert _top_eigen(m[None], False, True)[0][0] == value
+
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_odd_block_wins(self, n, eigvalsh_sizes):
+        # -J has +1 on the odd vectors and -1 on the even ones; a
+        # perturbation of norm below 1/2 keeps an odd vector on top
+        rng = np.random.default_rng(4000 + n)
+        m = -np.eye(n)[::-1] + centrosymmetric(n, rng, -1.0) / (8.0 * n)
+        vector = assert_whole_solve(m, eigvalsh_sizes)
+        assert np.allclose(vector[::-1], -vector, rtol=0.0, atol=1e-10)
+
+    def test_odd_top_vector_is_found_from_the_ramp(self, calls):
+        # J M J = M with the odd top vector (1, -1) / sqrt(2): the ones start
+        # has no part along it, and the rerun from a ramp finds it
+        m = np.array([[0.0, -1.0], [-1.0, 0.0]])
+        runs = calls(quadforms, "_inverse_iteration")
+        value, vector = lone_pair(m, False)
+        assert_top_pair(m, value, vector)
+        assert [len(args) for args in runs] == [3, 4]
+
+    def test_certified_signed_vector_is_not_rerun(self, calls):
+        runs = calls(quadforms, "_inverse_iteration")
+        m = centrosymmetric(9, np.random.default_rng(1), -1.0)
+        assert_top_pair(m, *lone_pair(m, False))
+        assert [len(args) for args in runs] == [3]
+
+    @pytest.mark.parametrize("nonneg, reruns", ((True, 0), (False, 1)))
+    def test_failed_certificate_reruns_only_a_signed_member(self, monkeypatch, calls,
+                                                            nonneg, reruns):
+        # the ones start has a part along a Perron vector, which is
+        # nonnegative, so a nonnegative member that fails raises at once
+        def fail(product, value, v):
+            raise NoConvergence("residual")
+
+        monkeypatch.setattr(quadforms, "_certify", fail)
+        runs = calls(quadforms, "_inverse_iteration")
+        with pytest.raises(NoConvergence):
+            lone_pair(centrosymmetric(9, np.random.default_rng(1)), nonneg)
+        assert len(runs) == 1 + reruns
+
+    @pytest.mark.parametrize("n", range(2, 65, 2))
+    def test_tie_between_blocks_takes_even(self, n, eigvalsh_sizes):
+        # diag(A, JAJ) has the same even and odd block A: nonnegative, it is
+        # solved on the even block and gets an even vector; signed, whole
+        k = n // 2
+        for low in (0.0, -1.0):
+            a = np.random.default_rng(5000 + n).uniform(low, 1.0, (k, k))
+            a = a + a.T
+            m = np.zeros((n, n))
+            m[:k, :k] = a
+            m[k:, k:] = a[::-1, ::-1]
+            eigvalsh_sizes.clear()
+            if low < 0.0:
+                assert_whole_solve(m, eigvalsh_sizes)
+                continue
+            value, vector = lone_pair(m, True)
+            assert eigvalsh_sizes == [k]
+            assert_top_pair(m, value, vector)
+            assert np.array_equal(vector[::-1], vector)
 
     @pytest.mark.parametrize("n", (1, 2, 3, 8, 63, 64))
     def test_zero_matrix_keeps_start_vector(self, n):
-        value, vector = lone_pair(np.zeros((n, n)))
-        assert value == 0.0
-        assert np.array_equal(vector, np.full(n, 1.0 / np.sqrt(n)))
+        for nonneg in (False, True):
+            value, vector = lone_pair(np.zeros((n, n)), nonneg)
+            assert value == 0.0
+            assert np.array_equal(vector, np.full(n, 1.0 / np.sqrt(n)))
 
     @pytest.mark.parametrize("n", (10, 11))
     def test_lifted_pair_is_certified_on_full_matrix(self, monkeypatch, n):
-        # a wrong lift is caught by the certificate on the full matrix
+        # a wrong lift, (u, s, Ju) -> (u, s, -Ju), is caught by the
+        # certificate on the full matrix
         lift = quadforms._reflection_lift
-        monkeypatch.setattr(quadforms, "_reflection_lift",
-                            lambda y, size, even: lift(y, size, not even))
+
+        def wrong_lift(y, size):
+            v = lift(y, size)
+            v[size - size // 2:] *= -1.0
+            return v
+
+        monkeypatch.setattr(quadforms, "_reflection_lift", wrong_lift)
         with pytest.raises(NoConvergence):
-            lone_pair(centrosymmetric(n, np.random.default_rng(1)))
+            lone_pair(centrosymmetric(n, np.random.default_rng(1)), True)
 
     def test_fold_fires_on_uniform_window(self, eigvalsh_sizes):
         estimate_constant(1.0, generate_uniform(200, 1.0))
-        assert eigvalsh_sizes == [100, 100]
+        assert eigvalsh_sizes == [100]
         eigvalsh_sizes.clear()
         estimate_constant(1.0, generate_uniform(201, 1.0))
-        assert eigvalsh_sizes == [101, 100]
+        assert eigvalsh_sizes == [101]
 
     def test_fold_does_not_fire_on_random_window(self, eigvalsh_sizes):
         estimate_constant(1.0, generate_random(200, 0.5, 1))
         assert eigvalsh_sizes == [200]
 
-    def test_odd_block_is_built_only_for_eigvalsh(self, calls):
-        folds, odd = calls(quadforms, "_fold"), calls(quadforms, "_odd_block")
-        estimate_constant(1.0, generate_uniform(200, 1.0))
-        assert (len(folds), len(odd)) == (1, 1)
+    def test_mirrored_member_makes_one_half_size_eigvalsh(self, calls, eigvalsh_sizes,
+                                                          solve_sizes):
+        # below PERRON_MIN_N rows the even block is solved by one eigvalsh
+        # and two inverse-iteration solves, with or without a vector
+        folds = calls(quadforms, "_fold")
+        for n in (2, 3, 8, 9, 200, 201, 510):
+            half = (n + 1) // 2
+            assert half < quadforms.PERRON_MIN_N
+            m = centrosymmetric(n, np.random.default_rng(n))
+            for vector in (False, True):
+                folds.clear()
+                eigvalsh_sizes.clear()
+                solve_sizes.clear()
+                _top_eigen(m[None].copy(), vector, nonneg=True)
+                assert len(folds) == 1
+                assert eigvalsh_sizes == [half]
+                assert solve_sizes == ([half, half] if vector else [])
+        # an even block of 300 rows goes to the Perron path
         folds.clear()
-        odd.clear()
-        # an even block of 300 rows goes to the Perron path, which never reads the odd one
+        eigvalsh_sizes.clear()
         estimate_constant(1.0, generate_uniform(600, 1.0))
-        assert (len(folds), len(odd)) == (1, 0)
+        assert (len(folds), eigvalsh_sizes) == (1, [])
 
     def test_folded_estimate_holds_a_quarter_kernel_besides_its_own(self, traced_peak):
-        # building the unread odd block as well peaked at 1.53 kernels
+        # building the odd block as well peaked at 1.53 kernels
         n = 2000
         seq = generate_uniform(n, 1.0)
         assert traced_peak(lambda: estimate_constant(0.5, seq)) <= 1.3 * 8 * n * n
@@ -330,7 +402,7 @@ class TestReflectionFold:
         # the zero member is not solved; the random ones fail the first-row compare
         assert [args[1] for args in folds] == [9, 9]
         for member, value, vector in zip(stack, values, vectors):
-            lone = lone_pair(member)
+            lone = lone_pair(member, True)
             assert value == lone[0] and np.array_equal(vector, lone[1])
 
     def test_first_row_compare_is_the_precheck(self, calls):
@@ -349,7 +421,7 @@ class TestReflectionFold:
         assert [next(i for i, m in enumerate(stack) if np.array_equal(args[0](slice(None)), m))
                 for args in folds] == [1, 2]
         for member, value, vector in zip(stack, values, vectors):
-            lone = lone_pair(member)
+            lone = lone_pair(member, True)
             assert value == lone[0] and np.array_equal(vector, lone[1])
 
 
@@ -371,7 +443,7 @@ class TestStackedValues:
         assert np.array_equal(_top_eigen(stack, False, nonneg=True)[0], values)
         assert values.shape == (len(stack),) and len(vectors) == len(stack)
         for member, value, vector in zip(stack, values, vectors):
-            lone = lone_pair(member)
+            lone = lone_pair(member, True)
             assert value == lone[0]
             assert np.array_equal(vector, lone[1])
 
@@ -518,7 +590,7 @@ class TestPerronPath:
             if solved >= quadforms.PERRON_MIN_N:
                 assert eigvalsh_sizes == []
             else:
-                assert eigvalsh_sizes == [solved, n - solved]
+                assert eigvalsh_sizes == [solved]
             oracle = float(np.linalg.eigvalsh(m)[-1])
             assert abs(est.value - oracle) <= 1e-12 * oracle
             assert_certified_witness(m, est.value, est.witness.values)
@@ -548,9 +620,9 @@ class TestPerronPath:
             value, vector = quadforms._perron_pair(np.ones((300, 300)))
             assert value == pytest.approx(300.0, rel=1e-14)
             assert np.allclose(vector, 1.0 / np.sqrt(300.0), rtol=1e-14, atol=0.0)
-            # mirrored, so 300 rows fold to eigvalsh blocks and 600 to a Perron block
+            # mirrored, so 300 rows fold to an eigvalsh block and 600 to a Perron block
             assert top_eigen_nonneg_sym(np.ones((300, 300)))[0] == pytest.approx(300.0, rel=1e-14)
-            assert eigvalsh_sizes == [150, 150]
+            assert eigvalsh_sizes == [150]
             eigvalsh_sizes.clear()
             value, vector = top_eigen_nonneg_sym(np.ones((600, 600)))
         assert eigvalsh_sizes == []
@@ -623,7 +695,7 @@ class TestPerronPath:
     def test_threshold_applies_to_the_even_block(self, eigvalsh_sizes):
         # mirrored windows of 510 and 511 nodes have even blocks of 255 and 256
         estimate_constant(1.0, generate_uniform(510, 1.0))
-        assert eigvalsh_sizes == [255, 255]
+        assert eigvalsh_sizes == [255]
         eigvalsh_sizes.clear()
         estimate_constant(1.0, generate_uniform(511, 1.0))
         assert eigvalsh_sizes == []
@@ -788,7 +860,7 @@ class TestInPlaceShift:
         assert_same_bits(stack[0], m)
 
     @pytest.mark.parametrize("lower, upper", ((None, None), (-0.0, 0.0)))
-    def test_nearly_symmetric_matrix_is_restored_from_a_copy(self, lower, upper, eigvalsh_sizes):
+    def test_nearly_symmetric_matrix_is_solved_as_a_copy(self, lower, upper, eigvalsh_sizes):
         # the lower entry lies left of its diagonal block, where the factor is
         # made, and differs from its upper mirror: by 1e-13 relative, or as a
         # negative zero against a zero, which compare equal
@@ -803,6 +875,54 @@ class TestInPlaceShift:
         assert_same_bits(stack[0], m)
         assert abs(values[0] - np.linalg.eigvalsh(m)[-1]) <= 1e-12 * values[0]
         assert_certified_witness(m, values[0], vectors[0])
+        # the copy solved is the lower triangle mirrored into the upper one
+        lower_copy = top_eigen_nonneg_sym(np.tril(m) + np.tril(m, -1).T)
+        for overwrite in (False, True):
+            assert top_eigen_nonneg_sym(stack[0], overwrite=overwrite)[0] == lower_copy[0]
+            assert_same_bits(stack[0], m)
+
+    @pytest.mark.parametrize("n", (9, 200))
+    def test_copy_of_a_nearly_symmetric_member_folds(self, n, eigvalsh_sizes):
+        # an upper entry of row 0 moved by 1e-13 relative: the copy, built
+        # from the lower triangle, is the mirrored matrix itself
+        m = centrosymmetric(n, np.random.default_rng(27))
+        value, vector = top_eigen_nonneg_sym(m)
+        eigvalsh_sizes.clear()
+        near = m.copy()
+        near[0, 5] *= 1.0 + 1e-13
+        before = near.copy()
+        for overwrite in (False, True):
+            got = top_eigen_nonneg_sym(near, overwrite=overwrite)
+            assert got[0] == value
+            assert_same_bits(got[1], vector)
+            assert_same_bits(near, before)
+        assert eigvalsh_sizes == [(n + 1) // 2] * 2
+
+    @pytest.mark.parametrize("nonneg", (False, True))
+    def test_copy_is_made_only_where_the_whole_matrix_is_read(self, calls, nonneg):
+        # the stacked eigvalsh reads the member's lower triangle, which is the
+        # copy's; a vector, a fold or the Perron path reads the copy
+        copies = calls(quadforms, "_lower_mirrored")
+        m = np.random.default_rng(5).uniform(0.0, 1.0, (9, 9))
+        m = m + m.T
+        m[0, 5] *= 1.0 + 1e-13
+        _top_eigen(m[None].copy(), False, nonneg)
+        assert copies == []
+        lower = np.tril(m) + np.tril(m, -1).T
+        assert_top_pair(lower, *lone_pair(m, nonneg))
+        assert len(copies) == 1
+        copies.clear()
+        for member in (centrosymmetric(9, np.random.default_rng(5)),
+                       np.random.default_rng(5).uniform(0.0, 1.0, (600, 600))):
+            member = member + member.T
+            member[0, 5] *= 1.0 + 1e-13
+            _top_eigen(member[None], False, True)
+        assert len(copies) == 2
+
+    def test_lower_mirrored_copies_the_lower_triangle(self):
+        m = np.random.default_rng(6).normal(size=(70, 70))
+        m[3, 1] = -0.0
+        assert_same_bits(quadforms._lower_mirrored(m), np.where(np.tri(70, dtype=bool), m, m.T))
 
     @pytest.mark.parametrize("scale", (1e150, 1e300))
     def test_huge_entries_certify_or_fall_back(self, scale):
@@ -850,7 +970,10 @@ class TestInPlaceShift:
 
     def test_solve_takes_the_transpose_only_of_an_exactly_symmetric_matrix(self, monkeypatch):
         # an F-contiguous system is the transpose of the C-contiguous shift;
-        # below PERRON_MIN_N rows inverse iteration solves with np.linalg.solve
+        # below PERRON_MIN_N rows inverse iteration solves with np.linalg.solve.
+        # A matrix symmetric within the tolerance only is solved as an exactly
+        # symmetric copy, so it too hands solve the transpose, and it is left
+        # as it was even when it may be overwritten
         layouts = []
         solve = np.linalg.solve
 
@@ -864,8 +987,11 @@ class TestInPlaceShift:
         assert layouts and all(layouts)
         layouts.clear()
         m[0, 5] *= 1.0 + 1e-13     # symmetric within the tolerance only
-        top_eigen_nonneg_sym(m)
-        assert layouts and not any(layouts)
+        before = m.copy()
+        value = top_eigen_nonneg_sym(m, overwrite=True)[0]
+        assert layouts and all(layouts)
+        assert_same_bits(m, before)
+        assert value == top_eigen_nonneg_sym(np.tril(m) + np.tril(m, -1).T)[0]
 
     def test_estimate_constant_holds_about_one_kernel(self, traced_peak):
         # the whole-matrix assembly peaked at 2.125 kernels; LAPACK's copy is not traced

@@ -290,24 +290,19 @@ def mirrored(matrix, sign):
     return len(matrix) >= 2 and np.array_equal(matrix[::-1, ::-1], sign * matrix)
 
 
-def reflection_block(matrix, sign, first):
-    """The even (`first`) or odd half-size block of a matrix with
-    J M J = sign * M, sliced from the whole matrix: M11 + M12 J or
-    M11 - M12 J, k = n // 2. For odd n the centre column, scaled by
-    sqrt(2), joins the even block, and the centre row, scaled by sqrt(2),
-    joins the block that maps into even coordinates; for sign = 1 that is
-    the even block, which also takes the centre entry."""
+def reflection_block(matrix, sign):
+    """The even half-size block M11 + M12 J, k = n // 2, of a matrix with
+    J M J = sign * M, sliced from the whole matrix. For odd n the centre
+    column, scaled by sqrt(2), joins it, and for sign = 1 so do the centre
+    row, scaled by sqrt(2), and the centre entry."""
     n = matrix.shape[0]
     k = n // 2
-    m11, m12j = matrix[:k, :k], matrix[:k, ::-1][:, :k]
-    block = m11 + m12j if first else m11 - m12j
+    block = matrix[:k, :k] + matrix[:k, ::-1][:, :k]
     if n % 2:
-        if first:
-            block = np.hstack((block, quadforms.SQRT2 * matrix[:k, k:k + 1]))
-        if first == (sign > 0):
+        block = np.hstack((block, quadforms.SQRT2 * matrix[:k, k:k + 1]))
+        if sign > 0:
             centre_row = quadforms.SQRT2 * matrix[k:k + 1, :k]
-            block = np.vstack((block, np.append(centre_row, matrix[k, k]) if first
-                               else centre_row))
+            block = np.vstack((block, np.append(centre_row, matrix[k, k])))
     return block
 
 
@@ -316,7 +311,7 @@ def radius_from_whole_h(seq, weights=None):
     fold block on the whole matrix, then the Gram's top eigenvalue."""
     entries = build_h(seq, weights).entries
     folded = mirrored(entries, -1.0)
-    gram = spectra._gram(reflection_block(entries, -1.0, True) if folded else entries)
+    gram = spectra._gram(reflection_block(entries, -1.0) if folded else entries)
     return math.sqrt(max(float(quadforms._top_eigen(gram[None], False)[0][0]), 0.0))
 
 
@@ -351,11 +346,8 @@ class TestOneFold:
                     assert fold is None
                     continue
                 assert mirrored(m, sign)
-                want = reflection_block(m, sign, True)
+                want = reflection_block(m, sign)
                 assert fold.shape == want.shape and fold.tobytes() == want.tobytes()
-                if sign > 0:
-                    assert quadforms._odd_block(m).tobytes() == \
-                        reflection_block(m, sign, False).tobytes()
 
     @pytest.mark.parametrize("n", FOLD_SIZES)
     def test_streamed_rows_give_the_bytes_of_built_h(self, n):
@@ -594,12 +586,30 @@ class TestReflectionFold:
 
     @pytest.mark.parametrize("n", (12, 13))
     def test_lifted_pair_is_certified_on_full_matrix(self, monkeypatch, n):
-        # a wrong lift passes the half-size certificate but not the full one
+        # a wrong lift, (u, s, Ju) -> (u, s, -Ju), passes the half-size
+        # certificate but not the full one
         lift = spectra._reflection_lift
-        monkeypatch.setattr(spectra, "_reflection_lift",
-                            lambda y, size, even: lift(y, size, not even))
+
+        def wrong_lift(y, size):
+            v = lift(y, size)
+            v[size - size // 2:] *= -1.0
+            return v
+
+        monkeypatch.setattr(spectra, "_reflection_lift", wrong_lift)
         with pytest.raises(NoConvergence):
             eigenpair_top(build_h(generate_uniform(n, 1.0)))
+
+    @pytest.mark.parametrize("seq", (generate_uniform(40, 1.0), generate_uniform(41, 0.7),
+                                     MIRRORED[4], generate_random(40, 0.3, 7)))
+    def test_radius_and_pair_share_one_gram(self, calls, seq):
+        # each builds its Gram with the one helper, folded or whole alike
+        grams = calls(spectra, "_skew_gram")
+        for weights in (None, np.ones(seq.n)):
+            grams.clear()
+            rho = spectral_radius(seq, weights)
+            mu = eigenpair_top(build_h(seq, weights)).mu
+            assert rho == mu
+            assert [args[1] for args in grams] == [seq.n, seq.n]
 
 
 class TestSelbergIdentity:
