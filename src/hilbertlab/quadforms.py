@@ -17,26 +17,26 @@ as that block holds its top eigenvalue, else the whole kernel. `_fold` is
 the one builder of that half-size block, for the kernels here (J M J = M)
 and for spectra's skew H (J H J = -H). Every matrix solved equals its
 transpose bit for bit: one that is symmetric only within the tolerance is
-solved as a copy of its lower triangle, mirrored. From
+solved as a copy of its lower triangle, mirrored, or by LAPACK, which
+reads only that triangle. From
 PERRON_MIN_N = 256 rows on, a nonnegative matrix gets its Perron pair from
 Lanczos steps and inverse iteration on one Cholesky factorization of
 sigma I - M made in the matrix itself, certified top by the
 Collatz-Wielandt bracket; these values are Rayleigh quotients that agree
 with LAPACK's eigvalsh within 1e-12 relative. Smaller and signed
-matrices, and any that path fails on, get eigvalsh.
+matrices, and any that path fails on, get their values from eigvalsh and
+their vectors from eigh.
 
-Kernels are built a block of rows at a time. Every solve works in the
-matrix it solves and restores it bit for bit: a Perron solve writes its
-factor over the entries left of its 32 x 32 diagonal blocks, so it holds
-no n x n array besides the matrix, and the eigvalsh path shifts it for
-LAPACK's solve, which copies it. `top_eigen_nonneg_sym` solves a copy of
-its input unless told to overwrite it, as `estimate_constant` does with
-its own kernel.
+Kernels are built a block of rows at a time. A Perron solve writes its
+factor over the entries left of its 32 x 32 diagonal blocks of the matrix
+it solves and restores them bit for bit, so it holds no n x n array
+besides the matrix. `top_eigen_nonneg_sym` solves a copy of its input
+unless told to overwrite it, as `estimate_constant` does with its own
+kernel.
 """
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,46 +195,6 @@ def _certify(product: np.ndarray, value: float, v: np.ndarray) -> None:
     residual = _scaled_norm(product - value * v, _unit(abs(value)))
     if not residual <= RESIDUAL_RTOL * max(abs(value), 1e-300):
         raise NoConvergence(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:g}*|value|")
-
-
-@contextmanager
-def _shifted(matrix: np.ndarray, shift: float):
-    """Overwrite a square matrix with shift * I - M for the body of the
-    block, and yield the array to hand np.linalg.solve: its F-contiguous
-    transpose, which solve copies without a strided transpose and which
-    has the same values, as M == M^T exactly. Negation is exact and the
-    diagonal is kept, so the matrix is restored bit for bit on leaving, an
-    exception included."""
-    diagonal = matrix.diagonal().copy()
-    np.negative(matrix, out=matrix)
-    try:
-        matrix.flat[:: len(matrix) + 1] += shift
-        yield matrix.T
-    finally:
-        np.negative(matrix, out=matrix)
-        matrix.flat[:: len(matrix) + 1] = diagonal
-
-
-def _inverse_iteration(matrix: np.ndarray, value: float, scale: float,
-                       v: np.ndarray | None = None) -> np.ndarray:
-    """Two steps of inverse iteration (Wielandt) on sigma*I - M from the
-    unit vector v, the normalized ones vector by default, with the shift
-    sigma just above the value, made in `matrix` and undone (`_shifted`).
-
-    The shift is summed, and each iterate, which grows as 1 / (sigma -
-    value), normalized, in the unit (`_unit`) of max |M| = `scale`: near
-    the largest floats the sum |value| + scale would overflow, and the
-    sum of squares of an iterate would under- or overflow."""
-    if v is None:
-        v = np.full(matrix.shape[0], 1.0 / np.sqrt(matrix.shape[0]))
-    unit = _unit(scale)
-    shift = (value * unit + 1e-14 * (abs(value) * unit + scale * unit)) / unit
-    # a shift or solve that overflows gives NaN, which the certificate fails
-    with np.errstate(all="ignore"), _shifted(matrix, shift) as system:
-        for _ in range(2):
-            v = np.linalg.solve(system, v) / unit
-            v /= np.linalg.norm(v)
-    return v
 
 
 def _lanczos_ritz(matrix: np.ndarray) -> tuple[float, np.ndarray]:
@@ -477,36 +437,31 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     The matrix solved equals its transpose bit for bit: the member, or,
     for one symmetric only within the tolerance, `_lower_mirrored`'s copy,
     made only where a solve reads the whole matrix (a fold, the Perron
-    path, a vector). With `nonneg` and J M J = M it is then the even block
-    `_fold`, which holds the top eigenvalue; a signed matrix is solved
-    whole. A nonnegative matrix of PERRON_MIN_N rows or more goes to
-    `_perron_pair`, whose Rayleigh quotient agrees with eigvalsh within
-    1e-12 relative; when that gives None, it takes the path of the smaller
-    ones.
+    path). With `nonneg` and J M J = M it is then the even block `_fold`,
+    which holds the top eigenvalue; a signed matrix is solved whole. A
+    nonnegative matrix of PERRON_MIN_N rows or more goes to `_perron_pair`,
+    whose Rayleigh quotient agrees with eigvalsh within 1e-12 relative;
+    when that gives None, it takes the path of the smaller ones.
 
-    There the values are LAPACK's eigvalsh: one call per even block and
-    one stacked call for the other members, which solves each as a lone
-    call does and reads its lower triangle, that of the matrix solved.
-    Each vector comes from `_inverse_iteration` from the ones vector. A
-    signed matrix can have a top eigenvector orthogonal to it, as an odd
-    one (J v = -v) of a matrix with J M J = M is, so a signed member whose
-    vector fails the certificate gets a second run from a ramp, which has
-    an odd part.
-
-    A vector from a block is lifted back to length n, and every vector is
+    There the values are LAPACK's eigvalsh and the vectors LAPACK's eigh:
+    one call each per even block and one stacked call each for the other
+    members, which solves each as a lone call does and reads its lower
+    triangle, that of the matrix solved. The vector of a block is lifted
+    back to length n. A vector's sign makes its sum nonnegative; with
+    `nonneg` its absolute value is taken, a top eigenvector too, as |v| has
+    a Rayleigh quotient of at least the spectral radius. Every vector is
     returned only when the residual certificate ||Mv - value*v|| <=
     RESIDUAL_RTOL * |value| holds on the member. A zero matrix gives 0 and
     the normalized ones vector; a value that overflows raises
     NoConvergence, with or without vectors.
 
-    The solves work in the matrix they solve and restore it bit for bit
-    before they return or raise: the Perron path writes its factor over
-    the strict lower triangle, the eigvalsh path shifts the matrix for
-    LAPACK's solve. `stack` must be writable, and callers hand over an
-    array of their own, so a Perron solve holds no n x n array besides the
-    stack and the blocks of a folded member. A compare of each member's
-    first column with its last row reversed, over the whole stack, picks
-    the members `_fold` runs on.
+    The Perron path writes its factor over the strict lower triangle of
+    the matrix it solves and restores it bit for bit before it returns or
+    raises. `stack` must be writable, and callers hand over an array of
+    their own, so a Perron solve holds no n x n array besides the stack and
+    the blocks of a folded member. A compare of each member's first column
+    with its last row reversed, over the whole stack, picks the members
+    `_fold` runs on.
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise NotSymmetric(f"need a stack of square matrices, got shape {stack.shape}")
@@ -518,12 +473,13 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     # row 0 of J M J is row n - 1 of M reversed; column 0 is row 0 of the matrix solved
     mirror = ((stack[:, :, 0] == stack[:, -1, ::-1]).all(axis=1).tolist() if nonneg and n >= 2
               else [False] * count)
-    # member -> (matrix solved, whether it is the even block, vector or None)
+    # member -> (its even block or None, its Perron vector or None)
     solved, plain = {}, []
     try:
         for b in nonzero:
-            # every solve but the stacked eigvalsh, which reads the lower triangle, reads all of M
-            whole = vector or mirror[b] or nonneg and n >= PERRON_MIN_N
+            # every solve but LAPACK's of a whole member, which reads its lower triangle,
+            # reads all of M
+            whole = mirror[b] or nonneg and n >= PERRON_MIN_N
             matrix = stack[b] if exact[b] or not whole else _lower_mirrored(stack[b])
             fold = _fold(matrix.__getitem__, n, 1.0) if mirror[b] else None
             matrix = matrix if fold is None else fold
@@ -534,31 +490,25 @@ def _top_eigen(stack: np.ndarray, vector: bool,
                 plain.append(b)
             else:
                 values[b] = np.linalg.eigvalsh(fold)[-1]
-            solved[b] = (matrix, fold is not None, None if pair is None else pair[1])
+            solved[b] = (fold, None if pair is None else pair[1])
         if plain:
             # a slice, unlike an index list, takes the whole stack without a copy
-            index = slice(None) if len(plain) == count else plain
-            values[index] = np.linalg.eigvalsh(stack[index])[:, -1]
+            members = stack[slice(None) if len(plain) == count else plain]
+            values[plain] = np.linalg.eigvalsh(members)[:, -1]
         if not np.isfinite(values).all():
             raise NoConvergence("a top eigenvalue overflows")
         if not vector:
             return values, None
+        tops = dict(zip(plain, np.linalg.eigh(members)[1][:, :, -1])) if plain else {}
         vectors = [None if scale else np.full(n, 1.0 / np.sqrt(n)) for scale in scales]
         for b in nonzero:
-            matrix, folded, v = solved[b]
-            value = float(values[b])
-            if v is None:
-                v = _inverse_iteration(matrix, value, scales[b])
-            if folded:
-                v = _reflection_lift(v, n)
-            try:
-                _certify(stack[b] @ v, value, v)
-            except NoConvergence:
-                if nonneg:
-                    raise
-                ramp = np.arange(1.0, n + 1)
-                v = _inverse_iteration(matrix, value, scales[b], ramp / np.linalg.norm(ramp))
-                _certify(stack[b] @ v, value, v)
+            fold, v = solved[b]
+            if fold is not None:
+                v = _reflection_lift(np.linalg.eigh(fold)[1][:, -1] if v is None else v, n)
+            elif v is None:
+                v = tops[b]
+            v = np.abs(v) if nonneg else v * (1.0 if v.sum() >= 0.0 else -1.0)
+            _certify(stack[b] @ v, float(values[b]), v)
             vectors[b] = v
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
@@ -569,13 +519,12 @@ def top_eigen_nonneg_sym(matrix, overwrite: bool = False) -> tuple[float, np.nda
     """Largest eigenvalue and a nonnegative unit eigenvector.
 
     Requires a finite symmetric matrix with nonnegative entries; the
-    returned vector is the Perron direction with residual ||Mv - v*val||
+    returned vector is a Perron direction with residual ||Mv - v*val||
     bounded by 1e-10 * val, from `_top_eigen`: its even reflection block
     when the matrix is mirror-symmetric, the Perron path from PERRON_MIN_N
-    rows on, eigvalsh and inverse iteration below, which stays positive
-    from a positive start, so the absolute value only clears the sign of
-    entries that vanish to rounding. A matrix that is not n x n with n >= 1
-    raises NotSymmetric.
+    rows on, eigvalsh and eigh below, with the absolute value of eigh's
+    vector certified. A matrix that is not n x n with n >= 1 raises
+    NotSymmetric.
 
     The solve runs on a private copy, so the caller's array, read-only or
     not, is never written. With `overwrite`, a writable float64 matrix that
@@ -588,7 +537,7 @@ def top_eigen_nonneg_sym(matrix, overwrite: bool = False) -> tuple[float, np.nda
     if matrix.ndim != 2 or not 0 < matrix.shape[0] == matrix.shape[1]:
         raise NotSymmetric(f"need a nonempty square matrix, got shape {matrix.shape}")
     values, vectors = _top_eigen(matrix[None], True, nonneg=True)
-    return float(values[0]), np.abs(vectors[0])
+    return float(values[0]), vectors[0]
 
 
 def estimate_constant(alpha: float, seq: GapSequence) -> ConstantEstimate:

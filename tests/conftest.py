@@ -7,40 +7,37 @@ import pytest
 from hilbertlab.quadforms import PERRON_MIN_N
 
 
-@pytest.fixture
-def eigvalsh_sizes(monkeypatch):
-    """The size of each matrix np.linalg.eigvalsh solves: a stack of B
-    matrices of size n records n, B times."""
+def _recorded_sizes(monkeypatch, name: str) -> list[int]:
+    """The size of each matrix np.linalg.<name> solves, for the test: a
+    stack of B matrices of size n records n, B times."""
     sizes = []
-    eigvalsh = np.linalg.eigvalsh
+    fn = getattr(np.linalg, name)
 
     def recording(matrix, *args, **kwargs):
         shape = np.shape(matrix)
         sizes.extend([shape[-1]] * math.prod(shape[:-2]))
-        return eigvalsh(matrix, *args, **kwargs)
+        return fn(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    monkeypatch.setattr(np.linalg, name, recording)
     return sizes
 
 
 @pytest.fixture
-def solve_sizes(monkeypatch):
-    """The size of each system np.linalg.solve factors, one LU each."""
-    sizes = []
-    solve = np.linalg.solve
+def eigvalsh_sizes(monkeypatch):
+    """The size of each matrix np.linalg.eigvalsh solves."""
+    return _recorded_sizes(monkeypatch, "eigvalsh")
 
-    def recording(a, b):
-        sizes.append(np.shape(a)[-1])
-        return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", recording)
-    return sizes
+@pytest.fixture
+def eigh_sizes(monkeypatch):
+    """The size of each matrix np.linalg.eigh solves."""
+    return _recorded_sizes(monkeypatch, "eigh")
 
 
 @pytest.fixture
 def cholesky_sizes(monkeypatch):
     """The size of each block np.linalg.cholesky factors. For the test,
-    np.linalg.solve, eigvalsh and cholesky each fail it when they receive
+    np.linalg.eigh, eigvalsh and cholesky each fail it when they receive
     a matrix of PERRON_MIN_N rows or more: a Perron solve factors its
     matrix in blocks and hands LAPACK no copy of it."""
     sizes = []
@@ -57,7 +54,7 @@ def cholesky_sizes(monkeypatch):
 
         return checking
 
-    for name in ("solve", "eigvalsh", "cholesky"):
+    for name in ("eigh", "eigvalsh", "cholesky"):
         monkeypatch.setattr(np.linalg, name, guarded(name))
     return sizes
 

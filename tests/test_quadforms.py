@@ -187,8 +187,8 @@ class TestTopEigen:
     @pytest.mark.parametrize("matrix", ([[0.0, 1e308], [1e308, 0.0]],
                                         [[1e308, 1e300], [1e300, 1e307]]))
     def test_largest_floats_certify(self, matrix):
-        # summed as they are, the shift value + 1e-14 (|value| + max |M|)
-        # overflows and the iterates' sums of squares underflow
+        # LAPACK scales such a matrix into range, and the certificate takes
+        # its residual norm in the unit of the value
         m = np.array(matrix)
         before = m.copy()
         value, vector = top_eigen_nonneg_sym(m, overwrite=True)
@@ -223,6 +223,38 @@ class TestTopEigen:
         assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
         assert np.linalg.norm(m @ vector - value * vector) <= RESIDUAL_RTOL * value
 
+    def test_repeated_top_eigenvalue_gets_a_nonnegative_vector(self, calls):
+        # a permuted diag(A, A) has a two-dimensional top eigenspace, from
+        # which eigh can return a vector with mixed signs; its absolute value
+        # is a top eigenvector too, and that is what is certified
+        certified = calls(quadforms, "_certify")
+        mixed = 0
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            a = random_nonneg_sym(6, rng)
+            m = np.zeros((12, 12))
+            m[:6, :6] = m[6:, 6:] = a
+            order = rng.permutation(12)
+            m = m[np.ix_(order, order)]
+            raw = np.linalg.eigh(m)[1][:, -1]
+            mixed += raw.min() < 0.0 < raw.max()
+            certified.clear()
+            value, vector = top_eigen_nonneg_sym(m)
+            assert len(certified) == 1 and certified[0][2].min() >= 0.0
+            assert vector.min() >= 0.0
+            assert np.linalg.norm(m @ vector - value * vector) <= RESIDUAL_RTOL * value
+        assert mixed
+
+    def test_certified_vectors_are_nonnegative(self, calls):
+        # plain, folded, zero and Perron-path members
+        certified = calls(quadforms, "_certify")
+        rng = np.random.default_rng(8)
+        _top_eigen(np.array([random_nonneg_sym(9, rng), centrosymmetric(9, rng),
+                             np.zeros((9, 9)), random_nonneg_sym(9, rng)]), True, nonneg=True)
+        _top_eigen(random_nonneg_sym(300, rng)[None], True, nonneg=True)
+        assert len(certified) == 4
+        assert all(args[2].min() >= 0.0 for args in certified)
+
 
 def centrosymmetric(n: int, rng, low: float = 0.0) -> np.ndarray:
     """A random symmetric matrix with M[::-1, ::-1] == M exactly."""
@@ -256,6 +288,12 @@ def assert_whole_solve(m: np.ndarray, eigvalsh_sizes: list[int]) -> np.ndarray:
     return pair[1]
 
 
+# signed matrices with J M J = M whose top eigenvector is odd
+ODD_TOP = (np.array([[0.0, -1.0], [-1.0, 0.0]]),
+           centrosymmetric(48, np.random.default_rng(3048), -1.0),
+           -np.eye(20)[::-1] + centrosymmetric(20, np.random.default_rng(4020), -1.0) / 160.0)
+
+
 class TestReflectionFold:
     """Nonnegative matrices with J M J = M are solved on their even
     half-size block, which holds the top eigenvalue; signed ones whole."""
@@ -282,34 +320,23 @@ class TestReflectionFold:
         vector = assert_whole_solve(m, eigvalsh_sizes)
         assert np.allclose(vector[::-1], -vector, rtol=0.0, atol=1e-10)
 
-    def test_odd_top_vector_is_found_from_the_ramp(self, calls):
-        # J M J = M with the odd top vector (1, -1) / sqrt(2): the ones start
-        # has no part along it, and the rerun from a ramp finds it
-        m = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        runs = calls(quadforms, "_inverse_iteration")
+    @pytest.mark.parametrize("m", ODD_TOP, ids=("n2", "n48", "n20"))
+    def test_odd_top_vector_certifies_in_one_eigh(self, monkeypatch, m, eigh_sizes):
+        # J M J = M with an odd top vector (J v = -v), which an iteration from
+        # the ones vector, an even one, finds only through rounding
         value, vector = lone_pair(m, False)
+        assert eigh_sizes == [len(m)]
         assert_top_pair(m, value, vector)
-        assert [len(args) for args in runs] == [3, 4]
-
-    def test_certified_signed_vector_is_not_rerun(self, calls):
-        runs = calls(quadforms, "_inverse_iteration")
-        m = centrosymmetric(9, np.random.default_rng(1), -1.0)
-        assert_top_pair(m, *lone_pair(m, False))
-        assert [len(args) for args in runs] == [3]
-
-    @pytest.mark.parametrize("nonneg, reruns", ((True, 0), (False, 1)))
-    def test_failed_certificate_reruns_only_a_signed_member(self, monkeypatch, calls,
-                                                            nonneg, reruns):
-        # the ones start has a part along a Perron vector, which is
-        # nonnegative, so a nonnegative member that fails raises at once
+        assert np.allclose(vector[::-1], -vector, rtol=0.0, atol=1e-10)
+        # a failed certificate raises at once: no second solve
         def fail(product, value, v):
             raise NoConvergence("residual")
 
         monkeypatch.setattr(quadforms, "_certify", fail)
-        runs = calls(quadforms, "_inverse_iteration")
+        eigh_sizes.clear()
         with pytest.raises(NoConvergence):
-            lone_pair(centrosymmetric(9, np.random.default_rng(1)), nonneg)
-        assert len(runs) == 1 + reruns
+            lone_pair(m, False)
+        assert eigh_sizes == [len(m)]
 
     @pytest.mark.parametrize("n", range(2, 65, 2))
     def test_tie_between_blocks_takes_even(self, n, eigvalsh_sizes):
@@ -340,13 +367,14 @@ class TestReflectionFold:
 
     @pytest.mark.parametrize("n", (10, 11))
     def test_lifted_pair_is_certified_on_full_matrix(self, monkeypatch, n):
-        # a wrong lift, (u, s, Ju) -> (u, s, -Ju), is caught by the
-        # certificate on the full matrix
+        # a wrong lift, (u, s, Ju) -> (u, s, u), is caught by the certificate
+        # on the full matrix; a sign-only one, (u, s, -Ju), is not wrong for
+        # a nonnegative member, whose vector's absolute value is certified
         lift = quadforms._reflection_lift
 
         def wrong_lift(y, size):
             v = lift(y, size)
-            v[size - size // 2:] *= -1.0
+            v[size - size // 2:] = v[:size // 2]
             return v
 
         monkeypatch.setattr(quadforms, "_reflection_lift", wrong_lift)
@@ -365,9 +393,9 @@ class TestReflectionFold:
         assert eigvalsh_sizes == [200]
 
     def test_mirrored_member_makes_one_half_size_eigvalsh(self, calls, eigvalsh_sizes,
-                                                          solve_sizes):
-        # below PERRON_MIN_N rows the even block is solved by one eigvalsh
-        # and two inverse-iteration solves, with or without a vector
+                                                          eigh_sizes):
+        # below PERRON_MIN_N rows the even block is solved by one eigvalsh,
+        # and by one eigh when a vector is asked for
         folds = calls(quadforms, "_fold")
         for n in (2, 3, 8, 9, 200, 201, 510):
             half = (n + 1) // 2
@@ -376,11 +404,11 @@ class TestReflectionFold:
             for vector in (False, True):
                 folds.clear()
                 eigvalsh_sizes.clear()
-                solve_sizes.clear()
+                eigh_sizes.clear()
                 _top_eigen(m[None].copy(), vector, nonneg=True)
                 assert len(folds) == 1
                 assert eigvalsh_sizes == [half]
-                assert solve_sizes == ([half, half] if vector else [])
+                assert eigh_sizes == ([half] if vector else [])
         # an even block of 300 rows goes to the Perron path
         folds.clear()
         eigvalsh_sizes.clear()
@@ -667,7 +695,7 @@ class TestPerronPath:
     @pytest.mark.parametrize("bad, error", ((-1.0, NegativeEntry), (np.nan, NonFinite),
                                             (np.inf, NonFinite)))
     def test_bad_entries_raise_before_any_solve(self, bad, error, eigvalsh_sizes,
-                                                solve_sizes):
+                                                eigh_sizes):
         m = random_nonneg_sym(300, np.random.default_rng(12))
         m[3, 7] = m[7, 3] = bad
         with pytest.raises(error):
@@ -676,7 +704,7 @@ class TestPerronPath:
         m[3, 7] += 1e-6
         with pytest.raises(NotSymmetric):
             top_eigen_nonneg_sym(m)
-        assert eigvalsh_sizes == [] and solve_sizes == []
+        assert eigvalsh_sizes == [] and eigh_sizes == []
 
     @pytest.mark.parametrize("seed", range(3))
     def test_large_window_skips_eigvalsh(self, seed, eigvalsh_sizes, cholesky_sizes):
@@ -687,10 +715,10 @@ class TestPerronPath:
         assert cholesky_sizes == block_sizes(600)
 
     @pytest.mark.parametrize("n", (200, 255))
-    def test_small_window_keeps_eigvalsh(self, n, eigvalsh_sizes, solve_sizes):
+    def test_small_window_keeps_eigvalsh(self, n, eigvalsh_sizes, eigh_sizes):
         estimate_constant(0.5, generate_random(n, 0.2, 1))
         assert eigvalsh_sizes == [n]
-        assert solve_sizes == [n, n]
+        assert eigh_sizes == [n]
 
     def test_threshold_applies_to_the_even_block(self, eigvalsh_sizes):
         # mirrored windows of 510 and 511 nodes have even blocks of 255 and 256
@@ -780,9 +808,9 @@ class TestRowBlockedKernels:
 
 
 class TestInPlaceShift:
-    """`_top_eigen` factors or shifts the matrix it solves in place and
-    restores it bit for bit; the public solver works on a copy of its input
-    unless told to overwrite it."""
+    """`_top_eigen` factors the shifted matrix it solves on the Perron path
+    in place and restores it bit for bit; the public solver works on a copy
+    of its input unless told to overwrite it."""
 
     def test_perron_path_restores_the_stack(self, eigvalsh_sizes, cholesky_sizes):
         stack = random_nonneg_sym(300, np.random.default_rng(21))[None]
@@ -793,7 +821,7 @@ class TestInPlaceShift:
         assert_same_bits(stack, before)
 
     def test_bracket_fallback_restores_the_stack(self, eigvalsh_sizes):
-        # reducible, so the bracket rejects and eigvalsh and inverse iteration run
+        # reducible, so the bracket rejects and eigvalsh and eigh run
         rng = np.random.default_rng(11)
         stack = np.zeros((1, 300, 300))
         stack[0, :140, :140] = random_nonneg_sym(140, rng)
@@ -820,8 +848,13 @@ class TestInPlaceShift:
 
             return factor
 
-        def singular(a, b):
-            raise np.linalg.LinAlgError("Singular matrix")
+        eigh = np.linalg.eigh
+
+        def failing_whole_eigh(a, *args, **kwargs):
+            # the Lanczos steps' tridiagonal eigh still runs
+            if np.shape(a)[-1] == len(before[0]):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cholesky",
                             failing_fifth_block(np.linalg.LinAlgError("not positive definite")))
@@ -834,10 +867,10 @@ class TestInPlaceShift:
         with pytest.raises(MemoryError):
             _top_eigen(stack, False, nonneg=True)
         assert_same_bits(stack, before)
-        # after the fallback, inverse iteration cannot recover, so the vector solve raises
+        # after the fallback, a failed eigh raises for the vector
         monkeypatch.setattr(np.linalg, "cholesky",
                             failing_fifth_block(np.linalg.LinAlgError("not positive definite")))
-        monkeypatch.setattr(np.linalg, "solve", singular)
+        monkeypatch.setattr(np.linalg, "eigh", failing_whole_eigh)
         with pytest.raises(NoConvergence):
             _top_eigen(stack, True, nonneg=True)
         assert_same_bits(stack, before)
@@ -900,8 +933,8 @@ class TestInPlaceShift:
 
     @pytest.mark.parametrize("nonneg", (False, True))
     def test_copy_is_made_only_where_the_whole_matrix_is_read(self, calls, nonneg):
-        # the stacked eigvalsh reads the member's lower triangle, which is the
-        # copy's; a vector, a fold or the Perron path reads the copy
+        # the stacked eigvalsh and eigh read the member's lower triangle,
+        # which is the copy's; a fold or the Perron path reads the copy
         copies = calls(quadforms, "_lower_mirrored")
         m = np.random.default_rng(5).uniform(0.0, 1.0, (9, 9))
         m = m + m.T
@@ -910,8 +943,7 @@ class TestInPlaceShift:
         assert copies == []
         lower = np.tril(m) + np.tril(m, -1).T
         assert_top_pair(lower, *lone_pair(m, nonneg))
-        assert len(copies) == 1
-        copies.clear()
+        assert copies == []
         for member in (centrosymmetric(9, np.random.default_rng(5)),
                        np.random.default_rng(5).uniform(0.0, 1.0, (600, 600))):
             member = member + member.T
@@ -968,28 +1000,14 @@ class TestInPlaceShift:
         assert again[0] == value
         assert_same_bits(again[1], vector)
 
-    def test_solve_takes_the_transpose_only_of_an_exactly_symmetric_matrix(self, monkeypatch):
-        # an F-contiguous system is the transpose of the C-contiguous shift;
-        # below PERRON_MIN_N rows inverse iteration solves with np.linalg.solve.
-        # A matrix symmetric within the tolerance only is solved as an exactly
-        # symmetric copy, so it too hands solve the transpose, and it is left
-        # as it was even when it may be overwritten
-        layouts = []
-        solve = np.linalg.solve
-
-        def recording(a, b):
-            layouts.append(a.flags.f_contiguous and not a.flags.c_contiguous)
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", recording)
+    def test_solve_takes_the_transpose_only_of_an_exactly_symmetric_matrix(self):
+        # a matrix symmetric within the tolerance only is left as it was even
+        # when it may be overwritten, and gets the value of its lower
+        # triangle mirrored
         m = random_nonneg_sym(200, np.random.default_rng(23))
-        top_eigen_nonneg_sym(m)
-        assert layouts and all(layouts)
-        layouts.clear()
-        m[0, 5] *= 1.0 + 1e-13     # symmetric within the tolerance only
+        m[0, 5] *= 1.0 + 1e-13
         before = m.copy()
         value = top_eigen_nonneg_sym(m, overwrite=True)[0]
-        assert layouts and all(layouts)
         assert_same_bits(m, before)
         assert value == top_eigen_nonneg_sym(np.tril(m) + np.tril(m, -1).T)[0]
 

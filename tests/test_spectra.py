@@ -461,8 +461,8 @@ class TestEigenpairTop:
 
     @pytest.mark.parametrize("n", range(2, 41))
     def test_inverse_iteration_accuracy(self, n):
-        # the Gram's top eigenvalue is double; two inverse-iteration steps
-        # bring the pair to about 1e-15 relative, one step leaves up to 7e-14
+        # the Gram's top eigenvalue is double; eigh's vector from that plane,
+        # with eigvalsh's value, holds the pair to about 1e-15 relative
         rng = np.random.default_rng(2000 + n)
         seq = generate_random(n, float(rng.uniform(0.05, 1.0)), 2000 + n)
         h = build_h(seq, rng.uniform(0.5, 2.0, n))
