@@ -1,4 +1,5 @@
-"""Shared numeric helpers: reduced-argument trig, ordered map, JSON rendering."""
+"""Shared helpers: reduced-argument trig, ordered map, the verdict record
+and JSON rendering."""
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
@@ -175,3 +176,10 @@ def to_json_lines(items) -> str:
     """Each item as one compact JSON document (separators "," and ":") under
     the report contract, one per line."""
     return "\n".join(_items(items, "", "", ":"))
+
+
+def record(lemma, lhs, rhs, holds, seed=0, tail_bound=0.0) -> dict:
+    """One inequality/identity verdict, shared by the verification sweeps
+    and the CLI; its key order is the verify CSV's columns."""
+    return {"lemma": str(lemma), "seed": int(seed), "lhs": float(lhs), "rhs": float(rhs),
+            "holds": bool(holds), "tail_bound": float(tail_bound)}

@@ -148,9 +148,13 @@ def toroidal_gaps(points_sorted: np.ndarray) -> np.ndarray:
 
 
 def trig_config(points, weights) -> TrigConfig:
-    """Reduce mod 1, sort jointly with the weights, and validate."""
+    """Reduce mod 1, sort jointly with the weights, and validate; points or
+    weights that are not vectors raise LengthMismatch."""
     pts = np.asarray(points, dtype=float)
     tau = np.asarray(weights, dtype=float)
+    if pts.ndim != 1 or tau.ndim != 1:
+        raise LengthMismatch(f"points of shape {pts.shape} and weights of shape {tau.shape}: "
+                             "both must be vectors")
     # checked before np.mod, which warns on an infinite point
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(tau))):
         raise NonFinite("points and weights must be finite")

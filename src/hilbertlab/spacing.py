@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._util import record
 from .errors import (
     EpsTooLarge,
     IndexOutOfRange,
@@ -28,8 +29,7 @@ from .errors import (
     SameIndex,
     SigmaOutOfRange,
 )
-from .gaps import GapSequence, node_deltas, node_differences
-from .reports import record
+from .gaps import GapSequence, node_deltas, pair_kernel
 
 _ZETA_CUTOFF = 1_000_000
 _CHUNK = 1 << 20
@@ -252,26 +252,27 @@ def pair_spacing_margins(seq: GapSequence) -> tuple[np.ndarray, np.ndarray]:
     N x N arrays lhs, rhs whose entry (ell-1, m-1) is that pair's lhs and
     rhs; the diagonal (ell = m, no bound) holds NaN in both.
 
-    One array over (k, ell, m) holds the terms delta_k / ((lam_k-lam_ell)^2
-    (lam_k-lam_m)^2), with the terms k = ell and k = m set to zero, and
-    sums them over k. Each term is the float expression of
-    `pair_spacing_sum`. Raises IndexOutOfRange below two active nodes,
-    where no pair exists.
+    With inv = 1/(lam_k-lam_ell)^2 off the diagonal and 0 on it
+    (`pair_kernel`), one array over (k, ell, m) holds the terms
+    delta_k inv_{k,ell} inv_{k,m} and sums them over k; the zero diagonal
+    of inv drops the terms k = ell and k = m. Raises IndexOutOfRange below
+    two active nodes, where no pair exists, and NonFinite when a side of
+    some pair overflows.
     """
     if seq.n < 2:
         raise IndexOutOfRange(f"need at least 2 active nodes for a pair, got {seq.n}")
     d = seq.deltas
-    sq = node_differences(seq.active) ** 2
-    terms = d[:, None, None] / (sq[:, :, None] * sq[:, None, :])
-    k = np.arange(seq.n)
-    terms[k, k, :] = 0.0
-    terms[k, :, k] = 0.0
-    lhs = np.sum(terms, axis=0)
-    np.fill_diagonal(lhs, np.nan)
-    np.fill_diagonal(sq, np.nan)
+    one = np.ones(seq.n)
+    inv = pair_kernel(one, one, seq.active, 2, "pair spacing kernel has non-finite entries")
     d_sum = d[:, None] + d[None, :]
-    rhs = math.pi ** 2 * d_sum / (3.0 * d[:, None] * d[None, :] * sq) \
-        - 3.0 * d_sum / sq ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.sum(d[:, None, None] * inv[:, :, None] * inv[:, None, :], axis=0)
+        rhs = math.pi ** 2 * d_sum * inv / (3.0 * d[:, None] * d[None, :]) \
+            - 3.0 * d_sum * inv * inv
+    if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+        raise NonFinite("pair spacing sides overflow: the gaps are too small")
+    np.fill_diagonal(lhs, np.nan)
+    np.fill_diagonal(rhs, np.nan)
     return lhs, rhs
 
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import record
 from .errors import LengthMismatch, NonFinite, NonpositiveWeight, ZeroSpectrum
-from .gaps import GapSequence, kernel_rows, node_differences, pair_kernel
-from .quadforms import _certify, _fold, _reflection_lift, _top_eigen
-from .reports import record
+from .gaps import GapSequence, kernel_rows, pair_kernel
+from .quadforms import _certify, _fold, _reflection_lift, _top_eigen, alpha_form_matrix, q_alpha
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
 H_OVERFLOW = "H has non-finite entries: the weights are too large for the gaps"
@@ -192,29 +192,23 @@ def eigenpair_top(h: SkewHilbertMatrix) -> ComplexEigenpair:
     return eigenpairs_top([h])[0]
 
 
-def _inverse_square(seq: GapSequence) -> np.ndarray:
-    """1/(lam_m - lam_n)^2 off the diagonal, zero on it."""
-    inv2 = node_differences(seq.active) ** -2.0
-    np.fill_diagonal(inv2, 0.0)
-    return inv2
-
-
 def check_selberg_identity(h: SkewHilbertMatrix, pair: ComplexEigenpair, seed: int = 0) -> dict:
     """Verify, for every m,
 
         mu^2 |u_m|^2 = sum_{n != m} c_m^2 c_n^2 |u_n|^2 / (lam_m-lam_n)^2
                      + 2 sum_{n != m} c_m^3 c_n Re(conj(u_m) u_n) / (lam_m-lam_n)^2.
 
-    The record's lhs is the largest componentwise defect relative to mu^2;
-    it holds below 1e-8.
+    Both kernels are read off hh = H o H, the one n x n array formed:
+    c_m^2 c_n^2 / (lam_m-lam_n)^2 = H_mn^2 and c_m^3 c_n / (lam_m-lam_n)^2
+    = H_mn^2 c_m / c_n, so no power of the weights is formed. The
+    record's lhs is the largest componentwise defect relative to mu^2; it
+    holds below 1e-8.
     """
     c = h.weights
-    inv2 = _inverse_square(h.source)
+    hh = np.square(h.entries)
     abs2 = pair.abs2
-    quad = np.outer(c ** 2, c ** 2) * inv2
-    cross_kernel = np.outer(c ** 3, c) * inv2
-    rhs = quad @ abs2
-    rhs += 2.0 * (pair.u_re * (cross_kernel @ pair.u_re) + pair.u_im * (cross_kernel @ pair.u_im))
+    rhs = hh @ abs2
+    rhs += 2.0 * c * (pair.u_re * (hh @ (pair.u_re / c)) + pair.u_im * (hh @ (pair.u_im / c)))
     lhs = pair.mu ** 2 * abs2
     rel = float(np.max(np.abs(lhs - rhs))) / pair.mu ** 2
     return record("selberg-identity", rel, 1e-8, rel < 1e-8, seed=seed)
@@ -285,11 +279,9 @@ def s_and_t(h: SkewHilbertMatrix, pair: ComplexEigenpair) -> tuple[float, float]
         S = sum_{m != n} delta_m delta_n |u_n|^2 / (lam_m - lam_n)^2,
         T = sum_{m != n} delta_m^(3/2) delta_n^(1/2) |u_m||u_n| / (lam_m - lam_n)^2,
 
-    computed from the source gaps regardless of the matrix weights.
+    computed from the source gaps regardless of the matrix weights: S is
+    the sum of the Q_1 kernel times |u|^2, and T is Q_{1/2}(|u|).
     """
-    delta = h.source.deltas
-    inv2 = _inverse_square(h.source)
-    abs_u = np.sqrt(pair.abs2)
-    s_val = float(np.sum((inv2 @ delta) * (delta * pair.abs2)))
-    t_val = float((delta ** 1.5 * abs_u) @ (inv2 @ (delta ** 0.5 * abs_u)))
-    return s_val, t_val
+    src = h.source
+    s_val = float(np.sum(alpha_form_matrix(src, 1.0) @ pair.abs2))
+    return s_val, q_alpha(src, np.sqrt(pair.abs2), 0.5)

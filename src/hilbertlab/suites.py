@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ._util import parallel_map
+from ._util import parallel_map, record
 from .gaps import GapSequence, generate_cluster, generate_random, generate_uniform
 from .lowerbound import (
     big_g,
@@ -26,7 +26,6 @@ from .lowerbound import (
     trig_form_value,
 )
 from .quadforms import cluster_lower_bound, estimate_constant, q_alpha
-from .reports import record
 from .spacing import (
     check_equidistance,
     check_fn_upper,

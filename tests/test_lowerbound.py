@@ -98,6 +98,17 @@ class TestTrigConfig:
         with pytest.raises(NegativeEntry):
             trig_config([0.1, 0.5], [1.0, -1.0])
 
+    @pytest.mark.parametrize("points, weights", (
+        ([[0.1, 0.5]], [1.0, 1.0]),
+        ([0.1, 0.5], [[1.0, 1.0]]),
+        ([[0.1], [0.5]], [[1.0], [1.0]]),
+        (0.3, 1.0),
+        (0.3, [1.0]),
+    ))
+    def test_rejects_points_or_weights_that_are_not_vectors(self, points, weights):
+        with pytest.raises(LengthMismatch):
+            trig_config(points, weights)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_gaps_match_all_pairs_oracle_exactly(self, seed):
         cfg = random_config(seed)

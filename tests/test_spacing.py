@@ -419,6 +419,12 @@ class TestPairSpacingMargins:
         with pytest.raises(IndexOutOfRange):
             pair_spacing_margins(generate_uniform(1, 1.0))
 
+    @pytest.mark.parametrize("spacing", (1e-120, 1e-170))
+    def test_overflowing_window_raises(self, spacing):
+        # at 1e-170 the kernel 1/(lam_k-lam_ell)^2 overflows, at 1e-120 the sides
+        with pytest.raises(NonFinite):
+            pair_spacing_margins(generate_uniform(4, spacing))
+
     @pytest.mark.parametrize("seed", [0, 7, 300])
     def test_suite_matches_the_scalar_loop(self, seed):
         trials = 40

@@ -635,6 +635,15 @@ class TestSelbergIdentity:
             s = rec["seed"]
             assert rec == check_selberg_identity(*_random_h(s, 8), seed=s)
 
+    @pytest.mark.parametrize("weights", ([1e100, 1e-100], [1e80, 1e-80, 1.0]))
+    def test_extreme_weights_give_a_finite_defect(self, weights):
+        # H is finite, but c_m^4 and c_m^3 c_n overflow; the identity is
+        # read off H o H, which never forms them
+        h = build_h(generate_uniform(len(weights), 1.0), weights)
+        rep = check_selberg_identity(h, eigenpair_top(h))
+        assert math.isfinite(rep["lhs"])
+        assert rep["holds"]
+
     def test_weight_scaling_homogeneity(self):
         seq = generate_random(7, 0.4, 9)
         rng = np.random.default_rng(9)
@@ -779,3 +788,12 @@ class TestChainInvariants:
         assert s_val <= PI2_OVER_3 + 1e-9
         assert rho ** 2 <= s_val + 2 * t_val + 1e-8
         assert rho <= two_forms_bound(preissmann_chain().c3_upper) + 1e-9
+
+    @pytest.mark.parametrize("seq", (generate_uniform(6, 1.0), generate_random(9, 0.3, 4)))
+    def test_s_and_t_at_tiny_spacing(self, seq):
+        # S and T are scale invariant; at spacing 2^-515 a squared gap is
+        # subnormal and its reciprocal overflows, yet the forms stay finite
+        tiny = GapSequence(seq.nodes * 2.0 ** -515)
+        want = s_and_t(build_h(seq), eigenpair_top(build_h(seq)))
+        got = s_and_t(build_h(tiny), eigenpair_top(build_h(tiny)))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
