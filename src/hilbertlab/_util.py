@@ -9,15 +9,21 @@ import numpy as np
 
 def _pi_folded(y):
     """pi * (|y| mod 1 folded to [0, 1/2]), and where cot(pi*y) takes the
-    negative sign: where the fold reflected, or y < 0, but not both.
+    negative sign: where the fold reflected, or y < 0, but not both. An
+    array, 0-d for a scalar y, so that callers can work in place.
 
     Reducing |y| rather than y keeps a small negative y exact: np.mod(-eps,
-    1) would round to 1 - eps and lose the low bits of eps.
+    1) would round to 1 - eps and lose the low bits of eps. On |y| >= 0,
+    np.fmod is np.mod, and min(r, 1 - r) is the fold: 1 - r is exact for
+    r >= 1/2 (Sterbenz), and is the minimum only there.
     """
     y = np.asarray(y, dtype=float)
-    r = np.mod(np.abs(y), 1.0)
-    upper = r > 0.5
-    return np.pi * np.where(upper, 1.0 - r, r), upper != (y < 0)
+    r = np.abs(y, out=np.empty(y.shape))
+    np.fmod(r, 1.0, out=r)
+    negative = (r > 0.5) != (y < 0)
+    np.minimum(r, 1.0 - r, out=r)
+    r *= np.pi
+    return r, negative
 
 
 def _unwrap(out):
@@ -45,9 +51,11 @@ def sinpi_abs_cotpi(y):
     """(sinpi_abs(y), cotpi(y)) from one reduction of y and one sine."""
     theta, negative = _pi_folded(y)
     sines = np.sin(theta)
+    cot = np.cos(theta, out=theta)
     # at a pole the cotangent is inf: a zero sine divides, a subnormal one overflows
     with np.errstate(divide="ignore", over="ignore"):
-        cot = np.where(negative, -1.0, 1.0) * np.cos(theta) / sines
+        cot /= sines
+    np.negative(cot, out=cot, where=negative)
     return _unwrap(sines), _unwrap(cot)
 
 

@@ -114,11 +114,13 @@ def node_differences(lam: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
 
 
 def kernel_rows(row: np.ndarray, col: np.ndarray, lam: np.ndarray, power: int,
-                message: str, rows: slice, out: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows `rows` of the unsymmetrized kernel of `pair_kernel`, written to
-    `out` when it is given, and the block of fl(d^power) they divide by.
-    Raises NonFinite(message) when an entry under- or overflows."""
+                message: str, rows: slice, out: np.ndarray | None = None,
+                symmetrized: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Rows `rows` of the kernel of `pair_kernel`, symmetrized or not,
+    written to `out` when it is given, and the block of fl(d^power) they
+    divide by. Raises NonFinite(message) when an entry of the
+    unsymmetrized kernel under- or overflows; each is checked once, before
+    the mirror terms, which are those same entries, are added."""
     with np.errstate(all="ignore"):
         dp = node_differences(lam, rows)
         if power == 2:
@@ -128,6 +130,15 @@ def kernel_rows(row: np.ndarray, col: np.ndarray, lam: np.ndarray, power: int,
     block_diagonal(block, rows)[...] = 0.0
     if not np.isfinite(block).all():
         raise NonFinite(message)
+    if symmetrized:
+        with np.errstate(all="ignore"):
+            mirror = col[..., rows, None] * row[..., None, :]
+            mirror /= dp
+            block_diagonal(mirror, rows)[...] = 0.0
+            if power % 2:
+                np.negative(mirror, out=mirror)
+            block += mirror
+            block /= 2.0
     return block, dp
 
 
@@ -145,23 +156,12 @@ def pair_kernel(row: np.ndarray, col: np.ndarray, lam: np.ndarray, power: int,
     Entry (m, n) is fl(row_m col_n) / fl(d^power), d = lam_m - lam_n.
     fl(lam_n - lam_m) is exactly -fl(d), so fl(col_m row_n) / fl(d^power),
     negated for odd power, is exactly entry (n, m), and adding it and
-    halving gives (K + K^T) / 2 bit for bit. Each block is checked before
-    it is symmetrized, so every entry of K is checked once, and the mirror
-    terms are those same entries.
+    halving gives (K + K^T) / 2 bit for bit.
     """
     n = lam.shape[-1]
     out = np.empty(lam.shape + (n,))
     for rows in row_blocks(n):
-        block, dp = kernel_rows(row, col, lam, power, message, rows, out[..., rows, :])
-        if symmetrized:
-            with np.errstate(all="ignore"):
-                mirror = col[..., rows, None] * row[..., None, :]
-                mirror /= dp
-                block_diagonal(mirror, rows)[...] = 0.0
-                if power % 2:
-                    np.negative(mirror, out=mirror)
-                block += mirror
-                block /= 2.0
+        kernel_rows(row, col, lam, power, message, rows, out[..., rows, :], symmetrized)
     return out
 
 

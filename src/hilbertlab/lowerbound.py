@@ -259,8 +259,7 @@ def l_sum(b: float, l: int) -> float:
 
 
 def _pow_each(values: np.ndarray, exponent: int) -> np.ndarray:
-    """values ** exponent through Python's float pow (C pow), element by
-    element.
+    """values ** exponent through C pow (math.pow), element by element.
 
     The scan CSV digests pinned in tests/test_cli.py and bench/checks.py
     were written by the first release, which evaluated these powers with C
@@ -269,7 +268,8 @@ def _pow_each(values: np.ndarray, exponent: int) -> np.ndarray:
     and np.square alone moves 2 u_star cells and 1 G cell on the 1-40-400
     grid, which would break those digests.
     """
-    return np.array([v ** exponent for v in values.tolist()], dtype=float)
+    return np.fromiter(map(math.pow, values.tolist(), [exponent] * values.size), float,
+                       count=values.size)
 
 
 def kappas(k: int, a):

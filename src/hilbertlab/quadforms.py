@@ -13,17 +13,20 @@ size, and exactly the optimal constant for the given configuration.
 
 How the top eigenvalue is found depends on the matrix that is solved:
 the even reflection block when a nonnegative kernel is mirror-symmetric,
-as that block holds its top eigenvalue, else the whole kernel. `_fold` is
-the one builder of that half-size block, for the kernels here (J M J = M)
-and for spectra's skew H (J H J = -H). Every matrix solved equals its
-transpose bit for bit: one that is symmetric only within the tolerance is
-solved as a copy of its lower triangle, mirrored, or by LAPACK, which
-reads only that triangle. From
-PERRON_MIN_N = 256 rows on, a nonnegative matrix gets its Perron pair from
-Lanczos steps and inverse iteration on one Cholesky factorization of
-sigma I - M made in the matrix itself, certified top by the
-Collatz-Wielandt bracket; these values are Rayleigh quotients that agree
-with LAPACK's eigvalsh within 1e-12 relative. Smaller and signed
+as that block holds its top eigenvalue, else the whole kernel. `_fold`
+builds that half-size block from the rows of a kernel, for the kernels
+here (J M J = M) and for spectra's skew H (J H J = -H). On a uniform
+window whose nodes are exact multiples of a power of two, a kernel with
+constant factors is Toeplitz, and `_toeplitz_fold` builds the same block,
+bit for bit, from one row of it, so the kernel is never formed
+(`_grid_fold`). Every matrix solved equals its transpose bit for bit:
+one that is symmetric only within the tolerance is solved as a copy of
+its lower triangle, mirrored, or by LAPACK, which reads only that
+triangle. From PERRON_MIN_N = 256 rows on, a nonnegative matrix gets its
+Perron pair from Lanczos steps and inverse iteration on one Cholesky
+factorization of sigma I - M made in the matrix itself, certified top by
+the Collatz-Wielandt bracket; these values are Rayleigh quotients that
+agree with LAPACK's eigvalsh within 1e-12 relative. Smaller and signed
 matrices, and any that path fails on, get their values from eigvalsh and
 their vectors from eigh.
 
@@ -31,8 +34,9 @@ Kernels are built a block of rows at a time. A Perron solve writes its
 factor over the entries left of its 32 x 32 diagonal blocks of the matrix
 it solves and restores them bit for bit, so it holds no n x n array
 besides the matrix. `top_eigen_nonneg_sym` solves a copy of its input
-unless told to overwrite it, as `estimate_constant` does with its own
-kernel.
+unless told to overwrite it, which a caller does only with a matrix of its
+own that it built exactly symmetric, as `estimate_constant` does with its
+kernel or block; that matrix is not compared with its transpose.
 """
 from __future__ import annotations
 
@@ -50,13 +54,22 @@ from .errors import (
     NotSymmetric,
     TooShort,
 )
-from .gaps import GapSequence, WeightVector, check_nodes, node_deltas, pair_kernel, row_blocks
+from .gaps import (
+    GapSequence,
+    WeightVector,
+    check_nodes,
+    kernel_rows,
+    node_deltas,
+    pair_kernel,
+    row_blocks,
+)
 
 RESIDUAL_RTOL = 1e-10
 SQRT2 = float(np.sqrt(2.0))
 # nonnegative matrices solved at this size or larger go to `_perron_pair`
 PERRON_MIN_N = 256
 LANCZOS_STEPS = 80
+ALPHA_OVERFLOW = "alpha = {} kernel has non-finite entries"
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,6 +90,13 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
+def _alpha_factors(delta: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The row and column factors delta^(2-alpha) and delta^alpha of the
+    Q_alpha kernel."""
+    with np.errstate(all="ignore"):
+        return delta ** (2.0 - alpha), delta ** alpha
+
+
 def _alpha_kernels(delta: np.ndarray, lam: np.ndarray, alpha: float,
                    symmetrized: bool = False) -> np.ndarray:
     """The kernels of Q_alpha from the deltas and active nodes along the
@@ -86,9 +106,7 @@ def _alpha_kernels(delta: np.ndarray, lam: np.ndarray, alpha: float,
     NonFinite when a gap scale under- or overflows a kernel (0/0 or
     inf/inf) instead of passing NaN on.
     """
-    with np.errstate(all="ignore"):
-        a, b = delta ** (2.0 - alpha), delta ** alpha
-    return pair_kernel(a, b, lam, 2, f"alpha = {alpha} kernel has non-finite entries",
+    return pair_kernel(*_alpha_factors(delta, alpha), lam, 2, ALPHA_OVERFLOW.format(alpha),
                        symmetrized)
 
 
@@ -157,6 +175,64 @@ def _fold(rows, n: int, sign: float) -> np.ndarray | None:
     return fold
 
 
+def _toeplitz_fold(column: np.ndarray, n: int, sign: float) -> np.ndarray:
+    """`_fold`'s even block, bit for bit, of the n x n matrix M with
+    M_mn = column[m - n] for m >= n and sign * column[n - m] above the
+    diagonal: Toeplitz for sign = 1, skew-Toeplitz for sign = -1 (column[0]
+    is then the zero diagonal), so that J M J = sign * M holds by
+    construction and is not compared.
+
+    Row i of M is diagonals[n - 1 - i : 2n - 1 - i] of the vector of its
+    2n - 1 diagonals, so M and its columns reversed are strided views of
+    that vector, and the block is one add of two views, as `_fold` adds
+    the rows it reads: E_ij = M_ij + M_i,n-1-j.
+    """
+    k = n // 2
+    upper = column[1:] if sign > 0 else np.negative(column[1:])
+    diagonals = np.concatenate((column[:0:-1], column[:1], upper))
+    m = np.lib.stride_tricks.sliding_window_view(diagonals, n)[::-1]
+    fold = np.empty((n - k if sign > 0 else k, n - k))
+    np.add(m[:k, :k], m[:k, ::-1][:, :k], out=fold[:k, :k])
+    if n % 2:
+        np.multiply(SQRT2, m[:k, k], out=fold[:k, k])
+        if sign > 0:
+            np.multiply(SQRT2, m[k, :k], out=fold[k, :k])
+            fold[k, k] = m[k, k]
+    return fold
+
+
+def _on_grid(nodes: np.ndarray) -> bool:
+    """Whether the nodes are exactly i h, (i + 1) h, (i + 2) h, ... for an
+    integer i and a power of two h, as `generate_uniform(n, 1.0)` builds
+    them: then every float difference lam_m - lam_n is exactly (m - n) h.
+    (Strictly increasing nodes keep every i + k an exact float: past 2^53
+    two of them would round to one.)"""
+    with np.errstate(over="ignore"):
+        h = float(nodes[1] - nodes[0])
+        first = float(nodes[0]) / h
+        return (math.frexp(h)[0] == 0.5 and first.is_integer()
+                and np.array_equal((first + np.arange(nodes.size)) * h, nodes))
+
+
+def _grid_fold(row: np.ndarray, col: np.ndarray, nodes: np.ndarray, power: int, message: str,
+               symmetrized: bool = False) -> np.ndarray | None:
+    """The even block (`_fold`) of pair_kernel(row, col, lam, power,
+    message, symmetrized), lam the active nodes of `nodes`, bit for bit,
+    when its factors are constant and the nodes on a grid (`_on_grid`);
+    else None. The kernel is then Toeplitz (skew for odd power): each
+    entry is fl(row col) / fl(((m - n) h)^power) and depends on m - n
+    alone. Its last row, read backwards, is its first column, so one row
+    of `kernel_rows`, with its NonFinite check, is built and
+    `_toeplitz_fold` makes the block; the kernel itself is never formed.
+    """
+    if not ((row == row[0]).all() and (col == col[0]).all() and _on_grid(nodes)):
+        return None
+    n = nodes.size - 2
+    last = kernel_rows(row, col, nodes[1:-1], power, message, slice(n - 1, n),
+                       symmetrized=symmetrized)[0]
+    return _toeplitz_fold(last[0, ::-1], n, -1.0 if power % 2 else 1.0)
+
+
 def _reflection_lift(y: np.ndarray, n: int) -> np.ndarray:
     """The even length-n vector with coordinates y; the inverse of the
     coordinates in `_fold`, so norms are kept."""
@@ -197,17 +273,17 @@ def _certify(product: np.ndarray, value: float, v: np.ndarray) -> None:
         raise NoConvergence(f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:g}*|value|")
 
 
-def _lanczos_ritz(matrix: np.ndarray) -> tuple[float, np.ndarray]:
+def _lanczos_ritz(matrix: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
     """The top Ritz pair of at most LANCZOS_STEPS Lanczos steps from the
     normalized ones vector, with full reorthogonalization. The run stops
     when the new direction vanishes against ||Mq|| (breakdown: the Krylov
     space is invariant, so its Ritz pairs are exact).
 
-    The products M q are taken in the unit (`_unit`) of max M, so that
-    their norms neither overflow nor underflow for a huge or tiny matrix;
-    the Ritz value is returned in the units of M."""
+    The products M q are taken in the unit (`_unit`) of `scale`, max M, so
+    that their norms neither overflow nor underflow for a huge or tiny
+    matrix; the Ritz value is returned in the units of M."""
     n = matrix.shape[0]
-    unit = _unit(float(matrix.max()))
+    unit = _unit(scale)
     basis = np.empty((min(LANCZOS_STEPS, n), n))
     diag, off = np.empty(len(basis)), np.empty(len(basis))
     q = np.full(n, 1.0 / np.sqrt(n))
@@ -323,10 +399,12 @@ def _inverse_steps(matrix: np.ndarray, shift: float, v: np.ndarray) -> np.ndarra
             matrix[rows, :rows.start] = matrix[:rows.start, rows].T
 
 
-def _perron_pair(matrix: np.ndarray) -> tuple[float, np.ndarray] | None:
+def _perron_pair(matrix: np.ndarray, scale: float | None = None
+                 ) -> tuple[float, np.ndarray, np.ndarray] | None:
     """The top eigenvalue and positive unit eigenvector of a nonzero,
-    nonnegative matrix that equals its transpose bit for bit, or None when
-    they cannot be certified.
+    nonnegative matrix that equals its transpose bit for bit, with the
+    product Mv they were certified on, or None when they cannot be
+    certified. `scale` is max M, when the caller has it.
 
     The Lanczos Ritz pair (theta, v) sets the shift sigma = theta +
     max(2 ||Mv - theta v||, RESIDUAL_RTOL * theta). A Ritz value is at most
@@ -356,7 +434,7 @@ def _perron_pair(matrix: np.ndarray) -> tuple[float, np.ndarray] | None:
     try:
         # an overflow gives inf or NaN, which the factorization or the bracket fails
         with np.errstate(all="ignore"):
-            theta, v = _lanczos_ritz(matrix)
+            theta, v = _lanczos_ritz(matrix, float(matrix.max()) if scale is None else scale)
             residual = _scaled_norm(matrix @ v - theta * v, _unit(theta))
             v = _inverse_steps(matrix, theta + max(2.0 * residual, RESIDUAL_RTOL * theta), v)
             product = matrix @ v
@@ -365,7 +443,7 @@ def _perron_pair(matrix: np.ndarray) -> tuple[float, np.ndarray] | None:
                 return None
     except np.linalg.LinAlgError:
         return None
-    return theta, v
+    return theta, v, product
 
 
 def _exactly_symmetric(stack: np.ndarray) -> np.ndarray:
@@ -387,12 +465,15 @@ def _asymmetry(matrix: np.ndarray) -> float:
                for rows in row_blocks(matrix.shape[0]))
 
 
-def _checked_scales(stack: np.ndarray, nonneg: bool) -> tuple[np.ndarray, np.ndarray]:
+def _checked_scales(stack: np.ndarray, nonneg: bool,
+                    symmetric: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """max |M| of each matrix in a (B, n, n) stack, and whether each is
     exactly symmetric, after the input checks run on each in turn:
     nonnegative entries when `nonneg` is set (NegativeEntry), finite
     entries (NonFinite), and symmetric within 1e-12 * (1 + max |M|)
-    (NotSymmetric). The first matrix that fails raises.
+    (NotSymmetric). The first matrix that fails raises. With `symmetric`
+    the caller built every matrix exactly symmetric, and that is taken
+    as given instead of compared.
 
     max(max M, -min M) is max |M| without an n x n temporary, and it is
     finite exactly when every entry is: a NaN propagates through min and
@@ -402,7 +483,7 @@ def _checked_scales(stack: np.ndarray, nonneg: bool) -> tuple[np.ndarray, np.nda
     low = stack.min(axis=(1, 2))
     scales = np.maximum(stack.max(axis=(1, 2)), -low)
     finite = np.isfinite(scales)
-    exact = _exactly_symmetric(stack)
+    exact = np.ones(len(stack), dtype=bool) if symmetric else _exactly_symmetric(stack)
     passed = finite & exact
     if nonneg:
         passed &= low >= 0.0
@@ -427,12 +508,14 @@ def _lower_mirrored(matrix: np.ndarray) -> np.ndarray:
     return copy
 
 
-def _top_eigen(stack: np.ndarray, vector: bool,
-               nonneg: bool = False) -> tuple[np.ndarray, list[np.ndarray] | None]:
+def _top_eigen(stack: np.ndarray, vector: bool, nonneg: bool = False,
+               symmetric: bool = False) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """Top eigenvalue of each square, finite, symmetric matrix in a (B, n, n)
     stack and, when `vector` is set, a certified unit eigenvector for each;
     with `nonneg` the entries must also be nonnegative. The checks run on
-    each matrix in turn, and the first that fails raises.
+    each matrix in turn, and the first that fails raises; with `symmetric`
+    the caller built each member exactly symmetric, and that is not
+    compared (`_checked_scales`).
 
     The matrix solved equals its transpose bit for bit: the member, or,
     for one symmetric only within the tolerance, `_lower_mirrored`'s copy,
@@ -441,7 +524,9 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     which holds the top eigenvalue; a signed matrix is solved whole. A
     nonnegative matrix of PERRON_MIN_N rows or more goes to `_perron_pair`,
     whose Rayleigh quotient agrees with eigvalsh within 1e-12 relative;
-    when that gives None, it takes the path of the smaller ones.
+    when that gives None, it takes the path of the smaller ones. A member
+    solved there itself, unfolded and uncopied, hands on the max |M| and the
+    product Mv already formed, so neither is taken twice.
 
     There the values are LAPACK's eigvalsh and the vectors LAPACK's eigh:
     one call each per even block and one stacked call each for the other
@@ -465,7 +550,7 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise NotSymmetric(f"need a stack of square matrices, got shape {stack.shape}")
-    scales, exact = _checked_scales(stack, nonneg)
+    scales, exact = _checked_scales(stack, nonneg, symmetric)
     scales = scales.tolist()
     count, n = stack.shape[:2]
     nonzero = [b for b, scale in enumerate(scales) if scale]
@@ -473,24 +558,28 @@ def _top_eigen(stack: np.ndarray, vector: bool,
     # row 0 of J M J is row n - 1 of M reversed; column 0 is row 0 of the matrix solved
     mirror = ((stack[:, :, 0] == stack[:, -1, ::-1]).all(axis=1).tolist() if nonneg and n >= 2
               else [False] * count)
-    # member -> (its even block or None, its Perron vector or None)
+    # member -> (its even block or None, its Perron vector or None, and M v
+    # when M is the member itself)
     solved, plain = {}, []
     try:
         for b in nonzero:
             # every solve but LAPACK's of a whole member, which reads its lower triangle,
             # reads all of M
-            whole = mirror[b] or nonneg and n >= PERRON_MIN_N
-            matrix = stack[b] if exact[b] or not whole else _lower_mirrored(stack[b])
+            copied = not exact[b] and (mirror[b] or nonneg and n >= PERRON_MIN_N)
+            matrix = _lower_mirrored(stack[b]) if copied else stack[b]
             fold = _fold(matrix.__getitem__, n, 1.0) if mirror[b] else None
+            own = fold is None and not copied
             matrix = matrix if fold is None else fold
-            pair = _perron_pair(matrix) if nonneg and len(matrix) >= PERRON_MIN_N else None
+            pair = (_perron_pair(matrix, scales[b] if own else None)
+                    if nonneg and len(matrix) >= PERRON_MIN_N else None)
             if pair is not None:
                 values[b] = pair[0]
             elif fold is None:
                 plain.append(b)
             else:
                 values[b] = np.linalg.eigvalsh(fold)[-1]
-            solved[b] = (fold, None if pair is None else pair[1])
+            solved[b] = (fold, None, None) if pair is None else (fold, pair[1],
+                                                                 pair[2] if own else None)
         if plain:
             # a slice, unlike an index list, takes the whole stack without a copy
             members = stack[slice(None) if len(plain) == count else plain]
@@ -502,13 +591,14 @@ def _top_eigen(stack: np.ndarray, vector: bool,
         tops = dict(zip(plain, np.linalg.eigh(members)[1][:, :, -1])) if plain else {}
         vectors = [None if scale else np.full(n, 1.0 / np.sqrt(n)) for scale in scales]
         for b in nonzero:
-            fold, v = solved[b]
+            fold, v, product = solved[b]
             if fold is not None:
                 v = _reflection_lift(np.linalg.eigh(fold)[1][:, -1] if v is None else v, n)
             elif v is None:
                 v = tops[b]
             v = np.abs(v) if nonneg else v * (1.0 if v.sum() >= 0.0 else -1.0)
-            _certify(stack[b] @ v, float(values[b]), v)
+            # a Perron vector is positive, so M v is the product of its absolute value
+            _certify(stack[b] @ v if product is None else product, float(values[b]), v)
             vectors[b] = v
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(str(exc)) from exc
@@ -527,25 +617,40 @@ def top_eigen_nonneg_sym(matrix, overwrite: bool = False) -> tuple[float, np.nda
     NotSymmetric.
 
     The solve runs on a private copy, so the caller's array, read-only or
-    not, is never written. With `overwrite`, a writable float64 matrix that
-    is exactly symmetric is solved in place instead: it is overwritten in
-    part and restored bit for bit before the call returns or raises
-    (`_top_eigen`), which saves the copy for a caller that owns the matrix
-    and does not read it during the call.
+    not, is never written. `overwrite` is for a caller that owns a writable
+    float64 matrix it built exactly symmetric, as pair_kernel(...,
+    symmetrized=True) builds it, and does not read it during the call: the
+    matrix is solved in place, with no copy and no bit-for-bit symmetry
+    compare, overwritten in part and restored bit for bit before the call
+    returns or raises (`_top_eigen`). The other checks run either way.
     """
     matrix = np.asarray(matrix, dtype=float) if overwrite else np.array(matrix, dtype=float)
     if matrix.ndim != 2 or not 0 < matrix.shape[0] == matrix.shape[1]:
         raise NotSymmetric(f"need a nonempty square matrix, got shape {matrix.shape}")
-    values, vectors = _top_eigen(matrix[None], True, nonneg=True)
+    values, vectors = _top_eigen(matrix[None], True, nonneg=True, symmetric=overwrite)
     return float(values[0]), vectors[0]
 
 
 def estimate_constant(alpha: float, seq: GapSequence) -> ConstantEstimate:
     """Optimal constant for this configuration: top eigenvalue of the
-    symmetrized kernel, witnessed by the unit nonnegative optimizer."""
+    symmetrized kernel, witnessed by the unit nonnegative optimizer.
+
+    On a window whose nodes lie on a grid (`_on_grid`) the kernel is
+    Toeplitz and mirror-symmetric, so only its even block is built, from
+    one row (`_grid_fold`), and solved; the block holds the top eigenvalue,
+    and its vector, certified on the block, is lifted to the window. The
+    lift is an isometry that maps the block's residual to the kernel's.
+    Elsewhere the whole kernel is built and solved in place."""
     alpha = _check_alpha(alpha)
-    sym = _alpha_kernels(seq.deltas, seq.active, alpha, symmetrized=True)
-    value, vector = top_eigen_nonneg_sym(sym, overwrite=True)
+    row, col = _alpha_factors(seq.deltas, alpha)
+    message = ALPHA_OVERFLOW.format(alpha)
+    block = _grid_fold(row, col, seq.nodes, 2, message, symmetrized=True)
+    if block is None:
+        value, vector = top_eigen_nonneg_sym(pair_kernel(row, col, seq.active, 2, message, True),
+                                             overwrite=True)
+    else:
+        value, half = top_eigen_nonneg_sym(block, overwrite=True)
+        vector = _reflection_lift(half, seq.n)
     return ConstantEstimate(alpha, seq.n, value, seq, WeightVector(vector))
 
 

@@ -30,6 +30,7 @@ from .errors import (
     SigmaOutOfRange,
 )
 from .gaps import GapSequence, node_deltas, pair_kernel
+from .quadforms import _unit
 
 _ZETA_CUTOFF = 1_000_000
 _CHUNK = 1 << 20
@@ -228,6 +229,12 @@ def pair_spacing_sum(seq: GapSequence, ell: int, m: int, seed: int = 0) -> dict:
         sum_{k != ell, m} delta_k / ((lam_k-lam_ell)^2 (lam_k-lam_m)^2)
             <= pi^2 (d_ell+d_m) / (3 d_ell d_m (lam_ell-lam_m)^2)
                - 3 (d_ell+d_m) / (lam_ell-lam_m)^4.
+
+    Both sides are evaluated on the lengths times the power-of-two unit of
+    |lam_ell - lam_m| (`quadforms._unit`), where no product under- or
+    overflows, and each is multiplied back by the unit's cube: exact
+    scalings, and 1.0 in the normal range, where every bit is as it was.
+    Raises NonFinite when a side is not finite in the window's units.
     """
     if ell == m:
         raise SameIndex(f"indices must differ, got ell=m={ell}")
@@ -235,15 +242,20 @@ def pair_spacing_sum(seq: GapSequence, ell: int, m: int, seed: int = 0) -> dict:
         if not 1 <= idx <= seq.n:
             raise IndexOutOfRange(f"index {idx} outside 1..{seq.n}")
     lam = seq.active
-    dl = lam - lam[ell - 1]
-    dm = lam - lam[m - 1]
+    sep = lam[ell - 1] - lam[m - 1]
+    unit = _unit(abs(float(sep)))
+    dl = (lam - lam[ell - 1]) * unit
+    dm = (lam - lam[m - 1]) * unit
     with np.errstate(divide="ignore"):      # the two self terms, deleted below
-        terms = seq.deltas / (dl ** 2 * dm ** 2)
+        terms = seq.deltas * unit / (dl ** 2 * dm ** 2)
     lhs = float(np.sum(np.delete(terms, [ell - 1, m - 1])))
-    d_ell, d_m = seq.delta(ell), seq.delta(m)
-    sep2 = (lam[ell - 1] - lam[m - 1]) ** 2
-    rhs = math.pi ** 2 * (d_ell + d_m) / (3.0 * d_ell * d_m * sep2) \
-        - 3.0 * (d_ell + d_m) / sep2 ** 2
+    d_ell, d_m = seq.delta(ell) * unit, seq.delta(m) * unit
+    sep2 = (sep * unit) ** 2
+    rhs = float(math.pi ** 2 * (d_ell + d_m) / (3.0 * d_ell * d_m * sep2)
+                - 3.0 * (d_ell + d_m) / sep2 ** 2)
+    lhs, rhs = lhs * unit * unit * unit, rhs * unit * unit * unit
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise NonFinite("pair spacing sides overflow: the gaps are too small")
     return record("pair-spacing", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
 
 

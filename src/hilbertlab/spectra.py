@@ -16,7 +16,15 @@ import numpy as np
 from ._util import record
 from .errors import LengthMismatch, NonFinite, NonpositiveWeight, ZeroSpectrum
 from .gaps import GapSequence, kernel_rows, pair_kernel
-from .quadforms import _certify, _fold, _reflection_lift, _top_eigen, alpha_form_matrix, q_alpha
+from .quadforms import (
+    _certify,
+    _fold,
+    _grid_fold,
+    _reflection_lift,
+    _top_eigen,
+    alpha_form_matrix,
+    q_alpha,
+)
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
 H_OVERFLOW = "H has non-finite entries: the weights are too large for the gaps"
@@ -96,12 +104,13 @@ def _gram(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.matmul(a.T, a, out=out)
 
 
-def _skew_gram(rows, n: int, whole) -> tuple[np.ndarray, bool]:
-    """The Gram whose top eigenvalue is mu^2 for the n x n skew H with
-    rows s = rows(s), and whether it is folded: when J H J = -H exactly,
-    as on a reflection-symmetric window, H maps even vectors to odd ones
-    by its even block C (`_fold`) and odd ones back by -C^T, so it is the
-    half-size C^T C; else H^T H, with H = whole(), called only then.
+def _skew_gram(block, n: int, whole) -> tuple[np.ndarray, bool]:
+    """The Gram whose top eigenvalue is mu^2 for the n x n skew H, and
+    whether it is folded: when J H J = -H exactly, as on a
+    reflection-symmetric window, H maps even vectors to odd ones by its
+    even block C = block() (`_fold`, None when the symmetry fails) and odd
+    ones back by -C^T, so it is the half-size C^T C; else H^T H, with
+    H = whole(), called only then.
 
     The Gram's buffer is allocated before C. C, allocated last, then lies
     above the Gram in the heap, and once it is freed on return, LAPACK's
@@ -111,7 +120,7 @@ def _skew_gram(rows, n: int, whole) -> tuple[np.ndarray, bool]:
     """
     size = n - n // 2
     gram = np.empty((size, size))
-    half = _fold(rows, n, -1.0)
+    half = block()
     if half is None:
         del gram    # the whole H has a whole-size Gram
         return _gram(whole()), False
@@ -127,7 +136,8 @@ def _top_grams(hs: list[SkewHilbertMatrix]) -> tuple[list[float], list[np.ndarra
     The Grams solved are grouped by size, and each group is one
     `_top_eigen` stack, which solves each member as a lone call does.
     """
-    solved = [_skew_gram(h.entries.__getitem__, h.n, lambda: h.entries) for h in hs]
+    solved = [_skew_gram(lambda: _fold(h.entries.__getitem__, h.n, -1.0), h.n, lambda: h.entries)
+              for h in hs]
     grams, folded = [gram for gram, _ in solved], [fold for _, fold in solved]
     groups: dict[int, list[int]] = {}
     for i, gram in enumerate(grams):
@@ -152,13 +162,22 @@ def spectral_radius(seq: GapSequence, weights=None) -> float:
     eigenvalue of H^T H, with no eigenvectors formed; the value is bit for
     bit the mu of eigenpair_top(build_h(seq, weights)).
 
-    The Gram is `_skew_gram`'s. Its rows of H are made a block at a time,
-    so a folded H is never held whole; otherwise H is built whole.
+    The Gram is `_skew_gram`'s. With equal weights on a grid window H is
+    skew-Toeplitz, and its block C is built from one row of H
+    (`_grid_fold`); else the rows of H are made a block at a time, so a
+    folded H is never held whole; otherwise H is built whole.
     """
     c = _weights(seq, weights)
     lam = seq.active
-    gram = _skew_gram(lambda rows: kernel_rows(c, c, lam, 1, H_OVERFLOW, rows)[0], lam.size,
-                      lambda: pair_kernel(c, c, lam, 1, H_OVERFLOW))[0]
+
+    def half():
+        block = _grid_fold(c, c, seq.nodes, 1, H_OVERFLOW)
+        if block is None:
+            block = _fold(lambda rows: kernel_rows(c, c, lam, 1, H_OVERFLOW, rows)[0], lam.size,
+                          -1.0)
+        return block
+
+    gram = _skew_gram(half, lam.size, lambda: pair_kernel(c, c, lam, 1, H_OVERFLOW))[0]
     value = float(_top_eigen(gram[None], False)[0][0])
     return math.sqrt(max(value, 0.0))
 

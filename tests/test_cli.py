@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hilbertlab
-from hilbertlab import cli
+from hilbertlab import cli, quadforms
 from hilbertlab.cli import CSV_BLOCK_ROWS, build_parser, dispatch, write_csv
 from hilbertlab.errors import NoConvergence
 from hilbertlab.suites import ALL_SUITES, run_suites
@@ -273,12 +273,12 @@ class TestFreshProcessPeaks:
         assert module_peak_mb("verify", "--suite", "all") - base <= 36.0
 
     def test_folded_uniform_constant(self):
-        # the n = 2000 kernel (32 MB) and its even block (8 MB), which the
-        # Perron path factors in place; a second 32 MB kernel held beside
-        # them exceeds the bound
+        # the n = 2000 even block (8 MB), built from one row of the kernel and
+        # factored in place, about 11 MB above; the 32 MB kernel it was once
+        # folded from peaked about 42 MB above
         base = module_peak_mb("preissmann")
         assert module_peak_mb("constant", "--alpha", "1.0", "--n", "2000",
-                              "--config", "uniform") - base <= 60.0
+                              "--config", "uniform") - base <= 20.0
 
     def test_random_constant(self):
         # the n = 2000 kernel (32 MB), factored in place: a copy of it for
@@ -293,6 +293,26 @@ class TestFreshProcessPeaks:
         base = module_peak_mb("preissmann")
         assert module_peak_mb("lower-bound", "--scan", "1", "40", "4000",
                               "--out", str(tmp_path / "scan.csv")) - base <= 30.0
+
+
+class TestGridPath:
+    """The one-row block of a grid window's kernel (`quadforms._grid_fold`)
+    changes no output: with the grid test switched off, the kernels are
+    built and folded whole and print the same bytes."""
+
+    COMMANDS = (["constant", "--alpha", "1.0", "--n", "601", "--config", "uniform"],
+                ["constant", "--alpha", "0.5", "--n", "200", "--config", "uniform"],
+                ["verify", "--suite", "radius", "--trials", "2", "--seed", "5"])
+
+    def test_generic_path_prints_the_same_bytes(self, capsys, monkeypatch, calls):
+        blocks = calls(quadforms, "_toeplitz_fold")
+        grid = [without_elapsed(run(capsys, argv)[1]) for argv in self.COMMANDS]
+        assert len(blocks) == len(self.COMMANDS)
+        monkeypatch.setattr(quadforms, "_on_grid", lambda nodes: False)
+        blocks.clear()
+        generic = [without_elapsed(run(capsys, argv)[1]) for argv in self.COMMANDS]
+        assert blocks == []
+        assert generic == grid
 
 
 class TestLowerBoundCommand:

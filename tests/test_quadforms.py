@@ -17,6 +17,7 @@ from hilbertlab import (
     generate_uniform,
     WeightVector,
     q_alpha,
+    spectral_radius,
     top_eigen_nonneg_sym,
     uniform_lower_bound,
 )
@@ -412,7 +413,7 @@ class TestReflectionFold:
         # an even block of 300 rows goes to the Perron path
         folds.clear()
         eigvalsh_sizes.clear()
-        estimate_constant(1.0, generate_uniform(600, 1.0))
+        _top_eigen(centrosymmetric(600, np.random.default_rng(600))[None], True, nonneg=True)
         assert (len(folds), eigvalsh_sizes) == (1, [])
 
     def test_folded_estimate_holds_a_quarter_kernel_besides_its_own(self, traced_peak):
@@ -645,7 +646,7 @@ class TestPerronPath:
         # Ritz value is the eigenvalue that the shift then makes singular
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            value, vector = quadforms._perron_pair(np.ones((300, 300)))
+            value, vector, _ = quadforms._perron_pair(np.ones((300, 300)))
             assert value == pytest.approx(300.0, rel=1e-14)
             assert np.allclose(vector, 1.0 / np.sqrt(300.0), rtol=1e-14, atol=0.0)
             # mirrored, so 300 rows fold to an eigvalsh block and 600 to a Perron block
@@ -662,7 +663,7 @@ class TestPerronPath:
     def test_rank_one_shift_keeps_a_floor(self, n, scale, cholesky_sizes):
         # the Ritz pair is exact, so the residual leaves the shift on the
         # eigenvalue; without the floor most of these factorizations fail
-        value, vector = quadforms._perron_pair(np.full((n, n), scale))
+        value, vector, _ = quadforms._perron_pair(np.full((n, n), scale))
         assert value == pytest.approx(scale * n, rel=1e-14)
         assert np.allclose(vector, 1.0 / np.sqrt(n), rtol=1e-14, atol=0.0)
         assert cholesky_sizes == block_sizes(n)
@@ -686,7 +687,7 @@ class TestPerronPath:
         m = random_nonneg_sym(300, np.random.default_rng(14))
         values, vectors = np.linalg.eigh(m)
         monkeypatch.setattr(quadforms, "_lanczos_ritz",
-                            lambda matrix: (float(values[-2]), vectors[:, -2].copy()))
+                            lambda matrix, scale: (float(values[-2]), vectors[:, -2].copy()))
         assert quadforms._perron_pair(m) is None
         value, vector = top_eigen_nonneg_sym(m)
         assert eigvalsh_sizes == [300]
@@ -698,8 +699,10 @@ class TestPerronPath:
                                                 eigh_sizes):
         m = random_nonneg_sym(300, np.random.default_rng(12))
         m[3, 7] = m[7, 3] = bad
-        with pytest.raises(error):
-            top_eigen_nonneg_sym(m)
+        # `overwrite` skips only the bit-for-bit symmetry compare
+        for overwrite in (False, True):
+            with pytest.raises(error):
+                top_eigen_nonneg_sym(m, overwrite=overwrite)
         m = random_nonneg_sym(300, np.random.default_rng(13))
         m[3, 7] += 1e-6
         with pytest.raises(NotSymmetric):
@@ -727,6 +730,38 @@ class TestPerronPath:
         eigvalsh_sizes.clear()
         estimate_constant(1.0, generate_uniform(511, 1.0))
         assert eigvalsh_sizes == []
+
+    def test_own_member_reuses_its_scale_and_product(self, monkeypatch):
+        # a member solved whole hands on its max and its certified product,
+        # so neither n^2 pass runs twice
+        seen, certified = [], []
+        perron, certify = quadforms._perron_pair, quadforms._certify
+
+        def recording_pair(matrix, scale=None):
+            pair = perron(matrix, scale)
+            seen.append((scale, pair))
+            return pair
+
+        def recording_certify(product, value, v):
+            certified.append(product)
+            return certify(product, value, v)
+
+        monkeypatch.setattr(quadforms, "_perron_pair", recording_pair)
+        monkeypatch.setattr(quadforms, "_certify", recording_certify)
+        m = random_nonneg_sym(300, np.random.default_rng(34))
+        value, vector = top_eigen_nonneg_sym(m)
+        [(scale, pair)] = seen
+        assert scale == m.max()
+        assert certified[0] is pair[2]
+        assert_same_bits(pair[2], m @ vector)
+        # a folded member's block has a max of its own, and its lifted vector
+        # is certified on the member
+        seen.clear()
+        certified.clear()
+        top_eigen_nonneg_sym(centrosymmetric(600, np.random.default_rng(35)))
+        [(scale, pair)] = seen
+        assert scale is None
+        assert certified[0] is not pair[2]
 
 
 def dense_kernels(delta: np.ndarray, lam: np.ndarray, alpha: float) -> np.ndarray:
@@ -882,7 +917,7 @@ class TestInPlaceShift:
         m = random_nonneg_sym(300, np.random.default_rng(14))
         values, vectors = np.linalg.eigh(m)
         monkeypatch.setattr(quadforms, "_lanczos_ritz",
-                            lambda matrix: (float(values[-2]), vectors[:, -2].copy()))
+                            lambda matrix, scale: (float(values[-2]), vectors[:, -2].copy()))
         steps = calls(quadforms, "_solve_factor")
         stack = m[None].copy()
         tops, witnesses = _top_eigen(stack, True, nonneg=True)
@@ -908,11 +943,11 @@ class TestInPlaceShift:
         assert_same_bits(stack[0], m)
         assert abs(values[0] - np.linalg.eigvalsh(m)[-1]) <= 1e-12 * values[0]
         assert_certified_witness(m, values[0], vectors[0])
-        # the copy solved is the lower triangle mirrored into the upper one
+        # the copy solved is the lower triangle mirrored into the upper one;
+        # `overwrite` is only for a matrix built exactly symmetric
         lower_copy = top_eigen_nonneg_sym(np.tril(m) + np.tril(m, -1).T)
-        for overwrite in (False, True):
-            assert top_eigen_nonneg_sym(stack[0], overwrite=overwrite)[0] == lower_copy[0]
-            assert_same_bits(stack[0], m)
+        assert top_eigen_nonneg_sym(stack[0])[0] == lower_copy[0]
+        assert_same_bits(stack[0], m)
 
     @pytest.mark.parametrize("n", (9, 200))
     def test_copy_of_a_nearly_symmetric_member_folds(self, n, eigvalsh_sizes):
@@ -924,12 +959,11 @@ class TestInPlaceShift:
         near = m.copy()
         near[0, 5] *= 1.0 + 1e-13
         before = near.copy()
-        for overwrite in (False, True):
-            got = top_eigen_nonneg_sym(near, overwrite=overwrite)
-            assert got[0] == value
-            assert_same_bits(got[1], vector)
-            assert_same_bits(near, before)
-        assert eigvalsh_sizes == [(n + 1) // 2] * 2
+        got = top_eigen_nonneg_sym(near)
+        assert got[0] == value
+        assert_same_bits(got[1], vector)
+        assert_same_bits(near, before)
+        assert eigvalsh_sizes == [(n + 1) // 2]
 
     @pytest.mark.parametrize("nonneg", (False, True))
     def test_copy_is_made_only_where_the_whole_matrix_is_read(self, calls, nonneg):
@@ -1001,13 +1035,12 @@ class TestInPlaceShift:
         assert_same_bits(again[1], vector)
 
     def test_solve_takes_the_transpose_only_of_an_exactly_symmetric_matrix(self):
-        # a matrix symmetric within the tolerance only is left as it was even
-        # when it may be overwritten, and gets the value of its lower
-        # triangle mirrored
+        # a matrix symmetric within the tolerance only is left as it was and
+        # gets the value of its lower triangle mirrored
         m = random_nonneg_sym(200, np.random.default_rng(23))
         m[0, 5] *= 1.0 + 1e-13
         before = m.copy()
-        value = top_eigen_nonneg_sym(m, overwrite=True)[0]
+        value = top_eigen_nonneg_sym(m)[0]
         assert_same_bits(m, before)
         assert value == top_eigen_nonneg_sym(np.tril(m) + np.tril(m, -1).T)[0]
 
@@ -1016,6 +1049,18 @@ class TestInPlaceShift:
         n = 600
         seq = generate_random(n, 0.2, 5)
         assert traced_peak(lambda: estimate_constant(0.5, seq)) <= 1.5 * 8 * n * n
+
+    def test_overwrite_does_not_compare_the_triangles(self, calls):
+        # `overwrite` is for a matrix its caller built exactly symmetric, as
+        # estimate_constant builds its kernel
+        compares = calls(quadforms, "_exactly_symmetric")
+        m = random_nonneg_sym(300, np.random.default_rng(33))
+        value = top_eigen_nonneg_sym(m)[0]
+        assert len(compares) == 1
+        assert top_eigen_nonneg_sym(m, overwrite=True)[0] == value
+        assert len(compares) == 1
+        estimate_constant(0.5, generate_random(300, 0.2, 4))
+        assert len(compares) == 1
 
 
 class TestNonFiniteInput:
@@ -1044,6 +1089,115 @@ class TestNonFiniteInput:
             WeightVector([1.0, bad])
         with pytest.raises(NonFinite):
             q_alpha(generate_uniform(3, 1.0), [1.0, bad, 1.0], 1.0)
+
+
+def toeplitz(column: np.ndarray, sign: float) -> np.ndarray:
+    """The matrix with column[m - n] on and below the diagonal and
+    sign * column[n - m] above it."""
+    n = len(column)
+    offsets = np.subtract.outer(np.arange(n), np.arange(n))
+    upper = column if sign > 0 else np.negative(column)
+    return np.where(offsets >= 0, column[np.abs(offsets)], upper[np.abs(offsets)])
+
+
+def grid_kernel_factors(seq, sign: float) -> tuple:
+    """Factors, power and symmetrization of a kernel `_grid_fold` folds on
+    seq: estimate_constant's at alpha = 1/2 for sign 1, and H with unit
+    weights for sign -1."""
+    if sign > 0:
+        return (*quadforms._alpha_factors(seq.deltas, 0.5), 2, True)
+    return np.ones(seq.n), np.ones(seq.n), 1, False
+
+
+def moved_node(seq, index: int):
+    nodes = seq.nodes.copy()
+    nodes[index] = np.nextafter(nodes[index], np.inf)
+    return GapSequence(nodes)
+
+
+class TestToeplitzFold:
+    """On nodes i h, (i + 1) h, ... for a power of two h, a kernel with
+    constant factors is Toeplitz bit for bit, and its even block is built
+    from one row (`_grid_fold`, `_toeplitz_fold`) instead of the kernel."""
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 255, 256, 257, 601, 2000))
+    @pytest.mark.parametrize("spacing", (1.0, 0.5, 4.0))
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_grid_block_is_the_fold_of_the_kernel(self, n, spacing, sign):
+        seq = generate_uniform(n, spacing)
+        row, col, power, symmetrized = grid_kernel_factors(seq, sign)
+        kernel = pair_kernel(row, col, seq.active, power, "overflow", symmetrized)
+        block = quadforms._grid_fold(row, col, seq.nodes, power, "overflow", symmetrized)
+        assert_same_bits(block, quadforms._fold(kernel.__getitem__, n, sign))
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 9, 64, 65))
+    @pytest.mark.parametrize("sign", (1.0, -1.0))
+    def test_block_of_an_explicit_toeplitz_matrix(self, n, sign):
+        # zeros of both signs, so a sum that differs in its sign bit shows
+        rng = np.random.default_rng(n)
+        column = rng.uniform(-1.0, 1.0, n)
+        column[rng.uniform(size=n) < 0.3] = 0.0
+        column[rng.uniform(size=n) < 0.3] = -0.0
+        if sign < 0:
+            column[0] = 0.0    # the zero diagonal of a skew matrix
+        m = toeplitz(column, sign)
+        assert_same_bits(quadforms._toeplitz_fold(column, n, sign),
+                         quadforms._fold(m.__getitem__, n, sign))
+
+    def test_grid_predicate(self):
+        assert quadforms._on_grid(generate_uniform(5, 0.25).nodes)
+        assert quadforms._on_grid(np.arange(-3.0, 10.0) * 8.0)
+        assert quadforms._on_grid(np.arange(2.0 ** 52, 2.0 ** 52 + 6.0))
+        assert not quadforms._on_grid(generate_uniform(5, 0.3).nodes)
+        assert not quadforms._on_grid(generate_uniform(5, 3.0).nodes)
+        assert not quadforms._on_grid(np.array([0.5, 1.5, 2.5]))
+        assert not quadforms._on_grid(moved_node(generate_uniform(5, 1.0), 3).nodes)
+        assert not quadforms._on_grid(np.array([0.0, 1.0, 2.0, 2.5]))
+
+    @pytest.mark.parametrize("seq", (generate_uniform(300, 0.3),
+                                     moved_node(generate_uniform(300, 1.0), 150)),
+                             ids=("spacing-0.3", "one-ulp"))
+    def test_off_grid_windows_take_the_generic_path(self, seq, calls):
+        blocks = calls(quadforms, "_toeplitz_fold")
+        kernel = _symmetrized(alpha_form_matrix(seq, 0.5))
+        est = estimate_constant(0.5, seq)
+        assert blocks == []
+        value, vector = top_eigen_nonneg_sym(kernel)
+        assert est.value == value
+        assert_same_bits(est.witness.values, vector)
+
+    def test_unequal_weights_take_the_generic_path(self, calls):
+        blocks = calls(quadforms, "_toeplitz_fold")
+        seq = generate_uniform(300, 1.0)
+        spectral_radius(seq, np.r_[1.5, np.ones(seq.n - 1)])
+        assert blocks == []
+        spectral_radius(seq, np.ones(seq.n))
+        assert len(blocks) == 1
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 200, 201, 600, 601))
+    @pytest.mark.parametrize("alpha", (0.0, 0.5, 1.0, 2.0))
+    def test_estimate_matches_the_generic_path(self, n, alpha, monkeypatch):
+        seq = generate_uniform(n, 0.5)
+        grid = estimate_constant(alpha, seq)
+        monkeypatch.setattr(quadforms, "_on_grid", lambda nodes: False)
+        generic = estimate_constant(alpha, seq)
+        assert grid.value == generic.value
+        assert_same_bits(grid.witness.values, generic.witness.values)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_grid_kernel_that_underflows_raises(self):
+        # h^2 underflows to 0, so every entry is 0/0
+        seq = generate_uniform(3, 2.0 ** -600)
+        assert quadforms._on_grid(seq.nodes)
+        with pytest.raises(NonFinite, match="alpha = 1.0 kernel has non-finite entries"):
+            estimate_constant(1.0, seq)
+
+    def test_grid_estimate_holds_only_the_block(self, traced_peak):
+        # the whole symmetrized kernel beside its even block peaked at 1.28
+        # kernels; the block alone is a quarter of one
+        n = 2000
+        seq = generate_uniform(n, 1.0)
+        assert traced_peak(lambda: estimate_constant(1.0, seq)) <= 0.35 * 8 * n * n
 
 
 class TestEstimateConstant:

@@ -143,11 +143,13 @@ class TestStackedClimb:
         assert best.value == reference_hill_climb(1.0, seq, rounds=3).value
 
     def test_fold_is_tested_only_on_mirrored_trials(self, calls):
-        # the (0, 1) pair alone let 371 kernels of this search through, 70 mirrored
+        # the (0, 1) pair alone let 371 kernels of this search through, 70
+        # mirrored; the uniform start's block is built from one row
         fold = quadforms._fold
         tested = calls(quadforms, "_fold")
+        grid = calls(quadforms, "_toeplitz_fold")
         search_constant(0.5, 12, seed=0, restarts=1, rounds=18)
-        assert len(tested) == 70
+        assert (len(tested), len(grid)) == (69, 1)
         assert all(fold(*args) is not None for args in tested)
 
 

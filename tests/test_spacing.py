@@ -381,6 +381,22 @@ class TestPairSpacing:
         with pytest.raises(SameIndex):
             pair_spacing_sum(generate_uniform(5, 1.0), 2, 2)
 
+    @pytest.mark.parametrize("spacing", (1e-80, 1e100))
+    def test_extreme_spacing_keeps_its_digits(self, spacing):
+        # at 1e-80 the squared lengths were subnormal and the lhs off by 1e-5
+        # relative; at 1e100 both sides underflowed to 0
+        base = pair_spacing_sum(generate_uniform(4, 1.0), 1, 2)
+        far = pair_spacing_sum(generate_uniform(4, spacing), 1, 2)
+        for side in ("lhs", "rhs"):
+            assert far[side] == pytest.approx(base[side] / spacing ** 3, rel=1e-12, abs=0.0)
+        assert far["holds"]
+
+    @pytest.mark.parametrize("spacing", (1e-120, 1e-170))
+    def test_overflowing_sides_raise(self, spacing):
+        # at 1e-120 it returned lhs = inf and rhs = nan
+        with pytest.raises(NonFinite):
+            pair_spacing_sum(generate_uniform(4, spacing), 1, 2)
+
     @pytest.mark.parametrize("seed", range(60))
     def test_random_sweep_all_pairs(self, seed):
         rng = np.random.default_rng(seed)
