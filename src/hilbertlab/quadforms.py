@@ -19,12 +19,14 @@ here (J M J = M) and for spectra's skew H (J H J = -H). On a uniform
 window whose nodes are exact multiples of a power of two, a kernel with
 constant factors is Toeplitz, and `_toeplitz_fold` builds the same block,
 bit for bit, from one row of it, so the kernel is never formed
-(`_grid_fold`). Every matrix solved equals its transpose bit for bit:
-one that is symmetric only within the tolerance is solved as a copy of
-its lower triangle, mirrored, or by LAPACK, which reads only that
-triangle. From PERRON_MIN_N = 256 rows on, a nonnegative matrix gets its
-Perron pair from Lanczos steps and inverse iteration on one Cholesky
-factorization of sigma I - M made in the matrix itself, certified top by
+(`_grid_fold`). The core, `_top_eigen`, takes each matrix to equal its
+transpose bit for bit, as its caller builds it, and compares no triangle
+with the other: `top_eigen_nonneg_sym` is the one place that checks
+symmetry, within a tolerance, and it solves its own copy with the lower
+triangle, which LAPACK reads, mirrored into the upper one. From
+PERRON_MIN_N = 256 rows on, a nonnegative matrix gets its Perron pair
+from Lanczos steps and inverse iteration on one Cholesky factorization
+of sigma I - M made in the matrix itself, certified top by
 the Collatz-Wielandt bracket; these values are Rayleigh quotients that
 agree with LAPACK's eigvalsh within 1e-12 relative. Smaller and signed
 matrices, and any that path fails on, get their values from eigvalsh and
@@ -446,98 +448,63 @@ def _perron_pair(matrix: np.ndarray, scale: float | None = None
     return theta, v, product
 
 
-def _exactly_symmetric(stack: np.ndarray) -> np.ndarray:
-    """Whether M == M^T bit for bit, for each matrix in a (B, n, n) stack,
-    so that a zero and a negative zero differ; each block of rows is
-    compared with its mirror columns from the diagonal on, so no n x n
-    temporary is formed."""
-    bits = stack.view(np.int64)
-    symmetric = np.ones(len(stack), dtype=bool)
-    for rows in row_blocks(stack.shape[1]):
-        upper = bits[:, rows, rows.start:]
-        symmetric &= (upper == bits[:, rows.start:, rows].swapaxes(1, 2)).all(axis=(1, 2))
-    return symmetric
-
-
 def _asymmetry(matrix: np.ndarray) -> float:
     """max |M - M^T| of a square matrix, a block of rows at a time."""
     return max(float(np.max(np.abs(matrix[rows, rows.start:] - matrix[rows.start:, rows].T)))
                for rows in row_blocks(matrix.shape[0]))
 
 
-def _checked_scales(stack: np.ndarray, nonneg: bool,
-                    symmetric: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """max |M| of each matrix in a (B, n, n) stack, and whether each is
-    exactly symmetric, after the input checks run on each in turn:
-    nonnegative entries when `nonneg` is set (NegativeEntry), finite
-    entries (NonFinite), and symmetric within 1e-12 * (1 + max |M|)
-    (NotSymmetric). The first matrix that fails raises. With `symmetric`
-    the caller built every matrix exactly symmetric, and that is taken
-    as given instead of compared.
+def _checked_scales(stack: np.ndarray, nonneg: bool) -> np.ndarray:
+    """max |M| of each matrix in a (B, n, n) stack, after the input checks
+    run on each in turn: nonnegative entries when `nonneg` is set
+    (NegativeEntry), then finite entries (NonFinite). The first matrix that
+    fails raises. Symmetry is not checked here: `_top_eigen`'s callers build
+    their matrices exactly symmetric, and `top_eigen_nonneg_sym` checks its
+    input.
 
     max(max M, -min M) is max |M| without an n x n temporary, and it is
     finite exactly when every entry is: a NaN propagates through min and
-    max, and an infinite entry is one of them. The tolerance test runs
-    only on a matrix that is not exactly symmetric.
+    max, and an infinite entry is one of them.
     """
     low = stack.min(axis=(1, 2))
     scales = np.maximum(stack.max(axis=(1, 2)), -low)
-    finite = np.isfinite(scales)
-    exact = np.ones(len(stack), dtype=bool) if symmetric else _exactly_symmetric(stack)
-    passed = finite & exact
+    passed = np.isfinite(scales)
     if nonneg:
         passed &= low >= 0.0
-    if passed.all():
-        return scales, exact
-    for b in np.flatnonzero(~passed):
-        if nonneg and low[b] < 0.0:
+    if not passed.all():
+        first = int(np.argmin(passed))
+        if nonneg and low[first] < 0.0:
             raise NegativeEntry("matrix entries must be nonnegative")
-        if not finite[b]:
-            raise NonFinite("matrix has non-finite entries")
-        if _asymmetry(stack[b]) > 1e-12 * (1.0 + scales[b]):
-            raise NotSymmetric("matrix is not symmetric within 1e-12")
-    return scales, exact
+        raise NonFinite("matrix has non-finite entries")
+    return scales
 
 
-def _lower_mirrored(matrix: np.ndarray) -> np.ndarray:
-    """A copy of a square matrix with its lower triangle mirrored into the
-    upper one, a row at a time, so no other n x n array is formed."""
-    copy = matrix.copy()
-    for i in range(len(copy) - 1):
-        copy[i, i + 1:] = matrix[i + 1:, i]
-    return copy
+def _top_eigen(stack: np.ndarray, vector: bool,
+               nonneg: bool = False) -> tuple[np.ndarray, list[np.ndarray] | None]:
+    """Top eigenvalue of each square, finite matrix in a (B, n, n) stack
+    and, when `vector` is set, a certified unit eigenvector for each; with
+    `nonneg` the entries must also be nonnegative. The checks run on each
+    matrix in turn, and the first that fails raises (`_checked_scales`).
+    Each member must equal its transpose bit for bit, as its caller builds
+    it; that is not compared here.
 
-
-def _top_eigen(stack: np.ndarray, vector: bool, nonneg: bool = False,
-               symmetric: bool = False) -> tuple[np.ndarray, list[np.ndarray] | None]:
-    """Top eigenvalue of each square, finite, symmetric matrix in a (B, n, n)
-    stack and, when `vector` is set, a certified unit eigenvector for each;
-    with `nonneg` the entries must also be nonnegative. The checks run on
-    each matrix in turn, and the first that fails raises; with `symmetric`
-    the caller built each member exactly symmetric, and that is not
-    compared (`_checked_scales`).
-
-    The matrix solved equals its transpose bit for bit: the member, or,
-    for one symmetric only within the tolerance, `_lower_mirrored`'s copy,
-    made only where a solve reads the whole matrix (a fold, the Perron
-    path). With `nonneg` and J M J = M it is then the even block `_fold`,
-    which holds the top eigenvalue; a signed matrix is solved whole. A
-    nonnegative matrix of PERRON_MIN_N rows or more goes to `_perron_pair`,
-    whose Rayleigh quotient agrees with eigvalsh within 1e-12 relative;
-    when that gives None, it takes the path of the smaller ones. A member
-    solved there itself, unfolded and uncopied, hands on the max |M| and the
-    product Mv already formed, so neither is taken twice.
+    A member is solved as itself or, with `nonneg` and J M J = M, as its
+    even block `_fold`, which holds the top eigenvalue; a signed matrix is
+    solved whole. A nonnegative matrix of PERRON_MIN_N rows or more goes to
+    `_perron_pair`, whose Rayleigh quotient agrees with eigvalsh within
+    1e-12 relative; when that gives None, it takes the path of the smaller
+    ones. A member solved there whole hands on the max |M| and the product
+    Mv already formed, so neither is taken twice.
 
     There the values are LAPACK's eigvalsh and the vectors LAPACK's eigh:
     one call each per even block and one stacked call each for the other
-    members, which solves each as a lone call does and reads its lower
-    triangle, that of the matrix solved. The vector of a block is lifted
-    back to length n. A vector's sign makes its sum nonnegative; with
-    `nonneg` its absolute value is taken, a top eigenvector too, as |v| has
-    a Rayleigh quotient of at least the spectral radius. Every vector is
-    returned only when the residual certificate ||Mv - value*v|| <=
-    RESIDUAL_RTOL * |value| holds on the member. A zero matrix gives 0 and
-    the normalized ones vector; a value that overflows raises
+    members, which solves each as a lone call does. The vector of a block
+    is lifted back to length n. A vector's sign makes its sum nonnegative;
+    with `nonneg` its absolute value is taken, a top eigenvector too, as
+    |v| has a Rayleigh quotient of at least the spectral radius. Every
+    vector is returned only when the residual certificate ||Mv - value*v||
+    <= RESIDUAL_RTOL * |value| holds on the member. A zero matrix gives 0
+    and the normalized ones vector; a value that overflows raises
     NoConvergence, with or without vectors.
 
     The Perron path writes its factor over the strict lower triangle of
@@ -550,12 +517,11 @@ def _top_eigen(stack: np.ndarray, vector: bool, nonneg: bool = False,
     """
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise NotSymmetric(f"need a stack of square matrices, got shape {stack.shape}")
-    scales, exact = _checked_scales(stack, nonneg, symmetric)
-    scales = scales.tolist()
+    scales = _checked_scales(stack, nonneg).tolist()
     count, n = stack.shape[:2]
     nonzero = [b for b, scale in enumerate(scales) if scale]
     values = np.zeros(count)
-    # row 0 of J M J is row n - 1 of M reversed; column 0 is row 0 of the matrix solved
+    # row 0 of J M J is row n - 1 of M reversed; column 0 is row 0 of M
     mirror = ((stack[:, :, 0] == stack[:, -1, ::-1]).all(axis=1).tolist() if nonneg and n >= 2
               else [False] * count)
     # member -> (its even block or None, its Perron vector or None, and M v
@@ -563,14 +529,9 @@ def _top_eigen(stack: np.ndarray, vector: bool, nonneg: bool = False,
     solved, plain = {}, []
     try:
         for b in nonzero:
-            # every solve but LAPACK's of a whole member, which reads its lower triangle,
-            # reads all of M
-            copied = not exact[b] and (mirror[b] or nonneg and n >= PERRON_MIN_N)
-            matrix = _lower_mirrored(stack[b]) if copied else stack[b]
-            fold = _fold(matrix.__getitem__, n, 1.0) if mirror[b] else None
-            own = fold is None and not copied
-            matrix = matrix if fold is None else fold
-            pair = (_perron_pair(matrix, scales[b] if own else None)
+            fold = _fold(stack[b].__getitem__, n, 1.0) if mirror[b] else None
+            matrix = stack[b] if fold is None else fold
+            pair = (_perron_pair(matrix, scales[b] if fold is None else None)
                     if nonneg and len(matrix) >= PERRON_MIN_N else None)
             if pair is not None:
                 values[b] = pair[0]
@@ -579,7 +540,7 @@ def _top_eigen(stack: np.ndarray, vector: bool, nonneg: bool = False,
             else:
                 values[b] = np.linalg.eigvalsh(fold)[-1]
             solved[b] = (fold, None, None) if pair is None else (fold, pair[1],
-                                                                 pair[2] if own else None)
+                                                                 pair[2] if fold is None else None)
         if plain:
             # a slice, unlike an index list, takes the whole stack without a copy
             members = stack[slice(None) if len(plain) == count else plain]
@@ -616,18 +577,33 @@ def top_eigen_nonneg_sym(matrix, overwrite: bool = False) -> tuple[float, np.nda
     vector certified. A matrix that is not n x n with n >= 1 raises
     NotSymmetric.
 
-    The solve runs on a private copy, so the caller's array, read-only or
-    not, is never written. `overwrite` is for a caller that owns a writable
-    float64 matrix it built exactly symmetric, as pair_kernel(...,
-    symmetrized=True) builds it, and does not read it during the call: the
-    matrix is solved in place, with no copy and no bit-for-bit symmetry
-    compare, overwritten in part and restored bit for bit before the call
-    returns or raises (`_top_eigen`). The other checks run either way.
+    This is the one place that checks symmetry. The solve runs on a private
+    copy, so the caller's array, read-only or not, is never written: the
+    copy's entries are checked (NegativeEntry, then NonFinite), then its
+    triangles are compared (NotSymmetric beyond 1e-12 * (1 + max |M|)), and
+    only then is its lower triangle, the one LAPACK reads, mirrored into
+    its upper one, in place, so that the matrix solved equals its transpose
+    bit for bit; an exactly symmetric input is left as it is. Mirroring
+    first would copy a finite lower entry over a NaN, inf or negative entry
+    that sits only in the upper triangle.
+
+    `overwrite` is for a caller that owns a writable float64 matrix it
+    built exactly symmetric, as pair_kernel(..., symmetrized=True) builds
+    it, and does not read it during the call: the matrix is solved in
+    place, with no copy and no symmetry check, overwritten in part and
+    restored bit for bit before the call returns or raises (`_top_eigen`).
+    The entry checks run either way.
     """
     matrix = np.asarray(matrix, dtype=float) if overwrite else np.array(matrix, dtype=float)
     if matrix.ndim != 2 or not 0 < matrix.shape[0] == matrix.shape[1]:
         raise NotSymmetric(f"need a nonempty square matrix, got shape {matrix.shape}")
-    values, vectors = _top_eigen(matrix[None], True, nonneg=True, symmetric=overwrite)
+    if not overwrite:
+        scale = _checked_scales(matrix[None], True)[0]
+        if _asymmetry(matrix) > 1e-12 * (1.0 + scale):
+            raise NotSymmetric("matrix is not symmetric within 1e-12")
+        for i in range(len(matrix) - 1):
+            matrix[i, i + 1:] = matrix[i + 1:, i]
+    values, vectors = _top_eigen(matrix[None], True, nonneg=True)
     return float(values[0]), vectors[0]
 
 

@@ -100,7 +100,8 @@ def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
 def _gram(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A^T A, written to `out` when it is given. numpy forms it with one
     syrk and mirrors the triangle, so it is exactly symmetric with no
-    symmetrizing pass (`_top_eigen` checks)."""
+    symmetrizing pass. `_top_eigen` requires that and does not compare
+    it; a contract test over the suites checks it."""
     return np.matmul(a.T, a, out=out)
 
 

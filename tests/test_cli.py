@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hilbertlab
-from hilbertlab import cli, quadforms
+from hilbertlab import cli, quadforms, spectra
 from hilbertlab.cli import CSV_BLOCK_ROWS, build_parser, dispatch, write_csv
 from hilbertlab.errors import NoConvergence
 from hilbertlab.suites import ALL_SUITES, run_suites
@@ -313,6 +313,45 @@ class TestGridPath:
         generic = [without_elapsed(run(capsys, argv)[1]) for argv in self.COMMANDS]
         assert blocks == []
         assert generic == grid
+
+
+class TestSymmetryContract:
+    """`_top_eigen` compares no triangle with the other: every matrix its
+    callers hand it equals its transpose bit for bit, as they build it.
+    Here each member it receives through either binding is checked on the
+    runs that reach every caller: the suites' Grams and kernels (the
+    n = 2000 Schur Gram, formed with `_gram(half, out=gram)`, among them),
+    the search's `constant_values` stacks, mirrored trials included, and
+    `estimate_constant` on each configuration."""
+
+    SEARCH = ["constant", "--search", "--alpha", "0.5", "--n", "12", "--restarts", "1",
+              "--rounds", "18", "--seed", "5"]
+    COMMANDS = (["verify", "--suite", "all", "--trials", "20", "--seed", "3"], SEARCH,
+                *(["constant", "--alpha", "0.5", "--n", "300", "--config", config]
+                  for config in ("uniform", "cluster", "random", "trig")))
+
+    def test_every_member_is_exactly_symmetric(self, capsys, monkeypatch, calls):
+        sizes = []
+
+        def checked(solve):
+            def contract(stack, *args, **kwargs):
+                # int64 views compare bits, signed zeros included
+                bits = stack.view(np.int64)
+                assert np.array_equal(bits, bits.swapaxes(1, 2))
+                sizes.extend([stack.shape[1]] * len(stack))
+                return solve(stack, *args, **kwargs)
+
+            return contract
+
+        for module in (quadforms, spectra):
+            monkeypatch.setattr(module, "_top_eigen", checked(module._top_eigen))
+        folds = calls(quadforms, "_fold")
+        for argv in self.COMMANDS:
+            folds.clear()
+            assert run(capsys, argv)[0] == 0
+            if argv is self.SEARCH:
+                assert folds
+        assert 1000 in sizes and 150 in sizes and 300 in sizes
 
 
 class TestLowerBoundCommand:

@@ -513,12 +513,15 @@ class TestStackedValues:
             stack_values(stack)
 
     def test_asymmetric_member_raises(self):
+        # the stack takes its members exactly symmetric; the tolerance check
+        # is the public entry's, which passes the first two and stops the third
         stack = np.full((3, 3, 3), 10.0)
         stack[0, 0, 1] += 5e-13 * 10.0
         stack[2, 0, 1] += 2e-12 * 10.0
+        assert [top_eigen_nonneg_sym(m)[0] for m in stack[:2]] == pytest.approx([30.0, 30.0],
+                                                                                rel=1e-12)
         with pytest.raises(NotSymmetric, match="not symmetric within 1e-12"):
-            stack_values(stack)
-        assert stack_values(stack[:2]) == pytest.approx([30.0, 30.0], rel=1e-12)
+            top_eigen_nonneg_sym(stack[2])
 
     def test_members_checked_in_order(self):
         # a lone solve of each member in turn would meet the negative one first
@@ -699,7 +702,7 @@ class TestPerronPath:
                                                 eigh_sizes):
         m = random_nonneg_sym(300, np.random.default_rng(12))
         m[3, 7] = m[7, 3] = bad
-        # `overwrite` skips only the bit-for-bit symmetry compare
+        # `overwrite` skips only the copy and the symmetry check
         for overwrite in (False, True):
             with pytest.raises(error):
                 top_eigen_nonneg_sym(m, overwrite=overwrite)
@@ -937,17 +940,14 @@ class TestInPlaceShift:
             m[200, 3] *= 1.0 + 1e-13
         else:
             m[200, 3], m[3, 200] = lower, upper
-        stack = m[None].copy()
-        values, vectors = _top_eigen(stack, True, nonneg=True)
+        before = m.copy()
+        value, vector = top_eigen_nonneg_sym(m)
         assert eigvalsh_sizes == []
-        assert_same_bits(stack[0], m)
-        assert abs(values[0] - np.linalg.eigvalsh(m)[-1]) <= 1e-12 * values[0]
-        assert_certified_witness(m, values[0], vectors[0])
-        # the copy solved is the lower triangle mirrored into the upper one;
-        # `overwrite` is only for a matrix built exactly symmetric
-        lower_copy = top_eigen_nonneg_sym(np.tril(m) + np.tril(m, -1).T)
-        assert top_eigen_nonneg_sym(stack[0])[0] == lower_copy[0]
-        assert_same_bits(stack[0], m)
+        assert_same_bits(m, before)
+        assert abs(value - np.linalg.eigvalsh(m)[-1]) <= 1e-12 * value
+        assert_certified_witness(m, value, vector)
+        # the copy solved is the lower triangle mirrored into the upper one
+        assert top_eigen_nonneg_sym(np.tril(m) + np.tril(m, -1).T)[0] == value
 
     @pytest.mark.parametrize("n", (9, 200))
     def test_copy_of_a_nearly_symmetric_member_folds(self, n, eigvalsh_sizes):
@@ -964,31 +964,6 @@ class TestInPlaceShift:
         assert_same_bits(got[1], vector)
         assert_same_bits(near, before)
         assert eigvalsh_sizes == [(n + 1) // 2]
-
-    @pytest.mark.parametrize("nonneg", (False, True))
-    def test_copy_is_made_only_where_the_whole_matrix_is_read(self, calls, nonneg):
-        # the stacked eigvalsh and eigh read the member's lower triangle,
-        # which is the copy's; a fold or the Perron path reads the copy
-        copies = calls(quadforms, "_lower_mirrored")
-        m = np.random.default_rng(5).uniform(0.0, 1.0, (9, 9))
-        m = m + m.T
-        m[0, 5] *= 1.0 + 1e-13
-        _top_eigen(m[None].copy(), False, nonneg)
-        assert copies == []
-        lower = np.tril(m) + np.tril(m, -1).T
-        assert_top_pair(lower, *lone_pair(m, nonneg))
-        assert copies == []
-        for member in (centrosymmetric(9, np.random.default_rng(5)),
-                       np.random.default_rng(5).uniform(0.0, 1.0, (600, 600))):
-            member = member + member.T
-            member[0, 5] *= 1.0 + 1e-13
-            _top_eigen(member[None], False, True)
-        assert len(copies) == 2
-
-    def test_lower_mirrored_copies_the_lower_triangle(self):
-        m = np.random.default_rng(6).normal(size=(70, 70))
-        m[3, 1] = -0.0
-        assert_same_bits(quadforms._lower_mirrored(m), np.where(np.tri(70, dtype=bool), m, m.T))
 
     @pytest.mark.parametrize("scale", (1e150, 1e300))
     def test_huge_entries_certify_or_fall_back(self, scale):
@@ -1051,16 +1026,75 @@ class TestInPlaceShift:
         assert traced_peak(lambda: estimate_constant(0.5, seq)) <= 1.5 * 8 * n * n
 
     def test_overwrite_does_not_compare_the_triangles(self, calls):
-        # `overwrite` is for a matrix its caller built exactly symmetric, as
-        # estimate_constant builds its kernel
-        compares = calls(quadforms, "_exactly_symmetric")
+        # the public entry compares the triangles of its copy once; `overwrite`
+        # is for a matrix its caller built exactly symmetric, as
+        # estimate_constant builds its kernel, and the core compares none
+        compares = calls(quadforms, "_asymmetry")
         m = random_nonneg_sym(300, np.random.default_rng(33))
         value = top_eigen_nonneg_sym(m)[0]
         assert len(compares) == 1
         assert top_eigen_nonneg_sym(m, overwrite=True)[0] == value
-        assert len(compares) == 1
         estimate_constant(0.5, generate_random(300, 0.2, 4))
+        estimate_constant(0.5, generate_uniform(300, 1.0))
+        constant_values(0.5, np.array([generate_random(300, 0.2, 4).nodes]))
         assert len(compares) == 1
+
+
+# near-symmetric inputs by the path their mirrored lower triangle takes, and
+# one entry that differs from its mirror by 1e-13 relative: a lower one, or
+# for the fold an upper one, so that the matrix mirrored is centrosymmetric
+NEAR_SYMMETRIC = {"eigvalsh": (9, random_nonneg_sym, (7, 2), [9]),
+                  "fold": (200, centrosymmetric, (1, 198), [100]),
+                  "perron": (300, random_nonneg_sym, (200, 3), [])}
+
+
+class TestSymmetryBoundary:
+    """`top_eigen_nonneg_sym` is the one place that checks symmetry: it
+    checks the entries of its copy, then compares the triangles, and only
+    then mirrors the lower triangle into the upper one."""
+
+    @pytest.mark.parametrize("n", (9, 300))
+    @pytest.mark.parametrize("bad, error", ((np.nan, NonFinite), (np.inf, NonFinite),
+                                            (-1.0, NegativeEntry)))
+    def test_bad_upper_entry_raises(self, n, bad, error):
+        # a mirror that ran first would copy the finite lower entry over it
+        m = random_nonneg_sym(n, np.random.default_rng(n))
+        m[1, n - 2] = bad
+        before = m.copy()
+        with pytest.raises(error):
+            top_eigen_nonneg_sym(m)
+        assert_same_bits(m, before)
+
+    @pytest.mark.parametrize("path", NEAR_SYMMETRIC)
+    @pytest.mark.parametrize("signed_zero", (False, True))
+    def test_input_is_solved_as_its_lower_triangle_mirrored(self, path, signed_zero,
+                                                            eigvalsh_sizes):
+        n, build, entry, sizes = NEAR_SYMMETRIC[path]
+        m = build(n, np.random.default_rng(40 + n))
+        if signed_zero:
+            # negative zeros below, zeros above, which compare equal; the
+            # second pair is the reflection of the first, so J M J = M holds
+            m[n - 1, 1] = m[n - 2, 0] = -0.0
+            m[1, n - 1] = m[0, n - 2] = 0.0
+        else:
+            m[entry] *= 1.0 + 1e-13
+        before = m.copy()
+        value, vector = top_eigen_nonneg_sym(m)
+        assert eigvalsh_sizes == sizes
+        assert_same_bits(m, before)
+        mirrored = np.where(np.tri(n, dtype=bool), m, m.T)
+        assert not np.array_equal(mirrored.view(np.int64), m.view(np.int64))
+        # solved in place, past the boundary's checks and mirror
+        want = top_eigen_nonneg_sym(mirrored, overwrite=True)
+        assert value == want[0]
+        assert_same_bits(vector, want[1])
+
+    def test_near_symmetric_input_holds_one_copy(self, traced_peak):
+        # a second, mirrored copy of the caller's copy peaked at 2.21 matrices
+        n = 600
+        m = random_nonneg_sym(n, np.random.default_rng(41))
+        m[400, 3] *= 1.0 + 1e-13
+        assert traced_peak(lambda: top_eigen_nonneg_sym(m)) <= 1.5 * 8 * n * n
 
 
 class TestNonFiniteInput:
