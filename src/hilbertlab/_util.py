@@ -1,7 +1,8 @@
-"""Shared helpers: reduced-argument trig, ordered map, the verdict record
-and JSON rendering."""
+"""Shared helpers: reduced-argument trig, ordered map, count arguments,
+the verdict record and JSON rendering."""
 from __future__ import annotations
 
+import operator
 from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
@@ -68,6 +69,19 @@ def parallel_map(fn, items):
     `util.parallel_map` span to fire.
     """
     return [fn(item) for item in items]
+
+
+def count(name: str, value, low: int) -> int:
+    """The count argument `name` as an int of at least `low`. A value that
+    is not an integer raises ValueError naming the argument, as does one
+    below `low`; numpy integers pass (operator.index), floats do not."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 # ---- JSON reports -------------------------------------------------------

@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._util import count
 from .errors import IndexOutOfRange, NegativeEntry, NonFinite, NotIncreasing, TooShort
 
 # rows per block of an n x n kernel: 32 rows of 2,000 entries are 512 kB
@@ -189,8 +190,7 @@ class WeightVector:
 
 def generate_uniform(n: int, spacing: float) -> GapSequence:
     """lam_k = k * spacing for k = 0..n+1, so every delta equals spacing."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = count("n", n, 1)
     if spacing <= 0:
         raise ValueError(f"spacing must be positive, got {spacing}")
     # built in place and handed over read-only, so the window adopts it
@@ -205,16 +205,14 @@ def generate_cluster(n: int) -> GapSequence:
 
     Active deltas: delta_1 = 1 and delta_k = 1/n for 2 <= k <= n.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n = count("n", n, 2)
     tail = 2.0 + np.arange(1, n, dtype=float) / n
     return GapSequence(np.concatenate(([0.0, 1.0, 2.0], tail)))
 
 
 def generate_random(n: int, min_gap: float, seed: int) -> GapSequence:
     """Seeded window with gaps drawn uniformly from [min_gap, 10*min_gap]."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = count("n", n, 1)
     if min_gap <= 0:
         raise ValueError(f"min_gap must be positive, got {min_gap}")
     # NaN passes the test above; the bound on the last node also keeps

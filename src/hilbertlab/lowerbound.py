@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import cotpi, sinpi_abs, sinpi_abs_cotpi
+from ._util import cotpi, count, sinpi_abs, sinpi_abs_cotpi
 from .errors import (
     AOutOfRange,
     CotangentPole,
@@ -207,8 +207,7 @@ def trig_form_value(cfg: TrigConfig) -> float:
 def periodize(cfg: TrigConfig, k_periods: int) -> tuple[GapSequence, WeightVector]:
     """Tile the torus points onto the line: lam_{kM+m} = k + x_m with the
     weights repeated, plus periodic ghost nodes on both ends."""
-    if k_periods < 1:
-        raise ValueError(f"k_periods must be >= 1, got {k_periods}")
+    k_periods = count("k_periods", k_periods, 1)
     shifts = np.arange(k_periods, dtype=float)
     body = (shifts[:, None] + cfg.points[None, :]).ravel()
     nodes = np.concatenate(([cfg.points[-1] - 1.0], body, [k_periods + cfg.points[0]]))
@@ -230,8 +229,7 @@ def periodized_equivalence_check(cfg: TrigConfig, k_periods: int,
     `periodize(cfg, K)` is the same value up to rounding. Raises NonFinite
     on a non-finite term instead of passing NaN on.
     """
-    if k_periods < 2:
-        raise ValueError(f"k_periods must be >= 2, got {k_periods}")
+    k_periods = count("k_periods", k_periods, 2)
     shifts = np.arange(1 - k_periods, k_periods, dtype=float)
     d, tau, x = cfg.gaps, cfg.weights, cfg.points
     with np.errstate(all="ignore"):
@@ -252,8 +250,7 @@ def l_sum(b: float, l: int) -> float:
     """sum_{j=1}^{L} (L+1-j) / sin^2(pi j B / L) for 0 < B < 1."""
     if not 0.0 < b < 1.0:
         raise ValueError(f"B must lie in (0, 1), got {b}")
-    if l < 1:
-        raise ValueError(f"L must be >= 1, got {l}")
+    l = count("L", l, 1)
     j = np.arange(1, l + 1, dtype=float)
     return float(np.sum((l + 1 - j) / sinpi_abs(j * b / l) ** 2))
 
@@ -281,8 +278,7 @@ def kappas(k: int, a):
     with B = 1 - (K+1)A required positive. A is a float or a 1-D array
     of offsets; a float gives two floats, an array two arrays.
     """
-    if k < 1:
-        raise ValueError(f"K must be >= 1, got {k}")
+    k = count("K", k, 1)
     given = np.asarray(a, dtype=float)
     a = np.atleast_1d(given)
     bad = ~((0.0 < a) & (a < 1.0 / (k + 1)))
@@ -354,10 +350,9 @@ def big_g(k: int, a: float) -> ConstructionResult:
 def scan(k_min: int, k_max: int, a_steps: int) -> ScanTable:
     """Evaluate G_K(x/(K+1)) on the open grid x = i/(a_steps+1), one
     array pass per K, and collect the points as columns."""
-    if not 1 <= k_min <= k_max:
-        raise ValueError(f"need 1 <= k_min <= k_max, got {k_min}, {k_max}")
-    if a_steps < 2:
-        raise ValueError(f"a_steps must be >= 2, got {a_steps}")
+    k_min = count("k_min", k_min, 1)
+    k_max = count("k_max", k_max, k_min)
+    a_steps = count("a_steps", a_steps, 2)
     x = np.arange(1, a_steps + 1) / (a_steps + 1)
     ks = np.arange(k_min, k_max + 1)
     per_k = []
@@ -380,8 +375,7 @@ def cot_limit_check(k: int, a: float, l: int) -> CotLimitReport:
 
     reporting the gap at L and 2L.
     """
-    if l < 10:
-        raise ValueError(f"L must be >= 10, got {l}")
+    l = count("L", l, 10)
     kappas(k, a)     # validates (k, a)
     b = 1.0 - (k + 1) * a
     closed = (2.0 / (math.pi * b)) * float(np.sum(cotpi(np.arange(1, k + 1, dtype=float) * a)))
@@ -399,8 +393,8 @@ def _cross_sum(k: int, a: float, b: float, l: int) -> float:
 
 def _construction_points(k: int, a: float, l: int, u: float):
     """Validate a (K, A, L, u) construction: u finite (NonFinite) and
-    nonnegative, (K, A) as `kappas` takes them, L >= B/A so the coarse
-    points keep gap A, and the cluster spacing h = B/L at least
+    nonnegative, (K, A) as `kappas` takes them, L an integer >= B/A so the
+    coarse points keep gap A, and the cluster spacing h = B/L at least
     SEPARATION_FLOOR (SeparationTooSmall). Returns (kappa_0, B, h)."""
     if not math.isfinite(u):
         raise NonFinite(f"u must be finite, got {u}")
@@ -408,6 +402,7 @@ def _construction_points(k: int, a: float, l: int, u: float):
         raise ValueError(f"u must be nonnegative, got {u}")
     kappa0, _ = kappas(k, a)
     b = 1.0 - (k + 1) * a
+    l = count("L", l, 1)
     if l < b / a:
         raise ValueError(f"L must be at least B/A = {b / a:.3f}, got {l}")
     h = b / l

@@ -39,6 +39,10 @@ besides the matrix. `top_eigen_nonneg_sym` solves a copy of its input
 unless told to overwrite it, which a caller does only with a matrix of its
 own that it built exactly symmetric, as `estimate_constant` does with its
 kernel or block; that matrix is not compared with its transpose.
+
+A search that wants only the first window of a stack whose value beats a
+floor calls `first_constant_above`, which solves only the windows whose
+Collatz-Wielandt bound at a positive vector can beat it.
 """
 from __future__ import annotations
 
@@ -47,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import count
 from .errors import (
     AlphaOutOfRange,
     LengthMismatch,
@@ -630,18 +635,81 @@ def estimate_constant(alpha: float, seq: GapSequence) -> ConstantEstimate:
     return ConstantEstimate(alpha, seq.n, value, seq, WeightVector(vector))
 
 
-def constant_values(alpha: float, nodes: np.ndarray) -> np.ndarray:
-    """`estimate_constant`'s value on each window of a (B, N+2) stack of
-    node vectors (ghosts included), bit for bit, without witnesses or
-    certificates: the value-only path for searches that try many windows
-    and keep few."""
+def _window_kernels(alpha: float, nodes: np.ndarray) -> np.ndarray:
+    """The symmetrized kernels of a (B, N+2) stack of node vectors (ghosts
+    included), after the alpha and node checks."""
     alpha = _check_alpha(alpha)
     nodes = np.asarray(nodes, dtype=float)
     if nodes.ndim != 2:
         raise TooShort(f"need a stack of windows, got shape {nodes.shape}")
     check_nodes(nodes)
-    kernels = _alpha_kernels(node_deltas(nodes), nodes[:, 1:-1], alpha, symmetrized=True)
-    return _top_eigen(kernels, False, nonneg=True)[0]
+    return _alpha_kernels(node_deltas(nodes), nodes[:, 1:-1], alpha, symmetrized=True)
+
+
+def constant_values(alpha: float, nodes: np.ndarray) -> np.ndarray:
+    """`estimate_constant`'s value on each window of a (B, N+2) stack of
+    node vectors (ghosts included), bit for bit, without witnesses or
+    certificates; `first_constant_above` solves only the windows that can
+    beat a floor, with these values."""
+    return _top_eigen(_window_kernels(alpha, nodes), False, nonneg=True)[0]
+
+
+def _collatz_wielandt(stack: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """max_i (M v)_i / v_i for each M of a (B, n, n) stack, from one stacked
+    product. For nonnegative M and positive v it bounds M's top eigenvalue
+    from above (Horn & Johnson, Matrix Analysis, 2nd ed., 8.1); a sum that
+    overflows gives inf."""
+    with np.errstate(over="ignore"):
+        return (stack @ v / v).max(axis=1)
+
+
+def first_constant_above(alpha: float, nodes: np.ndarray, floor: float,
+                         v: np.ndarray) -> tuple[int, float, np.ndarray] | None:
+    """The first window of a (B, N+2) stack of node vectors whose
+    `constant_values` value exceeds `floor`: its index, that value bit for
+    bit, and its witness, the certified unit vector of `_top_eigen`; None
+    when no window's value exceeds it.
+
+    Only the windows that can exceed the floor are solved. All kernels are
+    built and pass the entry checks (NegativeEntry, NonFinite) first. Then,
+    for a positive v, a window whose Collatz-Wielandt bound b = max_i (M
+    v)_i / v_i has b (1 + 1e-12) <= floor is dropped. The test is written
+    so that a NaN bound is kept; a v with an entry <= 0 drops nothing. The
+    rest move to the front of the stack, in order, and are solved together
+    as `constant_values` solves them.
+
+    The margin makes the drop sound: a dropped window's value is at most
+    the floor, so the first window above it is always solved.
+    - The exact bound is at least lambda_max(M). LAPACK's backward error is
+      p(n) eps ||M||_2, and ||M||_2 = lambda_max for a nonnegative
+      symmetric M, so eigvalsh reads at most lambda_max (1 + p(n) eps). A
+      mirrored member's even block has the same top eigenvalue and norm.
+    - The bound sums nonnegative terms and divides once, so its own
+      rounding is within gamma_{n+1} = (n+1) eps / (1 - (n+1) eps).
+    - 1e-12 is about 4,500 ulps (eps = 2^-52), above both at the sizes a
+      search tries.
+    - From PERRON_MIN_N rows on the value is a Rayleigh quotient, which is
+      at most lambda_max.
+    """
+    kernels = _window_kernels(alpha, nodes)
+    _checked_scales(kernels, True)
+    survivors = np.arange(len(kernels))
+    if v.min() > 0.0:
+        survivors = survivors[~(_collatz_wielandt(kernels, v) * (1.0 + 1e-12) <= floor)]
+    if not survivors.size:
+        return None
+    # moving the survivors forward in place keeps the stack within its memory
+    for i, b in enumerate(survivors.tolist()):
+        if i != b:
+            kernels[i] = kernels[b]
+    solved = kernels[:survivors.size]
+    values = _top_eigen(solved, False, nonneg=True)[0]
+    hits = np.flatnonzero(values > floor)
+    if not hits.size:
+        return None
+    j = int(hits[0])
+    witness = _top_eigen(solved[j:j + 1], True, nonneg=True)[1][0]
+    return int(survivors[j]), float(values[j]), witness
 
 
 def uniform_lower_bound(n: int) -> float:
@@ -651,8 +719,7 @@ def uniform_lower_bound(n: int) -> float:
 
     which increases to pi^2/3.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n = count("n", n, 2)
     k = np.arange(1, n, dtype=float)
     return float(2.0 * np.sum(k ** -2.0) - (2.0 / n) * np.sum(1.0 / k))
 
@@ -666,8 +733,7 @@ def cluster_lower_bound(alpha: float, n: int) -> float:
     alpha = 1/2.
     """
     alpha = _check_alpha(alpha)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+    n = count("n", n, 2)
     j = np.arange(2, n + 1, dtype=float)
     terms = (1.0 + (j - 2.0) / n) ** -2.0
     return float(np.sqrt(n + 1.0) / (2.0 * n ** (alpha + 1.0)) * np.sum(terms))

@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import count
 from .gaps import GapSequence, generate_cluster, generate_random, generate_uniform
 from .lowerbound import construction_config, periodize
-from .quadforms import ConstantEstimate, constant_values, estimate_constant
+from .quadforms import ConstantEstimate, estimate_constant, first_constant_above
 
 
 # The most kernel entries a stack of trials holds (8 MB of floats), so a
@@ -29,8 +30,7 @@ class SearchResult:
 def generate_trig_periodized(n: int) -> GapSequence:
     """Window of n active nodes of the periodized torus construction at
     K = 5, A = 0.14, L = 10 and u = 1."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = count("n", n, 1)
     cfg = construction_config(5, 0.14, 10, u=1.0)
     periods = max(2, -(-(n + 2) // cfg.m))
     seq, _ = periodize(cfg, periods)
@@ -43,27 +43,33 @@ def _nodes_from_gaps(gaps: np.ndarray) -> np.ndarray:
 
 
 def hill_climb(alpha: float, seq: GapSequence, rounds: int) -> ConstantEstimate:
-    """Coordinate ascent on the n+1 gaps with multiplicative step halving.
+    """Coordinate ascent on the n+1 gaps with multiplicative step halving;
+    `rounds` is a count of at least 0.
 
     A round tries each gap in turn scaled by 1 + step and then by
     1 / (1 + step), and keeps every trial that beats the best value so far
     by 1e-13; a round that keeps none halves the step. The next trials of
-    a round are valued together, as one stack built from the current gaps.
-    The first that beats the best is kept and the trials after it are
-    stacked again from the new gaps, so the climb keeps the trials a
-    one-by-one loop keeps, with the same values. Trials stacked after a
-    kept one are wasted, so stack lengths follow the climb: the first
-    stack holds one trial, a stack that keeps a trial sets the next
-    length to its trials up to that one, and a stack that keeps none
-    doubles it, up to a round and to STACK_FLOATS kernel entries.
+    a round are built together, as one stack from the current gaps, and
+    `first_constant_above` finds the first that beats the best: it solves
+    only the trials whose Collatz-Wielandt bound at the best's Perron
+    vector can beat it, and hands on the kept trial's certified vector,
+    which bounds the next stacks. The trials after a kept one are stacked
+    again from the new gaps, so the climb keeps the trials a one-by-one
+    loop keeps, with the same values. Trials stacked after a kept one are
+    wasted, so stack lengths follow the climb: the first stack holds one
+    trial, a stack that keeps a trial sets the next length to its trials
+    up to that one, and a stack that keeps none doubles it, up to a round
+    and to STACK_FLOATS kernel entries.
 
-    Trials are valued only. The returned estimate is solved and certified
-    on the final gaps, or is the start's own estimate when no trial was
-    kept (rebuilding the start's nodes from its gaps can change their last
-    bits).
+    The returned estimate is solved and certified on the final gaps, or
+    is the start's own estimate when no trial was kept (rebuilding the
+    start's nodes from its gaps can change their last bits).
     """
+    rounds = count("rounds", rounds, 0)
     start = estimate_constant(alpha, seq)
     gaps, best, step = np.diff(seq.nodes), start.value, 0.25
+    # the best's Perron vector, which bounds every trial from above
+    witness = start.witness.values
     coords = np.repeat(np.arange(gaps.size), 2)
     longest = max(1, min(coords.size, STACK_FLOATS // seq.n ** 2))
     kept, size = False, 1
@@ -74,13 +80,12 @@ def hill_climb(alpha: float, seq: GapSequence, rounds: int) -> ConstantEstimate:
             stop = min(k + size, coords.size)
             trials = np.tile(gaps, (stop - k, 1))
             trials[np.arange(stop - k), coords[k:stop]] *= factors[k:stop]
-            values = constant_values(alpha, _nodes_from_gaps(trials))
-            hits = np.flatnonzero(values > best + 1e-13)
-            if hits.size == 0:
+            hit = first_constant_above(alpha, _nodes_from_gaps(trials), best + 1e-13, witness)
+            if hit is None:
                 k, size = stop, min(2 * size, longest)
                 continue
-            j = hits[0]
-            gaps, best = trials[j], float(values[j])
+            j, best, witness = hit
+            gaps = trials[j]
             improved = kept = True
             k, size = k + j + 1, j + 1
         if not improved:
@@ -94,6 +99,7 @@ def hill_climb(alpha: float, seq: GapSequence, rounds: int) -> ConstantEstimate:
 
 def candidate_configs(n: int, seed: int = 0, *, restarts: int) -> list[tuple[str, GapSequence]]:
     """The three reference configurations plus seeded random restarts."""
+    restarts = count("restarts", restarts, 0)
     configs = [("uniform", generate_uniform(n, 1.0))]
     if n >= 2:
         configs.append(("cluster", generate_cluster(n)))
@@ -106,8 +112,6 @@ def candidate_configs(n: int, seed: int = 0, *, restarts: int) -> list[tuple[str
 def search_constant(alpha: float, n: int, seed: int = 0, *, restarts: int,
                     rounds: int) -> SearchResult:
     """Best estimate over all candidate starts, each refined by the climb."""
-    if restarts < 0 or rounds < 0:
-        raise ValueError(f"restarts and rounds must be >= 0, got {restarts} and {rounds}")
     best: SearchResult | None = None
     for label, seq in candidate_configs(n, seed, restarts=restarts):
         estimate = hill_climb(alpha, seq, rounds)

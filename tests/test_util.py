@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbertlab._util import Rows, cotpi, sinpi_abs, sinpi_abs_cotpi, to_json, to_json_lines
+from hilbertlab import gaps, lowerbound, quadforms, search
+from hilbertlab._util import Rows, count, cotpi, sinpi_abs, sinpi_abs_cotpi, to_json, to_json_lines
 
 
 def jsonable(obj):
@@ -148,3 +149,48 @@ class TestReducedTrig:
         for got, want in ((sinpi_abs(y), want_sin), (sines, want_sin),
                           (cotpi(y), want_cot), (cots, want_cot)):
             assert abs(got - want) <= 4e-16 * abs(want)
+
+
+# a call per count argument that once let a non-integer through, or failed
+# on it with an untyped error: (argument, call with that argument set to x)
+COUNT_CALLS = (
+    ("n", lambda x: quadforms.uniform_lower_bound(x)),
+    ("n", lambda x: quadforms.cluster_lower_bound(0.5, x)),
+    ("n", lambda x: gaps.generate_uniform(x, 1.0)),
+    ("n", lambda x: gaps.generate_cluster(x)),
+    ("n", lambda x: gaps.generate_random(x, 0.2, 0)),
+    ("n", lambda x: search.generate_trig_periodized(x)),
+    ("K", lambda x: lowerbound.kappas(x, 0.01)),
+    ("L", lambda x: lowerbound.l_sum(0.5, x)),
+    ("L", lambda x: lowerbound.cot_limit_check(2, 0.1, x)),
+    ("L", lambda x: lowerbound.construction_config(2, 0.1, x, 1.0)),
+    ("k_min", lambda x: lowerbound.scan(x, 12, 3)),
+    ("k_max", lambda x: lowerbound.scan(1, x, 3)),
+    ("a_steps", lambda x: lowerbound.scan(1, 2, x)),
+    ("k_periods", lambda x: lowerbound.periodize(lowerbound.trig_config([0.0], [1.0]), x)),
+    ("k_periods", lambda x: lowerbound.periodized_equivalence_check(
+        lowerbound.trig_config([0.0, 0.5], [1.0, 1.0]), x)),
+    ("n", lambda x: search.search_constant(0.5, x, restarts=1, rounds=1)),
+    ("restarts", lambda x: search.search_constant(0.5, 3, restarts=x, rounds=1)),
+    ("rounds", lambda x: search.search_constant(0.5, 3, restarts=1, rounds=x)),
+    ("rounds", lambda x: search.hill_climb(0.5, gaps.generate_uniform(4, 1.0), x)),
+)
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("name, call", COUNT_CALLS)
+    @pytest.mark.parametrize("value", (12.5, 12.0, "12", None))
+    def test_a_count_that_is_no_integer_names_its_argument(self, name, call, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call(value)
+
+    @pytest.mark.parametrize("name, call", COUNT_CALLS)
+    def test_numpy_integers_pass(self, name, call):
+        assert call(np.int64(12)) is not None
+
+    def test_count(self):
+        assert count("n", np.int32(3), 1) == 3 and type(count("n", np.int32(3), 1)) is int
+        with pytest.raises(ValueError, match="^n must be >= 4, got 3$"):
+            count("n", 3, 4)
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
+            count("n", 2.5, 1)
