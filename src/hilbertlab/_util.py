@@ -200,8 +200,25 @@ def to_json_lines(items) -> str:
     return "\n".join(_items(items, "", "", ":"))
 
 
-def record(lemma, lhs, rhs, holds, seed=0, tail_bound=0.0) -> dict:
+# lhs sense rhs, loosened by slack; each is written so that NaN fails
+_SENSES = {"<": lambda x, y, s: x < y + s, "<=": lambda x, y, s: x <= y + s,
+           ">": lambda x, y, s: x > y - s, ">=": lambda x, y, s: x >= y - s,
+           "==": lambda x, y, s: abs(x - y) <= s, "info": lambda x, y, s: True}
+
+
+def record(lemma, lhs, rhs, sense, slack=0.0, *, requires=True, seed=0, tail_bound=0.0) -> dict:
     """One inequality/identity verdict, shared by the verification sweeps
-    and the CLI; its key order is the verify CSV's columns."""
-    return {"lemma": str(lemma), "seed": int(seed), "lhs": float(lhs), "rhs": float(rhs),
-            "holds": bool(holds), "tail_bound": float(tail_bound)}
+    and the CLI; its key order is the verify CSV's columns.
+
+    `holds` is decided here only: `lhs sense rhs`, loosened by `slack`,
+    and `requires`, a clause the printed sides cannot express. `sense` is
+    "<", "<=", ">", ">=", "==" (|lhs - rhs| <= slack) or "info", which
+    checks nothing; any other value, a bool included, raises ValueError.
+    """
+    verdict = _SENSES.get(sense)
+    if verdict is None:
+        raise ValueError(f"sense must be one of {', '.join(_SENSES)}, got {sense!r}")
+    lhs, rhs = float(lhs), float(rhs)
+    holds = bool(requires) and verdict(lhs, rhs, float(slack))
+    return {"lemma": str(lemma), "seed": int(seed), "lhs": lhs, "rhs": rhs, "holds": holds,
+            "tail_bound": float(tail_bound)}

@@ -122,7 +122,7 @@ def check_equidistance(a, sigma: float, seed: int = 0) -> dict:
     frac = total - floor_total
     rhs = _integer_weight_sum(sigma, floor_total) \
         + frac * float((np.array([floor_total + 1.0]) ** -sigma)[0])
-    return record("equidistance", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
+    return record("equidistance", lhs, rhs, "<=", 1e-12, seed=seed)
 
 
 def check_smoothing_monovariant(a, nu: int, eps: float, sigma: float, seed: int = 0) -> dict:
@@ -140,7 +140,7 @@ def check_smoothing_monovariant(a, nu: int, eps: float, sigma: float, seed: int 
     b[nu - 1] += eps
     lhs = f_n_functional(a, sigma, a.size - 1)
     rhs = f_n_functional(b, sigma, a.size - 1)
-    return record("smoothing-monovariant", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
+    return record("smoothing-monovariant", lhs, rhs, "<=", 1e-12, seed=seed)
 
 
 def check_fn_upper(a, sigma: float, seed: int = 0) -> dict:
@@ -149,7 +149,7 @@ def check_fn_upper(a, sigma: float, seed: int = 0) -> dict:
     a = np.asarray(a, dtype=float)
     lhs = f_n_functional(a, sigma, a.size - 1)    # rejects a non-finite entry first
     rhs = zeta(sigma)
-    return record("fn-upper", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
+    return record("fn-upper", lhs, rhs, "<=", 1e-12, seed=seed)
 
 
 def _pairwise_sum(start: int, stop: int, leaf) -> float:
@@ -219,8 +219,7 @@ def spacing_bound_report(seq: GapSequence, ell: int, sigma: float, seed: int = 0
     centre = seq.active[ell - 1]
     tail = ((centre - seq.nodes[0]) ** (1 - sigma) / (sigma - 1)
             + (seq.nodes[-1] - centre) ** (1 - sigma) / (sigma - 1))
-    return record("preissmann-spacing", lhs, rhs, lhs <= rhs + 1e-12,
-                  seed=seed, tail_bound=tail)
+    return record("preissmann-spacing", lhs, rhs, "<=", 1e-12, seed=seed, tail_bound=tail)
 
 
 def pair_spacing_sum(seq: GapSequence, ell: int, m: int, seed: int = 0) -> dict:
@@ -256,7 +255,7 @@ def pair_spacing_sum(seq: GapSequence, ell: int, m: int, seed: int = 0) -> dict:
     lhs, rhs = lhs * unit * unit * unit, rhs * unit * unit * unit
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise NonFinite("pair spacing sides overflow: the gaps are too small")
-    return record("pair-spacing", lhs, rhs, lhs <= rhs + 1e-12, seed=seed)
+    return record("pair-spacing", lhs, rhs, "<=", 1e-12, seed=seed)
 
 
 def pair_spacing_margins(seq: GapSequence) -> tuple[np.ndarray, np.ndarray]:

@@ -231,7 +231,7 @@ def check_selberg_identity(h: SkewHilbertMatrix, pair: ComplexEigenpair, seed: i
     rhs += 2.0 * c * (pair.u_re * (hh @ (pair.u_re / c)) + pair.u_im * (hh @ (pair.u_im / c)))
     lhs = pair.mu ** 2 * abs2
     rel = float(np.max(np.abs(lhs - rhs))) / pair.mu ** 2
-    return record("selberg-identity", rel, 1e-8, rel < 1e-8, seed=seed)
+    return record("selberg-identity", rel, 1e-8, "<", seed=seed)
 
 
 def two_forms_bound(c3: float) -> float:
@@ -289,7 +289,7 @@ def numerical_radius_check(h: SkewHilbertMatrix, rho: float, seed: int = 0) -> l
     for lemma, (vr, vi) in (("numerical-radius", (zr, zi)),
                             ("numerical-radius-normalized", (zr / h.weights, zi / h.weights))):
         lhs, rhs = bilinear_form(h, vr, vi), rho * float(vr @ vr + vi @ vi)
-        records.append(record(lemma, lhs, rhs, lhs <= rhs + 1e-9 * (1.0 + rhs), seed=seed))
+        records.append(record(lemma, lhs, rhs, "<=", 1e-9 * (1.0 + rhs), seed=seed))
     return records
 
 

@@ -2,8 +2,9 @@
 
 Every record carries the same keys: lemma, seed, lhs, rhs, holds,
 tail_bound. Sweeps are deterministic given (trials, max_n, seed); only
-selberg and radius take max_n. Each verdict keeps one fixed tolerance,
-written where the verdict is computed.
+selberg and radius take max_n. Each site states its verdict as a sense
+and one fixed slack, and `_util.record` decides `holds` from them; a
+clause that the printed sides cannot express goes in as `requires`.
 """
 from __future__ import annotations
 
@@ -49,7 +50,6 @@ from .spectra import (
     preissmann_chain,
     s_and_t,
     spectral_radius,
-    two_forms_bound,
 )
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
@@ -119,9 +119,9 @@ def suite_spacing(trials: int = 100, seed: int = 0) -> list[dict]:
     # sits within 3e-6 of pi^2/3
     window = 10**6
     useq = generate_uniform(2 * window + 1, 1.0)
-    uval = spacing_sum(useq, window + 1, 2.0)
-    records.append(record("spacing-uniform-window", abs(uval - PI2_OVER_3), 3e-6,
-                          abs(uval - PI2_OVER_3) < 3e-6, seed=seed, tail_bound=2.0 / window))
+    defect = abs(spacing_sum(useq, window + 1, 2.0) - PI2_OVER_3)
+    records.append(record("spacing-uniform-window", defect, 3e-6, "<",
+                          seed=seed, tail_bound=2.0 / window))
 
     def other_cases(i: int) -> list[dict]:
         s = seed + i
@@ -151,7 +151,7 @@ def suite_spacing(trials: int = 100, seed: int = 0) -> list[dict]:
         combined = seq.delta(ell) ** (sigma - 1) * spacing_sum(seq, ell, sigma)
         rel = abs(fa + fb - combined) / max(combined, 1e-300)
         one_sided = fa <= zeta(sigma) + 1e-12 and fb <= zeta(sigma) + 1e-12
-        return record("shan-chain", rel, 1e-10, rel < 1e-10 and one_sided, seed=s)
+        return record("shan-chain", rel, 1e-10, "<", requires=one_sided, seed=s)
 
     records.extend(parallel_map(shan_case, range(min(trials, 100))))
     return records
@@ -163,8 +163,9 @@ def suite_pair_spacing(trials: int = 100, seed: int = 0) -> list[dict]:
     One record per window: every pair ell < m comes from one
     `pair_spacing_margins` table, and the pair with the worst margin
     lhs-rhs is evaluated again by the scalar reference `pair_spacing_sum`,
-    whose margin the record reports. It holds when every pair of the table
-    has lhs <= rhs + 1e-12 and the reference holds at the worst pair.
+    whose margin the record reports, held to the same 1e-12 slack. It
+    requires that every pair of the table has lhs <= rhs + 1e-12 and that
+    the reference holds at the worst pair.
     """
     def one(i: int) -> dict:
         s = seed + i
@@ -175,7 +176,8 @@ def suite_pair_spacing(trials: int = 100, seed: int = 0) -> list[dict]:
         worst = int(np.argmax(lhs - rhs))
         rep = pair_spacing_sum(seq, int(ells[worst]) + 1, int(ms[worst]) + 1, seed=s)
         ok = bool(np.all(lhs <= rhs + 1e-12)) and rep["holds"]
-        return record("pair-spacing", rep["lhs"] - rep["rhs"], 0.0, ok, seed=s)
+        return record("pair-spacing", rep["lhs"] - rep["rhs"], 0.0, "<=", 1e-12, requires=ok,
+                      seed=s)
 
     return parallel_map(one, range(trials))
 
@@ -193,8 +195,7 @@ def suite_radius(trials: int = 100, max_n: int = 12, seed: int = 0, *,
         rho = pair.mu
         out = numerical_radius_check(h, rho, seed=s)
         lhs = bilinear_form(h, pair.u_re, pair.u_im)
-        out.append(record("numerical-radius-extremal", lhs, rho,
-                          abs(lhs - rho) <= 1e-9 * (1.0 + rho), seed=s))
+        out.append(record("numerical-radius-extremal", lhs, rho, "==", 1e-9 * (1.0 + rho), seed=s))
         return out
 
     for chunk in parallel_map(one, range(trials)):
@@ -202,8 +203,8 @@ def suite_radius(trials: int = 100, max_n: int = 12, seed: int = 0, *,
 
     seq = generate_uniform(2000, 1.0)
     rho = spectral_radius(seq, np.ones(2000))
-    records.append(record("schur-floor", rho, math.pi - 0.05, rho > math.pi - 0.05, seed=seed))
-    records.append(record("schur-ceiling", rho, math.pi, rho <= math.pi + 1e-9, seed=seed))
+    records.append(record("schur-floor", rho, math.pi - 0.05, ">", seed=seed))
+    records.append(record("schur-ceiling", rho, math.pi, "<=", 1e-9, seed=seed))
     return records
 
 
@@ -218,7 +219,7 @@ def _chain_configs(trials: int, seed: int) -> list[tuple[int, GapSequence]]:
 def suite_chain(trials: int = 20, seed: int = 0) -> list[dict]:
     """Eigenvalue chain: the diagonal part stays under pi^2/3, the radius
     under sqrt(S + 2T), and the end-to-end proven constant."""
-    chain = preissmann_chain()
+    proven = preissmann_chain().c1_upper
     records: list[dict] = []
 
     def one(arg: tuple[int, GapSequence]) -> list[dict]:
@@ -226,15 +227,13 @@ def suite_chain(trials: int = 20, seed: int = 0) -> list[dict]:
         h = build_h(seq)
         pair = eigenpair_top(h)
         s_val, t_val = s_and_t(h, pair)
-        rho = pair.mu
+        rho, chain_sum = pair.mu, s_val + 2.0 * t_val
         return [
-            record("s-bound", s_val, PI2_OVER_3, s_val <= PI2_OVER_3 + 1e-9, seed=s),
-            record("mu-chain", rho ** 2, s_val + 2.0 * t_val,
-                   rho ** 2 <= s_val + 2.0 * t_val + 1e-8, seed=s),
-            record("mv2-proven", rho, two_forms_bound(chain.c3_upper),
-                   rho <= two_forms_bound(chain.c3_upper) + 1e-9, seed=s),
-            # informational: how much cancellation the chain discards
-            record("chain-gap", s_val + 2.0 * t_val - rho ** 2, 0.0, True, seed=s),
+            record("s-bound", s_val, PI2_OVER_3, "<=", 1e-9, seed=s),
+            record("mu-chain", rho ** 2, chain_sum, "<=", 1e-8, seed=s),
+            record("mv2-proven", rho, proven, "<=", 1e-9, seed=s),
+            # how much cancellation the chain discards
+            record("chain-gap", chain_sum - rho ** 2, 0.0, "info", seed=s),
         ]
 
     for chunk in parallel_map(one, _chain_configs(trials, seed)):
@@ -260,14 +259,13 @@ def suite_alpha(trials: int = 20, seed: int = 0) -> list[dict]:
         for a in grid:
             diff = abs(values[a] - values[2.0 - a])
             cap = 1e-11 * max(1.0, values[a])
-            records.append(record(f"alpha-symmetry-{a:g}", diff, cap, diff <= cap, seed=s))
+            records.append(record(f"alpha-symmetry-{a:g}", diff, cap, "<=", seed=s))
         for lo, hi in zip(grid[:-1], grid[1:]):
             records.append(record(f"alpha-monotone-{lo:g}-{hi:g}", values[hi], values[lo],
-                                  values[hi] <= values[lo] + 1e-10, seed=s))
-        records.append(record("alpha-pi2over3-at-1", values[1.0], PI2_OVER_3,
-                              values[1.0] <= PI2_OVER_3 + 1e-9, seed=s))
+                                  "<=", 1e-10, seed=s))
+        records.append(record("alpha-pi2over3-at-1", values[1.0], PI2_OVER_3, "<=", 1e-9, seed=s))
         records.append(record("alpha-crude-bound", max(values.values()), seq.n - 1,
-                              max(values.values()) <= seq.n - 1 + 1e-9, seed=s))
+                              "<=", 1e-9, seed=s))
 
         rng = np.random.default_rng(s + 5 * 10**6)
         t = rng.uniform(0.0, 1.0, seq.n)
@@ -279,20 +277,20 @@ def suite_alpha(trials: int = 20, seed: int = 0) -> list[dict]:
             mid = theta * a1 + (1 - theta) * a2
             lhs = q_alpha(seq, t, mid)
             rhs = q_alpha(seq, t, a1) ** theta * q_alpha(seq, t, a2) ** (1 - theta)
-            records.append(record("alpha-hoelder", lhs, rhs, lhs <= rhs + 1e-10, seed=s))
+            records.append(record("alpha-hoelder", lhs, rhs, "<=", 1e-10, seed=s))
 
         ext = GapSequence(np.append(seq.nodes, seq.nodes[-1] + (seq.nodes[-1] - seq.nodes[-2])))
         for a in (0.0, 1.0):
             v1 = values[a]
             v2 = estimate_constant(a, ext).value
-            records.append(record(f"alpha-n-monotone-{a:g}", v1, v2, v2 >= v1 - 1e-10, seed=s))
+            records.append(record(f"alpha-n-monotone-{a:g}", v1, v2, "<=", 1e-10, seed=s))
 
     ratio = cluster_lower_bound(0.0, 400) / cluster_lower_bound(0.0, 100)
-    records.append(record("cluster-growth-alpha0", ratio, 1.8, ratio >= 1.8, seed=seed))
+    records.append(record("cluster-growth-alpha0", ratio, 1.8, ">=", seed=seed))
     for a in (0.0, 0.5, 1.0):
         est = estimate_constant(a, generate_cluster(30)).value
         low = cluster_lower_bound(a, 30)
-        records.append(record(f"cluster-dominates-{a:g}", low, est, est >= low - 1e-9, seed=seed))
+        records.append(record(f"cluster-dominates-{a:g}", low, est, "<=", 1e-9, seed=seed))
     return records
 
 
@@ -318,14 +316,14 @@ def suite_trig(trials: int = 20, seed: int = 0) -> list[dict]:
         trig_side = trig_form_value(cfg)
         g1 = abs(periodized_equivalence_check(cfg, 50, trig_side).gap)
         g2 = abs(periodized_equivalence_check(cfg, 100, trig_side).gap)
-        return record("periodized-shrink", g2, g1, g2 < g1, seed=s)
+        return record("periodized-shrink", g2, g1, "<", seed=s)
 
     records.extend(parallel_map(equiv_case, range(trials)))
 
     ref = trig_config([0.0, 0.5], [1.0, 1.0])
     rep = periodized_equivalence_check(ref, 200)
     rel = abs(rep.gap) / rep.trig_side
-    records.append(record("periodized-m2-k200", rel, 0.02, rel < 0.02, seed=seed))
+    records.append(record("periodized-m2-k200", rel, 0.02, "<", seed=seed))
 
     for b in (0.3, 0.5, 0.7):
         def resid(ll: int) -> float:
@@ -333,21 +331,21 @@ def suite_trig(trials: int = 20, seed: int = 0) -> list[dict]:
                     + ll * ll * math.log(ll) / (math.pi ** 2 * b * b)) / ll ** 2
         r1, r2 = resid(1000), resid(2000)
         var = abs(r2 / r1 - 1.0)
-        records.append(record(f"l-sum-residual-b{b:g}", var, 0.05, var < 0.05, seed=seed))
+        records.append(record(f"l-sum-residual-b{b:g}", var, 0.05, "<", seed=seed))
 
     cot = cot_limit_check(1, 0.25, 4000)
     rel = abs(cot.gap) / abs(cot.closed)
-    records.append(record("cot-limit-k1", rel, 1e-2, rel < 1e-2 and cot.shrinks, seed=seed))
+    records.append(record("cot-limit-k1", rel, 1e-2, "<", requires=cot.shrinks, seed=seed))
     cot5 = cot_limit_check(5, 0.14, 500)
-    records.append(record("cot-limit-shrinks", abs(cot5.gap_doubled), abs(cot5.gap),
-                          cot5.shrinks, seed=seed))
+    records.append(record("cot-limit-shrinks", abs(cot5.gap_doubled), abs(cot5.gap), "<",
+                          seed=seed))
 
     k0, k1 = kappas(5, 0.14)
     b5 = 1.0 - 6 * 0.14
     closed = cot_limit_check(5, 0.14, 10).closed
     implied = closed * math.sqrt(0.14 ** 3 * b5 / 5.0)
-    records.append(record("kappa1-consistency", abs(implied - k1), 1e-12 * max(1.0, k1),
-                          abs(implied - k1) <= 1e-12 * max(1.0, abs(k1)), seed=seed))
+    records.append(record("kappa1-consistency", abs(implied - k1), 1e-12 * max(1.0, abs(k1)),
+                          "<=", seed=seed))
 
     def gap_case(i: int) -> dict:
         s = seed + 10**6 + i
@@ -357,8 +355,8 @@ def suite_trig(trials: int = 20, seed: int = 0) -> list[dict]:
             min(min(abs(p - q), 1.0 - abs(p - q)) for q in np.delete(pts, j))
             for j, p in enumerate(pts)
         ]) if cfg.m > 1 else np.array([1.0])
-        exact = bool(np.all(cfg.gaps == brute)) and bool(np.all(toroidal_gaps(pts) == brute))
-        return record("torus-gaps", float(np.max(np.abs(cfg.gaps - brute))), 0.0, exact, seed=s)
+        return record("torus-gaps", np.max(np.abs(cfg.gaps - brute)), 0.0, "<=",
+                      requires=np.all(toroidal_gaps(pts) == brute), seed=s)
 
     records.extend(parallel_map(gap_case, range(min(trials, 50))))
 
@@ -367,17 +365,17 @@ def suite_trig(trials: int = 20, seed: int = 0) -> list[dict]:
     for shift in (0.123, 0.777):
         v1 = trig_form_value(trig_config(np.arange(8) / 8.0 + shift, np.full(8, 0.7)))
         rel = abs(v1 - v0) / v0
-        records.append(record("trig-rotation-invariance", rel, 1e-12, rel <= 1e-12, seed=seed))
+        records.append(record("trig-rotation-invariance", rel, 1e-12, "<=", seed=seed))
 
     res = big_g(5, 0.14)
     fin = construction_form_value(5, 0.14, 1000, res.u_star) / (1.0 + res.u_star ** 2)
     fin2 = construction_form_value(5, 0.14, 2000, res.u_star) / (1.0 + res.u_star ** 2)
-    records.append(record("construction-finite-cap", fin2, res.g_value + 5e-3,
-                          fin2 <= res.g_value + 5e-3 and fin2 > fin, seed=seed))
+    records.append(record("construction-finite-cap", fin2, res.g_value + 5e-3, "<=",
+                          requires=fin2 > fin, seed=seed))
 
     cap = (1.0 + math.sqrt(1.2)) / 3.0
     worst = float(scan(1, 25, 33).g_value.max())
-    records.append(record("lower-bound-soundness", worst, cap, worst <= cap + 1e-9, seed=seed))
+    records.append(record("lower-bound-soundness", worst, cap, "<=", 1e-9, seed=seed))
     return records
 
 

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertlab import gaps, lowerbound, quadforms, search
-from hilbertlab._util import Rows, count, cotpi, sinpi_abs, sinpi_abs_cotpi, to_json, to_json_lines
+from hilbertlab._util import (
+    Rows, count, cotpi, record, sinpi_abs, sinpi_abs_cotpi, to_json, to_json_lines,
+)
 
 
 def jsonable(obj):
@@ -194,3 +196,61 @@ class TestCountArguments:
             count("n", 3, 4)
         with pytest.raises(ValueError, match=r"^n must be an integer, got 2\.5$"):
             count("n", 2.5, 1)
+
+
+SENSES = ("<", "<=", ">", ">=", "==")
+UP, DOWN = np.nextafter(1.5, 2.0), np.nextafter(0.5, 0.0)
+
+
+def holds(lhs, rhs, sense, slack=0.0, **kwargs):
+    return record("lemma", lhs, rhs, sense, slack, **kwargs)["holds"]
+
+
+class TestRecord:
+    def test_keys_values_and_their_order(self):
+        rec = record(3, np.float64(0.25), 1, "<=", 1e-9, requires=np.bool_(True), seed=np.int64(7),
+                     tail_bound=2)
+        assert list(rec) == ["lemma", "seed", "lhs", "rhs", "holds", "tail_bound"]
+        assert rec == {"lemma": "3", "seed": 7, "lhs": 0.25, "rhs": 1.0, "holds": True,
+                       "tail_bound": 2.0}
+        assert [type(v) for v in rec.values()] == [str, int, float, float, bool, float]
+
+    @pytest.mark.parametrize("sense, expected", (
+        ("<", False), ("<=", True), (">", False), (">=", True), ("==", True), ("info", True)))
+    def test_each_sense_at_equality(self, sense, expected):
+        assert holds(1.0, 1.0, sense) is expected
+
+    @pytest.mark.parametrize("sense, inside, edge, outside", (
+        ("<", 1.25, 1.5, UP),
+        ("<=", 1.5, 1.5, UP),
+        (">", 0.75, 0.5, DOWN),
+        (">=", 0.5, 0.5, DOWN),
+        ("==", 0.5, 1.5, UP),
+        ("==", 1.5, 0.5, 0.5 - 2.0 ** -53),
+    ))
+    def test_each_sense_at_the_slack_edge(self, sense, inside, edge, outside):
+        # rhs 1 and slack 1/2: every bound is exact in binary, and so is
+        # each |lhs - rhs| of "==" (1 - DOWN would round to 1/2)
+        assert holds(inside, 1.0, sense, 0.5)
+        assert holds(edge, 1.0, sense, 0.5) is (sense not in ("<", ">"))
+        assert not holds(outside, 1.0, sense, 0.5)
+        assert holds(outside, 1.0, "info", 0.5)
+
+    @pytest.mark.parametrize("sense", SENSES)
+    @pytest.mark.parametrize("where", range(3))
+    def test_nan_fails_every_sense_but_info(self, sense, where):
+        args = [1.0, 1.0, 1.0]
+        args[where] = math.nan
+        assert not holds(*args[:2], sense, args[2])
+        assert holds(*args[:2], "info", args[2])
+
+    @pytest.mark.parametrize("sense", (*SENSES, "info"))
+    def test_requires_fails_every_sense(self, sense):
+        assert holds(1.0, 1.0, sense, 1.0)
+        assert not holds(1.0, 1.0, sense, 1.0, requires=False)
+        assert not holds(1.0, 1.0, sense, 1.0, requires=np.bool_(False))
+
+    @pytest.mark.parametrize("sense", ("=<", "!=", "", "INFO", None, True, False, 1, 0))
+    def test_any_other_sense_raises(self, sense):
+        with pytest.raises(ValueError, match="^sense must be one of <, <=, >, >=, ==, info, got "):
+            record("lemma", 1.0, 2.0, sense)
