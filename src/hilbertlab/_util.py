@@ -1,7 +1,8 @@
-"""Shared helpers: reduced-argument trig, ordered map, count arguments,
-the verdict record and JSON rendering."""
+"""Shared helpers: reduced-argument trig, power-of-two units, ordered map,
+count arguments, the verdict record and JSON rendering."""
 from __future__ import annotations
 
+import math
 import operator
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -58,6 +59,22 @@ def sinpi_abs_cotpi(y):
         cot /= sines
     np.negative(cot, out=cot, where=negative)
     return _unwrap(sines), _unwrap(cot)
+
+
+def unit_for(magnitude: float) -> float:
+    """A power of two for vectors of about this magnitude: 1.0 when it lies
+    in [2^-256, 2^256), else the power that takes it into [1/2, 1), held
+    within [2^-1020, 2^1020] so that it and its inverse are normal.
+
+    Scaling by a power of two is exact, so the norm of x * unit, divided
+    by the unit, is the norm np.linalg.norm gives in range, and the sum of
+    squares of up to 2^30 entries of about that magnitude neither
+    overflows nor underflows. In the normal range the unit is 1.0 and the
+    arithmetic is unchanged."""
+    exponent = math.frexp(magnitude)[1]
+    if -256 < exponent <= 256:
+        return 1.0
+    return math.ldexp(1.0, -min(max(exponent, -1020), 1020))
 
 
 def parallel_map(fn, items):

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._util import record
+from ._util import record, unit_for
 from .errors import (
     EpsTooLarge,
     IndexOutOfRange,
@@ -30,7 +30,6 @@ from .errors import (
     SigmaOutOfRange,
 )
 from .gaps import GapSequence, node_deltas, pair_kernel
-from .quadforms import _unit
 
 _ZETA_CUTOFF = 1_000_000
 _CHUNK = 1 << 20
@@ -230,7 +229,7 @@ def pair_spacing_sum(seq: GapSequence, ell: int, m: int, seed: int = 0) -> dict:
                - 3 (d_ell+d_m) / (lam_ell-lam_m)^4.
 
     Both sides are evaluated on the lengths times the power-of-two unit of
-    |lam_ell - lam_m| (`quadforms._unit`), where no product under- or
+    |lam_ell - lam_m| (`_util.unit_for`), where no product under- or
     overflows, and each is multiplied back by the unit's cube: exact
     scalings, and 1.0 in the normal range, where every bit is as it was.
     Raises NonFinite when a side is not finite in the window's units.
@@ -242,7 +241,7 @@ def pair_spacing_sum(seq: GapSequence, ell: int, m: int, seed: int = 0) -> dict:
             raise IndexOutOfRange(f"index {idx} outside 1..{seq.n}")
     lam = seq.active
     sep = lam[ell - 1] - lam[m - 1]
-    unit = _unit(abs(float(sep)))
+    unit = unit_for(abs(float(sep)))
     dl = (lam - lam[ell - 1]) * unit
     dm = (lam - lam[m - 1]) * unit
     with np.errstate(divide="ignore"):      # the two self terms, deleted below

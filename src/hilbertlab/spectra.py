@@ -13,18 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import eigen
 from ._util import record
 from .errors import LengthMismatch, NonFinite, NonpositiveWeight, ZeroSpectrum
 from .gaps import GapSequence, kernel_rows, pair_kernel
-from .quadforms import (
-    _certify,
-    _fold,
-    _grid_fold,
-    _reflection_lift,
-    _top_eigen,
-    alpha_form_matrix,
-    q_alpha,
-)
+from .quadforms import alpha_form_matrix, q_alpha
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
 H_OVERFLOW = "H has non-finite entries: the weights are too large for the gaps"
@@ -100,7 +93,7 @@ def build_h(seq: GapSequence, weights=None) -> SkewHilbertMatrix:
 def _gram(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A^T A, written to `out` when it is given. numpy forms it with one
     syrk and mirrors the triangle, so it is exactly symmetric with no
-    symmetrizing pass. `_top_eigen` requires that and does not compare
+    symmetrizing pass. `eigen.top_eigen` requires that and does not compare
     it; a contract test over the suites checks it."""
     return np.matmul(a.T, a, out=out)
 
@@ -109,13 +102,13 @@ def _skew_gram(block, n: int, whole) -> tuple[np.ndarray, bool]:
     """The Gram whose top eigenvalue is mu^2 for the n x n skew H, and
     whether it is folded: when J H J = -H exactly, as on a
     reflection-symmetric window, H maps even vectors to odd ones by its
-    even block C = block() (`_fold`, None when the symmetry fails) and odd
+    even block C = block() (`eigen.fold`, None when the symmetry fails) and odd
     ones back by -C^T, so it is the half-size C^T C; else H^T H, with
     H = whole(), called only then.
 
     The Gram's buffer is allocated before C. C, allocated last, then lies
     above the Gram in the heap, and once it is freed on return, LAPACK's
-    slightly larger working copy of the Gram in `_top_eigen` reuses its
+    slightly larger working copy of the Gram in `eigen.top_eigen` reuses its
     memory; C allocated first leaves a hole that copy cannot use, and
     three such arrays are resident at once.
     """
@@ -135,10 +128,10 @@ def _top_grams(hs: list[SkewHilbertMatrix]) -> tuple[list[float], list[np.ndarra
     applied as two products with H.
 
     The Grams solved are grouped by size, and each group is one
-    `_top_eigen` stack, which solves each member as a lone call does.
+    `eigen.top_eigen` stack, checked once, which solves each member as a lone call does.
     """
-    solved = [_skew_gram(lambda: _fold(h.entries.__getitem__, h.n, -1.0), h.n, lambda: h.entries)
-              for h in hs]
+    solved = [_skew_gram(lambda: eigen.fold(h.entries.__getitem__, h.n, -1.0), h.n,
+                         lambda: h.entries) for h in hs]
     grams, folded = [gram for gram, _ in solved], [fold for _, fold in solved]
     groups: dict[int, list[int]] = {}
     for i, gram in enumerate(grams):
@@ -148,12 +141,12 @@ def _top_grams(hs: list[SkewHilbertMatrix]) -> tuple[list[float], list[np.ndarra
         # a lone Gram is solved as it is, without the copy np.stack makes
         stack = (grams[members[0]][None] if len(members) == 1
                  else np.stack([grams[i] for i in members]))
-        top, ys = _top_eigen(stack, True)
+        top, ys = eigen.top_eigen(stack, eigen.checked_scales(stack, False), True)
         for i, value, y in zip(members, top.tolist(), ys):
             if folded[i]:
                 h = hs[i]
-                y = _reflection_lift(y, h.n)
-                _certify(h.entries.T @ (h.entries @ y), value, y)
+                y = eigen.reflection_lift(y, h.n)
+                eigen.certify(h.entries.T @ (h.entries @ y), value, y)
             values[i], vectors[i] = value, y
     return values, vectors
 
@@ -165,21 +158,21 @@ def spectral_radius(seq: GapSequence, weights=None) -> float:
 
     The Gram is `_skew_gram`'s. With equal weights on a grid window H is
     skew-Toeplitz, and its block C is built from one row of H
-    (`_grid_fold`); else the rows of H are made a block at a time, so a
+    (`eigen.grid_fold`); else the rows of H are made a block at a time, so a
     folded H is never held whole; otherwise H is built whole.
     """
     c = _weights(seq, weights)
     lam = seq.active
 
     def half():
-        block = _grid_fold(c, c, seq.nodes, 1, H_OVERFLOW)
+        block = eigen.grid_fold(c, c, seq.nodes, 1, H_OVERFLOW)
         if block is None:
-            block = _fold(lambda rows: kernel_rows(c, c, lam, 1, H_OVERFLOW, rows)[0], lam.size,
+            block = eigen.fold(lambda rows: kernel_rows(c, c, lam, 1, H_OVERFLOW, rows)[0], lam.size,
                           -1.0)
         return block
 
-    gram = _skew_gram(half, lam.size, lambda: pair_kernel(c, c, lam, 1, H_OVERFLOW))[0]
-    value = float(_top_eigen(gram[None], False)[0][0])
+    gram = _skew_gram(half, lam.size, lambda: pair_kernel(c, c, lam, 1, H_OVERFLOW))[0][None]
+    value = float(eigen.top_eigen(gram, eigen.checked_scales(gram, False), False)[0][0])
     return math.sqrt(max(value, 0.0))
 
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hilbertlab.quadforms import PERRON_MIN_N
+from hilbertlab.eigen import PERRON_MIN_N
 
 
 def _recorded_sizes(monkeypatch, name: str) -> list[int]:

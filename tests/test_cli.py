@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hilbertlab
-from hilbertlab import cli, quadforms, spectra
+from hilbertlab import cli, eigen
 from hilbertlab.cli import CSV_BLOCK_ROWS, build_parser, dispatch, write_csv
 from hilbertlab.errors import NoConvergence
 from hilbertlab.suites import ALL_SUITES, run_suites
@@ -123,12 +123,10 @@ class TestExitCodes:
                                "small-denominator rational\n")
 
     def test_solver_failure_is_reported_not_raised(self, capsys, monkeypatch):
-        import hilbertlab.quadforms as quadforms
-
         def fail(*args, **kwargs):
             raise NoConvergence("no convergence")
 
-        monkeypatch.setattr(quadforms, "_top_eigen", fail)
+        monkeypatch.setattr(eigen, "top_eigen", fail)
         assert dispatch(["constant", "--alpha", "1", "--n", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -296,7 +294,7 @@ class TestFreshProcessPeaks:
 
 
 class TestGridPath:
-    """The one-row block of a grid window's kernel (`quadforms._grid_fold`)
+    """The one-row block of a grid window's kernel (`eigen.grid_fold`)
     changes no output: with the grid test switched off, the kernels are
     built and folded whole and print the same bytes."""
 
@@ -305,10 +303,10 @@ class TestGridPath:
                 ["verify", "--suite", "radius", "--trials", "2", "--seed", "5"])
 
     def test_generic_path_prints_the_same_bytes(self, capsys, monkeypatch, calls):
-        blocks = calls(quadforms, "_toeplitz_fold")
+        blocks = calls(eigen, "_toeplitz_fold")
         grid = [without_elapsed(run(capsys, argv)[1]) for argv in self.COMMANDS]
         assert len(blocks) == len(self.COMMANDS)
-        monkeypatch.setattr(quadforms, "_on_grid", lambda nodes: False)
+        monkeypatch.setattr(eigen, "_on_grid", lambda nodes: False)
         blocks.clear()
         generic = [without_elapsed(run(capsys, argv)[1]) for argv in self.COMMANDS]
         assert blocks == []
@@ -316,12 +314,12 @@ class TestGridPath:
 
 
 class TestSymmetryContract:
-    """`_top_eigen` compares no triangle with the other: every matrix its
-    callers hand it equals its transpose bit for bit, as they build it.
-    Here each member it receives through either binding is checked on the
-    runs that reach every caller: the suites' Grams and kernels (the
-    n = 2000 Schur Gram, formed with `_gram(half, out=gram)`, among them),
-    the search's `constant_values` stacks, mirrored trials included, and
+    """`eigen.top_eigen` compares no triangle with the other: every matrix
+    its callers hand it equals its transpose bit for bit, as they build it.
+    Here each member it receives is checked on the runs that reach every
+    caller: the suites' Grams and kernels (the n = 2000 Schur Gram, formed
+    with `_gram(half, out=gram)`, among them), the search's
+    `constant_values` stacks, mirrored trials included, and
     `estimate_constant` on each configuration."""
 
     SEARCH = ["constant", "--search", "--alpha", "0.5", "--n", "12", "--restarts", "1",
@@ -343,9 +341,8 @@ class TestSymmetryContract:
 
             return contract
 
-        for module in (quadforms, spectra):
-            monkeypatch.setattr(module, "_top_eigen", checked(module._top_eigen))
-        folds = calls(quadforms, "_fold")
+        monkeypatch.setattr(eigen, "top_eigen", checked(eigen.top_eigen))
+        folds = calls(eigen, "fold")
         for argv in self.COMMANDS:
             folds.clear()
             assert run(capsys, argv)[0] == 0

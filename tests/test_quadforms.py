@@ -30,19 +30,19 @@ from hilbertlab.errors import (
     NotIncreasing,
     NotSymmetric,
 )
-from hilbertlab import quadforms
-from hilbertlab.quadforms import (
-    RESIDUAL_RTOL,
-    _alpha_kernels,
-    _top_eigen,
-    alpha_form_matrix,
-    constant_values,
-)
+from hilbertlab import eigen, quadforms
+from hilbertlab.eigen import RESIDUAL_RTOL
+from hilbertlab.quadforms import _alpha_kernels, alpha_form_matrix, constant_values
 from hilbertlab.gaps import node_deltas, node_differences, pair_kernel, row_blocks
 from hilbertlab.search import generate_trig_periodized
 
 PI2_OVER_3 = math.pi ** 2 / 3.0
 ALPHAS = (0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+def checked_solve(stack: np.ndarray, vector: bool, nonneg: bool = False):
+    """eigen.top_eigen on a stack after its entry checks, as its callers run them."""
+    return eigen.top_eigen(stack, eigen.checked_scales(stack, nonneg), vector, nonneg)
 
 
 def _symmetrized(kernels: np.ndarray) -> np.ndarray:
@@ -228,7 +228,7 @@ class TestTopEigen:
         # a permuted diag(A, A) has a two-dimensional top eigenspace, from
         # which eigh can return a vector with mixed signs; its absolute value
         # is a top eigenvector too, and that is what is certified
-        certified = calls(quadforms, "_certify")
+        certified = calls(eigen, "certify")
         mixed = 0
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -248,11 +248,11 @@ class TestTopEigen:
 
     def test_certified_vectors_are_nonnegative(self, calls):
         # plain, folded, zero and Perron-path members
-        certified = calls(quadforms, "_certify")
+        certified = calls(eigen, "certify")
         rng = np.random.default_rng(8)
-        _top_eigen(np.array([random_nonneg_sym(9, rng), centrosymmetric(9, rng),
+        checked_solve(np.array([random_nonneg_sym(9, rng), centrosymmetric(9, rng),
                              np.zeros((9, 9)), random_nonneg_sym(9, rng)]), True, nonneg=True)
-        _top_eigen(random_nonneg_sym(300, rng)[None], True, nonneg=True)
+        checked_solve(random_nonneg_sym(300, rng)[None], True, nonneg=True)
         assert len(certified) == 4
         assert all(args[2].min() >= 0.0 for args in certified)
 
@@ -266,7 +266,7 @@ def centrosymmetric(n: int, rng, low: float = 0.0) -> np.ndarray:
 
 def lone_pair(m: np.ndarray, nonneg: bool) -> tuple[float, np.ndarray]:
     """The solver's value and vector for m as a one-member stack."""
-    values, vectors = _top_eigen(m[None], True, nonneg)
+    values, vectors = checked_solve(m[None], True, nonneg)
     return values[0], vectors[0]
 
 
@@ -281,7 +281,7 @@ def assert_top_pair(m: np.ndarray, value: float, vector: np.ndarray) -> None:
 def assert_whole_solve(m: np.ndarray, eigvalsh_sizes: list[int]) -> np.ndarray:
     """A signed matrix is solved whole, with one full-size eigvalsh, and
     its pair holds against the eigh oracle; returns the vector."""
-    value = _top_eigen(m[None], False)[0][0]
+    value = checked_solve(m[None], False)[0][0]
     assert eigvalsh_sizes == [len(m)]
     pair = lone_pair(m, False)
     assert_top_pair(m, *pair)
@@ -310,7 +310,7 @@ class TestReflectionFold:
         assert eigvalsh_sizes == [(n + 1) // 2]
         assert_top_pair(m, value, vector)
         assert np.array_equal(vector[::-1], vector)
-        assert _top_eigen(m[None], False, True)[0][0] == value
+        assert checked_solve(m[None], False, True)[0][0] == value
 
     @pytest.mark.parametrize("n", range(2, 65))
     def test_odd_block_wins(self, n, eigvalsh_sizes):
@@ -333,7 +333,7 @@ class TestReflectionFold:
         def fail(product, value, v):
             raise NoConvergence("residual")
 
-        monkeypatch.setattr(quadforms, "_certify", fail)
+        monkeypatch.setattr(eigen, "certify", fail)
         eigh_sizes.clear()
         with pytest.raises(NoConvergence):
             lone_pair(m, False)
@@ -371,14 +371,14 @@ class TestReflectionFold:
         # a wrong lift, (u, s, Ju) -> (u, s, u), is caught by the certificate
         # on the full matrix; a sign-only one, (u, s, -Ju), is not wrong for
         # a nonnegative member, whose vector's absolute value is certified
-        lift = quadforms._reflection_lift
+        lift = eigen.reflection_lift
 
         def wrong_lift(y, size):
             v = lift(y, size)
             v[size - size // 2:] = v[:size // 2]
             return v
 
-        monkeypatch.setattr(quadforms, "_reflection_lift", wrong_lift)
+        monkeypatch.setattr(eigen, "reflection_lift", wrong_lift)
         with pytest.raises(NoConvergence):
             lone_pair(centrosymmetric(n, np.random.default_rng(1)), True)
 
@@ -397,23 +397,23 @@ class TestReflectionFold:
                                                           eigh_sizes):
         # below PERRON_MIN_N rows the even block is solved by one eigvalsh,
         # and by one eigh when a vector is asked for
-        folds = calls(quadforms, "_fold")
+        folds = calls(eigen, "fold")
         for n in (2, 3, 8, 9, 200, 201, 510):
             half = (n + 1) // 2
-            assert half < quadforms.PERRON_MIN_N
+            assert half < eigen.PERRON_MIN_N
             m = centrosymmetric(n, np.random.default_rng(n))
             for vector in (False, True):
                 folds.clear()
                 eigvalsh_sizes.clear()
                 eigh_sizes.clear()
-                _top_eigen(m[None].copy(), vector, nonneg=True)
+                checked_solve(m[None].copy(), vector, nonneg=True)
                 assert len(folds) == 1
                 assert eigvalsh_sizes == [half]
                 assert eigh_sizes == ([half] if vector else [])
         # an even block of 300 rows goes to the Perron path
         folds.clear()
         eigvalsh_sizes.clear()
-        _top_eigen(centrosymmetric(600, np.random.default_rng(600))[None], True, nonneg=True)
+        checked_solve(centrosymmetric(600, np.random.default_rng(600))[None], True, nonneg=True)
         assert (len(folds), eigvalsh_sizes) == (1, [])
 
     def test_folded_estimate_holds_a_quarter_kernel_besides_its_own(self, traced_peak):
@@ -426,8 +426,8 @@ class TestReflectionFold:
         rng = np.random.default_rng(12)
         stack = np.array([random_nonneg_sym(9, rng), centrosymmetric(9, rng),
                           random_nonneg_sym(9, rng), np.zeros((9, 9)), centrosymmetric(9, rng)])
-        folds = calls(quadforms, "_fold")
-        values, vectors = _top_eigen(stack, True, nonneg=True)
+        folds = calls(eigen, "fold")
+        values, vectors = checked_solve(stack, True, nonneg=True)
         # the zero member is not solved; the random ones fail the first-row compare
         assert [args[1] for args in folds] == [9, 9]
         for member, value, vector in zip(stack, values, vectors):
@@ -444,8 +444,8 @@ class TestReflectionFold:
         rows_only[3, 4] = rows_only[4, 3] = rows_only[3, 4] + 0.5
         folded = centrosymmetric(9, rng)
         stack = np.array([pair_only, rows_only, folded])
-        folds = calls(quadforms, "_fold")
-        values, vectors = _top_eigen(stack, True, nonneg=True)
+        folds = calls(eigen, "fold")
+        values, vectors = checked_solve(stack, True, nonneg=True)
         # each call reads the rows of one member
         assert [next(i for i, m in enumerate(stack) if np.array_equal(args[0](slice(None)), m))
                 for args in folds] == [1, 2]
@@ -460,7 +460,7 @@ def random_nonneg_sym(n: int, rng) -> np.ndarray:
 
 
 def stack_values(stack) -> np.ndarray:
-    return _top_eigen(np.asarray(stack, dtype=float), False, nonneg=True)[0]
+    return checked_solve(np.asarray(stack, dtype=float), False, nonneg=True)[0]
 
 
 class TestStackedValues:
@@ -468,8 +468,8 @@ class TestStackedValues:
 
     @staticmethod
     def assert_members(stack):
-        values, vectors = _top_eigen(stack, True, nonneg=True)
-        assert np.array_equal(_top_eigen(stack, False, nonneg=True)[0], values)
+        values, vectors = checked_solve(stack, True, nonneg=True)
+        assert np.array_equal(checked_solve(stack, False, nonneg=True)[0], values)
         assert values.shape == (len(stack),) and len(vectors) == len(stack)
         for member, value, vector in zip(stack, values, vectors):
             lone = lone_pair(member, True)
@@ -614,12 +614,12 @@ class TestPerronPath:
     def test_against_eigvalsh_oracle(self, n, alpha, eigvalsh_sizes):
         for seq in perron_windows(n):
             m = _symmetrized(alpha_form_matrix(seq, alpha))
-            fold = quadforms._fold(m.__getitem__, n, 1.0)
+            fold = eigen.fold(m.__getitem__, n, 1.0)
             solved = n if fold is None else len(fold)
             eigvalsh_sizes.clear()
             est = estimate_constant(alpha, seq)
             # the path follows the size of the matrix solved, the even block if folded
-            if solved >= quadforms.PERRON_MIN_N:
+            if solved >= eigen.PERRON_MIN_N:
                 assert eigvalsh_sizes == []
             else:
                 assert eigvalsh_sizes == [solved]
@@ -649,7 +649,7 @@ class TestPerronPath:
         # Ritz value is the eigenvalue that the shift then makes singular
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            value, vector, _ = quadforms._perron_pair(np.ones((300, 300)))
+            value, vector, _ = eigen._perron_pair(np.ones((300, 300)))
             assert value == pytest.approx(300.0, rel=1e-14)
             assert np.allclose(vector, 1.0 / np.sqrt(300.0), rtol=1e-14, atol=0.0)
             # mirrored, so 300 rows fold to an eigvalsh block and 600 to a Perron block
@@ -666,7 +666,7 @@ class TestPerronPath:
     def test_rank_one_shift_keeps_a_floor(self, n, scale, cholesky_sizes):
         # the Ritz pair is exact, so the residual leaves the shift on the
         # eigenvalue; without the floor most of these factorizations fail
-        value, vector, _ = quadforms._perron_pair(np.full((n, n), scale))
+        value, vector, _ = eigen._perron_pair(np.full((n, n), scale))
         assert value == pytest.approx(scale * n, rel=1e-14)
         assert np.allclose(vector, 1.0 / np.sqrt(n), rtol=1e-14, atol=0.0)
         assert cholesky_sizes == block_sizes(n)
@@ -678,7 +678,7 @@ class TestPerronPath:
         m = np.zeros((300, 300))
         m[:140, :140] = random_nonneg_sym(140, rng)
         m[140:, 140:] = random_nonneg_sym(160, rng)
-        assert quadforms._perron_pair(m) is None
+        assert eigen._perron_pair(m) is None
         value, vector = top_eigen_nonneg_sym(m)
         assert eigvalsh_sizes == [300]
         assert value == np.linalg.eigvalsh(m)[-1]
@@ -689,9 +689,9 @@ class TestPerronPath:
         # eigenvalue, so sigma I - M is indefinite and its factorization fails
         m = random_nonneg_sym(300, np.random.default_rng(14))
         values, vectors = np.linalg.eigh(m)
-        monkeypatch.setattr(quadforms, "_lanczos_ritz",
+        monkeypatch.setattr(eigen, "_lanczos_ritz",
                             lambda matrix, scale: (float(values[-2]), vectors[:, -2].copy()))
-        assert quadforms._perron_pair(m) is None
+        assert eigen._perron_pair(m) is None
         value, vector = top_eigen_nonneg_sym(m)
         assert eigvalsh_sizes == [300]
         assert value == np.linalg.eigvalsh(m)[-1]
@@ -738,7 +738,7 @@ class TestPerronPath:
         # a member solved whole hands on its max and its certified product,
         # so neither n^2 pass runs twice
         seen, certified = [], []
-        perron, certify = quadforms._perron_pair, quadforms._certify
+        perron, certify = eigen._perron_pair, eigen.certify
 
         def recording_pair(matrix, scale=None):
             pair = perron(matrix, scale)
@@ -749,8 +749,8 @@ class TestPerronPath:
             certified.append(product)
             return certify(product, value, v)
 
-        monkeypatch.setattr(quadforms, "_perron_pair", recording_pair)
-        monkeypatch.setattr(quadforms, "_certify", recording_certify)
+        monkeypatch.setattr(eigen, "_perron_pair", recording_pair)
+        monkeypatch.setattr(eigen, "certify", recording_certify)
         m = random_nonneg_sym(300, np.random.default_rng(34))
         value, vector = top_eigen_nonneg_sym(m)
         [(scale, pair)] = seen
@@ -846,14 +846,14 @@ class TestRowBlockedKernels:
 
 
 class TestInPlaceShift:
-    """`_top_eigen` factors the shifted matrix it solves on the Perron path
+    """`eigen.top_eigen` factors the shifted matrix it solves on the Perron path
     in place and restores it bit for bit; the public solver works on a copy
     of its input unless told to overwrite it."""
 
     def test_perron_path_restores_the_stack(self, eigvalsh_sizes, cholesky_sizes):
         stack = random_nonneg_sym(300, np.random.default_rng(21))[None]
         before = stack.copy()
-        _top_eigen(stack, True, nonneg=True)
+        checked_solve(stack, True, nonneg=True)
         assert eigvalsh_sizes == []
         assert cholesky_sizes == block_sizes(300)
         assert_same_bits(stack, before)
@@ -865,7 +865,7 @@ class TestInPlaceShift:
         stack[0, :140, :140] = random_nonneg_sym(140, rng)
         stack[0, 140:, 140:] = random_nonneg_sym(160, rng)
         before = stack.copy()
-        _top_eigen(stack, True, nonneg=True)
+        checked_solve(stack, True, nonneg=True)
         assert eigvalsh_sizes == [300]
         assert_same_bits(stack, before)
 
@@ -897,20 +897,20 @@ class TestInPlaceShift:
         monkeypatch.setattr(np.linalg, "cholesky",
                             failing_fifth_block(np.linalg.LinAlgError("not positive definite")))
         # the Perron pair gives up and eigvalsh gives the value
-        values, _ = _top_eigen(stack, False, nonneg=True)
+        values, _ = checked_solve(stack, False, nonneg=True)
         assert values[0] == np.linalg.eigvalsh(before[0])[-1]
         assert_same_bits(stack, before)
         # any other error propagates, after the restore
         monkeypatch.setattr(np.linalg, "cholesky", failing_fifth_block(MemoryError()))
         with pytest.raises(MemoryError):
-            _top_eigen(stack, False, nonneg=True)
+            checked_solve(stack, False, nonneg=True)
         assert_same_bits(stack, before)
         # after the fallback, a failed eigh raises for the vector
         monkeypatch.setattr(np.linalg, "cholesky",
                             failing_fifth_block(np.linalg.LinAlgError("not positive definite")))
         monkeypatch.setattr(np.linalg, "eigh", failing_whole_eigh)
         with pytest.raises(NoConvergence):
-            _top_eigen(stack, True, nonneg=True)
+            checked_solve(stack, True, nonneg=True)
         assert_same_bits(stack, before)
         assert written == [True, True, True]
 
@@ -919,11 +919,11 @@ class TestInPlaceShift:
         # seeded at the second eigenpair, the shift is below the top eigenvalue
         m = random_nonneg_sym(300, np.random.default_rng(14))
         values, vectors = np.linalg.eigh(m)
-        monkeypatch.setattr(quadforms, "_lanczos_ritz",
+        monkeypatch.setattr(eigen, "_lanczos_ritz",
                             lambda matrix, scale: (float(values[-2]), vectors[:, -2].copy()))
-        steps = calls(quadforms, "_solve_factor")
+        steps = calls(eigen, "_solve_factor")
         stack = m[None].copy()
-        tops, witnesses = _top_eigen(stack, True, nonneg=True)
+        tops, witnesses = checked_solve(stack, True, nonneg=True)
         # the factorization failed, so no step ran, and eigvalsh gave the value
         assert steps == [] and eigvalsh_sizes == [300]
         assert tops[0] == np.linalg.eigvalsh(m)[-1]
@@ -969,12 +969,12 @@ class TestInPlaceShift:
     def test_huge_entries_certify_or_fall_back(self, scale):
         m = random_nonneg_sym(300, np.random.default_rng(26)) * scale
         stack = m[None].copy()
-        pair = quadforms._perron_pair(stack[0])
+        pair = eigen._perron_pair(stack[0])
         assert_same_bits(stack[0], m)
         if pair is not None:
             assert np.isfinite(pair[0]) and np.isfinite(pair[1]).all()
             assert abs(pair[0] - np.linalg.eigvalsh(m)[-1]) <= 1e-12 * pair[0]
-        values, _ = _top_eigen(stack, False, nonneg=True)
+        values, _ = checked_solve(stack, False, nonneg=True)
         assert values[0] == pytest.approx(np.linalg.eigvalsh(m)[-1], rel=1e-12)
         assert_same_bits(stack[0], m)
 
@@ -1029,7 +1029,7 @@ class TestInPlaceShift:
         # the public entry compares the triangles of its copy once; `overwrite`
         # is for a matrix its caller built exactly symmetric, as
         # estimate_constant builds its kernel, and the core compares none
-        compares = calls(quadforms, "_asymmetry")
+        compares = calls(eigen, "_asymmetry")
         m = random_nonneg_sym(300, np.random.default_rng(33))
         value = top_eigen_nonneg_sym(m)[0]
         assert len(compares) == 1
@@ -1088,6 +1088,29 @@ class TestSymmetryBoundary:
         want = top_eigen_nonneg_sym(mirrored, overwrite=True)
         assert value == want[0]
         assert_same_bits(vector, want[1])
+
+    @pytest.mark.parametrize("path", NEAR_SYMMETRIC)
+    def test_entry_checks_run_once_per_solve(self, path, calls):
+        # the core takes the scales of its caller's check and runs none of
+        # its own: one check for an exact input, a near one and an overwrite
+        n, build, entry, _ = NEAR_SYMMETRIC[path]
+        m = build(n, np.random.default_rng(42 + n))
+        near = m.copy()
+        near[entry] *= 1.0 + 1e-13
+        checks = calls(eigen, "checked_scales")
+        for matrix, overwrite in ((m, False), (near, False), (m, True)):
+            checks.clear()
+            top_eigen_nonneg_sym(matrix, overwrite=overwrite)
+            assert len(checks) == 1
+
+    def test_mirror_that_clears_the_matrix_gives_the_start_vector(self):
+        # the one nonzero entry sits above the diagonal, within the
+        # tolerance, so the copy solved is the zero matrix
+        m = np.zeros((4, 4))
+        m[0, 3] = 1e-13
+        value, vector = top_eigen_nonneg_sym(m)
+        assert value == 0.0
+        assert np.array_equal(vector, np.full(4, 0.5))
 
     def test_near_symmetric_input_holds_one_copy(self, traced_peak):
         # a second, mirrored copy of the caller's copy peaked at 2.21 matrices
@@ -1161,8 +1184,8 @@ class TestToeplitzFold:
         seq = generate_uniform(n, spacing)
         row, col, power, symmetrized = grid_kernel_factors(seq, sign)
         kernel = pair_kernel(row, col, seq.active, power, "overflow", symmetrized)
-        block = quadforms._grid_fold(row, col, seq.nodes, power, "overflow", symmetrized)
-        assert_same_bits(block, quadforms._fold(kernel.__getitem__, n, sign))
+        block = eigen.grid_fold(row, col, seq.nodes, power, "overflow", symmetrized)
+        assert_same_bits(block, eigen.fold(kernel.__getitem__, n, sign))
 
     @pytest.mark.parametrize("n", (2, 3, 4, 9, 64, 65))
     @pytest.mark.parametrize("sign", (1.0, -1.0))
@@ -1175,24 +1198,24 @@ class TestToeplitzFold:
         if sign < 0:
             column[0] = 0.0    # the zero diagonal of a skew matrix
         m = toeplitz(column, sign)
-        assert_same_bits(quadforms._toeplitz_fold(column, n, sign),
-                         quadforms._fold(m.__getitem__, n, sign))
+        assert_same_bits(eigen._toeplitz_fold(column, n, sign),
+                         eigen.fold(m.__getitem__, n, sign))
 
     def test_grid_predicate(self):
-        assert quadforms._on_grid(generate_uniform(5, 0.25).nodes)
-        assert quadforms._on_grid(np.arange(-3.0, 10.0) * 8.0)
-        assert quadforms._on_grid(np.arange(2.0 ** 52, 2.0 ** 52 + 6.0))
-        assert not quadforms._on_grid(generate_uniform(5, 0.3).nodes)
-        assert not quadforms._on_grid(generate_uniform(5, 3.0).nodes)
-        assert not quadforms._on_grid(np.array([0.5, 1.5, 2.5]))
-        assert not quadforms._on_grid(moved_node(generate_uniform(5, 1.0), 3).nodes)
-        assert not quadforms._on_grid(np.array([0.0, 1.0, 2.0, 2.5]))
+        assert eigen._on_grid(generate_uniform(5, 0.25).nodes)
+        assert eigen._on_grid(np.arange(-3.0, 10.0) * 8.0)
+        assert eigen._on_grid(np.arange(2.0 ** 52, 2.0 ** 52 + 6.0))
+        assert not eigen._on_grid(generate_uniform(5, 0.3).nodes)
+        assert not eigen._on_grid(generate_uniform(5, 3.0).nodes)
+        assert not eigen._on_grid(np.array([0.5, 1.5, 2.5]))
+        assert not eigen._on_grid(moved_node(generate_uniform(5, 1.0), 3).nodes)
+        assert not eigen._on_grid(np.array([0.0, 1.0, 2.0, 2.5]))
 
     @pytest.mark.parametrize("seq", (generate_uniform(300, 0.3),
                                      moved_node(generate_uniform(300, 1.0), 150)),
                              ids=("spacing-0.3", "one-ulp"))
     def test_off_grid_windows_take_the_generic_path(self, seq, calls):
-        blocks = calls(quadforms, "_toeplitz_fold")
+        blocks = calls(eigen, "_toeplitz_fold")
         kernel = _symmetrized(alpha_form_matrix(seq, 0.5))
         est = estimate_constant(0.5, seq)
         assert blocks == []
@@ -1201,7 +1224,7 @@ class TestToeplitzFold:
         assert_same_bits(est.witness.values, vector)
 
     def test_unequal_weights_take_the_generic_path(self, calls):
-        blocks = calls(quadforms, "_toeplitz_fold")
+        blocks = calls(eigen, "_toeplitz_fold")
         seq = generate_uniform(300, 1.0)
         spectral_radius(seq, np.r_[1.5, np.ones(seq.n - 1)])
         assert blocks == []
@@ -1213,7 +1236,7 @@ class TestToeplitzFold:
     def test_estimate_matches_the_generic_path(self, n, alpha, monkeypatch):
         seq = generate_uniform(n, 0.5)
         grid = estimate_constant(alpha, seq)
-        monkeypatch.setattr(quadforms, "_on_grid", lambda nodes: False)
+        monkeypatch.setattr(eigen, "_on_grid", lambda nodes: False)
         generic = estimate_constant(alpha, seq)
         assert grid.value == generic.value
         assert_same_bits(grid.witness.values, generic.witness.values)
@@ -1222,7 +1245,7 @@ class TestToeplitzFold:
     def test_grid_kernel_that_underflows_raises(self):
         # h^2 underflows to 0, so every entry is 0/0
         seq = generate_uniform(3, 2.0 ** -600)
-        assert quadforms._on_grid(seq.nodes)
+        assert eigen._on_grid(seq.nodes)
         with pytest.raises(NonFinite, match="alpha = 1.0 kernel has non-finite entries"):
             estimate_constant(1.0, seq)
 

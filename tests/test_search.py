@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from hilbertlab import GapSequence, alpha_form_matrix, estimate_constant, generate_uniform
-from hilbertlab import quadforms, search
+from hilbertlab import eigen, quadforms, search
 from hilbertlab.cli import dispatch
 from hilbertlab.errors import NegativeEntry, NonFinite
 from hilbertlab.gaps import generate_random
-from hilbertlab.quadforms import RESIDUAL_RTOL, constant_values, first_constant_above
+from hilbertlab.eigen import RESIDUAL_RTOL
+from hilbertlab.quadforms import constant_values, first_constant_above
 from hilbertlab.search import (
     candidate_configs,
     generate_trig_periodized,
@@ -137,8 +138,8 @@ class TestStackedClimb:
 
     def test_mirrored_trials_take_the_half_size_fold(self, calls):
         # scaling the middle gap of a uniform window keeps it mirrored
-        fold = quadforms._fold
-        tested = calls(quadforms, "_fold")
+        fold = eigen.fold
+        tested = calls(eigen, "fold")
         seq = generate_uniform(2, 1.0)
         best = hill_climb(1.0, seq, rounds=3)
         assert any(fold(*args) is not None for args in tested)
@@ -148,9 +149,9 @@ class TestStackedClimb:
         # only trials that the bound cannot drop reach the fold test, and a
         # kept one again for its witness (69 calls before the bound); the
         # uniform start's block is built from one row
-        fold = quadforms._fold
-        tested = calls(quadforms, "_fold")
-        grid = calls(quadforms, "_toeplitz_fold")
+        fold = eigen.fold
+        tested = calls(eigen, "fold")
+        grid = calls(eigen, "_toeplitz_fold")
         search_constant(0.5, 12, seed=0, restarts=1, rounds=18)
         assert (len(tested), len(grid)) == (36, 1)
         assert all(fold(*args) is not None for args in tested)
@@ -195,7 +196,8 @@ class TestCollatzWielandtPruning:
             for step in (0.25, 1e-3, 1e-6, 1e-9):
                 nodes = climb_trials(start.config, step)
                 kernels = quadforms._window_kernels(alpha, nodes)
-                bounds = quadforms._collatz_wielandt(kernels, start.witness.values)
+                v = start.witness.values
+                bounds = eigen.collatz_wielandt(kernels @ v, v)[1]
                 drop = bounds * (1.0 + 1e-12) <= floor
                 dropped += drop.sum()
                 values = np.linalg.eigvalsh(kernels)[:, -1]
@@ -215,7 +217,7 @@ class TestCollatzWielandtPruning:
         floor = start.value + 1e-13
         values = constant_values(0.5, nodes)
         hit = int(np.flatnonzero(values > floor)[0])
-        solved = calls(quadforms, "_top_eigen")
+        solved = calls(eigen, "top_eigen")
 
         def solved_trials(v):
             solved.clear()
@@ -228,15 +230,15 @@ class TestCollatzWielandtPruning:
         zero = start.witness.values.copy()
         zero[3] = 0.0
         assert solved_trials(zero) == len(nodes)
-        monkeypatch.setattr(quadforms, "_collatz_wielandt",
-                            lambda stack, v: np.full(len(stack), np.nan))
+        monkeypatch.setattr(eigen, "collatz_wielandt",
+                            lambda product, v: (np.full(len(product), np.nan),) * 2)
         assert solved_trials(start.witness.values) == len(nodes)
 
     def test_entry_checks_run_before_any_bound(self, monkeypatch):
-        def unread(stack, v):
+        def unread(product, v):
             raise AssertionError("bound read")
 
-        monkeypatch.setattr(quadforms, "_collatz_wielandt", unread)
+        monkeypatch.setattr(eigen, "collatz_wielandt", unread)
         monkeypatch.setattr(quadforms, "_window_kernels",
                             lambda alpha, nodes: np.array([[[0.0, np.nan], [np.nan, 0.0]]]))
         with pytest.raises(NonFinite):
@@ -246,21 +248,37 @@ class TestCollatzWielandtPruning:
         with pytest.raises(NegativeEntry):
             first_constant_above(0.5, None, 1.0, np.ones(2))
 
+    def test_entry_checks_run_once_per_call(self, calls):
+        # the whole stack is checked once; its scales go to the survivors'
+        # solve and to the kept trial's re-solve
+        start = estimate_constant(0.5, generate_random(12, 0.2, 4))
+        nodes = climb_trials(start.config, 1e-3)
+        values = constant_values(0.5, nodes)
+        checks, solves = calls(eigen, "checked_scales"), calls(eigen, "top_eigen")
+        for floor, solved in ((start.value + 1e-13, 2), (values.max(), 1), (1e6, 0)):
+            checks.clear()
+            solves.clear()
+            first_constant_above(0.5, nodes, floor, start.witness.values)
+            assert (len(checks), len(solves)) == (1, solved)
+        checks.clear()
+        constant_values(0.5, nodes)
+        assert len(checks) == 1
+
     def test_most_trials_of_a_search_are_never_solved(self, monkeypatch):
         built, solved = [], []
-        first, solve = search.first_constant_above, quadforms._top_eigen
+        first, solve = search.first_constant_above, eigen.top_eigen
 
         def building(alpha, nodes, floor, v):
             built.append(len(nodes))
             return first(alpha, nodes, floor, v)
 
-        def solving(stack, vector, nonneg=False):
+        def solving(stack, scales, vector, nonneg=False):
             if not vector:
                 solved.append(len(stack))
-            return solve(stack, vector, nonneg)
+            return solve(stack, scales, vector, nonneg)
 
         monkeypatch.setattr(search, "first_constant_above", building)
-        monkeypatch.setattr(quadforms, "_top_eigen", solving)
+        monkeypatch.setattr(eigen, "top_eigen", solving)
         found = search_constant(0.5, 24, seed=5, restarts=1, rounds=18)
         assert (found.label, round(found.estimate.value, 11)) == ("cluster", 3.01066065806)
         # 1,175 of 4,625 when this was written

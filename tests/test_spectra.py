@@ -20,7 +20,7 @@ from hilbertlab import (
     spectral_radius,
     two_forms_bound,
 )
-from hilbertlab import quadforms, spectra, suites
+from hilbertlab import eigen, quadforms, spectra, suites
 from hilbertlab.errors import (
     LengthMismatch,
     NoConvergence,
@@ -52,7 +52,7 @@ def mirrored_window(gaps, centre: bool):
 
 def h_fold(h):
     """The even block C of H when J H J = -H exactly, else None."""
-    return quadforms._fold(h.entries.__getitem__, h.n, -1.0)
+    return eigen.fold(h.entries.__getitem__, h.n, -1.0)
 
 
 def random_instance(seed, max_n=12):
@@ -299,9 +299,9 @@ def reflection_block(matrix, sign):
     k = n // 2
     block = matrix[:k, :k] + matrix[:k, ::-1][:, :k]
     if n % 2:
-        block = np.hstack((block, quadforms.SQRT2 * matrix[:k, k:k + 1]))
+        block = np.hstack((block, eigen.SQRT2 * matrix[:k, k:k + 1]))
         if sign > 0:
-            centre_row = quadforms.SQRT2 * matrix[k:k + 1, :k]
+            centre_row = eigen.SQRT2 * matrix[k:k + 1, :k]
             block = np.vstack((block, np.append(centre_row, matrix[k, k])))
     return block
 
@@ -312,7 +312,9 @@ def radius_from_whole_h(seq, weights=None):
     entries = build_h(seq, weights).entries
     folded = mirrored(entries, -1.0)
     gram = spectra._gram(reflection_block(entries, -1.0) if folded else entries)
-    return math.sqrt(max(float(quadforms._top_eigen(gram[None], False)[0][0]), 0.0))
+    gram = gram[None]
+    return math.sqrt(max(float(eigen.top_eigen(gram, eigen.checked_scales(gram, False),
+                                               False)[0][0]), 0.0))
 
 
 FOLD_SIZES = (1, 2, 3, 31, 32, 33, 64, 65, 66, 2000, 2001)
@@ -341,7 +343,7 @@ class TestOneFold:
         for seq in fold_windows(n):
             for sign, alpha in ((1.0, 0.0), (1.0, 0.5), (1.0, 1.0), (-1.0, None)):
                 m = kernel(seq, sign, alpha)
-                fold = quadforms._fold(m.__getitem__, n, sign)
+                fold = eigen.fold(m.__getitem__, n, sign)
                 if n < 2:
                     assert fold is None
                     continue
@@ -354,7 +356,7 @@ class TestOneFold:
         for seq in fold_windows(n):
             for weights in (None, np.ones(n)):
                 c = spectra._weights(seq, weights)
-                streamed = quadforms._fold(
+                streamed = eigen.fold(
                     lambda rows: kernel_rows(c, c, seq.active, 1, spectra.H_OVERFLOW, rows)[0],
                     n, -1.0)
                 built = h_fold(build_h(seq, weights))
@@ -370,7 +372,7 @@ class TestOneFold:
         seq = generate_random(int(np.random.default_rng(seed).integers(3, 100)), 0.3, seed)
         m = kernel(seq, sign)
         assert not mirrored(m, sign)
-        assert quadforms._fold(m.__getitem__, seq.n, sign) is None
+        assert eigen.fold(m.__getitem__, seq.n, sign) is None
 
     @pytest.mark.parametrize("sign", (1.0, -1.0))
     def test_mirror_broken_after_the_first_row_block(self, sign):
@@ -382,7 +384,7 @@ class TestOneFold:
         assert ROW_BLOCK <= 40 < n // 2
         assert np.array_equal(m[:ROW_BLOCK], sign * m[::-1, ::-1][:ROW_BLOCK])
         assert not mirrored(m, sign)
-        assert quadforms._fold(m.__getitem__, n, sign) is None
+        assert eigen.fold(m.__getitem__, n, sign) is None
 
 
 class TestWindowRadius:
@@ -472,7 +474,7 @@ class TestEigenpairTop:
 
     def test_gram_pair_is_certified(self, monkeypatch):
         h, _ = random_instance(3)
-        monkeypatch.setattr(quadforms, "RESIDUAL_RTOL", 0.0)
+        monkeypatch.setattr(eigen, "RESIDUAL_RTOL", 0.0)
         with pytest.raises(NoConvergence):
             eigenpair_top(h)
 
@@ -488,7 +490,7 @@ class TestEigenpairsTop:
 
     def test_suite_windows(self, calls):
         hs = [random_instance(s, 12)[0] for s in range(300)]
-        stacks = calls(spectra, "_top_eigen")
+        stacks = calls(eigen, "top_eigen")
         pairs = spectra.eigenpairs_top(hs)
         # the Gram of a window with J H J = -H, every n = 2 one, is half size
         sizes = {h.n if h_fold(h) is None else (h.n + 1) // 2 for h in hs}
@@ -588,14 +590,14 @@ class TestReflectionFold:
     def test_lifted_pair_is_certified_on_full_matrix(self, monkeypatch, n):
         # a wrong lift, (u, s, Ju) -> (u, s, -Ju), passes the half-size
         # certificate but not the full one
-        lift = spectra._reflection_lift
+        lift = eigen.reflection_lift
 
         def wrong_lift(y, size):
             v = lift(y, size)
             v[size - size // 2:] *= -1.0
             return v
 
-        monkeypatch.setattr(spectra, "_reflection_lift", wrong_lift)
+        monkeypatch.setattr(eigen, "reflection_lift", wrong_lift)
         with pytest.raises(NoConvergence):
             eigenpair_top(build_h(generate_uniform(n, 1.0)))
 
