@@ -435,8 +435,8 @@ def top_eigen(stack: np.ndarray, scales: np.ndarray, vector: bool,
                 plain.append(b)
             else:
                 values[b] = np.linalg.eigvalsh(block)[-1]
-            solved[b] = (block, None, None) if pair is None else (block, pair[1],
-                                                                  pair[2] if block is None else None)
+            solved[b] = ((block, None, None) if pair is None
+                         else (block, pair[1], pair[2] if block is None else None))
         if plain:
             # a slice, unlike an index list, takes the whole stack without a copy
             members = stack[slice(None) if len(plain) == count else plain]

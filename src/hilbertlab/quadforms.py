@@ -170,7 +170,7 @@ def first_constant_above(alpha: float, nodes: np.ndarray, floor: float,
     scales = eigen.checked_scales(kernels, True)
     survivors = np.arange(len(kernels))
     if v.min() > 0.0:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):    # an overflowing bound is inf, and kept
             bounds = eigen.collatz_wielandt(kernels @ v, v)[1]
         survivors = survivors[~(bounds * (1.0 + 1e-12) <= floor)]
     if not survivors.size:

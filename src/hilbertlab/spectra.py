@@ -102,8 +102,8 @@ def _skew_gram(block, n: int, whole) -> tuple[np.ndarray, bool]:
     """The Gram whose top eigenvalue is mu^2 for the n x n skew H, and
     whether it is folded: when J H J = -H exactly, as on a
     reflection-symmetric window, H maps even vectors to odd ones by its
-    even block C = block() (`eigen.fold`, None when the symmetry fails) and odd
-    ones back by -C^T, so it is the half-size C^T C; else H^T H, with
+    even block C = block() (`eigen.fold`, None when the symmetry fails) and
+    odd ones back by -C^T, so it is the half-size C^T C; else H^T H, with
     H = whole(), called only then.
 
     The Gram's buffer is allocated before C. C, allocated last, then lies
@@ -128,7 +128,8 @@ def _top_grams(hs: list[SkewHilbertMatrix]) -> tuple[list[float], list[np.ndarra
     applied as two products with H.
 
     The Grams solved are grouped by size, and each group is one
-    `eigen.top_eigen` stack, checked once, which solves each member as a lone call does.
+    `eigen.top_eigen` stack, checked once, which solves each member as a
+    lone call does.
     """
     solved = [_skew_gram(lambda: eigen.fold(h.entries.__getitem__, h.n, -1.0), h.n,
                          lambda: h.entries) for h in hs]
@@ -167,8 +168,8 @@ def spectral_radius(seq: GapSequence, weights=None) -> float:
     def half():
         block = eigen.grid_fold(c, c, seq.nodes, 1, H_OVERFLOW)
         if block is None:
-            block = eigen.fold(lambda rows: kernel_rows(c, c, lam, 1, H_OVERFLOW, rows)[0], lam.size,
-                          -1.0)
+            block = eigen.fold(lambda rows: kernel_rows(c, c, lam, 1, H_OVERFLOW, rows)[0],
+                               lam.size, -1.0)
         return block
 
     gram = _skew_gram(half, lam.size, lambda: pair_kernel(c, c, lam, 1, H_OVERFLOW))[0][None]
