@@ -11,18 +11,21 @@ import numpy as np
 
 def _pi_folded(y):
     """pi * (|y| mod 1 folded to [0, 1/2]), and where cot(pi*y) takes the
-    negative sign: where the fold reflected, or y < 0, but not both. An
-    array, 0-d for a scalar y, so that callers can work in place.
+    negative sign: where the fold reflected, or y has its sign bit set
+    (-0.0 included, so cotpi(-0.0) is -inf), but not both. An array, 0-d
+    for a scalar y, so that callers can work in place.
 
     Reducing |y| rather than y keeps a small negative y exact: np.mod(-eps,
-    1) would round to 1 - eps and lose the low bits of eps. On |y| >= 0,
-    np.fmod is np.mod, and min(r, 1 - r) is the fold: 1 - r is exact for
+    1) would round to 1 - eps and lose the low bits of eps. On a finite
+    r = |y|, r - floor(r) is exact, the low bits of r, so it is the double
+    np.fmod(r, 1) gives, at a fraction of libm fmod's cost; an infinite r
+    gives NaN in both. min(r, 1 - r) is the fold: 1 - r is exact for
     r >= 1/2 (Sterbenz), and is the minimum only there.
     """
     y = np.asarray(y, dtype=float)
     r = np.abs(y, out=np.empty(y.shape))
-    np.fmod(r, 1.0, out=r)
-    negative = (r > 0.5) != (y < 0)
+    r -= np.floor(r)
+    negative = (r > 0.5) != np.signbit(y)
     np.minimum(r, 1.0 - r, out=r)
     r *= np.pi
     return r, negative

@@ -2,12 +2,14 @@
 
 Exit codes: 0 on success (and all verdicts holding), 1 when a
 verification suite records a failing verdict, 2 on usage errors, invalid
-input, eigensolver failures and runs too large to allocate.
+input, eigensolver failures, runs too large to allocate and a reader that
+closes stdout before the report is written (`... | head -1`).
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 import time
 
@@ -292,7 +294,16 @@ def dispatch(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch(sys.argv[1:]))
+    try:
+        code = dispatch(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # the reader closed stdout early (`... | head`); point stdout at
+        # devnull so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":

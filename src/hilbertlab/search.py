@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import count
-from .gaps import GapSequence, generate_cluster, generate_random, generate_uniform
+from .gaps import GapSequence, WeightVector, generate_cluster, generate_random, generate_uniform
 from .lowerbound import construction_config, periodize
 from .quadforms import ConstantEstimate, estimate_constant, first_constant_above
 
@@ -61,8 +61,9 @@ def hill_climb(alpha: float, seq: GapSequence, rounds: int) -> ConstantEstimate:
     up to that one, and a stack that keeps none doubles it, up to a round
     and to STACK_FLOATS kernel entries.
 
-    The returned estimate is solved and certified on the final gaps, or
-    is the start's own estimate when no trial was kept (rebuilding the
+    The returned estimate is the last kept trial's value and certified
+    witness, as `first_constant_above` returned them, on the final gaps,
+    or the start's own estimate when no trial was kept (rebuilding the
     start's nodes from its gaps can change their last bits).
     """
     rounds = count("rounds", rounds, 0)
@@ -94,7 +95,8 @@ def hill_climb(alpha: float, seq: GapSequence, rounds: int) -> ConstantEstimate:
                 break
     if not kept:
         return start
-    return estimate_constant(alpha, GapSequence(_nodes_from_gaps(gaps)))
+    return ConstantEstimate(start.alpha, seq.n, best, GapSequence(_nodes_from_gaps(gaps)),
+                            WeightVector(witness))
 
 
 def candidate_configs(n: int, seed: int = 0, *, restarts: int) -> list[tuple[str, GapSequence]]:

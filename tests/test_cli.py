@@ -193,6 +193,21 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["command"] == "preissmann"
 
+    def test_reader_closing_stdout_exits_two_without_traceback(self):
+        # the report is far larger than a pipe's buffer, so the print blocks
+        # until the reader closes the pipe and then fails with EPIPE
+        src = str(Path(hilbertlab.__file__).resolve().parents[1])
+        proc = subprocess.Popen([sys.executable, "-m", "hilbertlab", "lower-bound", "--scan",
+                                 "1", "25", "99"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout.readline() == "{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2
+        assert err == "error: [Errno 32] Broken pipe\n"
+
     def test_cli_import_loads_no_thread_pool(self):
         src = str(Path(hilbertlab.__file__).resolve().parents[1])
         code = "import sys, hilbertlab.cli; print('concurrent.futures' in sys.modules)"

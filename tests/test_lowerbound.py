@@ -484,22 +484,49 @@ class TestScan:
             with pytest.raises(ValueError):
                 column[0] = 0
 
-    def test_one_kappas_call_per_k(self, monkeypatch):
-        calls = []
-        real = lowerbound.kappas
+    @pytest.mark.parametrize("grid", [(3, 17, 37), (1, 60, 7), (1, 60, 37)])
+    @pytest.mark.parametrize("budget", [None, 50, 1])
+    def test_groups_equal_per_point_arithmetic_exactly(self, monkeypatch, grid, budget):
+        # the module's budget splits (1, 60, 37) into groups at K boundaries
+        # and inside K runs; 50 does so on every grid, and 1 makes each row
+        # a group of its own
+        if budget is not None:
+            monkeypatch.setattr(lowerbound, "_GROUP_FLOATS", budget)
+        k_min, k_max, steps = grid
+        table = scan(*grid)
+        expected = [scalar_scan_point(k, i / (steps + 1))
+                    for k in range(k_min, k_max + 1) for i in range(1, steps + 1)]
+        got = [column.tolist() for column in table_columns(table)]
+        assert got == [list(field) for field in zip(*expected)]
 
-        def counting(k, a):
-            calls.append(k)
-            return real(k, a)
+    def test_one_sinpi_call_per_group(self, monkeypatch):
+        calls = []
+        real = lowerbound.sinpi_abs_cotpi
+
+        def counting(y):
+            calls.append(y.size)
+            return real(y)
 
         def per_point(*args):
             raise AssertionError("scan evaluated a single point")
 
-        monkeypatch.setattr(lowerbound, "kappas", counting)
+        monkeypatch.setattr(lowerbound, "sinpi_abs_cotpi", counting)
         monkeypatch.setattr(lowerbound, "big_g", per_point)
-        table = scan(2, 6, 50)
-        assert calls == [2, 3, 4, 5, 6]
-        assert table.k.size == 5 * 50
+        monkeypatch.setattr(lowerbound, "kappas", per_point)
+        table = scan(1, 40, 400)
+        # rows of K products each, packed in order into groups of at most
+        # the budget, a longer row alone
+        budget, groups, used = lowerbound._GROUP_FLOATS, [], math.inf
+        for k in range(1, 41):
+            for _ in range(400):
+                if used + k > budget:
+                    groups.append(0)
+                    used = 0
+                groups[-1] += k
+                used += k
+        assert len(groups) > 1
+        assert calls == groups
+        assert table.k.size == 40 * 400
 
     def test_soundness_against_chain_upper_bound(self):
         cap = (1 + math.sqrt(1.2)) / 3.0

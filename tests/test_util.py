@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hilbertlab import gaps, lowerbound, quadforms, search
 from hilbertlab._util import (
-    Rows, count, cotpi, record, sinpi_abs, sinpi_abs_cotpi, to_json, to_json_lines,
+    Rows, _pi_folded, count, cotpi, record, sinpi_abs, sinpi_abs_cotpi, to_json, to_json_lines,
 )
 
 
@@ -49,6 +49,14 @@ FLOATS = (st.floats()
           | st.floats(1e11, 1e17)
           | st.floats(-1e17, -1e11)
           | st.floats(0.0, 2.2250738585072014e-308))
+# finite floats: both zeros, subnormals, integers and the range near 2^52,
+# where the spacing of doubles reaches 1
+FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** 52, 2.0 ** 52 - 0.5,
+                             2.0 ** 53 + 2.0, 0.5, -0.5, 1.0 - 2.0 ** -53])
+          | st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+          | st.integers(-2 ** 60, 2 ** 60).map(float)
+          | st.floats(2.0 ** 51, 2.0 ** 54) | st.floats(-2.0 ** 54, -2.0 ** 51))
 SPECIAL_TEXT = ['"', "\n", "\\", "é", "ünïcode ☃", "%", "%s", "%%", "100%d", "\t\x00", "\U0001f600"]
 TEXT = st.text(max_size=8) | st.sampled_from(SPECIAL_TEXT)
 NUMPY_SCALARS = (st.floats().map(np.float64)
@@ -141,6 +149,17 @@ class TestReducedTrig:
         for v in self.POINTS:
             assert sinpi_abs(-v) == sinpi_abs(v)
             assert cotpi(-v) == -cotpi(v)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(FINITE, min_size=1, max_size=8).map(lambda v: np.array(v, dtype=float)))
+    def test_floor_reduction_is_fmod_bit_for_bit(self, y):
+        theta, negative = _pi_folded(y)
+        r = np.fmod(np.abs(y), 1.0)
+        want = np.minimum(r, 1.0 - r) * np.pi
+        assert np.array_equal(theta.view(np.int64), want.view(np.int64))
+        assert np.array_equal(negative, (r > 0.5) != np.signbit(y))
+        assert np.array_equal(sinpi_abs(-y).view(np.int64), sinpi_abs(y).view(np.int64))
+        assert np.array_equal(cotpi(-y).view(np.int64), (-cotpi(y)).view(np.int64))
 
     @pytest.mark.parametrize("y", [1e-10, -1e-10, 8e-5, -8e-5, 1.0 - 1e-9, -(1.0 - 1e-9)])
     def test_relative_precision_against_mpmath(self, y):
