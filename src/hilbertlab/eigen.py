@@ -5,9 +5,10 @@ residual certificate (`certify`, RESIDUAL_RTOL).
 A nonnegative matrix with J M J = M is solved as its even reflection
 block, which holds its top eigenvalue, and any other matrix whole. `fold`
 builds that block from the rows of a matrix, for the kernels of
-`quadforms` (J M J = M) and the skew H of `spectra` (J H J = -H); on a
-grid window a kernel with constant factors is Toeplitz, and `grid_fold`
-builds the same block, bit for bit, from one row of it.
+`quadforms` (J M J = M) and the skew H of `spectra` (J H J = -H), and
+it is the one place that lays that block out. On a grid window a kernel
+with constant factors is Toeplitz, and `grid_fold` builds only one row of
+it and hands `fold` the rows of a strided view of its diagonals.
 `reflection_lift` maps a block's vector back.
 
 The entry checks run once per solve: a caller of `top_eigen` runs
@@ -85,30 +86,15 @@ def fold(rows, n: int, sign: float) -> np.ndarray | None:
     return even
 
 
-def _toeplitz_fold(column: np.ndarray, n: int, sign: float) -> np.ndarray:
-    """`fold`'s even block, bit for bit, of the n x n matrix M with
-    M_mn = column[m - n] for m >= n and sign * column[n - m] above the
-    diagonal: Toeplitz for sign = 1, skew-Toeplitz for sign = -1 (column[0]
-    is then the zero diagonal), so that J M J = sign * M holds by
-    construction and is not compared.
-
-    Row i of M is diagonals[n - 1 - i : 2n - 1 - i] of the vector of its
-    2n - 1 diagonals, so M and its columns reversed are strided views of
-    that vector, and the block is one add of two views, as `fold` adds
-    the rows it reads: E_ij = M_ij + M_i,n-1-j.
-    """
-    k = n // 2
+def _toeplitz_view(column: np.ndarray, sign: float) -> np.ndarray:
+    """The n x n matrix M with M_mn = column[m - n] for m >= n and sign *
+    column[n - m] above the diagonal, as a strided, read-only view: Toeplitz
+    for sign = 1, skew-Toeplitz for sign = -1 (column[0] is then the zero
+    diagonal). Row i of M is diagonals[n - 1 - i : 2n - 1 - i] of the
+    vector of its 2n - 1 diagonals, the one array behind the view."""
     upper = column[1:] if sign > 0 else np.negative(column[1:])
     diagonals = np.concatenate((column[:0:-1], column[:1], upper))
-    m = np.lib.stride_tricks.sliding_window_view(diagonals, n)[::-1]
-    fold = np.empty((n - k if sign > 0 else k, n - k))
-    np.add(m[:k, :k], m[:k, ::-1][:, :k], out=fold[:k, :k])
-    if n % 2:
-        np.multiply(SQRT2, m[:k, k], out=fold[:k, k])
-        if sign > 0:
-            np.multiply(SQRT2, m[k, :k], out=fold[k, :k])
-            fold[k, k] = m[k, k]
-    return fold
+    return np.lib.stride_tricks.sliding_window_view(diagonals, len(column))[::-1]
 
 
 def _on_grid(nodes: np.ndarray) -> bool:
@@ -129,18 +115,20 @@ def grid_fold(row: np.ndarray, col: np.ndarray, nodes: np.ndarray, power: int, m
     """The even block (`fold`) of pair_kernel(row, col, lam, power,
     message, symmetrized), lam the active nodes of `nodes`, bit for bit,
     when its factors are constant and the nodes on a grid (`_on_grid`);
-    else None. The kernel is then Toeplitz (skew for odd power): each
-    entry is fl(row col) / fl(((m - n) h)^power) and depends on m - n
-    alone. Its last row, read backwards, is its first column, so one row
-    of `kernel_rows`, with its NonFinite check, is built and
-    `_toeplitz_fold` makes the block; the kernel itself is never formed.
+    else None, as for fewer than 2 nodes. The kernel is then Toeplitz
+    (skew for odd power): each entry is fl(row col) / fl(((m - n) h)^power)
+    and depends on m - n alone. Its last row, read backwards, is its first
+    column, so one row of `kernel_rows`, with its NonFinite check, is built,
+    and `fold` reads the rows of its strided view (`_toeplitz_view`); the
+    kernel itself is never formed.
     """
     if not ((row == row[0]).all() and (col == col[0]).all() and _on_grid(nodes)):
         return None
     n = nodes.size - 2
     last = kernel_rows(row, col, nodes[1:-1], power, message, slice(n - 1, n),
-                       symmetrized=symmetrized)[0]
-    return _toeplitz_fold(last[0, ::-1], n, -1.0 if power % 2 else 1.0)
+                       symmetrized=symmetrized)
+    sign = -1.0 if power % 2 else 1.0
+    return fold(_toeplitz_view(last[0, ::-1], sign).__getitem__, n, sign)
 
 
 def reflection_lift(y: np.ndarray, n: int) -> np.ndarray:

@@ -116,12 +116,11 @@ def node_differences(lam: np.ndarray, rows: slice = slice(None)) -> np.ndarray:
 
 def kernel_rows(row: np.ndarray, col: np.ndarray, lam: np.ndarray, power: int,
                 message: str, rows: slice, out: np.ndarray | None = None,
-                symmetrized: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                symmetrized: bool = False) -> np.ndarray:
     """Rows `rows` of the kernel of `pair_kernel`, symmetrized or not,
-    written to `out` when it is given, and the block of fl(d^power) they
-    divide by. Raises NonFinite(message) when an entry of the
-    unsymmetrized kernel under- or overflows; each is checked once, before
-    the mirror terms, which are those same entries, are added."""
+    written to `out` when it is given. Raises NonFinite(message) when an
+    entry of the unsymmetrized kernel under- or overflows; each is checked
+    once, before the mirror terms, which are those same entries, are added."""
     with np.errstate(all="ignore"):
         dp = node_differences(lam, rows)
         if power == 2:
@@ -140,7 +139,7 @@ def kernel_rows(row: np.ndarray, col: np.ndarray, lam: np.ndarray, power: int,
                 np.negative(mirror, out=mirror)
             block += mirror
             block /= 2.0
-    return block, dp
+    return block
 
 
 def pair_kernel(row: np.ndarray, col: np.ndarray, lam: np.ndarray, power: int,

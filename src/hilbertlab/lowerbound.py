@@ -47,6 +47,7 @@ so pi^2 G_K(A) is a certified lower bound for the optimal constant.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -271,7 +272,7 @@ def _pow_each(values: np.ndarray, exponent: int) -> np.ndarray:
     and np.square alone moves 2 u_star cells and 1 G cell on the 1-40-400
     grid, which would break those digests.
     """
-    return np.fromiter(map(math.pow, values.tolist(), [exponent] * values.size), float,
+    return np.fromiter(map(math.pow, values.tolist(), itertools.repeat(exponent)), float,
                        count=values.size)
 
 

@@ -168,7 +168,7 @@ def spectral_radius(seq: GapSequence, weights=None) -> float:
     def half():
         block = eigen.grid_fold(c, c, seq.nodes, 1, H_OVERFLOW)
         if block is None:
-            block = eigen.fold(lambda rows: kernel_rows(c, c, lam, 1, H_OVERFLOW, rows)[0],
+            block = eigen.fold(lambda rows: kernel_rows(c, c, lam, 1, H_OVERFLOW, rows),
                                lam.size, -1.0)
         return block
 

@@ -344,8 +344,7 @@ def suite_trig(trials: int = 20, seed: int = 0) -> list[dict]:
 
     k0, k1 = kappas(5, 0.14)
     b5 = 1.0 - 6 * 0.14
-    closed = cot_limit_check(5, 0.14, 10).closed
-    implied = closed * math.sqrt(0.14 ** 3 * b5 / 5.0)
+    implied = cot5.closed * math.sqrt(0.14 ** 3 * b5 / 5.0)
     records.append(record("kappa1-consistency", abs(implied - k1), 1e-12 * max(1.0, abs(k1)),
                           "<=", seed=seed))
 

@@ -318,7 +318,7 @@ class TestGridPath:
                 ["verify", "--suite", "radius", "--trials", "2", "--seed", "5"])
 
     def test_generic_path_prints_the_same_bytes(self, capsys, monkeypatch, calls):
-        blocks = calls(eigen, "_toeplitz_fold")
+        blocks = calls(eigen, "_toeplitz_view")
         grid = [without_elapsed(run(capsys, argv)[1]) for argv in self.COMMANDS]
         assert len(blocks) == len(self.COMMANDS)
         monkeypatch.setattr(eigen, "_on_grid", lambda nodes: False)

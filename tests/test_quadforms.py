@@ -1158,7 +1158,7 @@ def toeplitz(column: np.ndarray, sign: float) -> np.ndarray:
 
 
 def grid_kernel_factors(seq, sign: float) -> tuple:
-    """Factors, power and symmetrization of a kernel `_grid_fold` folds on
+    """Factors, power and symmetrization of a kernel `grid_fold` folds on
     seq: estimate_constant's at alpha = 1/2 for sign 1, and H with unit
     weights for sign -1."""
     if sign > 0:
@@ -1174,8 +1174,9 @@ def moved_node(seq, index: int):
 
 class TestToeplitzFold:
     """On nodes i h, (i + 1) h, ... for a power of two h, a kernel with
-    constant factors is Toeplitz bit for bit, and its even block is built
-    from one row (`_grid_fold`, `_toeplitz_fold`) instead of the kernel."""
+    constant factors is Toeplitz bit for bit, and its even block is folded
+    from the rows of a strided view of one row (`grid_fold`,
+    `_toeplitz_view`) instead of from the kernel."""
 
     @pytest.mark.parametrize("n", (2, 3, 4, 255, 256, 257, 601, 2000))
     @pytest.mark.parametrize("spacing", (1.0, 0.5, 4.0))
@@ -1190,7 +1191,8 @@ class TestToeplitzFold:
     @pytest.mark.parametrize("n", (2, 3, 4, 9, 64, 65))
     @pytest.mark.parametrize("sign", (1.0, -1.0))
     def test_block_of_an_explicit_toeplitz_matrix(self, n, sign):
-        # zeros of both signs, so a sum that differs in its sign bit shows
+        # zeros of both signs, so a row that differs in its sign bit shows;
+        # the rows are read as `fold` reads them, ROW_BLOCK at a time
         rng = np.random.default_rng(n)
         column = rng.uniform(-1.0, 1.0, n)
         column[rng.uniform(size=n) < 0.3] = 0.0
@@ -1198,8 +1200,11 @@ class TestToeplitzFold:
         if sign < 0:
             column[0] = 0.0    # the zero diagonal of a skew matrix
         m = toeplitz(column, sign)
-        assert_same_bits(eigen._toeplitz_fold(column, n, sign),
-                         eigen.fold(m.__getitem__, n, sign))
+        view = eigen._toeplitz_view(column, sign)
+        assert not view.flags.writeable
+        for rows in row_blocks(n):
+            assert_same_bits(view[rows], m[rows])
+        assert_same_bits(eigen.fold(view.__getitem__, n, sign), eigen.fold(m.__getitem__, n, sign))
 
     def test_grid_predicate(self):
         assert eigen._on_grid(generate_uniform(5, 0.25).nodes)
@@ -1215,7 +1220,7 @@ class TestToeplitzFold:
                                      moved_node(generate_uniform(300, 1.0), 150)),
                              ids=("spacing-0.3", "one-ulp"))
     def test_off_grid_windows_take_the_generic_path(self, seq, calls):
-        blocks = calls(eigen, "_toeplitz_fold")
+        blocks = calls(eigen, "_toeplitz_view")
         kernel = _symmetrized(alpha_form_matrix(seq, 0.5))
         est = estimate_constant(0.5, seq)
         assert blocks == []
@@ -1224,7 +1229,7 @@ class TestToeplitzFold:
         assert_same_bits(est.witness.values, vector)
 
     def test_unequal_weights_take_the_generic_path(self, calls):
-        blocks = calls(eigen, "_toeplitz_fold")
+        blocks = calls(eigen, "_toeplitz_view")
         seq = generate_uniform(300, 1.0)
         spectral_radius(seq, np.r_[1.5, np.ones(seq.n - 1)])
         assert blocks == []

@@ -147,13 +147,13 @@ class TestStackedClimb:
 
     def test_fold_is_tested_only_on_mirrored_trials(self, calls):
         # only trials that the bound cannot drop reach the fold test, and a
-        # kept one again for its witness (69 calls before the bound); the
-        # uniform start's block is built from one row
+        # kept one again for its witness (69 calls before the bound), plus
+        # the uniform start's block, folded from the rows of a Toeplitz view
         fold = eigen.fold
         tested = calls(eigen, "fold")
-        grid = calls(eigen, "_toeplitz_fold")
+        grid = calls(eigen, "_toeplitz_view")
         search_constant(0.5, 12, seed=0, restarts=1, rounds=18)
-        assert (len(tested), len(grid)) == (36, 1)
+        assert (len(tested), len(grid)) == (37, 1)
         assert all(fold(*args) is not None for args in tested)
 
     @pytest.mark.parametrize("n", (24, 48))

@@ -357,7 +357,7 @@ class TestOneFold:
             for weights in (None, np.ones(n)):
                 c = spectra._weights(seq, weights)
                 streamed = eigen.fold(
-                    lambda rows: kernel_rows(c, c, seq.active, 1, spectra.H_OVERFLOW, rows)[0],
+                    lambda rows: kernel_rows(c, c, seq.active, 1, spectra.H_OVERFLOW, rows),
                     n, -1.0)
                 built = h_fold(build_h(seq, weights))
                 if n < 2:
